@@ -12,9 +12,14 @@ compared benchmark's median regressed by more than *tolerance*
 (default 30%, absorbing CI-runner noise while catching real
 slowdowns of the sparse tick).
 
-Speedups and new benchmarks never fail the check; a baseline recorded
-on a host with a different CPU count is reported but still compared —
-the tolerance is the noise budget.
+Speedups never fail the check, and benchmarks outside every
+``--match`` are not compared; a baseline recorded on a host with a
+different CPU count is reported but still compared — the tolerance is
+the noise budget.
+
+A gate with nothing behind it is an error, not a pass: a ``--match``
+name that selects no benchmark present in both files, or a comparison
+with no rows at all, exits 2 with the missing names listed.
 """
 
 from __future__ import annotations
@@ -49,6 +54,21 @@ def compare(
     return rows
 
 
+def missing_matches(
+    baseline: dict[str, float], current: dict[str, float], match: list[str] | None
+) -> list[str]:
+    """``--match`` names that select no benchmark present in both files."""
+    missing = []
+    for m in match or []:
+        in_base = {name for name in baseline if m in name}
+        in_cur = {name for name in current if m in name}
+        if not in_base & in_cur:
+            where = [label for label, names in
+                     (("baseline", in_base), ("current", in_cur)) if not names]
+            missing.append(f"{m} (not in {' or '.join(where) or 'both under one name'})")
+    return missing
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="committed benchmark JSON")
@@ -70,10 +90,14 @@ def main(argv: list[str] | None = None) -> int:
         print("note: baseline and current machines differ; "
               f"tolerance {args.tolerance:.0%} is the noise budget")
 
+    missing = missing_matches(base_medians, cur_medians, args.match)
+    if missing:
+        print("ERROR: nothing to compare for --match " + ", ".join(missing))
+        return 2
     rows = compare(base_medians, cur_medians, args.tolerance, args.match)
     if not rows:
-        print("no shared benchmarks to compare; nothing to check")
-        return 0
+        print("ERROR: baseline and current share no benchmark to compare")
+        return 2
 
     width = max(len(name) for name, *_ in rows)
     failed = False
