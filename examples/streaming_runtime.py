@@ -14,6 +14,7 @@ from repro.apps.video import generate_scene
 from repro.compass import CompassSimulator
 from repro.core.workload import WorkloadDescriptor
 from repro.hardware import EnergyModel, TimingModel, TrueNorthSimulator
+from repro.obs import Observer
 from repro.runtime import SceneSource, StreamingRuntime
 
 
@@ -44,16 +45,16 @@ def main() -> None:
 
     # --- the same stream on the Compass expression -------------------------
     compass_runtime = StreamingRuntime(
-        CompassSimulator(net, n_ranks=4, profile=True),
+        CompassSimulator(net, n_ranks=4, obs=Observer()),
         pipeline.pixel_pins,
         ticks_per_frame=15,
     )
     compass_report = compass_runtime.run(SceneSource(scene, loops=2))
-    sim = compass_runtime.simulator
+    ph = compass_runtime.simulator.phase_seconds
     print(f"\ncompass expression: {compass_report.real_time_factor:.2f}x real time; "
           "phase breakdown "
-          f"{sim.phase_seconds['synapse_neuron'] * 1e3:.0f} ms compute / "
-          f"{sim.phase_seconds['network'] * 1e3:.0f} ms network")
+          f"{(ph['deliver'] + ph['integrate'] + ph['update']) * 1e3:.0f} ms compute / "
+          f"{ph['route'] * 1e3:.0f} ms network")
 
     # --- what the chip would do --------------------------------------------
     counters = runtime.simulator.counters

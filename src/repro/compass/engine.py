@@ -40,7 +40,6 @@ def select_engine(
     n_replicas: int = 1,
     replica_seeds=None,
     partition_strategy: str = "load_balanced",
-    profile: bool = False,
     obs: Observer | None = None,
     gated: bool | str = "auto",
 ):
@@ -56,8 +55,8 @@ def select_engine(
     single-process FastCompass path — so small-network latency never
     pays the multi-process barrier.  It falls back to the
     rank-partitioned Compass expression only when the caller requests
-    rank-level behaviour (``n_ranks > 1`` or ``profile=True``, features
-    the flat engines do not model).
+    rank-level behaviour (``n_ranks > 1``, which the flat engines do
+    not model).
 
     ``engine="batched"`` (or ``n_replicas > 1`` under auto) returns a
     :class:`~repro.compass.batched.BatchedCompassSimulator`, whose
@@ -90,10 +89,9 @@ def select_engine(
         if n_replicas > 1:
             engine = "batched"
             reason = f"{n_replicas} replicas requested"
-        elif n_ranks > 1 or profile:
+        elif n_ranks > 1:
             engine = "compass"
-            reason = ("rank-level features requested "
-                      f"(n_ranks={n_ranks}, profile={profile})")
+            reason = f"rank-level features requested (n_ranks={n_ranks})"
         else:
             from repro.compass.parallel import AUTO_MIN_NEURONS, auto_workers
 
@@ -115,20 +113,19 @@ def select_engine(
     if engine == "fast":
         from repro.compass.fast import FastCompassSimulator
 
-        return FastCompassSimulator(network, profile=profile, obs=obs, gated=gated)
+        return FastCompassSimulator(network, obs=obs, gated=gated)
     if engine == "batched":
         from repro.compass.batched import BatchedCompassSimulator
 
         return BatchedCompassSimulator(
-            network, n_replicas, seeds=replica_seeds, profile=profile, obs=obs,
-            gated=gated,
+            network, n_replicas, seeds=replica_seeds, obs=obs, gated=gated,
         )
     if engine == "compass":
         from repro.compass.simulator import CompassSimulator
 
         return CompassSimulator(
             network, n_ranks=n_ranks,
-            partition_strategy=partition_strategy, profile=profile, obs=obs,
+            partition_strategy=partition_strategy, obs=obs,
         )
     if engine == "parallel":
         from repro.compass.parallel import ParallelCompassSimulator

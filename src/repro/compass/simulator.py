@@ -16,13 +16,12 @@ and to the TrueNorth hardware expression (Section VI-A's one-to-one
 equivalence), because all three share the counter-based PRNG and the
 integer update rules.
 
-Instrumentation rides on :mod:`repro.obs`: pass ``obs=Observer()`` (or
-the legacy ``profile=True``, which creates a private observer) and the
-simulator records per-tick phase spans — ``deliver`` / ``integrate`` /
-``update`` / ``route`` — publishes the uniform event metrics, and keeps
-the classic :attr:`phase_seconds` view available.  All clock reads live
-inside :mod:`repro.obs.trace`, so this tick path stays wall-clock-free
-under the SL104 determinism lint.
+Instrumentation rides on :mod:`repro.obs`: pass ``obs=Observer()`` and
+the simulator records per-tick phase spans — ``deliver`` / ``integrate``
+/ ``update`` / ``route`` — publishes the uniform event metrics, and
+keeps the classic :attr:`phase_seconds` view available.  All clock reads
+live inside :mod:`repro.obs.trace`, so this tick path stays
+wall-clock-free under the SL104 determinism lint.
 """
 
 from __future__ import annotations
@@ -39,19 +38,20 @@ from repro.core.record import SpikeRecord
 from repro.compass.compile import CompiledNetwork, compile_network
 from repro.compass.partition import partition
 from repro.compass.simmpi import SimMPI
-from repro.obs.observer import NULL_SPAN, Observer, active_observer
-from repro.obs.trace import PHASES, now_ns
+from repro.obs.observer import NULL_SPAN, Observer, active_observer, engine_phase_seconds
+from repro.obs.trace import now_ns
 
 
 class CompassSimulator:
     """Rank-partitioned, vectorized simulator for one network."""
+
+    phase_seconds = engine_phase_seconds
 
     def __init__(
         self,
         network: Network | CompiledNetwork,
         n_ranks: int = 1,
         partition_strategy: str = "load_balanced",
-        profile: bool = False,
         obs: Observer | None = None,
     ) -> None:
         """Build a Compass simulator over *n_ranks* simulated MPI ranks.
@@ -61,22 +61,20 @@ class CompassSimulator:
         compiled artifact (flat initial state, validated configuration)
         is shared across simulators instead of being rebuilt here.
 
-        With an *obs* observer attached (or ``profile=True``, which
-        attaches a private one) the kernel phases are wall-clock timed
-        per tick into phase spans and the
+        With an *obs* observer attached the kernel phases are
+        wall-clock timed per tick into phase spans and the
         ``repro_phase_seconds_total`` metric — the measurement Compass
         used to overlap communication with computation — surfaced
         through :attr:`phase_seconds`.
         """
-        self.profile = profile
-        self.obs = obs if obs is not None else (Observer() if profile else None)
-        with (self.obs.span("compile") if self.obs is not None else NULL_SPAN):
+        self.obs = obs
+        with (obs.span("compile") if obs is not None else NULL_SPAN):
             compiled = compile_network(network)
         self.compiled = compiled
         self.network = network = compiled.network
         self.n_ranks = n_ranks
-        with (self.obs.span("partition", ranks=n_ranks)
-              if self.obs is not None else NULL_SPAN):
+        with (obs.span("partition", ranks=n_ranks)
+              if obs is not None else NULL_SPAN):
             self.rank_of_core = partition(network, n_ranks, partition_strategy)
         self.cores_of_rank: list[list[int]] = [
             [c for c in range(network.n_cores) if self.rank_of_core[c] == r]
@@ -95,20 +93,6 @@ class CompassSimulator:
             for core in network.cores
         ]
         self._input_by_tick: dict[int, list[tuple[int, int]]] = {}
-
-    @property
-    def phase_seconds(self) -> dict:
-        """Accumulated seconds per tick phase (all zero when untimed).
-
-        Contains the canonical ``deliver``/``integrate``/``update``/
-        ``route`` phases plus the legacy ``synapse_neuron`` and
-        ``network`` aggregates.
-        """
-        if self.obs is None:
-            zeros = {name: 0.0 for name in PHASES}
-            zeros["synapse_neuron"] = zeros["network"] = 0.0
-            return zeros
-        return self.obs.phase_seconds()
 
     # -- input handling ------------------------------------------------------
     def load_inputs(self, inputs: InputSchedule | None) -> None:

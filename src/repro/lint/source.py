@@ -71,7 +71,7 @@ SOURCE_CODES: dict[str, SourceRuleInfo] = {
         SourceRuleInfo("SL104", "wall-clock-in-tick-path", Severity.ERROR,
                        "tick-path code must be a pure function of (network, "
                        "seed, inputs); hoist timing to the caller or mark a "
-                       "profile-gated hook with '# repro-lint: allow=SL104'"),
+                       "sanctioned hook with '# repro-lint: allow=SL104'"),
         SourceRuleInfo("SL105", "shm-create-without-cleanup", Severity.ERROR,
                        "pair every SharedMemory(create=True) with .close() "
                        "and .unlink() in the same class to avoid leaking "

@@ -123,6 +123,53 @@ class Observer:
         self.trace.add("tick", begin_ns, end, tid=tid, attrs={"tick": tick})
         self._tick_hist.observe((end - begin_ns) * 1e-9)
 
+    def sparse_tick(
+        self,
+        tick: int,
+        marks,
+        counters,
+        spikes: int,
+        queue_depth: int,
+        active: int | None,
+        n_neurons: int,
+        span: str = "tick",
+        attrs: dict | None = None,
+    ) -> None:
+        """Publish one finished tick of a sparse engine: the post-tick block.
+
+        *marks* are the engine's ``now_ns`` readings in order: tick
+        begin, the end of each phase it timed, tick end — five for the
+        single-process engines (``deliver``/``integrate``/``update``/
+        ``route``), two for the parallel coordinator, whose phase split
+        arrives from the workers' span strips instead.  Records the
+        phase spans, one whole-tick *span* (*attrs* default to the tick
+        number), the tick-seconds histogram, the event *counters*, the
+        pending-input *queue_depth*, the gate gauges when *active* (the
+        neurons computed this tick, None when ungated) is given, and
+        the flight row.
+        """
+        begin, end = marks[0], marks[-1]
+        phase_ns = {}
+        if len(marks) == 1 + len(PHASES):
+            for name, a, b in zip(PHASES, marks, marks[1:]):
+                self.phase(name, tick, a, b)
+                phase_ns[name + "_ns"] = b - a
+        self.trace.add(span, begin, end, attrs=attrs or {"tick": tick})
+        self._tick_hist.observe((end - begin) * 1e-9)
+        self.publish_counters(counters)
+        self.set_gauge("repro_queue_depth", queue_depth)
+        fraction = 1.0
+        if active is not None:
+            fraction = active / n_neurons if n_neurons else 0.0
+            self.set_gauge("repro_active_neurons", active)
+            self.set_gauge("repro_active_fraction", fraction)
+            self.metrics.counter("repro_active_neuron_updates_total").set(
+                counters.active_neuron_updates
+            )
+        self.flight_tick(
+            tick, begin, end, spikes, counters.messages, fraction, **phase_ns
+        )
+
     # -- flight recorder ---------------------------------------------------
     def flight_tick(
         self,
@@ -183,17 +230,8 @@ class Observer:
         return {name: snap.get(name, 0) for name in EVENT_METRICS}
 
     def phase_seconds(self) -> dict:
-        """Accumulated wall-clock seconds per canonical tick phase.
-
-        Always contains the four canonical phases plus the legacy
-        ``synapse_neuron`` (= deliver + integrate + update) and
-        ``network`` (= route) aggregates kept for compatibility with
-        the original Compass profiling surface.
-        """
-        out = {name: float(self._phase_counter.value(phase=name)) for name in PHASES}
-        out["synapse_neuron"] = out["deliver"] + out["integrate"] + out["update"]
-        out["network"] = out["route"]
-        return out
+        """Accumulated wall-clock seconds per canonical tick phase."""
+        return {name: float(self._phase_counter.value(phase=name)) for name in PHASES}
 
     # -- export ------------------------------------------------------------
     def export_chrome_trace(self, path: str) -> int:
@@ -205,6 +243,22 @@ class Observer:
         with open(path, "w", encoding="utf-8") as f:
             f.write(self.metrics.to_json())
             f.write("\n")
+
+
+@property
+def engine_phase_seconds(engine) -> dict:
+    """Accumulated seconds per tick phase (all zero when untimed).
+
+    The one ``phase_seconds`` property every engine that takes ``obs=``
+    carries (``phase_seconds = engine_phase_seconds`` in the class
+    body): the four canonical phases — ``deliver``/``integrate``/
+    ``update``/``route`` — from the engine's observer; on the parallel
+    engine they are summed over every worker rank and populated once
+    the worker trace strips have been merged (at ``close()``).
+    """
+    if engine.obs is None:
+        return dict.fromkeys(PHASES, 0.0)
+    return engine.obs.phase_seconds()
 
 
 def active_observer(obs: Observer | None) -> Observer | None:

@@ -125,7 +125,6 @@ class TestEngineSelection:
     def test_auto_falls_back_for_rank_features(self):
         net = random_network(n_cores=2, seed=7)
         assert isinstance(select_engine(net, n_ranks=2), CompassSimulator)
-        assert isinstance(select_engine(net, profile=True), CompassSimulator)
 
     def test_explicit_engines(self):
         net = random_network(n_cores=2, seed=8)

@@ -377,7 +377,7 @@ class TestObserver:
 
     def test_disabled_observer_phase_seconds_empty_never_raises(self):
         seconds = Observer(enabled=False).phase_seconds()
-        assert set(seconds) == set(PHASES) | {"synapse_neuron", "network"}
+        assert set(seconds) == set(PHASES)
         assert all(v == 0.0 for v in seconds.values())
 
     def test_disabled_observer_event_snapshot_empty_never_raises(self):
@@ -399,14 +399,15 @@ class TestObserver:
             set_enabled(True)
         assert obs.active
 
-    def test_phase_seconds_includes_compat_aggregates(self):
+    def test_phase_seconds_reports_the_four_canonical_phases(self):
         obs = Observer()
         obs.phase("deliver", 0, 0, 1_000_000_000)
         obs.phase("route", 0, 0, 500_000_000)
         seconds = obs.phase_seconds()
-        assert set(seconds) == set(PHASES) | {"synapse_neuron", "network"}
-        assert seconds["synapse_neuron"] == pytest.approx(1.0)
-        assert seconds["network"] == pytest.approx(0.5)
+        assert set(seconds) == set(PHASES)
+        assert seconds["deliver"] == pytest.approx(1.0)
+        assert seconds["route"] == pytest.approx(0.5)
+        assert seconds["integrate"] == seconds["update"] == 0.0
 
     def test_tick_phases_synthesizes_contiguous_spans(self):
         obs = Observer()

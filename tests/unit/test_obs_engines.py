@@ -36,25 +36,17 @@ def inputs(network):
 
 class TestPhaseParity:
     def test_fast_profile_reports_same_phase_names_as_compass(self, network, inputs):
-        fast = FastCompassSimulator(network, profile=True)
-        compass = CompassSimulator(network, profile=True)
+        fast = FastCompassSimulator(network, obs=Observer())
+        compass = CompassSimulator(network, obs=Observer())
         fast.run(TICKS, inputs)
         compass.run(TICKS, inputs)
-        assert set(fast.phase_seconds) == set(compass.phase_seconds)
+        assert set(fast.phase_seconds) == set(compass.phase_seconds) == set(PHASES)
         for name in PHASES:
             assert fast.phase_seconds[name] > 0
             assert compass.phase_seconds[name] > 0
 
-    def test_legacy_aggregates_consistent(self, network, inputs):
-        sim = FastCompassSimulator(network, profile=True)
-        sim.run(TICKS, inputs)
-        ph = sim.phase_seconds
-        assert ph["synapse_neuron"] == pytest.approx(
-            ph["deliver"] + ph["integrate"] + ph["update"])
-        assert ph["network"] == pytest.approx(ph["route"])
-
     def test_profiling_does_not_change_fast_results(self, network, inputs):
-        a = FastCompassSimulator(network, profile=True).run(TICKS, inputs)
+        a = FastCompassSimulator(network, obs=Observer()).run(TICKS, inputs)
         b = FastCompassSimulator(network).run(TICKS, inputs)
         assert a == b
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compass import fast
 from repro.compass.parallel import (
     _STOP,
     ParallelCompassSimulator,
@@ -72,6 +73,29 @@ class TestParallelCompass:
         ref = run_kernel(net, 45, ins)
         got = run_parallel_compass(net, 45, ins, n_workers=2)
         assert got.first_mismatch(ref) is None
+
+    def test_inputs_stage_through_the_shared_cache(self):
+        # The schedule converts to arrays once (staged_inputs' cache on
+        # the schedule object), whatever the engine and however often it
+        # runs; two schedules staged for one tick merge as on the fast
+        # engine.
+        net = random_network(n_cores=4, connectivity=0.5, seed=12)
+        ins = poisson_inputs(net, 12, 500.0, seed=4)
+        more = poisson_inputs(net, 12, 500.0, seed=5)
+        sim = ParallelCompassSimulator(net, n_workers=2)
+        builds = fast.n_input_builds()
+        first = sim.run(12, ins)
+        assert fast.n_input_builds() == builds + 1
+        assert sim.run(12, ins) == first
+        assert fast.n_input_builds() == builds + 1
+
+        single = fast.FastCompassSimulator(net)
+        for engine in (sim, single):
+            engine.load_inputs(ins)
+            engine.load_inputs(more)
+        got, want = sim.run(12), single.run(12)
+        assert got == want
+        assert got.counters.deliveries > first.counters.deliveries
 
     def test_workers_shut_down_after_run(self):
         net = random_network(n_cores=2, seed=2)
@@ -228,9 +252,10 @@ class TestWorkerFailure:
         def _boom(*args, **kwargs):
             raise RuntimeError("injected worker fault")
 
-        # Fork inherits the patched module, so every worker raises on
-        # its first neuron update.
-        monkeypatch.setattr(par, "update_neurons", _boom)
+        # Fork inherits the patched module (the worker's TickState
+        # reaches the kernels through repro.compass.fast), so every
+        # worker raises on its first neuron update.
+        monkeypatch.setattr(fast, "update_neurons", _boom)
         net = random_network(n_cores=4, connectivity=0.6, seed=31)
         sim = ParallelCompassSimulator(net, n_workers=2)
         sim._spawn()
@@ -251,8 +276,8 @@ class TestWorkerFailure:
         def _boom(*args, **kwargs):
             raise ValueError("distinctive-worker-detail")
 
-        monkeypatch.setattr(par, "integrate_deliveries", _boom)
-        monkeypatch.setattr(par, "integrate_deliveries_gated", _boom)
+        monkeypatch.setattr(fast, "integrate_deliveries", _boom)
+        monkeypatch.setattr(fast, "integrate_deliveries_gated", _boom)
         net = random_network(n_cores=4, connectivity=0.6, seed=32)
         ins = poisson_inputs(net, 4, 800.0, seed=1)
         sim = ParallelCompassSimulator(net, n_workers=2)
@@ -286,7 +311,7 @@ class TestWorkerFailure:
         def _boom(*args, **kwargs):
             raise RuntimeError("logged fault")
 
-        monkeypatch.setattr(par, "update_neurons", _boom)
+        monkeypatch.setattr(fast, "update_neurons", _boom)
         stream = io.StringIO()
         configure(level="ERROR", stream=stream, force=True)
         try:

@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.experiments.report_gen import generate_report
+from repro.obs import PHASES, Observer
 
 
 class TestReportGeneration:
@@ -53,24 +54,26 @@ class TestPhaseProfiling:
     def test_phases_accumulate(self):
         net = random_network(n_cores=4, connectivity=0.5, seed=2)
         ins = poisson_inputs(net, 10, 400.0, seed=1)
-        sim = CompassSimulator(net, n_ranks=2, profile=True)
+        sim = CompassSimulator(net, n_ranks=2, obs=Observer())
         sim.run(10, ins)
-        assert sim.phase_seconds["synapse_neuron"] > 0
-        assert sim.phase_seconds["network"] > 0
+        ph = sim.phase_seconds
+        compute = ph["integrate"] + ph["update"]
+        assert compute > 0
+        assert ph["route"] > 0
         # compute dominates communication for an in-process exchange
-        assert sim.phase_seconds["synapse_neuron"] > sim.phase_seconds["network"]
+        assert compute > ph["route"]
 
     def test_profiling_off_by_default(self):
         net = random_network(n_cores=2, seed=1)
         sim = CompassSimulator(net)
         sim.run(5)
-        # Untimed: every phase (canonical + legacy aggregates) reads zero.
-        assert set(sim.phase_seconds) >= {"synapse_neuron", "network"}
+        # Untimed: every canonical phase reads zero.
+        assert set(sim.phase_seconds) == set(PHASES)
         assert all(v == 0.0 for v in sim.phase_seconds.values())
 
     def test_profiling_does_not_change_results(self):
         net = random_network(n_cores=3, stochastic=True, seed=9)
         ins = poisson_inputs(net, 12, 300.0, seed=4)
-        a = CompassSimulator(net, profile=True).run(12, ins)
-        b = CompassSimulator(net, profile=False).run(12, ins)
+        a = CompassSimulator(net, obs=Observer()).run(12, ins)
+        b = CompassSimulator(net).run(12, ins)
         assert a == b
