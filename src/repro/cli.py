@@ -185,6 +185,7 @@ def _simulate_checkpointed(args, network, workers) -> int:
 
     from repro.compass.engine import select_engine
     from repro.io.checkpoint import EngineCheckpoint
+    from repro.lint.diagnostics import LintError
 
     sim = select_engine(
         network, args.expression, n_ranks=args.ranks, n_workers=workers,
@@ -195,8 +196,12 @@ def _simulate_checkpointed(args, network, workers) -> int:
         return 1
     start_tick = 0
     if args.resume:
-        ckpt = EngineCheckpoint.load(args.resume, network)
-        sim.restore(ckpt)
+        try:
+            ckpt = EngineCheckpoint.load(args.resume, network)
+            sim.restore(ckpt)
+        except LintError as err:
+            print(err, file=sys.stderr)
+            return 1
         start_tick = int(ckpt.tick)
         print(f"resumed {args.resume} at tick {start_tick}")
     ckpt_dir = args.checkpoint_dir or "."
@@ -237,8 +242,13 @@ def _cmd_checkpoint_inspect(args) -> int:
     import json
 
     from repro.io.checkpoint import load_checkpoint
+    from repro.lint.diagnostics import LintError
 
-    info = load_checkpoint(args.path).describe()
+    try:
+        info = load_checkpoint(args.path).describe()
+    except LintError as err:
+        print(err, file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(info, indent=2))
         return 0

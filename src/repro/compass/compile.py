@@ -34,6 +34,7 @@ from scipy import sparse
 
 from repro.core import prng
 from repro.core.network import OUTPUT_TARGET, Network
+from repro.io.checkpoint import DIGEST_MEMO_ATTR
 from repro.lint.model import check_network, check_partition_map
 
 _CACHE_ATTR = "_compiled_network_cache"
@@ -594,5 +595,6 @@ def compile_network(network: Network | CompiledNetwork) -> CompiledNetwork:
 
 
 def invalidate(network: Network) -> None:
-    """Drop *network*'s cached compiled artifact (after mutation)."""
-    network.__dict__.pop(_CACHE_ATTR, None)
+    """Drop *network*'s compiled artifact and digest memo (after mutation)."""
+    for attr in (_CACHE_ATTR, DIGEST_MEMO_ATTR):
+        network.__dict__.pop(attr, None)

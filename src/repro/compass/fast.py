@@ -46,9 +46,9 @@ from repro.core.counters import EventCounters
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
+from repro.io.checkpoint import EngineCheckpoint
 from repro.obs.observer import NULL_SPAN, Observer, active_observer, engine_phase_seconds
 from repro.obs.trace import now_ns
-from repro.utils.validation import require
 
 
 def stoch_synapse_events(
@@ -689,51 +689,27 @@ class FastCompassSimulator:
         any engine — this one, the reference simulator, a batch lane —
         with bit-identical behaviour thereafter.
         """
-        from repro.io.checkpoint import (
-            EngineCheckpoint, cached_model_digest, canonical_ring, copy_pending,
-        )
-
-        return EngineCheckpoint(
-            network_name=self.network.name or "",
-            model_digest=cached_model_digest(self),
-            seed=int(self.network.seed),
-            tick=int(self.tick),
-            v=self.v.copy(),
-            ring=canonical_ring(self.buffers, self.tick),
-            pending=copy_pending(self._input_by_tick),
-            counters=self.counters.copy(),
+        return EngineCheckpoint.capture(
+            self.network, self.tick, self.v, self.buffers,
+            self._input_by_tick, self.counters,
         )
 
     def restore(self, ckpt) -> None:
         """Restore an engine checkpoint (from any engine); bit-exact resume.
 
-        Validates the checkpoint's network name + model digest (``TN602``
-        on mismatch) and that the PRNG stream seed matches this engine's
-        network seed (a batch lane running a *derived* session seed must
-        be restored onto a batch lane, not here).  The activity gate is
-        rebuilt from the restored membranes — its state is purely
-        derived, so it never travels in the checkpoint.
+        :meth:`~repro.io.checkpoint.EngineCheckpoint.restore_state`
+        validates the checkpoint's network name + model digest, its size,
+        and that the PRNG stream seed matches this engine's network seed
+        (``TN602`` on mismatch; a batch lane running a *derived* session
+        seed must be restored onto a batch lane, not here).  The
+        activity gate is rebuilt from the restored membranes — its state
+        is purely derived, so it never travels in the checkpoint.
         """
-        from repro.io.checkpoint import engine_ring, copy_pending
-
-        ckpt.validate_against(self.network)
-        require(
-            int(ckpt.seed) == int(self.network.seed),
-            f"checkpoint carries PRNG stream seed {ckpt.seed}, this engine "
-            f"runs the network seed {self.network.seed} (restore "
-            "derived-seed session checkpoints onto a batch lane)",
+        v, self.buffers, self._input_by_tick, self.counters = (
+            ckpt.restore_state(self.network)
         )
         self.tick = int(ckpt.tick)
-        self._state = TickState(
-            self.compiled, self.network.seed,
-            np.array(ckpt.v, dtype=np.int64, copy=True), self.gated,
-        )
-        self.buffers = engine_ring(
-            np.asarray(ckpt.ring, dtype=bool), self.tick
-        )
-        self._input_by_tick = copy_pending(ckpt.pending)
-        self.counters = ckpt.counters.copy()
-        self.counters.ensure_cores(self.compiled.n_cores)
+        self._state = TickState(self.compiled, self.network.seed, v, self.gated)
 
     # -- public API --------------------------------------------------------
     def step_arrays(self) -> tuple[int, np.ndarray, np.ndarray]:

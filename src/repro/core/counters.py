@@ -9,7 +9,7 @@ layer can consume any expression's output interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,20 +77,11 @@ class EventCounters:
 
     def copy(self) -> "EventCounters":
         """An independent deep copy (checkpoint snapshot/restore)."""
-        dup = EventCounters(
-            ticks=self.ticks,
-            synaptic_events=self.synaptic_events,
-            spikes=self.spikes,
-            deliveries=self.deliveries,
-            neuron_updates=self.neuron_updates,
-            active_neuron_updates=self.active_neuron_updates,
-            hops=self.hops,
-            messages=self.messages,
-            membrane_saturations=self.membrane_saturations,
-            max_core_events_per_tick=self.max_core_events_per_tick,
-        )
-        dup.synaptic_events_per_core = self.synaptic_events_per_core.copy()
-        return dup
+        kwargs = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kwargs[f.name] = value.copy() if isinstance(value, np.ndarray) else value
+        return EventCounters(**kwargs)
 
     def merge(self, other: "EventCounters") -> None:
         """Accumulate *other*'s tallies into this counter (rank merge).
@@ -122,3 +113,12 @@ class EventCounters:
                 self.synaptic_events_per_core = grown
             # A slice view keeps self-merge safe: doubling in place.
             self.synaptic_events_per_core[: theirs.size] += theirs
+
+
+#: The scalar tallies, in declaration order: every field but the per-core
+#: array.  The checkpoint header serializes this list and the batched
+#: engine holds one ``(B,)`` array per entry, so a field added to the
+#: dataclass is checkpointed without being named anywhere else.
+SCALAR_COUNTERS = tuple(
+    f.name for f in fields(EventCounters) if f.name != "synaptic_events_per_core"
+)

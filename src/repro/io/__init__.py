@@ -10,7 +10,6 @@ from repro.io.aer import (
     write_aer_file,
 )
 from repro.io.checkpoint import (
-    Checkpoint,
     EngineCheckpoint,
     load_checkpoint,
     model_digest,
@@ -34,7 +33,6 @@ __all__ = [
     "record_to_aer",
     "schedule_from_aer",
     "write_aer_file",
-    "Checkpoint",
     "EngineCheckpoint",
     "load_checkpoint",
     "model_digest",

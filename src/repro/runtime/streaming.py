@@ -175,8 +175,7 @@ class StreamingRuntime:
         """Capture a periodic checkpoint when the cadence says so.
 
         No-op without ``checkpoint_every`` or on engines that do not
-        expose ``snapshot()`` (the reference per-core simulators expose
-        the legacy path instead).
+        expose ``snapshot()`` (the scalar reference kernel).
         """
         if not self.checkpoint_every or tick_cursor % self.checkpoint_every:
             return

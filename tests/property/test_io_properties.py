@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.builders import poisson_inputs, random_network
 from repro.hardware.config import config_stream, decode_core, encode_core, parse_config_stream
 from repro.io.aer import AERStream, decode_aer, encode_aer
-from repro.io.checkpoint import restore_simulator, snapshot_simulator
+from repro.compass.simulator import CompassSimulator
+from repro.io.checkpoint import (
+    EngineCheckpoint,
+    restore_simulator,
+    snapshot_simulator,
+)
+from repro.lint.diagnostics import LintError
 from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
 
@@ -83,30 +89,54 @@ class TestConfigProperties:
 
 class TestCheckpointProperties:
     @given(
+        sim_cls=st.sampled_from([TrueNorthSimulator, CompassSimulator]),
         seed=st.integers(0, 2**31),
         split=st.integers(1, 19),
     )
-    @settings(max_examples=15, deadline=None)
-    def test_resume_bit_exact_at_any_split(self, seed, split):
+    @settings(max_examples=30, deadline=None)
+    def test_resume_bit_exact_at_any_split(self, sim_cls, seed, split):
         net = random_network(n_cores=2, n_axons=8, n_neurons=8,
                              stochastic=True, seed=seed)
         ins = poisson_inputs(net, 20, 400.0, seed=seed + 1)
 
-        full = TrueNorthSimulator(net)
+        full = sim_cls(net)
         full.load_inputs(ins)
         full_events = []
         for _ in range(20):
             full_events.extend(full.step())
 
-        part = TrueNorthSimulator(net)
+        part = sim_cls(net)
         part.load_inputs(ins)
         events = []
         for _ in range(split):
             events.extend(part.step())
         ckpt = snapshot_simulator(part)
-        resumed = TrueNorthSimulator(net)
+        resumed = sim_cls(net)
         restore_simulator(resumed, ckpt)
         for _ in range(20 - split):
             events.extend(resumed.step())
 
         assert SpikeRecord.from_events(events) == SpikeRecord.from_events(full_events)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_bytes_never_escape_as_anything_but_tn601(self, data):
+        # Cut the container anywhere, or flip any one byte: the reader
+        # returns a checkpoint (the damage hit nothing it reads) or
+        # raises the TN601 LintError — no other exception type.
+        net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=5)
+        sim = TrueNorthSimulator(net)
+        sim.load_inputs(poisson_inputs(net, 6, 400.0, seed=6))
+        for _ in range(4):
+            sim.step()
+        blob = snapshot_simulator(sim).to_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            bad = blob[:at]
+        else:
+            bad = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) \
+                + blob[at + 1:]
+        try:
+            EngineCheckpoint.from_bytes(bad)
+        except LintError as err:
+            assert err.codes == ["TN601"]

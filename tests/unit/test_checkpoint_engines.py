@@ -19,9 +19,11 @@ from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import compile_network
 from repro.compass.fast import FastCompassSimulator
 from repro.compass.parallel import ParallelCompassSimulator, WorkerFailedError
+from repro.compass.compile import invalidate
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.record import SpikeRecord
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.io.checkpoint import EngineCheckpoint, load_checkpoint, model_digest
 from repro.lint.diagnostics import LintError
 from repro.obs import Observer
@@ -42,6 +44,22 @@ LOGICAL = (
 )
 
 
+# The whole-network expressions, by matrix name.  Parallel pools are
+# closed by the tests that build them.
+ENGINES = {
+    "fast": lambda net: FastCompassSimulator(compile_network(net)),
+    "compass": CompassSimulator,
+    "truenorth": TrueNorthSimulator,
+    "parallel": lambda net: ParallelCompassSimulator(net, n_workers=2),
+}
+
+
+def close(*sims) -> None:
+    for sim in sims:
+        if hasattr(sim, "close"):
+            sim.close()
+
+
 def small_net(seed=9, stochastic=True, n_cores=3):
     return random_network(
         n_cores=n_cores, n_axons=10, n_neurons=10, connectivity=0.5,
@@ -58,9 +76,10 @@ def assert_counters_equal(got, want) -> None:
             assert a == b, f"{f.name}: {a} != {b}"
 
 
-def assert_logical_counters_equal(got, want) -> None:
+def assert_logical_counters_equal(got, want, skip=()) -> None:
     for name in LOGICAL:
-        assert getattr(got, name) == getattr(want, name), name
+        if name not in skip:
+            assert getattr(got, name) == getattr(want, name), name
     np.testing.assert_array_equal(
         got.synaptic_events_per_core, want.synaptic_events_per_core
     )
@@ -118,6 +137,32 @@ class TestSameEngineResume:
         np.testing.assert_array_equal(resumed.v, full_sim.v)
         assert_counters_equal(resumed.counters, full_sim.counters)
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_every_expression_resumes_with_every_counter(self, engine):
+        # Same expression on both sides of the split: every counter
+        # field, the expression-dependent ones included, must match the
+        # uninterrupted run of that expression, through the container.
+        net = small_net(n_cores=4)
+        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
+        full, first, resumed = (ENGINES[engine](net) for _ in range(3))
+        try:
+            full.load_inputs(ins)
+            full_events = drive(full, TICKS)
+            first.load_inputs(ins)
+            head = drive(first, SPLIT)
+            resumed.restore(
+                EngineCheckpoint.from_bytes(first.snapshot().to_bytes())
+            )
+            tail = drive(resumed, TICKS - SPLIT)
+            assert SpikeRecord.from_events(head + tail) == \
+                SpikeRecord.from_events(full_events)
+            np.testing.assert_array_equal(
+                resumed.snapshot().v, full.snapshot().v
+            )
+            assert_counters_equal(resumed.counters, full.counters)
+        finally:
+            close(full, first, resumed)
+
     def test_fast_resume_through_bytes_and_file(self, tmp_path):
         net = small_net(seed=4)
         ins = poisson_inputs(net, TICKS, 500.0, seed=7)
@@ -149,6 +194,48 @@ class TestSameEngineResume:
             EngineCheckpoint.load(path, other)
         # load_checkpoint without a network skips validation, by design.
         assert load_checkpoint(path).model_digest == model_digest(net)
+
+    def test_snapshot_after_invalidate_carries_the_rebuilt_digest(self):
+        # The digest memo lives and dies with the compiled artifact: a
+        # network mutated, invalidated and rebuilt stamps its *new*
+        # digest, restores into itself, and is refused by the old model.
+        net = small_net(seed=4)
+        before = small_net(seed=4)
+        FastCompassSimulator(compile_network(net)).snapshot()  # memo filled
+        net.cores[0].threshold[:] += 1
+        invalidate(net)
+        sim = FastCompassSimulator(compile_network(net))
+        drive(sim, 3)
+        ckpt = sim.snapshot()
+        assert ckpt.model_digest == model_digest(net) != model_digest(before)
+        FastCompassSimulator(compile_network(net)).restore(ckpt)
+        with pytest.raises(LintError, match="TN602"):
+            FastCompassSimulator(compile_network(before)).restore(ckpt)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES) + ["batched"])
+    def test_wrong_size_state_refused_without_a_digest(self, engine):
+        # check_identity skips an empty digest, so the size check is the
+        # only thing between a mis-sized v and the engine's state.
+        net = small_net(seed=4)
+        ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
+        ckpt.model_digest = ""
+        ckpt.v = ckpt.v[:-1]
+        if engine == "batched":
+            sim = BatchedCompassSimulator(compile_network(net), 2)
+            restore = lambda c: sim.restore_lane(1, c)  # noqa: E731
+        else:
+            sim = ENGINES[engine](net)
+            restore = sim.restore
+        try:
+            with pytest.raises(LintError, match="TN602"):
+                restore(ckpt)
+            wide = ckpt.copy()
+            wide.v = np.append(ckpt.v, 0)
+            wide.ring = wide.ring[:, :-1]
+            with pytest.raises(LintError, match="TN602"):
+                restore(wide)
+        finally:
+            close(sim)
 
     def test_restore_rejects_foreign_seed(self):
         net = small_net(seed=4)
@@ -195,6 +282,60 @@ class TestCrossEngineRestore:
             full_events
         )
         assert_logical_counters_equal(resumed.counters, full_sim.counters)
+
+    @pytest.mark.parametrize("src, dst", [
+        ("truenorth", "fast"), ("fast", "truenorth"),
+        ("truenorth", "parallel"), ("truenorth", "compass"),
+        ("compass", "truenorth"), ("compass", "fast"),
+        ("parallel", "truenorth"),
+    ])
+    def test_cross_expression_matrix(self, src, dst):
+        # The hardware expression speaks the one checkpoint too: a state
+        # captured on it resumes on every software expression and back.
+        net = small_net(n_cores=4)
+        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
+        full_sim, full_events = reference_run(net, ins)
+        first, resumed = ENGINES[src](net), ENGINES[dst](net)
+        try:
+            first.load_inputs(ins)
+            head = drive(first, SPLIT)
+            resumed.restore(first.snapshot())
+            tail = drive(resumed, TICKS - SPLIT)
+            assert SpikeRecord.from_events(head + tail) == \
+                SpikeRecord.from_events(full_events)
+            np.testing.assert_array_equal(resumed.snapshot().v, full_sim.v)
+            # TrueNorthSimulator does not tally membrane saturations.
+            assert_logical_counters_equal(
+                resumed.counters, full_sim.counters,
+                skip=("membrane_saturations",)
+                if "truenorth" in (src, dst) else (),
+            )
+        finally:
+            close(first, resumed)
+
+    def test_truenorth_to_batched_lane(self):
+        net = small_net()
+        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
+        full_sim, full_events = reference_run(net, ins)
+        chip = TrueNorthSimulator(net)
+        chip.load_inputs(ins)
+        head = drive(chip, SPLIT)
+
+        batched = BatchedCompassSimulator(compile_network(net), 3)
+        batched.restore_lane(2, chip.snapshot())
+        tail = []
+        for _ in range(TICKS - SPLIT):
+            tail.extend((t, c, nn) for b, t, c, nn in batched.step() if b == 2)
+        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
+            full_events
+        )
+        np.testing.assert_array_equal(batched.v[2], full_sim.v)
+        assert_logical_counters_equal(
+            batched.lane_counters(2), full_sim.counters,
+            skip=("membrane_saturations",),
+        )
+        # The mesh hops the chip counted ride along in the lane's tally.
+        assert batched.lane_counters(2).hops == chip.counters.hops
 
     def test_fast_to_batched_lane(self):
         net = small_net()
@@ -472,6 +613,46 @@ class TestCheckpointCLI:
         np.testing.assert_array_equal(resumed.ring, full.ring)
         assert_counters_equal(resumed.counters, full.counters)
         capsys.readouterr()
+
+    def test_truenorth_checkpoint_resumes_on_fast_through_files(
+        self, tmp_path, capsys
+    ):
+        a, b = tmp_path / "a", tmp_path / "b"
+        model = "recurrent-stochastic"
+        assert cli_main([
+            "run", model, "--expression", "fast", "--ticks", "40",
+            "--checkpoint-every", "40", "--checkpoint-dir", str(a),
+        ]) == 0
+        assert cli_main([
+            "run", model, "--expression", "truenorth", "--ticks", "20",
+            "--checkpoint-every", "20", "--checkpoint-dir", str(b),
+        ]) == 0
+        assert cli_main([
+            "run", model, "--expression", "fast", "--ticks", "40",
+            "--resume", str(b / "ckpt-20.npz"),
+            "--checkpoint-every", "40", "--checkpoint-dir", str(b),
+        ]) == 0
+        full = load_checkpoint(a / "ckpt-40.npz")
+        resumed = load_checkpoint(b / "ckpt-40.npz")
+        np.testing.assert_array_equal(resumed.v, full.v)
+        np.testing.assert_array_equal(resumed.ring, full.ring)
+        capsys.readouterr()
+
+    def test_damaged_file_is_a_diagnostic_not_a_traceback(self, tmp_path, capsys):
+        net = small_net(seed=4)
+        ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
+        whole = ckpt.to_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(whole[: len(whole) // 2])
+        assert cli_main(["checkpoint", "inspect", str(cut)]) == 1
+        captured = capsys.readouterr()
+        assert "TN601" in captured.err and captured.out == ""
+        rc = cli_main([
+            "run", "recurrent-deterministic", "--ticks", "30",
+            "--resume", str(cut),
+        ])
+        assert rc == 1
+        assert "TN601" in capsys.readouterr().err
 
     def test_checkpoint_inspect(self, tmp_path, capsys):
         net = small_net(seed=4)
