@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compass.compile import CompiledNetwork, compile_network, csr_row_entries
+from repro.compass.compile import CompiledNetwork, bind_compiled, csr_row_entries
 from repro.compass.fast import TickState, stage_inputs, stoch_synapse_input
 from repro.core import params
 from repro.core.counters import SCALAR_COUNTERS, EventCounters
@@ -46,7 +46,7 @@ from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
 from repro.core.record import SpikeRecord
 from repro.io.checkpoint import EngineCheckpoint
-from repro.obs.observer import NULL_SPAN, Observer, active_observer
+from repro.obs.observer import Observer, active_observer
 from repro.obs.trace import now_ns
 from repro.sanitize.analyze import analyze_access_log
 from repro.sanitize.dynamic import AccessRecorder, sanitize_enabled, shadow_view
@@ -132,15 +132,8 @@ class BatchedCompassSimulator:
         sanitize_fault=None,
     ) -> None:
         require(n_replicas >= 1, f"n_replicas must be >= 1, got {n_replicas}")
-        self.obs = obs
-        with (obs.span("compile") if obs is not None else NULL_SPAN):
-            compiled = compile_network(network)
-        self.compiled = compiled
-        self.network = compiled.network
+        compiled = bind_compiled(self, network, obs, gated)
         self.n_replicas = int(n_replicas)
-        self.gated = (
-            compiled.gating_worthwhile if gated == "auto" else bool(gated)
-        )
 
         if seeds is None:
             seeds = [self.network.seed] * self.n_replicas

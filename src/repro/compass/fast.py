@@ -40,14 +40,20 @@ import weakref
 
 import numpy as np
 
-from repro.compass.compile import CompiledNetwork, compile_network, csr_row_entries
+from repro.compass.compile import (
+    CompiledNetwork,
+    NeuronTables,
+    bind_compiled,
+    csr_row_entries,
+    take,
+)
 from repro.core import params, prng
 from repro.core.counters import EventCounters
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
 from repro.io.checkpoint import EngineCheckpoint
-from repro.obs.observer import NULL_SPAN, Observer, active_observer, engine_phase_seconds
+from repro.obs.observer import Observer, active_observer, engine_phase_seconds
 from repro.obs.trace import now_ns
 
 
@@ -301,8 +307,9 @@ def settled_mask(c, v: np.ndarray) -> np.ndarray:
     ``-neg_threshold`` stays there).  Only meaningful where
     ``passive_mask`` holds — always-active neurons are never consulted.
 
-    *c* is any compiled-like artifact (whole network, partition, or a
-    :class:`_GatedSlice`) whose parameter vectors align with *v*.
+    *c* is any :class:`~repro.compass.compile.NeuronTables` (whole
+    network, partition, or the gate's active subset) whose parameter
+    vectors align with *v*.
     """
     floored = np.where(
         c.neg_floor_mode == params.NEG_FLOOR_SATURATE,
@@ -313,44 +320,6 @@ def settled_mask(c, v: np.ndarray) -> np.ndarray:
     no_fire = v < c.threshold
     neg_ok = (v >= -c.neg_threshold) | (v == floored)
     return in_range & no_fire & neg_ok
-
-
-class _GatedSlice:
-    """A compiled-like view restricted to the active subset *idx*.
-
-    Exposes exactly the attribute surface :func:`update_neurons` reads,
-    gathered to ``idx``, with the stochastic leak/threshold index lists
-    re-based to subset positions.  The PRNG coordinates
-    (``core_of_neuron``/``local_neuron``) keep their global values, so
-    every draw is bit-identical to the dense path.  Relies on
-    every stochastic-leak/stochastic-threshold neuron being present in
-    *idx* — guaranteed, because stochastic neurons classify as
-    always-active and the active set always contains them.
-    """
-
-    __slots__ = (
-        "leak", "leak_reversal", "threshold", "threshold_mask",
-        "neg_threshold", "reset_value", "reset_mode", "neg_floor_mode",
-        "core_of_neuron", "local_neuron",
-        "stoch_leak_idx", "stoch_threshold_idx",
-        "any_stoch_leak", "any_stoch_threshold",
-    )
-
-    def __init__(self, c, idx: np.ndarray) -> None:
-        self.leak = c.leak[idx]
-        self.leak_reversal = c.leak_reversal[idx]
-        self.threshold = c.threshold[idx]
-        self.threshold_mask = c.threshold_mask[idx]
-        self.neg_threshold = c.neg_threshold[idx]
-        self.reset_value = c.reset_value[idx]
-        self.reset_mode = c.reset_mode[idx]
-        self.neg_floor_mode = c.neg_floor_mode[idx]
-        self.core_of_neuron = c.core_of_neuron[idx]
-        self.local_neuron = c.local_neuron[idx]
-        self.stoch_leak_idx = np.searchsorted(idx, c.stoch_leak_idx)
-        self.stoch_threshold_idx = np.searchsorted(idx, c.stoch_threshold_idx)
-        self.any_stoch_leak = self.stoch_leak_idx.size > 0
-        self.any_stoch_threshold = self.stoch_threshold_idx.size > 0
 
 
 def _saturated(v: np.ndarray):
@@ -481,7 +450,11 @@ class TickState:
         *tick* is an int, or the ``(B,)`` per-lane tick array of a
         batch.  Dense: every neuron is updated.  Gated: only the gate's
         active set, given *touched* (the neurons this tick's deliveries
-        reached; ignored when ungated), through a :class:`_GatedSlice`.
+        reached; ignored when ungated), over the
+        :class:`~repro.compass.compile.NeuronTables` cut to it.  Every
+        stochastic-leak / stochastic-threshold neuron is in that cut —
+        they classify as always-active — and keeps its global PRNG
+        coordinates, so each draw equals the dense path's.
         Either way the result indexes *c*'s neurons — ``(fired,)`` for
         one lane, ``(lanes, fired)`` over a batch.  Sets ``n_active``
         (neurons computed) and ``n_saturated`` (membranes on a rail
@@ -494,7 +467,7 @@ class TickState:
             self.n_saturated = _saturated(self.v)
             return np.nonzero(spiked)
         act = gate.active_set(touched)
-        sl = _GatedSlice(c, act)
+        sl = NeuronTables(**take(NeuronTables, c, act))
         v_old = self.v[..., act]
         v_new, spiked = update_neurons(sl, self.seed, tick, v_old, syn[..., act])
         self.v[..., act] = v_new
@@ -649,14 +622,7 @@ class FastCompassSimulator:
         obs: Observer | None = None,
         gated: bool | str = "auto",
     ) -> None:
-        self.obs = obs
-        with (obs.span("compile") if obs is not None else NULL_SPAN):
-            compiled = compile_network(network)
-        self.compiled = compiled
-        self.network = compiled.network
-        self.gated = (
-            compiled.gating_worthwhile if gated == "auto" else bool(gated)
-        )
+        compiled = bind_compiled(self, network, obs, gated)
 
         # Mutable per-run state (everything else is shared, read-only).
         self._state = TickState(

@@ -64,6 +64,7 @@ import numpy as np
 from repro.compass.compile import (
     CompiledNetwork,
     CompiledPartition,
+    bind_compiled,
     compile_network,
     partition_compiled,
 )
@@ -356,7 +357,6 @@ class ParallelCompassSimulator:
         sanitize_fault=None,
         checkpoint_every: int | None = None,
     ) -> None:
-        self.obs = obs
         self.checkpoint_every = checkpoint_every
         #: Most recent periodic :meth:`snapshot` (``checkpoint_every``);
         #: attached to the crash-dump bundle when a worker dies.
@@ -365,13 +365,7 @@ class ParallelCompassSimulator:
         self.sanitize_fault = resolve_fault(sanitize_fault)
         self.sanitize_report = None
         self._san = None
-        with (obs.span("compile") if obs is not None else NULL_SPAN):
-            compiled = compile_network(network)
-        self.compiled = compiled
-        self.network = compiled.network
-        self.gated = (
-            compiled.gating_worthwhile if gated == "auto" else bool(gated)
-        )
+        compiled = bind_compiled(self, network, obs, gated)
         if n_workers == "auto":
             n_workers = auto_workers(compiled)
         require(

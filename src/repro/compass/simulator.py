@@ -35,7 +35,7 @@ from repro.core.inputs import InputSchedule
 from repro.core.network import OUTPUT_TARGET, Network
 from repro.core.neuron import neuron_tick
 from repro.core.record import SpikeRecord
-from repro.compass.compile import CompiledNetwork, compile_network
+from repro.compass.compile import CompiledNetwork, bind_compiled
 from repro.compass.partition import partition
 from repro.compass.simmpi import SimMPI
 from repro.io.checkpoint import restore_simulator, snapshot_simulator
@@ -68,11 +68,8 @@ class CompassSimulator:
         used to overlap communication with computation — surfaced
         through :attr:`phase_seconds`.
         """
-        self.obs = obs
-        with (obs.span("compile") if obs is not None else NULL_SPAN):
-            compiled = compile_network(network)
-        self.compiled = compiled
-        self.network = network = compiled.network
+        compiled = bind_compiled(self, network, obs)
+        network = compiled.network
         self.n_ranks = n_ranks
         with (obs.span("partition", ranks=n_ranks)
               if obs is not None else NULL_SPAN):

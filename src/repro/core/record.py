@@ -15,6 +15,35 @@ import numpy as np
 from repro.core.counters import EventCounters
 
 
+def _ascending(ticks: np.ndarray, cores: np.ndarray, neurons: np.ndarray) -> bool:
+    """True when the rows are in (tick, core, neuron) order, ties allowed.
+
+    One composite int64 key per row, compared with its neighbour.
+    False — sort it — also when the key cannot be formed (a negative
+    entry, or a product past 63 bits), which is always safe.
+    """
+    if ticks.size < 2:
+        return True
+    core_span = int(cores.max()) + 1
+    neuron_span = int(neurons.max()) + 1
+    if (
+        min(int(ticks.min()), int(cores.min()), int(neurons.min())) < 0
+        or (int(ticks.max()) + 1) * core_span * neuron_span >= 2**63
+    ):
+        return False
+    # A million rows at a time (neighbours share a row): the key stays
+    # cache-sized instead of a fresh array as long as the record.
+    for lo in range(0, ticks.size - 1, 1 << 20):
+        rows = slice(lo, lo + (1 << 20) + 1)
+        key = ticks[rows] * core_span
+        key += cores[rows]
+        key *= neuron_span
+        key += neurons[rows]
+        if (key[1:] < key[:-1]).any():
+            return False
+    return True
+
+
 @dataclass
 class SpikeRecord:
     """All spikes emitted during a run, in canonical sorted order."""
@@ -53,11 +82,14 @@ class SpikeRecord:
         The array path avoids per-spike Python tuples entirely; the
         canonical (tick, core, neuron) sort order matches
         :meth:`from_events`, so records built either way compare equal.
+        Every sparse engine already emits that order, so it is verified
+        in one pass and the arrays are taken as they are (no copy);
+        only input found out of order pays the sort.
         """
         ticks = np.asarray(ticks, dtype=np.int64)
         cores = np.asarray(cores, dtype=np.int64)
         neurons = np.asarray(neurons, dtype=np.int64)
-        if ticks.size:
+        if not _ascending(ticks, cores, neurons):
             order = np.lexsort((neurons, cores, ticks))
             ticks, cores, neurons = ticks[order], cores[order], neurons[order]
         return SpikeRecord(

@@ -181,6 +181,7 @@ class ModelServer:
         self._active: dict[int, Session] = {}
         self._free: deque[int] = deque(range(n_lanes))
         self._completed: list[Session] = []
+        self._live_ids: set[str] = set()  # pending or active; freed at finalize
         self._n_submitted = 0
         self._failed = False
         self._pass_wall_ns = 0
@@ -241,12 +242,26 @@ class ModelServer:
         keeps the base seed itself).  Deterministic: the same
         submission sequence always produces the same seeds, records,
         and admission order.
+
+        A *session_id* names the session to :meth:`preempt` and its
+        on-disk checkpoint, so one that is still pending or active is
+        refused; it is free again once that session finalizes.  The
+        default ``session-<n>`` steps past any id in use.
         """
         require(n_ticks >= 1, f"n_ticks must be >= 1, got {n_ticks}")
         if seed is None:
             seed = derive_stream_seed(self._base_seed, self._n_submitted)
+        if not session_id:
+            n = self._n_submitted
+            while (session_id := f"session-{n}") in self._live_ids:
+                n += 1
+        require(
+            session_id not in self._live_ids,
+            f"session_id {session_id!r} is already pending or active",
+        )
+        self._live_ids.add(session_id)
         session = Session(
-            session_id=session_id or f"session-{self._n_submitted}",
+            session_id=session_id,
             inputs=inputs,
             n_ticks=int(n_ticks),
             seed=int(seed),
@@ -352,6 +367,7 @@ class ModelServer:
             session.record = SpikeRecord.from_arrays(empty, empty, empty, counters)
         session._ticks = session._cores = session._neurons = []
         session.finalized_ns = now_ns()
+        self._live_ids.discard(session.session_id)
         del self._active[lane]
         self._free.append(lane)
         self._completed.append(session)

@@ -93,8 +93,6 @@ class TestClassification:
         )
         c = compile_network(Network(cores=[core], seed=0))
         np.testing.assert_array_equal(c.passive_mask, [True, False, False, True])
-        np.testing.assert_array_equal(c.passive_idx, [0, 3])
-        np.testing.assert_array_equal(c.always_active_idx, [1, 2])
         assert c.gating_worthwhile
 
     def test_fully_active_network_is_not_worthwhile(self):
@@ -115,16 +113,12 @@ class TestClassification:
             np.testing.assert_array_equal(
                 part.passive_mask, compiled.passive_mask[part.neuron_global]
             )
-            np.testing.assert_array_equal(
-                part.passive_idx, np.nonzero(part.passive_mask)[0]
-            )
-            np.testing.assert_array_equal(
-                part.always_active_idx, np.nonzero(~part.passive_mask)[0]
-            )
-        assert sum(p.passive_idx.size for p in parts) == compiled.passive_idx.size
+            # Every stochastic neuron of the rank is always-active there.
+            for listed in (part.stoch_leak_idx, part.stoch_threshold_idx):
+                assert not part.passive_mask[listed].any()
         assert (
-            sum(p.always_active_idx.size for p in parts)
-            == compiled.always_active_idx.size
+            sum(int(p.passive_mask.sum()) for p in parts)
+            == int(compiled.passive_mask.sum())
         )
 
     def test_csr_row_entries(self):

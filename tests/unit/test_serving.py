@@ -152,6 +152,30 @@ class TestModelServer:
         with pytest.raises(ValueError, match="n_ticks"):
             server.submit(None, 0)
 
+    def test_live_session_id_is_refused_until_it_finalizes(self):
+        # Two live sessions under one id would share preempt()'s lookup
+        # and the <session_id>.npz checkpoint file.
+        server = ModelServer(small_net(), n_lanes=1)
+        active = server.submit(None, 3, session_id="job")
+        pending = server.submit(None, 3, session_id="queued")
+        for taken in ("job", "queued"):
+            with pytest.raises(ValueError, match="already pending or active"):
+                server.submit(None, 3, session_id=taken)
+        assert server.stats()["pending"] == 1  # the refusals queued nothing
+        server.run()
+        assert active.done and pending.done
+        again = server.submit(None, 2, session_id="job")
+        server.run()
+        assert again.done and again.record is not active.record
+
+    def test_default_ids_step_past_ids_in_use(self):
+        server = ModelServer(small_net(), n_lanes=2)
+        explicit = server.submit(None, 4, session_id="session-1")
+        ids = [server.submit(None, 4).session_id for _ in range(4)]
+        assert len({explicit.session_id, *ids}) == 5
+        server.run()
+        assert server.stats()["completed"] == 5
+
     def test_stats_and_occupancy_safe_before_first_step(self):
         # Zero-pass guard (mirrors the StreamReport zero-tick guard): a
         # freshly constructed server must answer every stats scrape.
