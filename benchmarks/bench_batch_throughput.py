@@ -20,7 +20,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import compile_network
-from repro.compass.fast import FastCompassSimulator, staged_inputs
+from repro.compass.fast import FastCompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 
 B = 16
@@ -42,14 +42,17 @@ def assert_lanes_match(lanes, seq):
 
 
 def serving_workload(n_cores, *, stochastic):
-    """A small serving-style model plus a pre-staged input schedule."""
+    """A small serving-style model plus its input schedule.
+
+    Both sides of :func:`run_pair` stage it for real inside their timed
+    regions: sixteen gathers sequentially, one shared by the batch.
+    """
     net = random_network(
         n_cores=n_cores, n_axons=32, n_neurons=32,
         connectivity=0.3, stochastic=stochastic, seed=8,
     )
     compiled = compile_network(net)
     ins = poisson_inputs(net, N_TICKS, 200.0, seed=4)
-    staged_inputs(compiled, ins)  # warm the conversion cache for both sides
     return compiled, ins
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.corelets.corelet import Composition
+from repro.corelets.corelet import Composition, pin_columns
 from repro.corelets.library.classify import train_ternary
 from repro.corelets.library.reservoir import liquid_reservoir, reservoir_state_features
 from repro.core.inputs import InputSchedule
@@ -107,17 +107,17 @@ class AudioClassifier:
         """Rate-code band energies into reservoir input spikes."""
         from repro.core import prng
 
-        pins = self._compiled.inputs["bands"]
+        cores, axons = pin_columns(self._compiled.inputs["bands"])
+        n_ticks = self.n_frames * self.ticks_per_frame
+        bands = np.arange(self.n_bands)
+        draws = np.array(
+            [prng.draw_u16(seed, 0x41554449, 0, tick, bands) for tick in range(n_ticks)]
+        )
+        frame = np.arange(n_ticks) // self.ticks_per_frame
+        threshold = (np.asarray(energies)[frame] * 0.6 * 65536).astype(np.int64)
+        tick, band = np.nonzero(draws < threshold)
         ins = InputSchedule()
-        for f in range(self.n_frames):
-            for dt in range(self.ticks_per_frame):
-                tick = f * self.ticks_per_frame + dt
-                draws = prng.draw_u16(
-                    seed, 0x41554449, 0, tick, np.arange(self.n_bands)
-                )
-                active = draws < (energies[f] * 0.6 * 65536).astype(np.int64)
-                for b in np.nonzero(active)[0]:
-                    ins.add(tick, pins[b].core, pins[b].index)
+        ins.add_events(tick, cores[band], axons[band])
         return ins
 
     def features(self, waveform: np.ndarray, seed: int = 0) -> np.ndarray:

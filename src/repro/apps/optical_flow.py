@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.apps.transduction import spike_counts_by_pin
 from repro.core.inputs import InputSchedule
-from repro.corelets.corelet import CompiledComposition, Composition, Connector
+from repro.corelets.corelet import CompiledComposition, Composition, Connector, pin_columns
 from repro.corelets.library.basic import splitter
 from repro.corelets.library.temporal import coincidence, delay_chain
 from repro.hardware.simulator import run_truenorth
@@ -90,17 +92,14 @@ def moving_bar_inputs(
     sweeps: int = 2,
 ) -> tuple[InputSchedule, int]:
     """Inputs for a bar sweeping across the positions; returns (ins, ticks)."""
-    pins = pipeline.compiled.inputs["in"]
+    cores, axons = pin_columns(pipeline.compiled.inputs["in"])
     n = pipeline.n_positions
+    pos = np.arange(n) if direction > 0 else np.arange(n - 1, -1, -1)
+    sweep_ticks = n * velocity + 8  # gap between sweeps
+    tick = sweep_ticks * np.arange(sweeps)[:, None] + velocity * np.arange(n)
     ins = InputSchedule()
-    tick = 0
-    for _ in range(sweeps):
-        positions = range(n) if direction > 0 else range(n - 1, -1, -1)
-        for pos in positions:
-            ins.add(tick, pins[pos].core, pins[pos].index)
-            tick += velocity
-        tick += 8  # gap between sweeps
-    return ins, tick + 8
+    ins.add_events(tick, cores[pos], axons[pos])
+    return ins, sweeps * sweep_ticks + 8
 
 
 def estimate_flow(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.corelets.corelet import CompiledComposition, Composition
+from repro.corelets.corelet import CompiledComposition, Composition, pin_columns
 from repro.corelets.library.competition import inhibition_of_return, winner_take_all
 from repro.core.inputs import InputSchedule
 from repro.hardware.simulator import run_truenorth
@@ -73,11 +73,11 @@ def drive_saliency_rates(
     """Poisson-code per-location saliency strengths onto the WTA input."""
     require(rates.size == pipeline.n_locations, "one rate per location")
     rng = seeded_rng(seed)
-    pins = pipeline.compiled.inputs["saliency"]
+    cores, axons = pin_columns(pipeline.compiled.inputs["saliency"])
     ins = InputSchedule()
     hits = rng.random((n_ticks, rates.size)) < np.clip(rates, 0, 1)[None, :]
-    for tick, loc in zip(*np.nonzero(hits)):
-        ins.add(int(tick), pins[loc].core, pins[loc].index)
+    tick, loc = np.nonzero(hits)
+    ins.add_events(tick, cores[loc], axons[loc])
     return ins
 
 

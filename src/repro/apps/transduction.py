@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import prng
 from repro.core.inputs import InputSchedule
-from repro.corelets.corelet import GlobalPin
+from repro.corelets.corelet import GlobalPin, pin_columns
 from repro.utils.validation import require
 
 TICKS_PER_FRAME_30FPS = 33  # 1 kHz ticks / 30 fps
@@ -35,20 +35,24 @@ def rate_code_frame(
 
     Pixel (row-major) i spikes on each tick with probability
     ``frame.flat[i] * max_rate``.  Returns the number of injected events.
+    *pins* may already be :func:`~repro.corelets.corelet.pin_columns`
+    (whoever codes many frames converts once); the frame's hits reach
+    the schedule in one ``add_events`` call.
     """
     flat = np.asarray(frame, dtype=np.float64).reshape(-1)
-    require(len(pins) == flat.size, f"need {flat.size} pins, got {len(pins)}")
+    cores, axons = pin_columns(pins)
+    require(cores.size == flat.size, f"need {flat.size} pins, got {cores.size}")
     p = np.clip(flat * max_rate, 0.0, 1.0)
     threshold = (p * 65536.0).astype(np.int64)
     units = np.arange(flat.size)
-    injected = 0
-    for dt in range(ticks):
-        tick = start_tick + dt
-        draws = prng.draw_u16(seed, PURPOSE_TRANSDUCE, 0, tick, units)
-        for i in np.nonzero(draws < threshold)[0]:
-            schedule.add(tick, pins[i].core, pins[i].index)
-            injected += 1
-    return injected
+    hits = [
+        np.nonzero(prng.draw_u16(seed, PURPOSE_TRANSDUCE, 0, start_tick + dt, units) < threshold)[0]
+        for dt in range(ticks)
+    ]
+    pixel = np.concatenate(hits) if hits else units[:0]
+    when = np.repeat(np.arange(start_tick, start_tick + ticks), [h.size for h in hits])
+    schedule.add_events(when, cores[pixel], axons[pixel])
+    return int(pixel.size)
 
 
 def transduce_video(
@@ -60,6 +64,7 @@ def transduce_video(
 ) -> InputSchedule:
     """Rate-code a whole video (n_frames, h, w) into an input schedule."""
     schedule = InputSchedule()
+    pins = pin_columns(pins)
     for f, frame in enumerate(frames):
         rate_code_frame(
             frame,
@@ -74,13 +79,23 @@ def transduce_video(
 
 
 def spike_counts_by_pin(record, pins: list[GlobalPin]) -> np.ndarray:
-    """Per-pin spike counts from a run record (decoding helper)."""
-    index = {(p.core, p.index): i for i, p in enumerate(pins)}
-    counts = np.zeros(len(pins), dtype=np.int64)
-    for t, c, n in record.as_tuples():
-        key = (c, n)
-        if key in index:
-            counts[index[key]] += 1
+    """Per-pin spike counts from a run record (decoding helper).
+
+    One composite (core, line) key per pin and per spike; each spike
+    finds its pin by binary search.  A (core, line) listed twice counts
+    at its last position, as a dict of the pins would have it.
+    """
+    cores, lines = pin_columns(pins)
+    counts = np.zeros(cores.size, dtype=np.int64)
+    if cores.size and record.n_spikes:
+        span = max(int(lines.max()), int(record.neurons.max())) + 1
+        keys = cores * span + lines
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        spikes = record.cores * span + record.neurons
+        at = np.searchsorted(keys, spikes, side="right") - 1
+        hit = keys[at] == spikes  # at == -1 wraps to the largest key: no match
+        counts += np.bincount(order[at[hit]], minlength=cores.size)
     return counts
 
 

@@ -205,16 +205,9 @@ def _simulate_checkpointed(args, network, workers) -> int:
         start_tick = int(ckpt.tick)
         print(f"resumed {args.resume} at tick {start_tick}")
     ckpt_dir = args.checkpoint_dir or "."
-    step_arrays = getattr(sim, "step_arrays", None)
     events: list[tuple[int, int, int]] = []
     for done in range(start_tick + 1, args.ticks + 1):
-        if step_arrays is not None:
-            tick, core_ids, locals_ = step_arrays()
-            events.extend(
-                (tick, int(cc), int(nn)) for cc, nn in zip(core_ids, locals_)
-            )
-        else:
-            events.extend(sim.step())
+        events.extend(sim.step())
         if args.checkpoint_every and done % args.checkpoint_every == 0:
             path = os.path.join(ckpt_dir, f"ckpt-{done}.npz")
             n_bytes = sim.snapshot().save(path)

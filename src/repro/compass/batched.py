@@ -38,9 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compass.compile import CompiledNetwork, bind_compiled, csr_row_entries
-from repro.compass.fast import TickState, stage_inputs, stoch_synapse_input
+from repro.compass.fast import TickState, stage_inputs, staged_inputs, stoch_synapse_input
 from repro.core import params
 from repro.core.counters import SCALAR_COUNTERS, EventCounters
+from repro.core.events import event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
@@ -206,7 +207,7 @@ class BatchedCompassSimulator:
         return self._state.v
 
     # -- input handling ----------------------------------------------------
-    def _load_lane(self, lane: int, inputs: InputSchedule) -> None:
+    def _load_lane(self, lane: int, inputs: InputSchedule | dict) -> None:
         """Merge *inputs* into one lane's staged schedule (local ticks)."""
         stage_inputs(self._inputs[lane], self.compiled, inputs)
 
@@ -234,21 +235,23 @@ class BatchedCompassSimulator:
         if lane is not None:
             self._load_lane(lane, inputs)
             return
+        staged = staged_inputs(self.compiled, inputs)  # once: lanes share the arrays
         for b in range(self.n_replicas):
-            self._load_lane(b, inputs)
+            self._load_lane(b, staged)
 
     # -- lane lifecycle ----------------------------------------------------
     def reset_lane(
-        self, lane: int, seed: int | None = None, inputs: InputSchedule | None = None
+        self, lane: int, seed: int | None = None,
+        inputs: InputSchedule | dict | None = None,
     ) -> None:
         """Restart one lane at tick 0 without touching the others.
 
         Clears the lane's membrane, ring-buffer slice, staged inputs,
         and event stats; optionally re-seeds it and stages a fresh
-        schedule.  Because PRNG coordinates are (seed, lane-local
-        tick), the restarted lane is bit-identical to a brand-new
-        standalone simulator — the admission primitive of
-        :class:`~repro.runtime.serving.ModelServer`.
+        schedule (or one already through ``staged_inputs``).  Because
+        PRNG coordinates are (seed, lane-local tick), the restarted
+        lane is bit-identical to a brand-new standalone simulator — the
+        admission primitive of :class:`~repro.runtime.serving.ModelServer`.
         """
         require(0 <= lane < self.n_replicas, f"lane {lane} out of range")
         if self._san is not None:
@@ -521,11 +524,7 @@ class BatchedCompassSimulator:
     # -- public API --------------------------------------------------------
     def step(self) -> list[tuple[int, int, int, int]]:
         """Advance one pass; return ``(lane, tick, core, neuron)`` tuples."""
-        lanes, ticks, cores, neurons = self.step_arrays()
-        return [
-            (int(b), int(t), int(cc), int(nn))
-            for b, t, cc, nn in zip(lanes, ticks, cores, neurons)
-        ]
+        return event_tuples(*self.step_arrays())
 
     def run(self, n_ticks: int, inputs=None) -> list[SpikeRecord]:
         """Advance *n_ticks* passes; return one spike record per lane.

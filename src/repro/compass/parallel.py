@@ -72,6 +72,7 @@ from repro.compass.fast import TickState, run_to_record, stage_inputs
 from repro.compass.partition import partition
 from repro.core import params
 from repro.core.counters import EventCounters
+from repro.core.events import event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
@@ -686,8 +687,7 @@ class ParallelCompassSimulator:
 
     def step(self) -> list[tuple[int, int, int]]:
         """Advance one tick; return spikes as (tick, core, neuron) tuples."""
-        tick, core_ids, neurons = self.step_arrays()
-        return [(tick, int(cc), int(nn)) for cc, nn in zip(core_ids, neurons)]
+        return event_tuples(*self.step_arrays())
 
     # -- checkpointing -----------------------------------------------------
     def _control(self, rank: int, payload):

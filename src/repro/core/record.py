@@ -13,35 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.counters import EventCounters
-
-
-def _ascending(ticks: np.ndarray, cores: np.ndarray, neurons: np.ndarray) -> bool:
-    """True when the rows are in (tick, core, neuron) order, ties allowed.
-
-    One composite int64 key per row, compared with its neighbour.
-    False — sort it — also when the key cannot be formed (a negative
-    entry, or a product past 63 bits), which is always safe.
-    """
-    if ticks.size < 2:
-        return True
-    core_span = int(cores.max()) + 1
-    neuron_span = int(neurons.max()) + 1
-    if (
-        min(int(ticks.min()), int(cores.min()), int(neurons.min())) < 0
-        or (int(ticks.max()) + 1) * core_span * neuron_span >= 2**63
-    ):
-        return False
-    # A million rows at a time (neighbours share a row): the key stays
-    # cache-sized instead of a fresh array as long as the record.
-    for lo in range(0, ticks.size - 1, 1 << 20):
-        rows = slice(lo, lo + (1 << 20) + 1)
-        key = ticks[rows] * core_span
-        key += cores[rows]
-        key *= neuron_span
-        key += neurons[rows]
-        if (key[1:] < key[:-1]).any():
-            return False
-    return True
+from repro.core.events import canonical_events, event_columns, event_tuples
 
 
 @dataclass
@@ -58,17 +30,7 @@ class SpikeRecord:
         events: list[tuple[int, int, int]], counters: EventCounters | None = None
     ) -> "SpikeRecord":
         """Build a record from (tick, core, neuron) tuples."""
-        if events:
-            arr = np.asarray(sorted(events), dtype=np.int64)
-            ticks, cores, neurons = arr[:, 0], arr[:, 1], arr[:, 2]
-        else:
-            ticks = cores = neurons = np.zeros(0, dtype=np.int64)
-        return SpikeRecord(
-            ticks=ticks,
-            cores=cores,
-            neurons=neurons,
-            counters=counters or EventCounters(),
-        )
+        return SpikeRecord.from_arrays(*event_columns(events), counters)
 
     @staticmethod
     def from_arrays(
@@ -86,12 +48,7 @@ class SpikeRecord:
         in one pass and the arrays are taken as they are (no copy);
         only input found out of order pays the sort.
         """
-        ticks = np.asarray(ticks, dtype=np.int64)
-        cores = np.asarray(cores, dtype=np.int64)
-        neurons = np.asarray(neurons, dtype=np.int64)
-        if not _ascending(ticks, cores, neurons):
-            order = np.lexsort((neurons, cores, ticks))
-            ticks, cores, neurons = ticks[order], cores[order], neurons[order]
+        ticks, cores, neurons = canonical_events(ticks, cores, neurons)
         return SpikeRecord(
             ticks=ticks,
             cores=cores,
@@ -106,12 +63,12 @@ class SpikeRecord:
 
     def as_tuples(self) -> list[tuple[int, int, int]]:
         """Return spikes as sorted (tick, core, neuron) tuples."""
-        return list(zip(self.ticks.tolist(), self.cores.tolist(), self.neurons.tolist()))
+        return event_tuples(self.ticks, self.cores, self.neurons)
 
     def spikes_at(self, tick: int) -> list[tuple[int, int]]:
         """Return (core, neuron) pairs that fired at *tick*."""
         mask = self.ticks == tick
-        return list(zip(self.cores[mask].tolist(), self.neurons[mask].tolist()))
+        return event_tuples(self.cores[mask], self.neurons[mask])
 
     def for_core(self, core: int) -> "SpikeRecord":
         """Return the sub-record of spikes emitted by *core*."""

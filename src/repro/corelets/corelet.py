@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core import params
 from repro.core.network import Core, Network
 from repro.utils.validation import require
@@ -113,6 +115,22 @@ class GlobalPin:
 
     core: int
     index: int
+
+
+def pin_columns(pins) -> tuple[np.ndarray, np.ndarray]:
+    """A pin list as ``(cores, indices)`` int64 columns.
+
+    The form the array-native producers and decoders index by hit.
+    Columns pass through unchanged, so whoever holds a pin list for
+    many frames (a pipeline, a streaming runtime) converts it once and
+    hands the columns on.
+    """
+    if len(pins) == 2 and isinstance(pins[0], np.ndarray):
+        return pins
+    return (
+        np.array([p.core for p in pins], dtype=np.int64),
+        np.array([p.index for p in pins], dtype=np.int64),
+    )
 
 
 @dataclass

@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.events import canonical_events, event_columns, event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.record import SpikeRecord
 from repro.utils.validation import require
 
-_WORD = struct.Struct("<QII")
+_WORD = np.dtype([("tick", "<u8"), ("core", "<u4"), ("line", "<u4")])
+_HEADER = struct.Struct("<4sQ")
 MAGIC = b"AER1"
 
 
@@ -41,10 +43,7 @@ class AERStream:
     @staticmethod
     def from_events(events: list[tuple[int, int, int]]) -> "AERStream":
         """Build a stream from (tick, core, line) tuples (sorted)."""
-        if not events:
-            return AERStream()
-        arr = np.asarray(sorted(events), dtype=np.int64)
-        return AERStream(ticks=arr[:, 0], cores=arr[:, 1], lines=arr[:, 2])
+        return AERStream(*canonical_events(*event_columns(events)))
 
     @property
     def n_events(self) -> int:
@@ -53,7 +52,7 @@ class AERStream:
 
     def as_tuples(self) -> list[tuple[int, int, int]]:
         """Events as (tick, core, line) tuples."""
-        return list(zip(self.ticks.tolist(), self.cores.tolist(), self.lines.tolist()))
+        return event_tuples(self.ticks, self.cores, self.lines)
 
     def shifted(self, dt: int) -> "AERStream":
         """Stream with all timestamps shifted by *dt* ticks."""
@@ -70,7 +69,11 @@ class AERStream:
 
     def merge(self, other: "AERStream") -> "AERStream":
         """Timestamp-ordered merge of two streams."""
-        return AERStream.from_events(self.as_tuples() + other.as_tuples())
+        return AERStream(*canonical_events(
+            np.concatenate([self.ticks, other.ticks]),
+            np.concatenate([self.cores, other.cores]),
+            np.concatenate([self.lines, other.lines]),
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AERStream):
@@ -84,26 +87,26 @@ class AERStream:
 
 def encode_aer(stream: AERStream) -> bytes:
     """Serialize a stream to the binary AER format."""
-    out = bytearray(MAGIC)
-    out += struct.pack("<Q", stream.n_events)
-    for t, c, a in stream.as_tuples():
-        require(t >= 0 and c >= 0 and a >= 0, "AER events must be non-negative")
-        out += _WORD.pack(t, c, a)
-    return bytes(out)
+    words = np.empty(stream.n_events, dtype=_WORD)
+    for name, col in zip(_WORD.names, (stream.ticks, stream.cores, stream.lines)):
+        require(
+            not col.size
+            or (int(col.min()) >= 0 and int(col.max()) <= np.iinfo(words[name].dtype).max),
+            f"AER {name}s must be non-negative and fit their {words[name].dtype} field",
+        )
+        words[name] = col
+    return _HEADER.pack(MAGIC, stream.n_events) + words.tobytes()
 
 
 def decode_aer(data: bytes) -> AERStream:
     """Parse binary AER data back into a stream."""
     require(data[:4] == MAGIC, "not an AER1 stream")
-    (count,) = struct.unpack_from("<Q", data, 4)
-    events = []
-    pos = 12
-    require(len(data) >= pos + count * _WORD.size, "truncated AER stream")
-    for _ in range(count):
-        t, c, a = _WORD.unpack_from(data, pos)
-        events.append((int(t), int(c), int(a)))
-        pos += _WORD.size
-    return AERStream.from_events(events)
+    require(len(data) >= _HEADER.size, "truncated AER stream")
+    _, count = _HEADER.unpack_from(data)
+    require(len(data) >= _HEADER.size + count * _WORD.itemsize, "truncated AER stream")
+    words = np.frombuffer(data, dtype=_WORD, count=count, offset=_HEADER.size)
+    require(not count or int(words["tick"].max()) < 2**63, "AER tick past 63 bits")
+    return AERStream(*canonical_events(words["tick"], words["core"], words["line"]))
 
 
 def write_aer_file(path, stream: AERStream) -> None:
@@ -120,12 +123,14 @@ def read_aer_file(path) -> AERStream:
 
 def schedule_from_aer(stream: AERStream) -> InputSchedule:
     """Convert an input AER stream into a simulator input schedule."""
-    return InputSchedule.from_events(stream.as_tuples())
+    schedule = InputSchedule()
+    schedule.add_events(stream.ticks, stream.cores, stream.lines)
+    return schedule
 
 
 def aer_from_schedule(schedule: InputSchedule) -> AERStream:
     """Convert an input schedule into an AER stream."""
-    return AERStream.from_events(list(schedule))
+    return AERStream(*schedule.columns())
 
 
 def record_to_aer(record: SpikeRecord) -> AERStream:

@@ -28,8 +28,10 @@ from repro.apps.video import Scene
 from repro.compass.compile import CompiledNetwork
 from repro.compass.engine import select_engine
 from repro.core import params
+from repro.core.events import event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
+from repro.corelets.corelet import pin_columns
 from repro.obs.flight import write_crash_dump
 from repro.obs.observer import NULL_SPAN, Observer, active_observer
 from repro.obs.server import TelemetryServer
@@ -149,7 +151,7 @@ class StreamingRuntime:
         if isinstance(simulator, (Network, CompiledNetwork)):
             simulator = select_engine(simulator, engine, obs=obs)
         self.simulator = simulator
-        self.input_pins = input_pins
+        self.input_pins = pin_columns(input_pins)  # once, not per frame
         self.ticks_per_frame = ticks_per_frame
         self.max_rate = max_rate
         self.seed = seed
@@ -218,13 +220,7 @@ class StreamingRuntime:
             n_spikes = int(core_ids.size)
             report.output_spikes += n_spikes
             if sink is not None:
-                sink(
-                    tick_cursor,
-                    [
-                        (tick, int(cc), int(nn))
-                        for cc, nn in zip(core_ids, neurons)
-                    ],
-                )
+                sink(tick_cursor, event_tuples(tick, core_ids, neurons))
         else:
             spikes = self.simulator.step()
             n_spikes = len(spikes)

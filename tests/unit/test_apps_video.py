@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.transduction import (
     rate_code_frame,
+    spike_counts_by_pin,
     spike_map,
     transduce_video,
 )
@@ -14,9 +15,10 @@ from repro.apps.video import (
     generate_scene,
     static_pattern,
 )
-from repro.corelets.corelet import Composition
+from repro.corelets.corelet import Composition, GlobalPin, pin_columns
 from repro.corelets.library.basic import relay
 from repro.core.inputs import InputSchedule
+from repro.core.record import SpikeRecord
 from repro.hardware.simulator import run_truenorth
 
 
@@ -124,3 +126,42 @@ class TestTransduction:
         compiled = self.build_relay(4)
         with pytest.raises(ValueError):
             transduce_video(np.zeros((1, 2, 4)), compiled.inputs["in"])
+
+    def test_pin_columns_code_the_same_events_as_the_pin_list(self):
+        pins = self.build_relay(6).inputs["in"]
+        frame = np.random.default_rng(2).random((2, 3))
+        a, b = InputSchedule(), InputSchedule()
+        n = rate_code_frame(frame, pins, a, 4, ticks=9, seed=1)
+        assert rate_code_frame(frame, pin_columns(pins), b, 4, ticks=9, seed=1) == n
+        assert a == b and a.n_events == n > 0
+
+
+class TestSpikeCountsByPin:
+    def reference(self, record, pins):
+        """The per-spike dictionary walk the column form replaced."""
+        index = {(p.core, p.index): i for i, p in enumerate(pins)}
+        counts = np.zeros(len(pins), dtype=np.int64)
+        for _, core, neuron in record.as_tuples():
+            if (core, neuron) in index:
+                counts[index[(core, neuron)]] += 1
+        return counts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_dictionary_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        # Pins out of order, some listed twice, some spikes on no pin,
+        # neurons past the widest pin.
+        pins = [GlobalPin(int(c), int(n)) for c, n in rng.integers(0, 5, (12, 2))]
+        record = SpikeRecord.from_arrays(
+            rng.integers(0, 20, 400), rng.integers(0, 6, 400), rng.integers(0, 9, 400)
+        )
+        want = self.reference(record, pins)
+        assert want.sum() > 0
+        assert spike_counts_by_pin(record, pins).tolist() == want.tolist()
+        assert spike_counts_by_pin(record, pin_columns(pins)).tolist() == want.tolist()
+
+    def test_empty_record_and_empty_pins(self):
+        record = SpikeRecord.from_events([(0, 1, 2)])
+        assert spike_counts_by_pin(SpikeRecord(), [GlobalPin(1, 2)]).tolist() == [0]
+        assert spike_counts_by_pin(record, []).size == 0
+        assert spike_counts_by_pin(record, [GlobalPin(1, 2), GlobalPin(0, 0)]).tolist() == [1, 0]

@@ -1,8 +1,12 @@
 """Tests for network compilation, caching, and engine selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
+
+from repro.apps.video import Scene
 
 from repro.compass import compile as compile_mod
 from repro.compass.compile import (
@@ -19,7 +23,9 @@ from repro.core import prng
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.kernel import ReferenceKernel, run_kernel
 from repro.core.record import SpikeRecord
+from repro.corelets.corelet import GlobalPin
 from repro.hardware.simulator import TrueNorthSimulator
+from repro.runtime import streaming
 
 
 class TestCompiledNetwork:
@@ -102,6 +108,41 @@ class TestCompiledNetwork:
         ins = poisson_inputs(net, 6, 300.0, seed=1)
         staged = staged_inputs(c, ins)
         assert sum(a.size for a in staged.values()) == ins.n_events
+        # serve_b16 submits a fresh shell of each schedule.
+        assert replace(ins) == ins and replace(ins) is not ins
+
+    def test_streaming_entry_points_the_layered_benchmark_stands_in_for(self, monkeypatch):
+        # stream_saliency times transduction and staging in place: it
+        # swaps ``streaming.rate_code_frame`` by name and the engine's
+        # ``load_inputs`` on the instance, so ``run`` must resolve both
+        # at call time, once per frame, and hand over a schedule.
+        net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=12)
+        pins = [GlobalPin(i % 2, i // 2) for i in range(12)]
+        coded, loaded = [], []
+        real = streaming.rate_code_frame
+
+        def rate_code_frame(*args, **kwargs):
+            coded.append(kwargs["start_tick"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(streaming, "rate_code_frame", rate_code_frame)
+        runtime = streaming.StreamingRuntime(net, pins, ticks_per_frame=3, engine="fast")
+        sim = runtime.simulator
+        load = sim.load_inputs
+
+        def load_inputs(schedule):
+            loaded.append(sum(a.size for a in staged_inputs(sim.compiled, schedule).values()))
+            load(schedule)
+
+        sim.load_inputs = load_inputs
+        frames = np.random.default_rng(0).random((2, 3, 4))
+        spikes = []
+        report = runtime.run(
+            streaming.SceneSource(Scene(frames=frames, boxes=[[], []])),
+            sink=lambda tick, events: spikes.extend(events),
+        )
+        assert coded == [0, 3] and sum(loaded) == report.input_events > 0
+        assert spikes and all(type(v) is int for event in spikes for v in event)
 
     def test_eager_artifact_stays_within_its_byte_budget(self):
         # The line ROADMAP item 2 ratchets down (<= 12 B is its target).

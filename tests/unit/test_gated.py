@@ -9,9 +9,6 @@ measure of work actually computed — may shrink under gating.
 
 from __future__ import annotations
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -20,15 +17,12 @@ from repro.compass.compile import (
     classify_activity,
     compile_network,
     csr_row_entries,
-    invalidate as compile_invalidate,
     partition_compiled,
 )
 from repro.compass.fast import (
     ActivityGate,
     FastCompassSimulator,
-    n_input_builds,
     settled_mask,
-    staged_inputs,
 )
 from repro.compass.parallel import ParallelCompassSimulator
 from repro.core import params
@@ -314,25 +308,3 @@ class TestObsGauges:
         obs = Observer()
         FastCompassSimulator(net, obs=obs, gated=False).run(4)
         assert "repro_active_fraction" not in obs.metrics.snapshot()
-
-
-class TestStagedInputsWeakCache:
-    def test_cache_does_not_keep_compiled_network_alive(self):
-        net = random_network(n_cores=2, n_neurons=8, seed=3)
-        compiled = compile_network(net)
-        ins = poisson_inputs(net, 8, 400.0, seed=5)
-        staged_inputs(compiled, ins)
-        ref = weakref.ref(compiled)
-        del compiled
-        compile_invalidate(net)  # drop the on-network compile cache too
-        gc.collect()
-        assert ref() is None
-
-    def test_cache_still_hits_while_alive(self):
-        net = random_network(n_cores=2, n_neurons=8, seed=3)
-        compiled = compile_network(net)
-        ins = poisson_inputs(net, 8, 400.0, seed=5)
-        before = n_input_builds()
-        first = staged_inputs(compiled, ins)
-        assert staged_inputs(compiled, ins) is first
-        assert n_input_builds() == before + 1

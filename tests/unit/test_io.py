@@ -1,5 +1,7 @@
 """Tests for AER streams, model files, and checkpoints (repro.io)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,61 @@ class TestAER:
         with pytest.raises(ValueError):
             decode_aer(data[:-4])
 
+    def test_bytes_are_the_per_event_struct_encoding(self):
+        # The format as the word-at-a-time encoder wrote it (kept here
+        # as the reference), and one file's bytes as the parent of the
+        # array encoder produced them.
+        def reference(stream):
+            out = b"AER1" + struct.pack("<Q", stream.n_events)
+            for event in stream.as_tuples():
+                out += struct.pack("<QII", *event)
+            return out
+
+        edge = AERStream.from_events(
+            [(3, 1, 7), (0, 0, 2), (3, 1, 6), (2**40, 2**32 - 1, 2**32 - 1)]
+        )
+        assert encode_aer(edge).hex() == (
+            "414552310400000000000000"
+            "00000000000000000000000002000000"
+            "03000000000000000100000006000000"
+            "03000000000000000100000007000000"
+            "0000000000010000ffffffffffffffff"
+        )
+        rng = np.random.default_rng(4)
+        unsorted = AERStream(  # encoded in stored order, decoded sorted
+            rng.integers(0, 500, 300), rng.integers(0, 64, 300), rng.integers(0, 256, 300)
+        )
+        for stream in (edge, unsorted, AERStream()):
+            data = encode_aer(stream)
+            assert data == reference(stream)
+            assert decode_aer(data) == AERStream.from_events(stream.as_tuples())
+            assert encode_aer(decode_aer(data)) == reference(decode_aer(data))
+
+    @pytest.mark.parametrize(
+        "event", [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 2**32, 1), (1, 1, 2**32)]
+    )
+    def test_values_outside_their_field_rejected(self, event):
+        with pytest.raises(ValueError, match="non-negative and fit"):
+            encode_aer(AERStream(*(np.array([v]) for v in event)))
+
+    def test_damaged_bytes_only_ever_raise_value_error(self):
+        stream = AERStream.from_events([(3, 1, 7), (0, 0, 2), (2**62, 5, 6)])
+        data = encode_aer(stream)
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                decode_aer(data[:cut])
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            damaged = bytearray(data + rng.bytes(int(rng.integers(0, 5))))
+            for at in rng.integers(0, len(data), int(rng.integers(1, 4))):
+                damaged[at] = int(rng.integers(0, 256))
+            try:
+                again = decode_aer(bytes(damaged))
+            except ValueError:
+                continue
+            assert again.n_events <= stream.n_events  # a reading of the bytes it was given
+            assert again == AERStream.from_events(again.as_tuples())
+
     def test_window_and_shift(self):
         stream = AERStream.from_events([(0, 0, 0), (5, 0, 1), (9, 0, 2)])
         assert stream.window(1, 9).as_tuples() == [(5, 0, 1)]
@@ -73,7 +130,8 @@ class TestAER:
         ins = InputSchedule.from_events([(0, 0, 1), (2, 1, 3)])
         stream = aer_from_schedule(ins)
         back = schedule_from_aer(stream)
-        assert list(back) == list(ins)
+        assert list(back) == list(ins) == stream.as_tuples()
+        assert back == ins
 
     def test_record_capture_and_replay(self):
         # Capture one network's output as AER, replay it as another

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.counters import EventCounters
+from repro.core.events import canonical_events, event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.record import SpikeRecord
 
@@ -69,6 +70,63 @@ class TestInputSchedule:
         s = InputSchedule()
         s.add_frame(2, 1, np.array([1, 0, 1, 1], dtype=bool))
         assert s.events_at(2) == [(1, 0), (1, 2), (1, 3)]
+
+
+    def test_add_frame_is_one_bulk_append(self):
+        s = InputSchedule()
+        s.add_frame(2, 1, np.array([1, 0, 1, 1], dtype=bool))
+        s.add_frame(2, 1, np.zeros(4, dtype=bool))
+        assert len(s._appended) == 1  # the empty frame buffers nothing
+        assert s.n_events == 3 and not s._appended
+
+    def test_holds_columns_and_nothing_else(self):
+        s = InputSchedule.from_events([(3, 1, 0), (0, 0, 5), (3, 1, 0)])
+        s.add(1, 1, 1)
+        assert s.n_events == 3
+        held = vars(s)
+        assert sorted(held) == ["_appended", "_axons", "_cores", "_ticks"]
+        assert held["_appended"] == []
+        assert all(held[k].dtype == np.int64 and held[k].shape == (3,)
+                   for k in ("_ticks", "_cores", "_axons"))
+
+    def test_caller_arrays_are_copied_in(self):
+        axons = np.array([4, 2])
+        s = InputSchedule()
+        s.add_events(0, 0, axons)
+        axons[:] = 7
+        assert list(s) == [(0, 0, 2), (0, 0, 4)]
+
+
+class TestEventColumns:
+    def test_ordered_input_is_taken_as_it_is(self):
+        cols = tuple(np.array(c) for c in ([0, 0, 2], [0, 1, 0], [5, 5, 1]))
+        for merge in (False, True):
+            out = canonical_events(*cols, merge=merge)
+            assert all(a is b for a, b in zip(out, cols))
+
+    def test_repeats_sort_only_when_merging(self):
+        cols = tuple(np.array(c) for c in ([0, 0, 0], [1, 1, 2], [3, 3, 0]))
+        kept = canonical_events(*cols)
+        assert all(a is b for a, b in zip(kept, cols))
+        merged = canonical_events(*cols, merge=True)
+        assert [c.tolist() for c in merged] == [[0, 0], [1, 2], [3, 0]]
+
+    def test_unordered_and_unkeyable_input_is_sorted(self):
+        events = [(2, 0, 1), (0, 1, 0), (2, 0, 1), (2**62, 3, 0), (0, -1, 4)]
+        out = canonical_events(*np.array(events).T, merge=True)
+        assert event_tuples(*out) == sorted(set(events))
+
+    def test_event_tuples_are_python_ints(self):
+        cores, neurons = np.array([1, 0, 2]), np.array([5, 6, 7], dtype=np.int32)
+        want = [(9, 1, 5), (9, 0, 6), (9, 2, 7)]
+        for tick in (9, np.int64(9)):
+            got = event_tuples(tick, cores, neurons)
+            assert got == want
+            assert all(type(v) is int for row in got for v in row)
+        assert event_tuples(np.array([0, 1, 0]), np.array([9, 9, 9]), cores, neurons) == [
+            (0, 9, 1, 5), (1, 9, 0, 6), (0, 9, 2, 7)
+        ]
+        assert event_tuples(3, cores[:0], neurons[:0]) == []
 
 
 class TestEventCounters:
