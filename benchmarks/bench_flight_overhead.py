@@ -1,15 +1,15 @@
-"""FLIGHT: overhead guard for the always-on flight recorder.
+"""FLIGHT: overhead guard for an attached *and enabled* observer.
 
-The flight recorder (ISSUE 9) is meant to run in production serving:
-one ring-buffer write plus two gauge updates per tick.  This benchmark
-holds that promise on the paper-scale workload — the 64k-neuron
-activity-gated network from ``bench_sparse_activity.py`` — by gating
-the recorder's *marginal* cost at <= 5%: an enabled observer with the
-flight ring attached vs the same observer with ``flight_capacity=0``
-(with a small absolute floor so micro-jitter cannot trip the gate).
-The bare-engine-vs-disabled-observer budget is held separately by
-``bench_obs_overhead.py``; isolating the ring here means a tracing or
-counter-publishing change cannot mask a flight-recorder regression.
+The flight row is the only thing an enabled tick writes — one ring row
+plus one histogram observation; everything else is read from the rows
+when someone scrapes — and it is meant to stay on in production
+serving.  This benchmark holds that promise on the paper-scale workload
+— the 64k-neuron activity-gated network from
+``bench_sparse_activity.py`` — by gating the whole enabled cost at
+<= 5% (ROADMAP 1(c)): an engine with ``obs=Observer()`` vs the same
+engine with no observer (with a small absolute floor so micro-jitter
+cannot trip the gate).  The attached-but-disabled path is held
+separately by ``bench_obs_overhead.py``.
 
 The ``benchmark``-fixture test feeds the regression gate: its median
 lands in ``BENCH_kernel.json`` under a name containing ``flight`` and
@@ -29,12 +29,12 @@ from repro.core.network import Core, Network
 from repro.obs import Observer
 
 N_TICKS = 200
-ROUNDS = 7
+ROUNDS = 15
 N_CORES = 256  # 256 cores x 256 neurons = 65,536 neurons
 CORE_SIZE = 256
 DRIVEN_CORES = 8
 DRIVEN_AXONS = 8
-#: Relative overhead budget for enabled flight recording (ISSUE 9).
+#: Relative overhead budget for an enabled observer (ROADMAP 1(c)).
 MAX_OVERHEAD = 0.05
 #: Absolute slack (seconds): below this delta the ratio is noise.
 ABS_SLACK_S = 0.002
@@ -69,30 +69,44 @@ def _run_once(compiled, ins, obs):
     return time.perf_counter() - start
 
 
+def _tick_seconds(compiled, ins, obs):
+    """Wall seconds of each of the run's ticks."""
+    sim = FastCompassSimulator(compiled, gated=True, obs=obs)
+    sim.load_inputs(ins)
+    out = np.empty(N_TICKS)
+    for i in range(N_TICKS):
+        start = time.perf_counter()
+        sim.step()
+        out[i] = time.perf_counter() - start
+    return out
+
+
 class TestFlightOverhead:
     def test_enabled_flight_within_budget(self, flight_workload):
         compiled, ins = flight_workload
-        base_s = flight_s = float("inf")
-        ratios = []
-        # Interleave the two variants: min-of-N per variant is the
-        # standard noise filter, and the *paired* per-round ratio
-        # additionally cancels slow drift (thermal, co-tenant load)
-        # that moves both variants together between rounds — the median
-        # of the paired ratios is the headline estimate.
+        # The cost being gated is a few microseconds on a ~120 us tick,
+        # far below what a co-tenant does to a whole 200-tick run.  Tick
+        # i does the same work in every round, so min-of-N is taken per
+        # tick, the two variants interleaved, and the run is the sum of
+        # its ticks' minima: one preempted tick spoils one sample, not
+        # a round.  One observer serves every round — the steady state
+        # is what is gated, not the first touch of a fresh ring's pages.
+        obs = Observer()
+        base = np.full(N_TICKS, np.inf)
+        flight = np.full(N_TICKS, np.inf)
         for _ in range(ROUNDS):
-            base_r = _run_once(compiled, ins, Observer(flight_capacity=0))
-            flight_r = _run_once(compiled, ins, Observer())
-            base_s = min(base_s, base_r)
-            flight_s = min(flight_s, flight_r)
-            ratios.append(flight_r / base_r)
-        overhead = float(np.median(ratios)) - 1.0
+            np.minimum(base, _tick_seconds(compiled, ins, None), out=base)
+            np.minimum(flight, _tick_seconds(compiled, ins, obs), out=flight)
+        base_s, flight_s = float(base.sum()), float(flight.sum())
+        overhead = flight_s / base_s - 1.0
         emit(
-            f"FLIGHT overhead: no-ring {base_s * 1e3:.2f} ms, recording "
+            f"FLIGHT overhead: no observer {base_s * 1e3:.2f} ms, recording "
             f"{flight_s * 1e3:.2f} ms over {N_TICKS} ticks on 64k neurons "
-            f"({overhead * +100:.2f}% median paired overhead)"
+            f"({overhead * +100:.2f}% = "
+            f"{(flight_s - base_s) / N_TICKS * 1e6:.1f} us per tick, per-tick minima)"
         )
         assert flight_s - base_s <= ABS_SLACK_S or overhead <= MAX_OVERHEAD, (
-            f"flight recording costs {overhead * 100:.1f}% "
+            f"an enabled observer costs {overhead * 100:.1f}% "
             f"(> {MAX_OVERHEAD * 100:.0f}% budget)"
         )
 

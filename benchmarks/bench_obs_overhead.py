@@ -1,7 +1,7 @@
 """OBS: overhead guard for disabled instrumentation.
 
 The obs layer promises near-zero cost when no observer is attached —
-every instrumented site reduces to one ``is not None`` / ``.active``
+every instrumented site reduces to one ``is not None`` / ``.enabled``
 check per tick (see :func:`repro.obs.observer.active_observer`).  This
 benchmark holds that promise to a budget: the sparse engine with a
 disabled observer attached must stay within 5% of the bare engine

@@ -582,11 +582,16 @@ def bind_compiled(sim, network, obs, gated=None) -> CompiledNetwork:
 
     Compiles *network* (a cache hit after the first engine) under
     *obs*'s ``compile`` span and sets ``sim.obs``, ``sim.compiled`` and
-    ``sim.network``.  With *gated* given (``"auto"``, True or False) it
-    also sets ``sim.gated``, ``"auto"`` engaging the activity gate
-    whenever the network has a passive-stable neuron.
+    ``sim.network``; *obs* is told where the engine's live event
+    counters are (read at scrape time — ``restore()`` and a re-spawn
+    rebind ``sim.counters``, so the source is a callable).  With *gated*
+    given (``"auto"``, True or False) it also sets ``sim.gated``,
+    ``"auto"`` engaging the activity gate whenever the network has a
+    passive-stable neuron.
     """
     sim.obs = obs
+    if obs is not None:
+        obs.bind_counters(lambda: sim.counters)
     with (obs.span("compile") if obs is not None else NULL_SPAN):
         compiled = compile_network(network)
     sim.compiled = compiled

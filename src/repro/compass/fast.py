@@ -559,10 +559,11 @@ class FastCompassSimulator:
     :class:`~repro.compass.compile.CompiledNetwork` — constructing a
     second simulator from either form does no sparse-matrix rebuild.
 
-    Pass ``obs=Observer()`` to record the canonical per-tick phase
-    spans — ``deliver``/``integrate``/``update``/``route``, the same
-    names the reference :class:`~repro.compass.simulator.CompassSimulator`
-    reports — and publish the uniform event metrics.  Without one, the
+    Pass ``obs=Observer()`` to record one flight row per tick with the
+    canonical phase durations — ``deliver``/``integrate``/``update``/
+    ``route``, the same names the reference
+    :class:`~repro.compass.simulator.CompassSimulator` reports — from
+    which the spans and the uniform metrics are read.  Without one, the
     tick path pays a single ``None`` check.
 
     ``gated`` selects the activity-gated tick path (bit-identical to
@@ -570,10 +571,6 @@ class FastCompassSimulator:
     engages it whenever the compiled network has any passive-stable
     neuron, ``True`` forces it, ``False`` forces the dense path.
     """
-
-    #: This engine records its own flight-recorder rows per tick, so
-    #: wrappers (the streaming runtime) must not record duplicates.
-    _records_flight = True
 
     phase_seconds = engine_phase_seconds
 
@@ -703,10 +700,11 @@ class FastCompassSimulator:
 
         self.tick = counters.ticks = tick + 1
         if obs is not None:
-            obs.sparse_tick(
-                tick, (t0, t1, t2, t3, now_ns()), counters, int(fired.size),
-                len(self._input_by_tick),
-                active=st.n_active if self.gated else None, n_neurons=c.n_neurons,
+            t4 = now_ns()
+            obs.tick(
+                tick, t0, t4, int(fired.size), counters.messages,
+                (t1 - t0, t2 - t1, t3 - t2, t4 - t3), len(self._input_by_tick),
+                st.n_active if self.gated else -1, c.n_neurons,
             )
         return tick, core_ids, local
 

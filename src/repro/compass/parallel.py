@@ -44,6 +44,9 @@ stats      (6 + C_r,)               worker: deliveries, synaptic events,
                                     active (computed) neuron updates, then
                                     per-owned-core synaptic events for
                                     this tick
+obs        FlightRecorder ring      worker: one row per tick (only with an
+           (6-word head + rows)     observer); coordinator adopts the rows
+                                    and sums at close()
 =========  =======================  =========================================
 
 Determinism: the counter-based PRNG makes every worker's draws a pure
@@ -77,10 +80,10 @@ from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
 from repro.io.checkpoint import EngineCheckpoint
-from repro.obs.flight import write_crash_dump
+from repro.obs.flight import FlightRecorder, write_crash_dump
 from repro.obs.log import get_logger
 from repro.obs.observer import NULL_SPAN, Observer, active_observer, engine_phase_seconds
-from repro.obs.trace import ID_PHASES, PHASE_IDS, SpanStrip, now_ns
+from repro.obs.trace import now_ns
 from repro.sanitize.analyze import analyze_access_log
 from repro.sanitize.dynamic import AccessRecorder, sanitize_enabled, shadow_view
 from repro.sanitize.faults import apply_overlap_relabel, resolve_fault
@@ -92,6 +95,7 @@ _ERR = "__error__"  # worker -> coordinator: (tag, rank, traceback text)
 _SAN = "__sanitize__"  # worker -> coordinator: (tag, access events) at stop
 _SNAP = "__snapshot__"  # coordinator <-> worker: (tag,) / (tag, local v)
 _RESTORE = "__restore__"  # coordinator <-> worker: (tag, local v) / (tag, True)
+_POLL_S = 0.1  # control-pipe poll period while awaiting a worker reply
 
 log = get_logger("repro.compass.parallel")
 
@@ -118,9 +122,10 @@ _ST_SATURATIONS = 4
 _ST_ACTIVE_UPDATES = 5
 _ST_N = 6
 
-#: Span records each worker's shared-memory trace strip retains (ring
-#: overwrite beyond this).  Five spans per tick -> ~3k traced ticks.
-TRACE_STRIP_RECORDS = 16384
+#: Seconds the coordinator waits for one worker reply before it treats
+#: the (live but silent) worker as failed.  Far beyond any tick or
+#: snapshot on this engine; a deadline, not a tuning knob.
+REPLY_DEADLINE_S = 120.0
 
 #: ``engine="auto"`` routes to the parallel engine only at or above this
 #: many neurons.  Benchmarked in ``benchmarks/bench_parallel_scaling.py``:
@@ -172,7 +177,7 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 def _worker_main(
     conn, part: CompiledPartition, shm_names: dict, seed: int,
-    gated: bool = False, sanitize: bool = False,
+    gated: bool = False, sanitize: bool = False, flight_rows: int = 0,
 ) -> None:
     """Worker process: advance one compiled partition on command.
 
@@ -193,17 +198,18 @@ def _worker_main(
     logged as ordering markers and the full access log is shipped back
     as ``(_SAN, events)`` when the stop sentinel arrives.
 
-    When the coordinator created an ``obs`` trace strip for this rank
-    (see :class:`repro.obs.trace.SpanStrip`), the worker records its
-    per-tick phase spans into it; the coordinator merges all strips
-    into the rank-0 trace at shutdown.  Clock reads go through
+    With *flight_rows* the coordinator created an ``obs`` segment
+    holding a :class:`~repro.obs.flight.FlightRecorder` ring of that
+    many rows for this rank: the worker writes one row per tick (its
+    four phase durations, spikes, active set) and the coordinator
+    adopts the rows and their sums at shutdown.  Clock reads go through
     :func:`repro.obs.trace.now_ns`, keeping this tick path SL104-clean.
     """
     ring_shm = _attach(shm_names["ring"])
     spike_shm = _attach(shm_names["spikes"])
     out_shm = _attach(shm_names["outbox"])
     stats_shm = _attach(shm_names["stats"])
-    obs_shm = _attach(shm_names["obs"]) if "obs" in shm_names else None
+    obs_shm = _attach(shm_names["obs"]) if flight_rows else None
 
     ring = np.ndarray(
         (params.DELAY_SLOTS, part.n_axons), dtype=bool, buffer=ring_shm.buf
@@ -211,9 +217,7 @@ def _worker_main(
     spike_buf = np.ndarray(1 + part.n_neurons, dtype=np.int64, buffer=spike_shm.buf)
     out_buf = np.ndarray(1 + 3 * part.n_neurons, dtype=np.int64, buffer=out_shm.buf)
     stats = np.ndarray(_ST_N + part.n_cores, dtype=np.int64, buffer=stats_shm.buf)
-    strip = (
-        SpanStrip(obs_shm.buf, TRACE_STRIP_RECORDS) if obs_shm is not None else None
-    )
+    flight = FlightRecorder(flight_rows, obs_shm.buf) if flight_rows else None
     rec = AccessRecorder(f"rank{part.rank}") if sanitize else None
     if rec is not None:
         owner = f"rank{part.rank}"
@@ -229,8 +233,8 @@ def _worker_main(
             if tick == _STOP:
                 if rec is not None:
                     conn.send((_SAN, rec.events))
-                if strip is not None:
-                    strip.release()
+                if flight is not None:
+                    flight.release()
                 conn.close()
                 return
             if isinstance(tick, tuple):
@@ -251,7 +255,7 @@ def _worker_main(
             if rec is not None:
                 rec.barrier("recv", "coord", tick)
                 rec.set_context(tick, "deliver")
-            if strip is not None:
+            if flight is not None:
                 t0 = now_ns()
             slot = tick % params.DELAY_SLOTS
             row = ring[slot]
@@ -259,20 +263,17 @@ def _worker_main(
             active_idx = np.nonzero(active)[0]
             if active_idx.size:
                 row[:] = False
-            if strip is not None:
+            if flight is not None:
                 t1 = now_ns()
-                strip.record(PHASE_IDS["deliver"], tick, t0, t1)
             syn, touched = st.integrate(tick, active, active_idx)
-            if strip is not None:
+            if flight is not None:
                 t2 = now_ns()
-                strip.record(PHASE_IDS["integrate"], tick, t1, t2)
 
             if rec is not None:
                 rec.set_context(tick, "update")
             fired, = st.update(tick, syn, touched)
-            if strip is not None:
+            if flight is not None:
                 t3 = now_ns()
-                strip.record(PHASE_IDS["update"], tick, t2, t3)
 
             if rec is not None:
                 rec.set_context(tick, "route")
@@ -309,10 +310,13 @@ def _worker_main(
             per_core = stats[_ST_N:]
             per_core[:] = st.per_core
 
-            if strip is not None:
+            if flight is not None:
                 t4 = now_ns()
-                strip.record(PHASE_IDS["route"], tick, t3, t4)
-                strip.record(PHASE_IDS["tick"], tick, t0, t4)
+                flight.record(
+                    tick, t0, t4, int(fired.size),
+                    phases=(t1 - t0, t2 - t1, t3 - t2, t4 - t3),
+                    active=st.n_active if gated else -1, n_neurons=part.n_neurons,
+                )
             if rec is not None:
                 rec.barrier("send", "coord", tick)
             conn.send(tick)
@@ -340,10 +344,6 @@ class ParallelCompassSimulator:
     (``"auto"`` engages it when the network has any passive-stable
     neuron; bit-identical either way).
     """
-
-    #: This engine records its own flight-recorder rows per tick, so
-    #: wrappers (the streaming runtime) must not record duplicates.
-    _records_flight = True
 
     phase_seconds = engine_phase_seconds
 
@@ -397,7 +397,7 @@ class ParallelCompassSimulator:
         self._spike_bufs: list[np.ndarray] = []
         self._out_bufs: list[np.ndarray] = []
         self._stats: list[np.ndarray] = []
-        self._strips: list[SpanStrip] = []
+        self._worker_flights: list[FlightRecorder] = []
         self._awaiting = [False] * n_workers
         self._spawned = False
         self._closed = False
@@ -416,7 +416,7 @@ class ParallelCompassSimulator:
         self._awaiting = [False] * self.n_workers
         self._procs, self._conns, self._shms = [], [], []
         self._rings, self._spike_bufs, self._out_bufs, self._stats = [], [], [], []
-        self._strips = []
+        self._worker_flights = []
         self.sanitize_report = None
         self._san = (
             AccessRecorder("coord", fault=self.sanitize_fault)
@@ -428,6 +428,7 @@ class ParallelCompassSimulator:
         spawn_span = (obs.span("spawn", workers=self.n_workers)
                       if obs is not None else NULL_SPAN)
         spawn_span.__enter__()
+        flight_rows = obs.flight.capacity if obs is not None else 0
 
         for part in self.partitioned.partitions:
             sizes = {
@@ -436,17 +437,18 @@ class ParallelCompassSimulator:
                 "outbox": 8 * (1 + 3 * part.n_neurons),
                 "stats": 8 * (_ST_N + part.n_cores),
             }
-            if obs is not None:
-                # Per-rank trace strip: workers write span records here,
-                # rank 0 merges them into the trace at close().
-                sizes["obs"] = SpanStrip.nbytes(TRACE_STRIP_RECORDS)
+            if flight_rows:
+                # Per-rank flight ring (a new segment is zero-filled =
+                # empty): the worker writes one row per tick here, rank
+                # 0 adopts the rows and sums at close().
+                sizes["obs"] = FlightRecorder.nbytes(flight_rows)
             shms = {
                 key: shared_memory.SharedMemory(create=True, size=max(1, nbytes))
                 for key, nbytes in sizes.items()
             }
-            if obs is not None:
-                self._strips.append(
-                    SpanStrip(shms["obs"].buf, TRACE_STRIP_RECORDS, reset=True)
+            if flight_rows:
+                self._worker_flights.append(
+                    FlightRecorder(flight_rows, shms["obs"].buf)
                 )
             ring = np.ndarray(
                 (params.DELAY_SLOTS, part.n_axons), dtype=bool,
@@ -481,6 +483,7 @@ class ParallelCompassSimulator:
                     self.network.seed,
                     self.gated,
                     self.sanitize,
+                    flight_rows,
                 ),
                 daemon=True,
             )
@@ -616,13 +619,13 @@ class ParallelCompassSimulator:
             if obs is not None:
                 obs.metrics.counter("repro_checkpoints_total").inc()
         if obs is not None:
-            # The coordinator's own row: one span over the whole tick
-            # (scatter + worker barrier + gather); workers' phase spans
-            # arrive from their strips at close().
-            obs.sparse_tick(
-                emitted_tick, (tick_begin, now_ns()), c, int(core_ids.size),
-                len(self._future_inputs),
-                active=active_this_tick if self.gated else None,
+            # The coordinator's own row covers the whole tick (scatter +
+            # worker barrier + gather) and times no phases; the workers'
+            # rows, phases included, are adopted at close().
+            obs.tick(
+                emitted_tick, tick_begin, now_ns(), int(core_ids.size), c.messages,
+                queue_depth=len(self._future_inputs),
+                active=active_this_tick if self.gated else -1,
                 n_neurons=self.compiled.n_neurons,
             )
         return emitted_tick, core_ids, neurons
@@ -633,15 +636,18 @@ class ParallelCompassSimulator:
         The historical behaviour was a bare ``conn.recv()`` — a worker
         that raised or was killed left the coordinator blocked forever
         with the shared segments leaked.  Poll instead, watching process
-        liveness, and convert either an ``_ERR`` message or a silent
-        death into :class:`WorkerFailedError` (raised from
+        liveness, and convert an ``_ERR`` message, a silent death, or a
+        live worker that stays silent past :data:`REPLY_DEADLINE_S`
+        (hung, stopped) into :class:`WorkerFailedError` (raised from
         :meth:`_worker_failed` after a full cleanup).
         """
         conn = self._conns[rank]
         proc = self._procs[rank]
-        while True:
+        # Each empty poll is one _POLL_S of silence: counting them keeps
+        # the deadline clock-free like the rest of this module.
+        for _ in range(max(1, round(REPLY_DEADLINE_S / _POLL_S))):
             try:
-                if conn.poll(0.1):
+                if conn.poll(_POLL_S):
                     msg = conn.recv()
                     break
             except (EOFError, OSError):
@@ -652,6 +658,8 @@ class ParallelCompassSimulator:
                     f"worker process died without a reply "
                     f"(exitcode {proc.exitcode})",
                 )
+        else:
+            self._worker_failed(rank, f"no reply within {REPLY_DEADLINE_S:g} s")
         if isinstance(msg, tuple) and msg and msg[0] == _ERR:
             self._worker_failed(rank, str(msg[2]))
         return msg
@@ -775,8 +783,10 @@ class ParallelCompassSimulator:
 
         If a previous :meth:`step_arrays` raised mid-protocol a worker
         may still owe a reply; drain it first so shutdown cannot
-        deadlock, then stop the workers and unlink every segment.
-        Idempotent; :meth:`run` re-spawns after a close.
+        deadlock, then stop the workers — escalating ``join`` ->
+        ``terminate`` -> ``kill`` -> ``join``, because a stopped or hung
+        process never handles the stop sentinel or SIGTERM — and unlink
+        every segment.  Idempotent; :meth:`run` re-spawns after a close.
         """
         if self._closed:
             return
@@ -806,7 +816,11 @@ class ParallelCompassSimulator:
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
-        self._merge_worker_spans()
+                proc.join(timeout=1)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        self._adopt_worker_rows()
         if self._san is not None:
             self._finish_sanitize(worker_logs)
         # Drop our views before closing the segments (numpy arrays hold
@@ -862,13 +876,6 @@ class ParallelCompassSimulator:
         )
         self.sanitize_report = report
         n_accesses = sum(ev.count for ev in events if ev.region is not None)
-        obs = active_observer(self.obs)
-        if obs is not None:
-            obs.metrics.counter("repro_sanitize_accesses_total").inc(n_accesses)
-            obs.metrics.counter("repro_sanitize_findings_total").inc(len(report))
-            obs.metrics.counter("repro_sanitize_races_total").inc(
-                sum(1 for d in report if d.code == "SL210")
-            )
         if len(report):
             log.error(
                 "parallel.sanitize_findings", findings=len(report),
@@ -877,31 +884,21 @@ class ParallelCompassSimulator:
         else:
             log.info("parallel.sanitize_clean", accesses=n_accesses)
 
-    def _merge_worker_spans(self) -> None:
-        """Drain every rank's trace strip into the rank-0 observer.
+    def _adopt_worker_rows(self) -> None:
+        """Hand every rank's flight ring to the rank-0 observer.
 
-        Workers appear as timeline rows ``tid = rank + 1`` (tid 0 is
-        the coordinator); per-phase seconds accumulate into the shared
-        ``repro_phase_seconds_total`` metric, summed across ranks —
-        the engine-wide profile.  Strip views are released so the
-        segments can close cleanly.
+        Rank r's rows and cumulative sums become trace row
+        ``tid = r + 1`` (tid 0 is the coordinator) — a heap copy made
+        with array slices, so ``phase_seconds`` (summed across ranks,
+        evicted ticks included) and every later scrape answer without
+        the segments.  The views are released so those can close.
         """
         obs = active_observer(self.obs)
-        if obs is None or not self._strips:
-            for strip in self._strips:
-                strip.release()
-            self._strips = []
-            return
-        for rank, strip in enumerate(self._strips):
-            for phase_id, tick, begin_ns, end_ns in strip.records():
-                name = ID_PHASES.get(phase_id, f"phase{phase_id}")
-                if name == "tick":
-                    obs.trace.add(name, begin_ns, end_ns,
-                                  tid=rank + 1, attrs={"tick": tick})
-                else:
-                    obs.phase(name, tick, begin_ns, end_ns, tid=rank + 1)
-            strip.release()
-        self._strips = []
+        for rank, flight in enumerate(self._worker_flights):
+            if obs is not None:
+                obs.adopt(rank + 1, flight)
+            flight.release()
+        self._worker_flights = []
 
     def __del__(self):  # pragma: no cover - belt and braces
         try:

@@ -17,11 +17,12 @@ equivalence), because all three share the counter-based PRNG and the
 integer update rules.
 
 Instrumentation rides on :mod:`repro.obs`: pass ``obs=Observer()`` and
-the simulator records per-tick phase spans — ``deliver`` / ``integrate``
-/ ``update`` / ``route`` — publishes the uniform event metrics, and
-keeps the classic :attr:`phase_seconds` view available.  All clock reads
-live inside :mod:`repro.obs.trace`, so this tick path stays
-wall-clock-free under the SL104 determinism lint.
+the simulator records one flight row per tick with its accumulated
+phase durations — ``deliver`` / ``integrate`` / ``update`` / ``route`` —
+from which the phase spans, the uniform metrics and the classic
+:attr:`phase_seconds` view are read.  All clock reads live inside
+:mod:`repro.obs.trace`, so this tick path stays wall-clock-free under
+the SL104 determinism lint.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ class CompassSimulator:
         is shared across simulators instead of being rebuilt here.
 
         With an *obs* observer attached the kernel phases are
-        wall-clock timed per tick into phase spans and the
-        ``repro_phase_seconds_total`` metric — the measurement Compass
-        used to overlap communication with computation — surfaced
-        through :attr:`phase_seconds`.
+        wall-clock timed per tick into the flight row — the measurement
+        Compass used to overlap communication with computation —
+        surfaced through :attr:`phase_seconds` and the
+        ``repro_phase_seconds_total`` metric.
         """
         compiled = bind_compiled(self, network, obs)
         network = compiled.network
@@ -209,21 +210,15 @@ class CompassSimulator:
         # Tick barrier: two-step synchronization.
         self.mpi.barrier_sync()
         if obs is not None:
-            obs.tick_phases(
-                self.tick,
-                tick_begin,
-                (
-                    ("deliver", deliver_ns),
-                    ("integrate", integrate_ns),
-                    ("update", update_ns),
-                    ("route", route_ns),
-                ),
+            # Phases interleave per core here, so the row carries their
+            # accumulated durations; readers lay them out contiguously.
+            obs.tick(
+                self.tick, tick_begin, now_ns(), len(emitted), self.counters.messages,
+                (deliver_ns, integrate_ns, update_ns, route_ns),
+                len(self._input_by_tick),
             )
         self.tick += 1
         self.counters.ticks = self.tick
-        if obs is not None:
-            obs.publish_counters(self.counters)
-            obs.set_gauge("repro_queue_depth", len(self._input_by_tick))
         return emitted
 
     def run(self, n_ticks: int, inputs: InputSchedule | None = None) -> SpikeRecord:

@@ -4,24 +4,26 @@ The telemetry layer shared by every kernel expression (reference
 Compass, sparse FastCompass, shared-memory ParallelCompass) and the
 streaming runtime:
 
-* **tracing** — :func:`Observer.span` / per-tick phase spans into a
-  ring buffer, exportable as Chrome ``trace_event`` JSON
-  (:mod:`repro.obs.trace`);
+* **flight recorder** — the one per-tick record: a ring row per
+  finished tick (wall time vs the 1 ms budget, the four phase
+  durations, spikes, messages, occupancy) from which tick spans, phase
+  seconds and gauges are read, plus crash-dump bundles under
+  ``REPRO_CRASH_DIR`` (:mod:`repro.obs.flight`);
+* **tracing** — :func:`Observer.span` for setup regions, merged on
+  read with the spans synthesized from the flight rows and exportable
+  as Chrome ``trace_event`` JSON (:mod:`repro.obs.trace`);
 * **metrics** — one registry of counters/gauges/histograms under a
-  uniform ``repro_*`` name catalogue with JSON and Prometheus export
+  uniform ``repro_*`` name catalogue with JSON and Prometheus export,
+  its engine-owned values pulled by collectors at scrape time
   (:mod:`repro.obs.metrics`);
 * **logging** — ``repro.*`` structured loggers, level set by
   ``REPRO_LOG_LEVEL`` (:mod:`repro.obs.log`);
-* **flight recorder** — an always-cheap per-tick telemetry ring
-  (wall time vs the 1 ms budget, spikes, messages, occupancy) plus
-  crash-dump bundles under ``REPRO_CRASH_DIR``
-  (:mod:`repro.obs.flight`);
 * **telemetry server** — a stdlib HTTP thread exposing ``/metrics``,
   ``/health``, ``/ready``, ``/flight``, ``/trace`` over a live
   observer (:mod:`repro.obs.server`).
 
 Instrumentation is opt-in per engine via ``obs=Observer()`` and
-near-zero-cost when absent or disabled (:func:`set_enabled`); see
+near-zero-cost when absent or disabled (``Observer(enabled=False)``); see
 docs/observability.md for the span API, the metric name catalogue, and
 the trace-viewer walkthrough.
 """
@@ -40,28 +42,18 @@ from repro.obs.metrics import (
     EVENT_METRICS,
     MetricFamily,
     MetricsRegistry,
-    publish_counters,
 )
 from repro.obs.observer import (
     NULL_SPAN,
     Observer,
     active_observer,
-    is_enabled,
-    set_enabled,
 )
 from repro.obs.server import (
     ENDPOINTS,
     TelemetryServer,
     evaluate_health,
 )
-from repro.obs.trace import (
-    PHASE_IDS,
-    PHASES,
-    Span,
-    SpanStrip,
-    TraceBuffer,
-    now_ns,
-)
+from repro.obs.trace import PHASES, Span, TraceBuffer, now_ns
 
 __all__ = [
     "BUDGET_NS",
@@ -76,9 +68,7 @@ __all__ = [
     "NULL_SPAN",
     "Observer",
     "PHASES",
-    "PHASE_IDS",
     "Span",
-    "SpanStrip",
     "StructuredLogger",
     "TelemetryServer",
     "TraceBuffer",
@@ -87,9 +77,6 @@ __all__ = [
     "crash_dump_dir",
     "evaluate_health",
     "get_logger",
-    "is_enabled",
     "now_ns",
-    "publish_counters",
-    "set_enabled",
     "write_crash_dump",
 ]

@@ -68,10 +68,6 @@ class StructuredLogger:
         """The underlying stdlib logger name."""
         return self._logger.name
 
-    def is_enabled_for(self, level: int) -> bool:
-        """Whether messages at *level* would be emitted."""
-        return self._logger.isEnabledFor(level)
-
     def _emit(self, level: int, event: str, fields: dict) -> None:
         if self._logger.isEnabledFor(level):
             parts = [event] + [f"{k}={_fmt_value(v)}" for k, v in fields.items()]

@@ -3,21 +3,23 @@
 The paper's headline claims are measurements — synaptic operations,
 messages, time- and energy-to-solution — so every kernel expression
 must account the *same* quantities under the *same* names.  This module
-is that single source of truth: a registry of counters, gauges, and
-histograms with a uniform ``repro_*`` naming catalogue, snapshot-able
-to JSON and to the Prometheus text exposition format.
+holds those names: a registry of counters, gauges, and histograms with
+a uniform ``repro_*`` naming catalogue, snapshot-able to JSON and to
+the Prometheus text exposition format.
 
-The bespoke per-engine plumbing (:class:`~repro.core.counters.EventCounters`
-accumulation structs, ``phase_seconds`` dicts, the streaming
-``StreamReport``) remains as thin compat shims over this registry:
-:func:`publish_counters` maps an ``EventCounters`` onto the catalogue,
-so a snapshot from any engine is directly comparable — bit-identical
-for the deterministic event metrics on the same seeded network.
+The engines' own accounting (:class:`~repro.core.counters.EventCounters`,
+the per-tick flight rows, the streaming ``StreamReport``) is the source
+and this registry the view: values that have an owner elsewhere are
+*pulled* by collectors (:meth:`MetricsRegistry.add_collector`) each time
+the registry is exported, so a snapshot from any engine is directly
+comparable — bit-identical for the deterministic event metrics on the
+same seeded network — and nothing is published per tick.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 #: Kinds a metric family can have.
@@ -49,8 +51,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "gauge", "Busiest core-tick synaptic event load."),
     "repro_queue_depth": (
         "gauge", "Staged future input-event ticks awaiting injection."),
-    "repro_active_neurons": (
-        "gauge", "Neurons in the last tick's activity-gated update set."),
     "repro_active_fraction": (
         "gauge", "Active-set size as a fraction of all neurons, last tick."),
     "repro_active_neuron_updates_total": (
@@ -68,23 +68,12 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "gauge", "Fraction of batch lanes holding an active session."),
     "repro_batch_passes_total": (
         "counter", "Vectorized batched passes (all lanes advance one tick)."),
-    "repro_lane_ticks_total": (
-        "counter", "Lane-ticks advanced across the batch (B per pass)."),
     "repro_sessions_total": (
         "counter", "Sessions submitted to the model server."),
     "repro_sessions_completed_total": (
         "counter", "Sessions served to completion."),
-    "repro_compile_cache_hits_total": (
-        "counter", "Compiled-model LRU cache hits."),
     "repro_compile_cache_misses_total": (
         "counter", "Compiled-model LRU cache misses (compiles performed)."),
-    "repro_sanitize_accesses_total": (
-        "counter", "Shared-memory accesses recorded by the sanitizer's "
-                   "shadow views (coalesced spans)."),
-    "repro_sanitize_findings_total": (
-        "counter", "Sanitizer diagnostics reported across analyzed runs."),
-    "repro_sanitize_races_total": (
-        "counter", "SL210 data races reported across analyzed runs."),
     "repro_frames_total": ("counter", "Frames streamed through the runtime."),
     "repro_input_events_total": ("counter", "Rate-coded input spike events."),
     "repro_output_spikes_total": ("counter", "Output spikes delivered to sinks."),
@@ -179,12 +168,8 @@ class _HistogramState:
             self.counts = [0] * (len(self.buckets) + 1)  # +inf bucket
 
     def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        else:
-            self.counts[-1] += 1
+        # First bucket whose bound is >= value; past them all is +inf.
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.n += 1
 
@@ -223,33 +208,19 @@ class MetricFamily:
         """Set the absolute value (gauges, and counter re-publication)."""
         self._values[_labels_key(labels)] = value
 
-    def set_unlabeled(self, value) -> None:
-        """:meth:`set` for the empty label set, skipping key building.
-
-        The per-tick hot gauges (budget ratio, real-time factor) write
-        once per simulated millisecond; this shaves the ``**labels``
-        plumbing off that path.
-        """
-        self._values[()] = value
-
-    def value_unlabeled(self):
-        """:meth:`value` for the empty label set (hot-path read)."""
-        return self._values.get((), 0)
-
-    def set_max(self, value, **labels) -> None:
-        """Raise the value to *value* if larger (high-watermark gauges)."""
-        key = _labels_key(labels)
-        current = self._values.get(key, 0)
-        if value > current:
-            self._values[key] = value
-
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation into this histogram."""
+    def state(self, **labels) -> _HistogramState:
+        """This histogram's state for one label set (created on first
+        use); a per-tick observer binds it once and calls its
+        ``observe(value)``, skipping the label plumbing."""
         key = _labels_key(labels)
         state = self._values.get(key)
         if state is None:
             state = self._values[key] = _HistogramState(self.buckets)
-        state.observe(value)
+        return state
+
+    def observe(self, value: float, **labels) -> None:
+        """Record one observation into this histogram."""
+        self.state(**labels).observe(value)
 
     # -- read API ----------------------------------------------------------
     def value(self, **labels):
@@ -271,6 +242,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        self._collectors: list = []
+
+    def add_collector(self, collect) -> None:
+        """Run *collect* (no arguments) before every export.
+
+        A collector sets the families whose value lives elsewhere — an
+        engine's counters, the last flight row, a server's queue — so
+        their owners write nothing here on the hot path.
+        """
+        self._collectors.append(collect)
 
     def _get_or_create(self, name: str, kind: str, help: str, **kwargs) -> MetricFamily:
         family = self._families.get(name)
@@ -297,7 +278,9 @@ class MetricsRegistry:
         return self._get_or_create(name, "histogram", help, buckets=buckets)
 
     def families(self) -> list[MetricFamily]:
-        """Every registered family, in registration order."""
+        """Every registered family, collectors run, in registration order."""
+        for collect in list(self._collectors):
+            collect()
         return list(self._families.values())
 
     # -- export ------------------------------------------------------------
@@ -355,17 +338,3 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{name}{_render_labels(key)} {value}")
         return "\n".join(lines) + "\n"
-
-
-def publish_counters(registry: MetricsRegistry, counters) -> None:
-    """Publish an :class:`~repro.core.counters.EventCounters` snapshot.
-
-    Sets the absolute value of every deterministic event metric in the
-    catalogue from *counters* (duck-typed; any object with the counter
-    attributes works).  Idempotent — safe to call once per tick or once
-    per run; the registry always reflects the latest totals.
-    """
-    for name, attr in EVENT_METRICS.items():
-        kind = CATALOGUE[name][0]
-        family = registry.counter(name) if kind == "counter" else registry.gauge(name)
-        family.set(getattr(counters, attr, 0))

@@ -2,9 +2,10 @@
 
 A stdlib :class:`http.server.ThreadingHTTPServer` on a daemon thread,
 serving one :class:`~repro.obs.observer.Observer`'s registry, flight
-ring, and span trace while an engine runs.  No third-party dependencies
-— the exporters already speak the Prometheus text format and JSON, the
-server only routes:
+ring, and span trace while an engine runs — every value pulled from the
+rows and the engine's counters by the request that asks for it.  No
+third-party dependencies — the exporters already speak the Prometheus
+text format and JSON, the server only routes:
 
 ========== =============================================================
 endpoint   payload
@@ -15,7 +16,8 @@ endpoint   payload
 /ready     ``{"ready": true}`` once at least one tick has been
            recorded; 503 before that (load-balancer warm-up gate)
 /flight    the flight ring as JSON (``?last=N`` for the tail)
-/trace     the span ring as a Chrome ``trace_event`` JSON document
+/trace     setup spans plus the tick and phase spans read from the
+           flight rows, as a Chrome ``trace_event`` JSON document
 ========== =============================================================
 
 Wired into :class:`~repro.runtime.serving.ModelServer` and
@@ -30,6 +32,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.flight import BUDGET_NS
 from repro.obs.log import get_logger
 
 log = get_logger("repro.obs.server")
@@ -47,8 +50,9 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
     tick stayed within 2x the 1 ms budget, ``degraded`` when the engine
     is running behind (budget ratio > 2 — e.g. a batch pass advancing
     many lanes), and ``failed`` when a worker probe reports dead.
-    Real-time-factor and budget gauges read 0 before the first recorded
-    tick; they are reported as ``null`` then, never a false alarm.
+    Everything is read from the flight ring (and the observer's live
+    occupancy), not from gauges; before the first recorded tick the
+    real-time factor and budget ratio are ``null``, never a false alarm.
     """
     workers = {}
     alive = True
@@ -60,13 +64,14 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
         workers[name] = ok
         alive = alive and ok
 
-    flight = getattr(obs, "flight", None) if obs is not None else None
-    ticks = len(flight) if flight is not None else 0
-    rtf = None
-    budget_ratio = None
+    ticks = len(obs.flight) if obs is not None else 0
+    rtf = budget_ratio = None
+    queue_depth = 0.0
     if ticks:
-        rtf = flight.real_time_factor()
-        budget_ratio = float(obs.metrics.gauge("repro_tick_budget_ratio").value())
+        last = obs.flight.rows(last=1)[0]
+        rtf = obs.flight.real_time_factor()
+        budget_ratio = int(last["wall_ns"]) / BUDGET_NS
+        queue_depth = float(last["queue_depth"])
 
     if not alive:
         status = "failed"
@@ -80,18 +85,12 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
         "ticks": ticks,
         "real_time_factor": rtf,
         "budget_ratio": budget_ratio,
-        "queue_depth": (
-            float(obs.metrics.gauge("repro_queue_depth").value())
-            if obs is not None else 0.0
-        ),
-        "occupancy": (
-            float(obs.metrics.gauge("repro_batch_occupancy").value())
-            if obs is not None else 0.0
-        ),
+        "queue_depth": queue_depth,
+        "occupancy": float(obs.occupancy) if obs is not None else 0.0,
         "workers": workers,
     }
-    if flight is not None and ticks:
-        doc["flight"] = flight.summary(last=min(ticks, 256))
+    if ticks:
+        doc["flight"] = obs.flight.summary(last=min(ticks, 256))
     return doc
 
 
@@ -130,12 +129,10 @@ class _Handler(BaseHTTPRequestHandler):
             doc = evaluate_health(obs, telemetry.liveness)
             self._send_json(503 if doc["status"] == "failed" else 200, doc)
         elif route == "/ready":
-            flight = getattr(obs, "flight", None) if obs is not None else None
-            ready = flight is not None and len(flight) > 0
+            ready = obs is not None and len(obs.flight) > 0
             self._send_json(200 if ready else 503, {"ready": ready})
         elif route == "/flight":
-            flight = getattr(obs, "flight", None) if obs is not None else None
-            if flight is None:
+            if obs is None:
                 self._send_json(404, {"error": "no flight recorder attached"})
                 return
             query = parse_qs(parsed.query)
@@ -146,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError:
                     self._send_json(400, {"error": "last must be an integer"})
                     return
-            self._send_json(200, flight.to_json(last))
+            self._send_json(200, obs.flight.to_json(last))
         elif route == "/trace":
             events = obs.trace.chrome_trace_events() if obs is not None else []
             self._send_json(200, {"traceEvents": events})

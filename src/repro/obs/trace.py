@@ -1,21 +1,21 @@
 """Tracing: lightweight spans, ring buffers, Chrome trace export.
 
-A span is one timed region — ``compile``, ``partition``, ``spawn``, or
-a per-tick kernel phase (``deliver`` / ``integrate`` / ``update`` /
-``route``) — recorded as ``(name, begin_ns, end_ns, tid, attrs)`` into
-a bounded ring buffer.  The buffer exports Chrome ``trace_event`` JSON
-loadable by ``chrome://tracing`` and Perfetto, with one timeline row
-(tid) per rank.
+A span is one timed region ``(name, begin_ns, end_ns, tid, attrs)``.
+Two kinds exist and only one is stored here:
 
-Two recording surfaces exist:
+* setup and runtime regions — ``compile``, ``partition``, ``spawn``,
+  ``frame``, ``checkpoint`` — are recorded into the bounded
+  :class:`TraceBuffer` ring as they finish;
+* a whole ``tick`` (``batch_pass`` on the batched engine) and its four
+  kernel phases (``deliver`` / ``integrate`` / ``update`` / ``route``)
+  are *not* stored as spans: each finished tick is one row in a
+  :class:`~repro.obs.flight.FlightRecorder`, and the buffer's read side
+  synthesizes those spans from the rows of every rank it was given.
 
-* :class:`TraceBuffer` — the in-process ring the coordinator (rank 0)
-  and the single-process engines write into;
-* :class:`SpanStrip` — a fixed-layout strip of span records inside a
-  ``multiprocessing.shared_memory`` segment, written lock-free by one
-  parallel worker and drained into the rank-0 :class:`TraceBuffer` at
-  the end of the run (timestamps are ``CLOCK_MONOTONIC``-based and so
-  comparable across processes on one host).
+The merged view exports Chrome ``trace_event`` JSON loadable by
+``chrome://tracing`` and Perfetto, with one timeline row (tid) per
+rank; timestamps are ``CLOCK_MONOTONIC``-based and so comparable
+across processes on one host.
 
 All wall-clock reads for tracing live in this module (:func:`now_ns`),
 keeping the engines' tick paths clean under the SL104 determinism lint:
@@ -35,19 +35,13 @@ import numpy as np
 #: profiling tests assert).
 PHASES = ("deliver", "integrate", "update", "route")
 
-#: Span-name <-> integer ids for the shared-memory strips.
-PHASE_IDS: dict[str, int] = {"tick": 0, **{p: i + 1 for i, p in enumerate(PHASES)}}
-ID_PHASES: dict[int, str] = {i: name for name, i in PHASE_IDS.items()}
 
-
-def now_ns() -> int:
-    """Monotonic wall-clock timestamp in nanoseconds.
-
-    The one sanctioned clock read for instrumentation; engines call
-    this instead of :mod:`time` so the determinism source lint keeps
-    their tick paths clock-free.
-    """
-    return time.perf_counter_ns()
+#: Monotonic wall-clock timestamp in nanoseconds.  The one sanctioned
+#: clock read for instrumentation; engines call this instead of
+#: :mod:`time` so the determinism source lint keeps their tick paths
+#: clock-free.  Bound to the builtin itself: a tick reads it five times,
+#: and a Python frame around each read costs more than the read.
+now_ns = time.perf_counter_ns
 
 
 class Span:
@@ -78,17 +72,57 @@ class Span:
                 f"dur={self.duration_s * 1e3:.3f} ms, attrs={self.attrs})")
 
 
-class TraceBuffer:
-    """Bounded ring of spans; overflow drops the oldest records."""
+def row_spans(rows: np.ndarray, tid: int) -> list[Span]:
+    """The whole-tick and phase spans of one rank's flight *rows*.
 
-    def __init__(self, capacity: int = 65536) -> None:
+    Phases are laid out contiguously from each row's ``begin_ns`` —
+    exact for the sparse engines, whose phases are consecutive clock
+    marks, and the per-phase split for the rank-partitioned simulator,
+    whose phases interleave per core.  A row whose writer timed no
+    phases (the parallel coordinator, a runtime recording on an
+    engine's behalf) yields the whole-tick span only.
+    """
+    begin = rows["begin_ns"]
+    ends = begin[:, None] + np.cumsum(
+        [rows[f"{phase}_ns"] for phase in PHASES], axis=0
+    ).T
+    spans: list[Span] = []
+    for tick, lanes, a, wall, phase_ends in zip(
+        rows["tick"].tolist(), rows["lanes"].tolist(), begin.tolist(),
+        rows["wall_ns"].tolist(), ends.tolist(),
+    ):
+        attrs = {"tick": tick}
+        if phase_ends[-1] > a:
+            cursor = a
+            for name, end in zip(PHASES, phase_ends):
+                spans.append(Span(name, cursor, end, tid, attrs))
+                cursor = end
+        if lanes:
+            spans.append(Span("batch_pass", a, a + wall, tid,
+                              {"pass": tick, "lanes": lanes}))
+        else:
+            spans.append(Span("tick", a, a + wall, tid, attrs))
+    return spans
+
+
+class TraceBuffer:
+    """Bounded ring of spans, read merged with the per-tick flight rows.
+
+    *rings* maps a rank row (tid) to the
+    :class:`~repro.obs.flight.FlightRecorder` holding that rank's ticks
+    (any object with ``rows()``); :meth:`add` never sees a tick.
+    Overflow drops the oldest stored span.
+    """
+
+    def __init__(self, capacity: int = 65536, rings: dict | None = None) -> None:
         self._ring: deque[Span] = deque(maxlen=capacity)
+        self.rings = {} if rings is None else rings
         self.dropped = 0
         self._capacity = capacity
 
     @property
     def capacity(self) -> int:
-        """Maximum number of retained spans."""
+        """Maximum number of stored (non-tick) spans."""
         return self._capacity
 
     def __len__(self) -> int:
@@ -102,7 +136,7 @@ class TraceBuffer:
         self._ring.append(Span(name, begin_ns, end_ns, tid, attrs))
 
     def spans(self) -> list[Span]:
-        """Every retained span, in merged tick order.
+        """Every stored and every row-derived span, in merged tick order.
 
         Sort key is ``(tick, begin_ns)`` with tick-less spans (compile,
         spawn, ...) ordered purely by timestamp before tick 0 — so a
@@ -113,11 +147,16 @@ class TraceBuffer:
             tick = span.tick
             return (tick if tick is not None else -1, span.begin_ns, span.tid)
 
-        return sorted(self._ring, key=key)
+        spans = list(self._ring)
+        for tid, ring in list(self.rings.items()):
+            spans += row_spans(ring.rows(), tid)
+        return sorted(spans, key=key)
 
     def tids(self) -> list[int]:
-        """Sorted set of rank rows present in the buffer."""
-        return sorted({span.tid for span in self._ring})
+        """Sorted set of rank rows with at least one span."""
+        tids = {span.tid for span in list(self._ring)}
+        tids.update(tid for tid, ring in list(self.rings.items()) if len(ring))
+        return sorted(tids)
 
     # -- Chrome trace_event export -----------------------------------------
     def chrome_trace_events(self, pid: int = 0) -> list[dict]:
@@ -136,7 +175,7 @@ class TraceBuffer:
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                 "args": {"name": "rank0 (coordinator)" if tid == 0 else f"rank{tid}"},
             }
-            for tid in self.tids()
+            for tid in sorted({span.tid for span in spans})
         ]
         for span in spans:
             event = {
@@ -158,77 +197,3 @@ class TraceBuffer:
         with open(path, "w", encoding="utf-8") as f:
             json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, f)
         return len(events)
-
-
-class SpanStrip:
-    """Per-rank span strip over a shared-memory int64 buffer.
-
-    Layout (int64 words): ``[written_total, capacity]`` header followed
-    by ``capacity`` records of ``(phase_id, tick, begin_ns, end_ns)``.
-    The single writer (one worker process) ring-overwrites on overflow;
-    the single reader (the coordinator) drains after the tick barrier,
-    so no locking is needed.
-    """
-
-    HEADER = 2
-    RECORD = 4
-
-    def __init__(self, buf, capacity: int, reset: bool = False) -> None:
-        # np.ndarray(buffer=...) over np.frombuffer: the latter keeps a
-        # buffer export alive past local teardown, which makes
-        # SharedMemory.__del__ raise BufferError at worker exit.
-        self._arr = np.ndarray(self.HEADER + self.RECORD * capacity,
-                               dtype=np.int64, buffer=buf)
-        self.capacity = capacity
-        if reset:
-            self._arr[0] = 0
-            self._arr[1] = capacity
-
-    @staticmethod
-    def nbytes(capacity: int) -> int:
-        """Bytes needed for a strip of *capacity* records."""
-        return 8 * (SpanStrip.HEADER + SpanStrip.RECORD * capacity)
-
-    def record(self, phase_id: int, tick: int, begin_ns: int, end_ns: int) -> None:
-        """Append one span record (ring-overwriting the oldest)."""
-        written = int(self._arr[0])
-        base = self.HEADER + self.RECORD * (written % self.capacity)
-        self._arr[base] = phase_id
-        self._arr[base + 1] = tick
-        self._arr[base + 2] = begin_ns
-        self._arr[base + 3] = end_ns
-        self._arr[0] = written + 1
-
-    def record_phase(self, name: str, tick: int, begin_ns: int, end_ns: int) -> None:
-        """Append one span by canonical phase name."""
-        self.record(PHASE_IDS[name], tick, begin_ns, end_ns)
-
-    @property
-    def written(self) -> int:
-        """Total records ever written (>= capacity means overflow)."""
-        return int(self._arr[0])
-
-    def records(self) -> list[tuple[int, int, int, int]]:
-        """Retained records, oldest first."""
-        written = self.written
-        n = min(written, self.capacity)
-        start = written % self.capacity if written > self.capacity else 0
-        out = []
-        for i in range(n):
-            base = self.HEADER + self.RECORD * ((start + i) % self.capacity)
-            out.append(tuple(int(x) for x in self._arr[base:base + self.RECORD]))
-        return out
-
-    def drain_into(self, trace: TraceBuffer, tid: int) -> int:
-        """Merge every retained record into *trace* under row *tid*."""
-        n = 0
-        for phase_id, tick, begin_ns, end_ns in self.records():
-            trace.add(ID_PHASES.get(phase_id, f"phase{phase_id}"),
-                      begin_ns, end_ns, tid=tid, attrs={"tick": tick})
-            n += 1
-        self._arr[0] = 0
-        return n
-
-    def release(self) -> None:
-        """Drop the view into the shared buffer (before segment close)."""
-        self._arr = np.zeros(0, dtype=np.int64)

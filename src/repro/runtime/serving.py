@@ -56,8 +56,8 @@ class CompiledModelCache:
     ``get()`` returns the cached :class:`CompiledNetwork` for any model
     object whose digest is known, compiling (and evicting the least
     recently used entry past *capacity*) otherwise.  ``hits`` /
-    ``misses`` make cache behaviour observable; the server republishes
-    them through the obs catalogue.
+    ``misses`` make cache behaviour observable; the server publishes
+    the misses through the obs catalogue.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -194,7 +194,8 @@ class ModelServer:
                 obs, port=telemetry_port,
                 liveness={"engine": lambda: not self._failed},
             )
-        self._publish_serving_metrics()
+        if obs is not None:
+            obs.metrics.add_collector(self._collect_serving_metrics)
 
     def close(self) -> None:
         """Shut down the telemetry server (idempotent)."""
@@ -210,21 +211,16 @@ class ModelServer:
         return False
 
     # -- metrics -----------------------------------------------------------
-    def _publish_serving_metrics(self) -> None:
-        obs = active_observer(self.obs)
-        if obs is None:
-            return
-        obs.set_gauge("repro_batch_lanes", self.n_lanes)
-        obs.set_gauge("repro_batch_occupancy", len(self._active) / self.n_lanes)
-        obs.metrics.counter("repro_sessions_total").set(self._n_submitted)
-        obs.metrics.counter("repro_sessions_completed_total").set(
+    def _collect_serving_metrics(self) -> None:
+        """Scrape-time view of the queue, the lanes and the cache."""
+        metrics = self.obs.metrics
+        metrics.gauge("repro_batch_occupancy").set(self.occupancy)
+        metrics.counter("repro_sessions_total").set(self._n_submitted)
+        metrics.counter("repro_sessions_completed_total").set(
             len(self._completed)
         )
         if self.cache is not None:
-            obs.metrics.counter("repro_compile_cache_hits_total").set(
-                self.cache.hits
-            )
-            obs.metrics.counter("repro_compile_cache_misses_total").set(
+            metrics.counter("repro_compile_cache_misses_total").set(
                 self.cache.misses
             )
 
@@ -313,7 +309,8 @@ class ModelServer:
                 obs.metrics.histogram("repro_session_wait_seconds").observe(
                     session.wait_seconds
                 )
-        self._publish_serving_metrics()
+        if obs is not None:
+            obs.occupancy = self.occupancy  # stored with each pass's row
 
     def preempt(self, session_id: str) -> Session:
         """Evict an active session, checkpointing its lane for later.
@@ -356,7 +353,8 @@ class ModelServer:
         del self._active[lane]
         self._free.append(lane)
         self._pending.append(session)
-        self._publish_serving_metrics()
+        if obs is not None:
+            obs.occupancy = self.occupancy
         return session
 
     def _finalize(self, session: Session) -> None:
@@ -422,9 +420,7 @@ class ModelServer:
         for session in finished:
             self._finalize(session)
         if finished:
-            self._admit()
-        else:
-            self._publish_serving_metrics()
+            self._admit()  # also refreshes the observer's occupancy
         return len(finished)
 
     def run(self, max_passes: int | None = None) -> list[Session]:

@@ -67,9 +67,9 @@ class SceneSource(FrameSource):
 class StreamReport:
     """Accounting of one streaming session.
 
-    A thin view kept for compatibility: when the runtime carries an
-    :class:`~repro.obs.observer.Observer`, the same quantities are
-    published to the uniform metric catalogue
+    The source of the session totals: when the runtime carries an
+    :class:`~repro.obs.observer.Observer`, ``run()`` adds them to the
+    uniform metric catalogue once, as it returns
     (``repro_frames_total``, ``repro_input_events_total``,
     ``repro_output_spikes_total``, ``repro_wall_seconds_total``), where
     they export to JSON/Prometheus alongside the engine metrics.
@@ -155,14 +155,11 @@ class StreamingRuntime:
         self.ticks_per_frame = ticks_per_frame
         self.max_rate = max_rate
         self.seed = seed
-        # Engines marked _records_flight feed the shared observer's
-        # flight ring themselves; the runtime records rows only when
-        # wrapping an engine that does not (the reference simulator, or
-        # a simulator carrying a different observer).
-        self._flight_self = not (
-            getattr(simulator, "_records_flight", False)
-            and getattr(simulator, "obs", None) is obs
-        )
+        # An engine holding this observer records its own tick rows;
+        # the runtime records them only on behalf of one that does not
+        # (the reference and hardware expressions take no observer, and
+        # a constructed simulator may carry a different one).
+        self._records_ticks = getattr(simulator, "obs", None) is not obs
         self.telemetry: TelemetryServer | None = None
         if telemetry_port is not None:
             self.telemetry = TelemetryServer(obs, port=telemetry_port)
@@ -207,12 +204,12 @@ class StreamingRuntime:
         Engines exposing ``step_arrays()`` (the sparse and parallel
         expressions) stay vectorized end to end: per-spike Python tuples
         are materialized only when a *sink* actually consumes them.
-        With an active *obs* and an engine that does not feed the flight
-        ring itself (the reference simulator), the runtime records the
-        whole-tick flight row here.
+        With an active *obs* and an engine that does not record its own
+        ticks (the reference simulator), the runtime records the
+        whole-tick row here.
         """
-        flight_obs = obs if (obs is not None and self._flight_self) else None
-        if flight_obs is not None:
+        tick_obs = obs if self._records_ticks else None
+        if tick_obs is not None:
             begin = now_ns()
         step_arrays = getattr(self.simulator, "step_arrays", None)
         if step_arrays is not None:
@@ -227,9 +224,9 @@ class StreamingRuntime:
             report.output_spikes += n_spikes
             if sink is not None:
                 sink(tick_cursor, spikes)
-        if flight_obs is not None:
+        if tick_obs is not None:
             counters = getattr(self.simulator, "counters", None)
-            flight_obs.flight_tick(
+            tick_obs.tick(
                 tick_cursor, begin, now_ns(), n_spikes,
                 getattr(counters, "messages", 0),
             )

@@ -106,9 +106,9 @@ class Access:
 class RegionSpec:
     """One shared region: layout plus its full allowed-access set.
 
-    *opaque* regions (the per-rank SpanStrip trace slabs) are mediated
-    by their own lock-free record format and are excluded from the
-    binding and access checks.
+    *opaque* regions (the per-rank flight rings) are mediated by their
+    own lock-free record format and are excluded from the binding and
+    access checks.
     """
 
     name: str
@@ -205,7 +205,7 @@ PARALLEL_PROTOCOL = TickProtocol(
             ],
         ),
         "obs": _spec(
-            "obs", "per-rank", "int64", "SpanStrip records",
+            "obs", "per-rank", "int64", "FlightRecorder ring: 6-word head + ROW_DTYPE rows",
             [], opaque=True,
         ),
     },

@@ -30,7 +30,7 @@ in-source.
 
 The batched engine is single-process — its phase protocol is enforced
 by the dynamic layer; here it only gets the SL200 binding sweep, along
-with ``obs/trace.py`` and ``runtime/serving.py``.
+with ``obs/flight.py`` and ``runtime/serving.py``.
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ def sweep_buffer_bindings(text: str, path: str | Path) -> LintReport:
     """SL200 sweep: shm-buffer ndarray bindings outside the known engine.
 
     Only ``buffer=<expr>.buf`` bindings count — a real shared-memory
-    buffer export.  (SpanStrip's ``buffer=buf`` over an opaque caller
-    buffer is mediation, not a region binding.)
+    buffer export.  (FlightRecorder's ``buffer=buf`` over an opaque
+    caller buffer is mediation, not a region binding.)
     """
     report = LintReport(subject="sanitize-static")
     try:
@@ -477,12 +477,12 @@ def check_protocol_sources(extra_paths=()) -> LintReport:
     """Check the installed engine sources against the declared protocol.
 
     The parallel engine gets the full extraction; the batched engine,
-    the trace strips, and the serving runtime get the SL200 binding
+    the flight ring, and the serving runtime get the SL200 binding
     sweep (their sharing is in-process and dynamically enforced).
     """
     import repro.compass.batched as batched_mod
     import repro.compass.parallel as parallel_mod
-    import repro.obs.trace as trace_mod
+    import repro.obs.flight as flight_mod
     import repro.runtime.serving as serving_mod
 
     parallel_path = Path(parallel_mod.__file__)
@@ -491,7 +491,7 @@ def check_protocol_sources(extra_paths=()) -> LintReport:
     )
     sweep = [
         Path(batched_mod.__file__),
-        Path(trace_mod.__file__),
+        Path(flight_mod.__file__),
         Path(serving_mod.__file__),
         *map(Path, extra_paths),
     ]

@@ -175,8 +175,7 @@ class TestObservability:
         snap = obs.metrics.snapshot()
         assert snap["repro_batch_lanes"] == 4
         assert snap["repro_batch_passes_total"] == 5
-        assert snap["repro_lane_ticks_total"] == 20
-        assert snap["repro_ticks_total"] == 20  # aggregate lane-ticks
+        assert snap["repro_ticks_total"] == 20  # aggregate lane-ticks: passes x lanes
 
     def test_phase_spans_recorded(self):
         net = small_net()

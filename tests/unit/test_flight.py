@@ -7,10 +7,11 @@ import pytest
 
 from repro.compass.fast import FastCompassSimulator
 from repro.core.builders import poisson_inputs, random_network
-from repro.obs import Observer
+from repro.obs import PHASES, Observer
 from repro.obs.flight import (
     BUDGET_NS,
     FLIGHT_FIELDS,
+    ROW_DTYPE,
     FlightRecorder,
     write_crash_dump,
 )
@@ -20,7 +21,8 @@ class TestFlightRecorder:
     def test_empty_ring_is_well_defined(self):
         rec = FlightRecorder(capacity=8)
         assert len(rec) == 0
-        assert rec.rows().shape == (0, len(FLIGHT_FIELDS))
+        assert rec.rows().shape == (0,)
+        assert rec.rows().dtype == ROW_DTYPE
         assert rec.real_time_factor() == 0.0
         summary = rec.summary()
         assert summary["ticks"] == 0
@@ -29,48 +31,65 @@ class TestFlightRecorder:
 
     def test_record_and_read_back(self):
         rec = FlightRecorder(capacity=8)
-        rec.record(0, 500_000, spikes=3, messages_total=10,
-                   deliver_ns=100, integrate_ns=200, update_ns=150,
-                   route_ns=50)
-        rec.record(1, 2_000_000, spikes=1, messages_total=14)
+        begin = 2**55 + 1  # past float64's exact integers
+        rec.record(0, begin, begin + 500_000, spikes=3, messages_total=10,
+                   phases=(100, 200, 150, 50), queue_depth=4,
+                   active=6, n_neurons=24)
+        rec.record(1, begin + 600_000, begin + 2_600_000, spikes=1,
+                   messages_total=14)
         rows = rec.rows()
-        assert rows.shape == (2, len(FLIGHT_FIELDS))
-        assert rows[:, 0].tolist() == [0.0, 1.0]       # tick
-        assert rows[:, 1].tolist() == [500_000.0, 2_000_000.0]  # wall_ns
-        assert rows[:, 2].tolist() == [3.0, 1.0]       # spikes
+        assert rows.shape == (2,)
+        assert rows.dtype.names == FLIGHT_FIELDS
+        assert rows["tick"].tolist() == [0, 1]
+        assert rows["wall_ns"].tolist() == [500_000, 2_000_000]
+        assert rows["spikes"].tolist() == [3, 1]
         # messages column stores per-tick deltas of the cumulative total
-        assert rows[:, 3].tolist() == [10.0, 4.0]
+        assert rows["messages"].tolist() == [10, 4]
+        assert rows["begin_ns"].tolist() == [begin, begin + 600_000]
+        assert rows["queue_depth"].tolist() == [4, 0]
+        assert rows["active"].tolist() == [6, -1]
+        assert rows["active_fraction"].tolist() == [0.25, 1.0]
+        assert [rows[f"{p}_ns"][0] for p in PHASES] == [100, 200, 150, 50]
 
     def test_message_counter_reset_restarts_baseline(self):
         rec = FlightRecorder(capacity=4)
-        rec.record(0, 1000, 0, messages_total=50)
-        rec.record(0, 1000, 0, messages_total=3)  # lane reset: total fell
-        assert rec.rows()[:, 3].tolist() == [50.0, 3.0]
+        rec.record(0, 0, 1000, messages_total=50)
+        rec.record(0, 0, 1000, messages_total=3)  # lane reset: total fell
+        assert rec.column("messages").tolist() == [50, 3]
 
     def test_ring_overwrites_oldest(self):
         rec = FlightRecorder(capacity=4)
         for t in range(10):
-            rec.record(t, 1000 * (t + 1), spikes=t, messages_total=0)
+            rec.record(t, 0, 1000 * (t + 1), spikes=t)
         assert len(rec) == 4
         assert rec.recorded == 10
-        rows = rec.rows()
-        assert rows[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
-        assert rec.rows(last=2)[:, 0].tolist() == [8.0, 9.0]
-        assert rec.column("spikes").tolist() == [6.0, 7.0, 8.0, 9.0]
+        assert rec.column("tick").tolist() == [6, 7, 8, 9]
+        assert rec.rows(last=2)["tick"].tolist() == [8, 9]
+        assert rec.column("spikes").tolist() == [6, 7, 8, 9]
+
+    def test_cumulative_sums_survive_eviction(self):
+        rec = FlightRecorder(capacity=4)
+        for t in range(10):
+            rec.record(t, 0, 100, phases=(1, 2, 3, 4))
+        assert rec.totals_ns() == {
+            "wall_ns": 1000, "deliver_ns": 10, "integrate_ns": 20,
+            "update_ns": 30, "route_ns": 40,
+        }
+        assert int(rec.column("update_ns").sum()) == 12  # the window alone
 
     def test_windowed_real_time_factor_tracks_eviction(self):
         rec = FlightRecorder(capacity=4)
         for _ in range(4):
-            rec.record(0, 2 * BUDGET_NS, 0, 0)  # half real time
+            rec.record(0, 0, 2 * BUDGET_NS)  # half real time
         assert rec.real_time_factor() == pytest.approx(0.5)
         for _ in range(4):
-            rec.record(0, BUDGET_NS // 2, 0, 0)  # evicts the slow rows
+            rec.record(0, 0, BUDGET_NS // 2)  # evicts the slow rows
         assert rec.real_time_factor() == pytest.approx(2.0)
 
     def test_summary_budget_accounting(self):
         rec = FlightRecorder(capacity=8)
-        rec.record(0, BUDGET_NS // 2, spikes=2, messages_total=5)
-        rec.record(1, 3 * BUDGET_NS, spikes=0, messages_total=5)
+        rec.record(0, 0, BUDGET_NS // 2, spikes=2, messages_total=5)
+        rec.record(1, 0, 3 * BUDGET_NS, spikes=0, messages_total=5)
         s = rec.summary()
         assert s["ticks"] == 2
         assert s["budget_compliance"] == pytest.approx(0.5)
@@ -81,22 +100,25 @@ class TestFlightRecorder:
 
     def test_to_json_shape(self):
         rec = FlightRecorder(capacity=4)
-        rec.record(0, 1000, 1, 2)
+        rec.record(0, 0, 1000, 1, 2)
         doc = rec.to_json()
         assert doc["fields"] == list(FLIGHT_FIELDS)
+        assert doc["fields"][0] == "tick"
         assert doc["budget_ns"] == BUDGET_NS
         assert doc["capacity"] == 4 and doc["recorded"] == 1
         assert doc["dropped"] == 0
         assert len(doc["rows"]) == 1
+        assert len(doc["rows"][0]) == len(FLIGHT_FIELDS)
         json.dumps(doc)  # must be JSON-serializable as-is
 
     def test_dump_writes_npz_and_json(self, tmp_path):
         rec = FlightRecorder(capacity=8)
         for t in range(3):
-            rec.record(t, 1000, t, t)
+            rec.record(t, 0, 1000, t, t)
         npz_path, json_path = rec.dump(str(tmp_path))
         with np.load(npz_path) as data:
-            assert data["rows"].shape == (3, len(FLIGHT_FIELDS))
+            assert data["rows"].shape == (3,)
+            assert data["rows"].dtype == ROW_DTYPE
             assert list(data["fields"]) == list(FLIGHT_FIELDS)
             assert int(data["budget_ns"]) == BUDGET_NS
         doc = json.loads((tmp_path / "flight.json").read_text())
@@ -108,6 +130,32 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
 
 
+class TestAdoption:
+    """extend(): how the coordinator takes over a worker's ring."""
+
+    def test_extend_adopts_rows_and_sums_past_eviction(self):
+        worker = FlightRecorder(4, bytearray(FlightRecorder.nbytes(4)))
+        for t in range(6):
+            worker.record(t, 10 * t, 10 * t + 8, phases=(1, 2, 3, 1))
+        own = FlightRecorder(capacity=8)
+        own.extend(worker)
+        assert own.column("tick").tolist() == [2, 3, 4, 5]
+        assert own.totals_ns()["integrate_ns"] == 12  # all six ticks
+        own.extend(worker)  # a second run's rows append, sums add
+        assert own.column("tick").tolist() == [2, 3, 4, 5, 2, 3, 4, 5]
+        assert own.totals_ns()["integrate_ns"] == 24
+        own.record(9, 0, 5)  # the cursor stays consistent for the writer
+        assert own.column("tick").tolist() == [3, 4, 5, 2, 3, 4, 5, 9]
+
+    def test_release_drops_the_buffer_views(self):
+        buf = bytearray(FlightRecorder.nbytes(2))
+        rec = FlightRecorder(2, buf)
+        rec.record(0, 0, 1)
+        rec.release()
+        assert len(rec) == 0
+        buf.clear()  # no exported view left: resizing is allowed
+
+
 class TestObserverFlightTick:
     def test_engine_hook_populates_ring_and_gauges(self):
         net = random_network(n_cores=3, n_axons=12, n_neurons=12, seed=5)
@@ -117,24 +165,18 @@ class TestObserverFlightTick:
         sim.run(10, ins)
         assert len(obs.flight) == 10
         rows = obs.flight.rows()
-        assert rows[:, 0].tolist() == [float(t) for t in range(10)]
-        assert (rows[:, 1] > 0).all()  # every tick took wall time
+        assert rows["tick"].tolist() == list(range(10))
+        assert (rows["wall_ns"] > 0).all()  # every tick took wall time
+        assert (np.diff(rows["begin_ns"]) > 0).all()
         # spikes column totals the engine's spike counter
-        assert int(rows[:, 2].sum()) == sim.counters.spikes
-        assert int(rows[:, 3].sum()) == sim.counters.messages
-        assert float(obs.metrics.gauge("repro_rtf").value()) > 0.0
-        assert float(obs.metrics.gauge("repro_tick_budget_ratio").value()) > 0.0
-        # per-phase durations sum to no more than the whole tick
-        phases = rows[:, 6:10].sum(axis=1)
-        assert (phases <= rows[:, 1]).all()
-
-    def test_flight_capacity_zero_disables_recording(self):
-        net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=6)
-        obs = Observer(flight_capacity=0)
-        assert obs.flight is None
-        sim = FastCompassSimulator(net, obs=obs)
-        sim.run(5, poisson_inputs(net, 5, 300.0, seed=2))
-        assert obs.metrics.gauge("repro_rtf").value() == 0
+        assert int(rows["spikes"].sum()) == sim.counters.spikes
+        assert int(rows["messages"].sum()) == sim.counters.messages
+        snap = obs.metrics.snapshot()  # gauges are pulled from the last row
+        assert snap["repro_rtf"] == obs.flight.real_time_factor() > 0.0
+        assert snap["repro_tick_budget_ratio"] == rows["wall_ns"][-1] / BUDGET_NS
+        # the four marks are contiguous: the phases sum to the whole tick
+        phases = sum(rows[f"{p}_ns"] for p in PHASES)
+        assert (phases == rows["wall_ns"]).all()
 
     def test_disabled_observer_records_nothing(self):
         net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=7)
@@ -142,6 +184,7 @@ class TestObserverFlightTick:
         sim = FastCompassSimulator(net, obs=obs)
         sim.run(5, poisson_inputs(net, 5, 300.0, seed=2))
         assert len(obs.flight) == 0
+        assert "repro_rtf" not in obs.metrics.snapshot()
 
 
 class TestCrashDumps:
@@ -152,7 +195,7 @@ class TestCrashDumps:
     def test_bundle_layout(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         obs = Observer()
-        obs.flight_tick(0, 0, 1_000_000, 2, 4)
+        obs.tick(0, 0, 1_000_000, 2, 4)
         try:
             raise RuntimeError("distinctive-crash-detail")
         except RuntimeError as err:

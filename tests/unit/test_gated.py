@@ -297,7 +297,9 @@ class TestObsGauges:
         sim.run(TICKS, inputs)
         snap = obs.metrics.snapshot()
         assert 0 < snap["repro_active_fraction"] <= 1.0
-        assert snap["repro_active_neurons"] >= 0
+        last = obs.flight.rows(last=1)[0]
+        assert 0 <= last["active"] <= sim.compiled.n_neurons
+        assert snap["repro_active_fraction"] == last["active"] / sim.compiled.n_neurons
         assert (
             snap["repro_active_neuron_updates_total"]
             == sim.counters.active_neuron_updates

@@ -195,11 +195,12 @@ class TestSl105BufferViews:
         assert codes(text) == []
 
     def test_span_strip_and_serving_sources_are_clean(self):
-        """The named shm-view holders sweep clean under the rule."""
-        import repro.obs.trace as trace_mod
+        """The named shm-view holders sweep clean under the rule (the
+        span strip's successor is the flight ring over a caller's buffer)."""
+        import repro.obs.flight as flight_mod
         import repro.runtime.serving as serving_mod
 
-        for mod in (trace_mod, serving_mod):
+        for mod in (flight_mod, serving_mod):
             diags = lint_file(mod.__file__)
             assert diags == [], [d.render() for d in diags]
 

@@ -1,9 +1,10 @@
 """Unit tests for the repro.obs telemetry layer.
 
-Covers the metric registry and its exporters (with a golden-file style
-Prometheus snapshot), the trace ring buffer and shared-memory span
-strips, the observer enable/disable semantics, the structured logger,
-and the EventCounters.merge edge cases the obs layer leans on.
+Covers the metric registry, its collectors and its exporters (with a
+golden-file style Prometheus snapshot), the trace buffer's merged read
+side, the flight ring over a caller's buffer, the observer
+enable/disable semantics, the structured logger, and the
+EventCounters.merge edge cases the obs layer leans on.
 """
 
 import io
@@ -12,23 +13,20 @@ import logging
 
 import pytest
 
+import repro.obs as obs_package
 from repro.core.counters import EventCounters
 from repro.obs import (
     CATALOGUE,
     EVENT_METRICS,
     PHASES,
     MetricsRegistry,
+    FlightRecorder,
     Observer,
-    SpanStrip,
     TraceBuffer,
     active_observer,
     configure,
     get_logger,
-    is_enabled,
-    publish_counters,
-    set_enabled,
 )
-from repro.obs.trace import PHASE_IDS
 
 
 class TestMetricsRegistry:
@@ -49,15 +47,29 @@ class TestMetricsRegistry:
         assert c.value(phase="route") == 0.5
         assert c.value(phase="update") == 0
 
-    def test_gauge_set_and_set_max(self):
+    def test_gauge_set(self):
         reg = MetricsRegistry()
         g = reg.gauge("repro_queue_depth")
         g.set(7)
         g.set(3)
         assert g.value() == 3
-        g.set_max(10)
-        g.set_max(5)
-        assert g.value() == 10
+
+    def test_collectors_run_before_every_export(self):
+        reg = MetricsRegistry()
+        source = {"depth": 2}
+        calls = []
+
+        def collect():
+            calls.append(1)
+            reg.gauge("repro_queue_depth").set(source["depth"])
+
+        reg.add_collector(collect)
+        assert calls == []  # nothing runs until someone scrapes
+        assert reg.snapshot()["repro_queue_depth"] == 2
+        source["depth"] = 5
+        assert "repro_queue_depth 5" in reg.to_prometheus()
+        assert json.loads(reg.to_json())["repro_queue_depth"] == 5
+        assert len(calls) == 3
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
@@ -195,24 +207,36 @@ class TestExporterHardening:
 
 
 class TestPublishCounters:
+    """The event counters reach the registry through the observer's
+    collector: bound once, read at every scrape."""
+
     def test_maps_every_event_metric(self):
         c = EventCounters(ticks=3, synaptic_events=100, spikes=10,
                           deliveries=20, neuron_updates=96, hops=4,
                           messages=7, membrane_saturations=2,
-                          max_core_events_per_tick=55)
-        reg = MetricsRegistry()
-        publish_counters(reg, c)
-        snap = reg.snapshot()
+                          max_core_events_per_tick=55,
+                          active_neuron_updates=90)
+        obs = Observer()
+        obs.bind_counters(lambda: c)
+        snap = obs.metrics.snapshot()
         for name, attr in EVENT_METRICS.items():
             assert snap[name] == getattr(c, attr)
+        assert snap["repro_active_neuron_updates_total"] == 90
 
     def test_idempotent_republication(self):
-        c = EventCounters(spikes=10)
-        reg = MetricsRegistry()
-        publish_counters(reg, c)
-        c.spikes = 11
-        publish_counters(reg, c)
-        assert reg.snapshot()["repro_spikes_total"] == 11
+        holder = {"c": EventCounters(spikes=10)}
+        obs = Observer()
+        obs.bind_counters(lambda: holder["c"])
+        assert obs.metrics.snapshot()["repro_spikes_total"] == 10
+        holder["c"].spikes = 11
+        assert obs.metrics.snapshot()["repro_spikes_total"] == 11
+        holder["c"] = EventCounters(spikes=4)  # a restore() rebinds them
+        assert obs.metrics.snapshot()["repro_spikes_total"] == 4
+
+    def test_unbound_observer_leaves_pushed_values_alone(self):
+        obs = Observer()
+        obs.metrics.counter("repro_ticks_total").inc(7)
+        assert obs.metrics.snapshot()["repro_ticks_total"] == 7
 
 
 class TestEventCountersMerge:
@@ -309,6 +333,29 @@ class TestTraceBuffer:
         assert first["dur"] == 3.0  # ns -> us
         assert complete[1]["args"] == {"tick": 0}
 
+    def test_reads_merge_stored_spans_with_row_spans(self):
+        coord, worker = FlightRecorder(4), FlightRecorder(4)
+        buf = TraceBuffer(rings={0: coord, 1: worker})
+        buf.add("spawn", 0, 40, tid=0, attrs={"workers": 1})
+        coord.record(0, 100, 200)                           # untimed phases
+        worker.record(0, 110, 190, phases=(10, 20, 30, 20))
+        coord.record(3, 300, 420, lanes=2)                  # a batch pass
+        assert len(buf) == 1  # only the spawn span is stored
+        assert buf.tids() == [0, 1]
+        got = [(s.name, s.tid, s.begin_ns, s.end_ns, s.attrs) for s in buf.spans()]
+        assert got == [
+            ("spawn", 0, 0, 40, {"workers": 1}),
+            ("batch_pass", 0, 300, 420, {"pass": 3, "lanes": 2}),
+            ("tick", 0, 100, 200, {"tick": 0}),
+            ("deliver", 1, 110, 120, {"tick": 0}),
+            ("tick", 1, 110, 190, {"tick": 0}),
+            ("integrate", 1, 120, 140, {"tick": 0}),
+            ("update", 1, 140, 170, {"tick": 0}),
+            ("route", 1, 170, 190, {"tick": 0}),
+        ]
+        events = buf.chrome_trace_events()
+        assert [e["tid"] for e in events if e["ph"] == "M"] == [0, 1]
+
     def test_export_chrome_writes_document(self, tmp_path):
         buf = TraceBuffer()
         buf.add("tick", 0, 1000, attrs={"tick": 0})
@@ -319,42 +366,48 @@ class TestTraceBuffer:
         assert doc["displayTimeUnit"] == "ms"
 
 
-class TestSpanStrip:
+class TestRingOverCallerBuffer:
+    """What a parallel worker writes into its ``obs`` segment: the
+    flight ring constructed over the caller's bytes."""
+
     def test_roundtrip(self):
-        buf = bytearray(SpanStrip.nbytes(8))
-        strip = SpanStrip(buf, 8, reset=True)
-        strip.record(PHASE_IDS["deliver"], 0, 100, 110)
-        strip.record_phase("route", 0, 110, 120)
-        assert strip.written == 2
-        assert strip.records() == [
-            (PHASE_IDS["deliver"], 0, 100, 110),
-            (PHASE_IDS["route"], 0, 110, 120),
-        ]
+        buf = bytearray(FlightRecorder.nbytes(8))
+        ring = FlightRecorder(8, buf)
+        ring.record(0, 100, 120, spikes=2, phases=(10, 4, 5, 1))
+        ring.record(1, 130, 140)
+        assert ring.recorded == 2
+        rows = ring.rows()
+        assert rows["begin_ns"].tolist() == [100, 130]
+        assert rows["wall_ns"].tolist() == [20, 10]
+        assert rows["deliver_ns"].tolist() == [10, 0]
 
     def test_ring_overwrite_keeps_newest(self):
-        buf = bytearray(SpanStrip.nbytes(4))
-        strip = SpanStrip(buf, 4, reset=True)
+        ring = FlightRecorder(4, bytearray(FlightRecorder.nbytes(4)))
         for i in range(6):
-            strip.record(PHASE_IDS["tick"], i, i * 10, i * 10 + 5)
-        assert strip.written == 6
-        assert [r[1] for r in strip.records()] == [2, 3, 4, 5]
+            ring.record(i, i * 10, i * 10 + 5, phases=(1, 1, 2, 1))
+        assert ring.recorded == 6
+        assert ring.column("tick").tolist() == [2, 3, 4, 5]
+        assert ring.totals_ns()["update_ns"] == 12  # sums keep all six
 
     def test_drain_into_trace(self):
-        buf = bytearray(SpanStrip.nbytes(8))
-        strip = SpanStrip(buf, 8, reset=True)
-        strip.record(PHASE_IDS["integrate"], 3, 50, 60)
-        trace = TraceBuffer()
-        assert strip.drain_into(trace, tid=2) == 1
-        (span,) = trace.spans()
-        assert (span.name, span.tick, span.tid) == ("integrate", 3, 2)
-        assert strip.written == 0  # drained
+        ring = FlightRecorder(8, bytearray(FlightRecorder.nbytes(8)))
+        ring.record(3, 50, 60, phases=(2, 3, 4, 1))
+        obs = Observer()
+        obs.adopt(2, ring)
+        ring.release()  # the adopted copy is the observer's own
+        assert obs.trace.tids() == [2]
+        got = {(s.name, s.tick, s.tid) for s in obs.trace.spans()}
+        assert ("integrate", 3, 2) in got and ("tick", 3, 2) in got
+        assert obs.phase_seconds()["update"] == pytest.approx(4e-9)
 
     def test_reader_attaches_without_reset(self):
-        buf = bytearray(SpanStrip.nbytes(4))
-        writer = SpanStrip(buf, 4, reset=True)
-        writer.record(PHASE_IDS["update"], 1, 0, 9)
-        reader = SpanStrip(buf, 4)  # no reset: sees the writer's records
-        assert reader.records() == [(PHASE_IDS["update"], 1, 0, 9)]
+        buf = bytearray(FlightRecorder.nbytes(4))
+        writer = FlightRecorder(4, buf)
+        reader = FlightRecorder(4, buf)  # zero-filled = empty, no reset step
+        assert len(reader) == 0
+        writer.record(1, 0, 9, phases=(0, 0, 9, 0))
+        assert reader.rows().tolist() == writer.rows().tolist()
+        assert reader.totals_ns()["update_ns"] == 9
 
 
 class TestObserver:
@@ -369,7 +422,6 @@ class TestObserver:
 
     def test_disabled_observer_is_noop(self):
         obs = Observer(enabled=False)
-        assert not obs.active
         assert active_observer(obs) is None
         with obs.span("compile"):
             pass
@@ -386,50 +438,53 @@ class TestObserver:
         assert all(v == 0 for v in snap.values())
 
     def test_module_switch_silences_all(self):
+        """``Observer.enabled`` is the one switch (the module-level one
+        is gone): flipping it silences an attached observer in place."""
         obs = Observer()
-        assert is_enabled()
-        try:
-            set_enabled(False)
-            assert not obs.active
-            assert active_observer(obs) is None
-            with obs.span("compile"):
-                pass
-            assert len(obs.trace) == 0
-        finally:
-            set_enabled(True)
-        assert obs.active
+        assert active_observer(obs) is obs
+        obs.enabled = False
+        assert active_observer(obs) is None
+        with obs.span("compile"):
+            pass
+        assert len(obs.trace) == 0
+        obs.enabled = True
+        assert active_observer(obs) is obs
+        assert not hasattr(obs_package, "set_enabled")
 
     def test_phase_seconds_reports_the_four_canonical_phases(self):
         obs = Observer()
-        obs.phase("deliver", 0, 0, 1_000_000_000)
-        obs.phase("route", 0, 0, 500_000_000)
+        obs.tick(0, 0, 1_500_000_000, 0, 0, (1_000_000_000, 0, 0, 500_000_000))
         seconds = obs.phase_seconds()
         assert set(seconds) == set(PHASES)
         assert seconds["deliver"] == pytest.approx(1.0)
         assert seconds["route"] == pytest.approx(0.5)
         assert seconds["integrate"] == seconds["update"] == 0.0
+        prom = obs.metrics.to_prometheus()
+        assert 'repro_phase_seconds_total{phase="deliver"} 1.0' in prom
+        assert 'phase="update"' not in prom  # untimed phases publish nothing
 
     def test_tick_phases_synthesizes_contiguous_spans(self):
         obs = Observer()
-        obs.tick_phases(4, 1000, (("deliver", 10), ("route", 20)))
+        obs.tick(4, 1000, 1040, 0, 0, (10, 0, 0, 20))
         spans = {s.name: s for s in obs.trace.spans()}
         assert spans["deliver"].begin_ns == 1000
         assert spans["deliver"].end_ns == spans["route"].begin_ns == 1010
         assert spans["route"].end_ns == 1030
+        assert (spans["tick"].begin_ns, spans["tick"].end_ns) == (1000, 1040)
         assert spans["tick"].tick == 4
         hist = obs.metrics.snapshot()["repro_tick_seconds"]
         assert hist["count"] == 1
 
     def test_event_snapshot_covers_catalogue_subset(self):
         obs = Observer()
-        obs.publish_counters(EventCounters(ticks=2, spikes=5))
+        obs.bind_counters(lambda: EventCounters(ticks=2, spikes=5))
         snap = obs.event_snapshot()
         assert set(snap) == set(EVENT_METRICS)
         assert snap["repro_spikes_total"] == 5
 
     def test_write_metrics_json(self, tmp_path):
         obs = Observer()
-        obs.publish_counters(EventCounters(spikes=5))
+        obs.bind_counters(lambda: EventCounters(spikes=5))
         path = tmp_path / "metrics.json"
         obs.write_metrics_json(str(path))
         assert json.loads(path.read_text())["repro_spikes_total"] == 5

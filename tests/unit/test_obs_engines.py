@@ -100,6 +100,44 @@ class TestParallelTraceMerge:
         assert sum(obs.phase_seconds()[p] for p in PHASES) > 0
 
 
+    def test_totals_cover_a_run_longer_than_the_rank_ring(self, network, monkeypatch):
+        """40 ticks through 8-row rings: the phase totals are all 40
+        ticks' (the rings' cumulative sums), the spans the last 8."""
+        from repro.obs import FlightRecorder, TraceBuffer
+
+        obs = Observer(flight_capacity=8)  # sizes the per-rank rings too
+        sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
+        sim.load_inputs(poisson_inputs(network, 40, 300.0, seed=3))
+        for _ in range(40):
+            sim.step_arrays()
+        assert [ring.recorded for ring in sim._worker_flights] == [40, 40]
+        accumulated = [ring.totals_ns() for ring in sim._worker_flights]
+        assert sim.phase_seconds == dict.fromkeys(PHASES, 0.0)  # adopted at close
+
+        per_record = []  # close() drains with array slices, not per record
+        monkeypatch.setattr(FlightRecorder, "record",
+                            lambda *a, **k: per_record.append("record"))
+        monkeypatch.setattr(TraceBuffer, "add",
+                            lambda *a, **k: per_record.append("add"))
+        sim.close()
+        monkeypatch.undo()
+        assert per_record == []
+
+        for phase in PHASES:
+            total_ns = sum(t[f"{phase}_ns"] for t in accumulated)
+            assert total_ns > 0
+            assert obs.phase_seconds()[phase] == sim.phase_seconds[phase] == total_ns * 1e-9
+            assert (f'repro_phase_seconds_total{{phase="{phase}"}} {total_ns * 1e-9}'
+                    in obs.metrics.to_prometheus())
+        for tid in (1, 2):
+            kept = [s.tick for s in obs.trace.spans()
+                    if s.tid == tid and s.name == "tick"]
+            assert kept == list(range(32, 40))
+            update_ns = sum(s.end_ns - s.begin_ns for s in obs.trace.spans()
+                            if s.tid == tid and s.name == "update")
+            assert 0 < update_ns < accumulated[tid - 1]["update_ns"]
+
+
 class TestEngineSelectionLogging:
     def test_selection_decision_logged(self, network):
         from repro.compass.engine import select_engine

@@ -297,6 +297,66 @@ class TestWorkerFailure:
                 sim.step()
         assert sim._closed and sim._shms == []
 
+    def test_stopped_worker_is_a_bounded_structured_error(self, tmp_path, monkeypatch):
+        """A live-but-hung rank: no reply within the deadline, then a
+        full cleanup — every process reaped, every segment unlinked, and
+        a crash bundle whose checkpoint resumes on a fast engine."""
+        import json
+        import os
+        import signal
+        import time
+        from multiprocessing import shared_memory
+
+        from repro.compass import parallel as par
+        from repro.compass.fast import FastCompassSimulator
+        from repro.io.checkpoint import EngineCheckpoint
+        from repro.obs import Observer
+
+        monkeypatch.setattr(par, "REPLY_DEADLINE_S", 1.0)
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+        net = random_network(n_cores=4, connectivity=0.6, stochastic=True, seed=35)
+        ins = poisson_inputs(net, 12, 500.0, seed=3)
+        sim = ParallelCompassSimulator(
+            net, n_workers=2, obs=Observer(), checkpoint_every=2
+        )
+        sim.load_inputs(ins)
+        for _ in range(5):
+            sim.step()
+        names = [shm.name for shms in sim._shms for shm in shms.values()]
+        procs = list(sim._procs)
+        os.kill(procs[0].pid, signal.SIGSTOP)
+        began = time.monotonic()
+        try:
+            with pytest.raises(par.WorkerFailedError, match="no reply within 1 s") as err:
+                sim.step()
+        finally:
+            for proc in procs:  # never leave a stopped process behind
+                if proc.is_alive():
+                    proc.kill()
+        assert time.monotonic() - began < 15.0
+        assert err.value.rank == 0
+        assert sim._closed and sim._shms == []
+        for proc in procs:
+            assert not proc.is_alive() and proc.exitcode is not None
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+        (bundle,) = [p for p in tmp_path.iterdir() if p.name.startswith("crash-")]
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["reason"] == "worker_failed rank=0"
+        assert manifest["checkpoint_tick"] == 4
+        with np.load(bundle / "flight.npz") as data:
+            assert data["rows"]["tick"].tolist() == [0, 1, 2, 3, 4]
+        resumed = FastCompassSimulator(net)
+        resumed.restore(EngineCheckpoint.load(str(bundle / "checkpoint.npz"), net))
+        whole = FastCompassSimulator(net)
+        whole.load_inputs(ins)
+        for _ in range(4):
+            whole.step()
+        for _ in range(8):
+            assert resumed.step() == whole.step()
+
     def test_failure_emits_structured_log_event(self, monkeypatch):
         self._fork_only()
         import io

@@ -42,14 +42,14 @@ class TestEvaluateHealth:
 
     def test_slow_tick_degrades(self):
         obs = Observer()
-        obs.flight_tick(0, 0, 5_000_000, 0, 0)  # 5x the 1 ms budget
+        obs.tick(0, 0, 5_000_000, 0, 0)  # 5x the 1 ms budget
         doc = evaluate_health(obs)
         assert doc["status"] == "degraded"
         assert doc["budget_ratio"] == pytest.approx(5.0)
 
     def test_dead_probe_fails(self):
         obs = Observer()
-        obs.flight_tick(0, 0, 100_000, 0, 0)
+        obs.tick(0, 0, 100_000, 0, 0)
         doc = evaluate_health(obs, {"engine": lambda: False})
         assert doc["status"] == "failed"
         assert doc["workers"] == {"engine": False}
@@ -84,7 +84,7 @@ class TestTelemetryServer:
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server.url, "/ready")
         assert err.value.code == 503  # no tick recorded yet
-        obs.flight_tick(0, 0, 200_000, 1, 1)
+        obs.tick(0, 0, 200_000, 1, 1)
         status, body, _ = get(server.url, "/ready")
         assert (status, json.loads(body)) == (200, {"ready": True})
         status, body, _ = get(server.url, "/health")
@@ -105,7 +105,7 @@ class TestTelemetryServer:
     def test_flight_endpoint_with_tail(self, observed_server):
         obs, server = observed_server
         for t in range(5):
-            obs.flight_tick(t, 0, 100_000, t, t)
+            obs.tick(t, 0, 100_000, t, t)
         status, body, _ = get(server.url, "/flight?last=2")
         doc = json.loads(body)
         assert status == 200
@@ -189,7 +189,7 @@ class TestModelServerTelemetry:
 class TestTopCli:
     def test_top_renders_health(self, capsys):
         obs = Observer()
-        obs.flight_tick(0, 0, 400_000, 3, 6)
+        obs.tick(0, 0, 400_000, 3, 6)
         with TelemetryServer(obs, port=0) as server:
             rc = cli_main(["top", "--url", server.url,
                            "--iterations", "2", "--interval", "0",
