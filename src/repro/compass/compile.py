@@ -21,8 +21,9 @@ the index space it is cut along.  :class:`CompiledNetwork` and
 theirs, and :func:`take` is the one slicer driven by the tags: a rank's
 partition and the gated tick's active subset are both cuts of it, so a
 new field is added — or a dtype narrowed — in one place and cannot go
-unsliced.  Only what an engine reads is built eagerly
-(``weight_matrix`` is derived on first access).
+unsliced.  Only what an engine reads is built eagerly; what derives
+from the fields alone (``update_plan``, ``stoch_sites``,
+``weight_matrix``) is computed on first access and kept.
 
 The resulting :class:`CompiledNetwork` is immutable shared state: it is
 built **once per Network** (cached on the network object) and reused by
@@ -40,11 +41,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.core import prng
+from repro.core import params, prng
 from repro.core.network import OUTPUT_TARGET, Network
 from repro.io.checkpoint import DIGEST_MEMO_ATTR
 from repro.lint.model import check_network, check_partition_map
@@ -112,6 +114,21 @@ def _in(space: str):
     return field(metadata={"space": space})
 
 
+class UpdatePlan(NamedTuple):
+    """What the neuron phase derives from :class:`NeuronTables` alone."""
+
+    any_reversal: bool  # some neuron's leak follows sign(V)
+    reset_mode: int  # the reset mode every neuron shares, -1 when they differ
+    resets_to_value: np.ndarray  # (N,) reset_mode == RESET_TO_VALUE
+    resets_linear: np.ndarray  # (N,) reset_mode == RESET_LINEAR
+    neg_limit: np.ndarray  # (N,) -neg_threshold
+    neg_floor: np.ndarray  # (N,) where a membrane below neg_limit lands
+    # Per stochastic subset, None when empty: its PRNG sites, its neurons
+    # (a full slice when that is all of them), and two columns over them.
+    leak_draw: tuple | None  # (sites, neurons, sign(lam), |lam|)
+    threshold_draw: tuple | None  # (sites, neurons, threshold, threshold_mask)
+
+
 @dataclass(eq=False)
 class NeuronTables:
     """What the neuron phase reads, over any set of neurons.
@@ -151,6 +168,37 @@ class NeuronTables:
     def any_stoch_threshold(self) -> bool:
         """True when any neuron uses a stochastic threshold mask."""
         return self.stoch_threshold_idx.size > 0
+
+    @functools.cached_property
+    def update_plan(self) -> UpdatePlan:
+        """The tick-invariant operands of the neuron phase, read-only.
+
+        Derived from the fields on first use and kept with the tables:
+        once for an artifact or a partition, again for each transient
+        gated cut (what every tick used to do for all of them).
+        """
+        mode, neg_limit = self.reset_mode, -self.neg_threshold
+        sl, ti = self.stoch_leak_idx, self.stoch_threshold_idx
+        lam = self.leak[sl]
+
+        def draw(idx, *columns):
+            if not idx.size:
+                return None
+            sites = prng.draw_sites(self.core_of_neuron[idx], self.local_neuron[idx])
+            return (sites, slice(None) if idx.size == self.n_neurons else idx, *columns)
+
+        return UpdatePlan(
+            any_reversal=bool(self.leak_reversal.any()),
+            reset_mode=int(mode[0]) if mode.size and (mode == mode[0]).all() else -1,
+            resets_to_value=mode == params.RESET_TO_VALUE,
+            resets_linear=mode == params.RESET_LINEAR,
+            neg_limit=neg_limit,
+            neg_floor=np.where(
+                self.neg_floor_mode == params.NEG_FLOOR_SATURATE, neg_limit, -self.reset_value
+            ),
+            leak_draw=draw(sl, np.sign(lam), np.abs(lam)),
+            threshold_draw=draw(ti, self.threshold[ti], self.threshold_mask[ti]),
+        )
 
 
 @dataclass(eq=False)
@@ -211,6 +259,11 @@ class TickTables(NeuronTables):
     def any_stoch_synapse(self) -> bool:
         """True when any programmed crosspoint is stochastic."""
         return self.stoch_col.size > 0
+
+    @functools.cached_property
+    def stoch_sites(self) -> prng.DrawSites:
+        """PRNG sites of every stochastic crosspoint, derived on first use."""
+        return prng.draw_sites(self.stoch_core, self.stoch_unit)
 
 
 @functools.cache  # the gated tick cuts NeuronTables every tick

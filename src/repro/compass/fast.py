@@ -74,13 +74,7 @@ def stoch_synapse_events(
     if not flat.size:
         return None
     w = c.stoch_weight[flat]
-    rho = prng.draw_u8_multi(
-        seed,
-        prng.PURPOSE_SYNAPSE,
-        c.stoch_core[flat],
-        tick,
-        c.stoch_unit[flat],
-    )
+    rho = prng.draw_staged(seed, prng.PURPOSE_SYNAPSE, tick, c.stoch_sites.at(flat), 8)
     contrib = np.sign(w) * (rho < np.abs(w))
     return c.stoch_col[flat], contrib
 
@@ -185,7 +179,7 @@ def integrate_deliveries_gated(
     return syn, touched
 
 
-def effective_leak(c, seed: int, tick: int, leak: np.ndarray) -> np.ndarray:
+def effective_leak(c, seed: int, tick: int, leak: np.ndarray, scratch=None) -> np.ndarray:
     """This tick's leak magnitudes: stochastic-leak draws applied.
 
     Stochastic-leak neurons replace ``|lam|`` with a
@@ -194,17 +188,14 @@ def effective_leak(c, seed: int, tick: int, leak: np.ndarray) -> np.ndarray:
     """
     if not c.any_stoch_leak:
         return leak
-    sl = c.stoch_leak_idx
-    rho = prng.draw_u8_multi(
-        seed, prng.PURPOSE_LEAK, c.core_of_neuron[sl], tick,
-        c.local_neuron[sl],
-    )
+    sites, where, sign, magnitude = c.update_plan.leak_draw
+    rho = prng.draw_staged(seed, prng.PURPOSE_LEAK, tick, sites, 8, scratch)
     leak = leak.copy()
-    leak[sl] = np.sign(leak[sl]) * (rho < np.abs(leak[sl]))
+    leak[where] = sign * (rho < magnitude)
     return leak
 
 
-def effective_threshold(c, seed: int, tick: int, theta: np.ndarray) -> np.ndarray:
+def effective_threshold(c, seed: int, tick: int, theta: np.ndarray, scratch=None) -> np.ndarray:
     """This tick's thresholds: ``theta = alpha + (rho16 & TM)`` on masks.
 
     Returns *theta* itself when the artifact has no stochastic
@@ -212,17 +203,14 @@ def effective_threshold(c, seed: int, tick: int, theta: np.ndarray) -> np.ndarra
     """
     if not c.any_stoch_threshold:
         return theta
-    ti = c.stoch_threshold_idx
-    rho = prng.draw_u16_multi(
-        seed, prng.PURPOSE_THRESHOLD, c.core_of_neuron[ti], tick,
-        c.local_neuron[ti],
-    )
+    sites, where, base, mask = c.update_plan.threshold_draw
+    rho = prng.draw_staged(seed, prng.PURPOSE_THRESHOLD, tick, sites, 16, scratch)
     theta = theta.copy()
-    theta[ti] = theta[ti] + (rho & c.threshold_mask[ti])
+    theta[where] = base + (rho & mask)
     return theta
 
 
-def _lane_rows(c, seed, tick, base: np.ndarray, fn) -> np.ndarray:
+def _lane_rows(c, seed, tick, base: np.ndarray, fn, scratch) -> np.ndarray:
     """Draw helper *fn* at one (seed, tick), or at one per lane.
 
     Scalar *tick*: a single ``(N,)`` row.  A ``(B,)`` *tick* with a
@@ -232,28 +220,31 @@ def _lane_rows(c, seed, tick, base: np.ndarray, fn) -> np.ndarray:
     otherwise a stacked ``(B, N)`` array of per-lane rows.
     """
     if not isinstance(tick, np.ndarray):
-        return fn(c, seed, tick, base)
-    first = fn(c, seed[0], int(tick[0]), base)
+        return fn(c, seed, tick, base, scratch)
+    first = fn(c, seed[0], int(tick[0]), base, scratch)
     if first is base or (
         all(s == seed[0] for s in seed) and bool(np.all(tick == tick[0]))
     ):
         return first  # nothing drawn, or one coordinate for all lanes
     rows = [first]
     for b in range(1, len(seed)):
-        rows.append(fn(c, seed[b], int(tick[b]), base))
+        rows.append(fn(c, seed[b], int(tick[b]), base, scratch))
     return np.stack(rows)
 
 
 def update_neurons(
-    c, seed, tick, v: np.ndarray, syn: np.ndarray
+    c, seed, tick, v: np.ndarray, syn: np.ndarray, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neuron phase over artifact *c*: leak, threshold, fire, reset.
 
-    Pure function of the membranes *v* and synaptic input *syn*;
-    returns ``(v_next, spiked)`` in *v*'s shape.  Identical algebra to
-    :mod:`repro.core.neuron`, flat across every neuron of *c* —
-    ``core_of_neuron`` / ``local_neuron`` keep global PRNG coordinates
-    in partition slices.
+    Pure function of the membranes *v* and synaptic input *syn*, neither
+    of which it writes; returns fresh ``(v_next, spiked)`` in *v*'s
+    shape.  Identical algebra to :mod:`repro.core.neuron`, flat across
+    every neuron of *c* — ``core_of_neuron`` / ``local_neuron`` keep
+    global PRNG coordinates in partition slices — with whatever the
+    tables alone decide read from ``c.update_plan``.  *scratch* is the
+    caller's :func:`~repro.core.prng.draw_staged` buffer, ``(2, >= N)``
+    uint64; nothing returned aliases it.
 
     Lane-generic: an int *seed* and *tick* with an ``(N,)`` *v* is one
     simulation; a length-B *seed* sequence and ``(B,)`` *tick* array
@@ -261,34 +252,37 @@ def update_neurons(
     ``b`` drawing at its own ``(seed[b], tick[b])`` and so equal to the
     one-lane call with those coordinates.
     """
+    plan = c.update_plan
     v = v + syn
 
     # Leak: the deterministic contribution is dir * lam; stochastic-leak
     # neurons replace |lam| with a Bernoulli(|lam|/256) unit step.
-    direction = np.where(c.leak_reversal, np.sign(v), 1)
-    leak = _lane_rows(c, seed, tick, c.leak, effective_leak)
-    v = np.clip(v + direction * leak, params.MEMBRANE_MIN, params.MEMBRANE_MAX)
+    leak = _lane_rows(c, seed, tick, c.leak, effective_leak, scratch)
+    if plan.any_reversal:
+        leak = np.where(c.leak_reversal, np.sign(v), 1) * leak
+    v += leak
+    np.clip(v, params.MEMBRANE_MIN, params.MEMBRANE_MAX, out=v)
 
     # Threshold: theta = alpha + (rho16 & TM) on masked neurons.
-    theta = _lane_rows(c, seed, tick, c.threshold, effective_threshold)
+    theta = _lane_rows(c, seed, tick, c.threshold, effective_threshold, scratch)
 
     spiked = v >= theta
-    # Nested wheres rather than np.select: one fewer v-shaped temporary.
-    v_reset = np.where(
-        c.reset_mode == params.RESET_TO_VALUE,
-        c.reset_value,
-        np.where(c.reset_mode == params.RESET_LINEAR, v - theta, v),
-    )
-    v = np.where(spiked, v_reset, v)
-    below = (~spiked) & (v < -c.neg_threshold)
-    if below.any():
-        floored = np.where(
-            c.neg_floor_mode == params.NEG_FLOOR_SATURATE,
-            -c.neg_threshold,
-            -c.reset_value,
+    if plan.reset_mode == params.RESET_TO_VALUE:
+        v_reset = c.reset_value
+    elif plan.reset_mode == params.RESET_LINEAR:
+        v_reset = v - theta
+    else:  # per neuron; nested wheres rather than np.select: one fewer temporary
+        v_reset = np.where(
+            plan.resets_to_value, c.reset_value, np.where(plan.resets_linear, v - theta, v)
         )
-        v = np.where(below, floored, v)
-    return np.clip(v, params.MEMBRANE_MIN, params.MEMBRANE_MAX), spiked
+    # A fresh array after all: on a random 20 % mask np.where takes half
+    # the time of a masked in-place copy (branch misses either way).
+    v = np.where(spiked, v_reset, v)
+    below = ~spiked & (v < plan.neg_limit)
+    if below.any():
+        np.copyto(v, plan.neg_floor, where=below)
+    np.clip(v, params.MEMBRANE_MIN, params.MEMBRANE_MAX, out=v)
+    return v, spiked
 
 
 #: Shared empty index array for silent ticks (read-only by convention).
@@ -310,14 +304,10 @@ def settled_mask(c, v: np.ndarray) -> np.ndarray:
     network, partition, or the gate's active subset) whose parameter
     vectors align with *v*.
     """
-    floored = np.where(
-        c.neg_floor_mode == params.NEG_FLOOR_SATURATE,
-        -c.neg_threshold,
-        -c.reset_value,
-    )
+    plan = c.update_plan
     in_range = (v >= params.MEMBRANE_MIN) & (v <= params.MEMBRANE_MAX)
     no_fire = v < c.threshold
-    neg_ok = (v >= -c.neg_threshold) | (v == floored)
+    neg_ok = (v >= plan.neg_limit) | (v == plan.neg_floor)
     return in_range & no_fire & neg_ok
 
 
@@ -407,6 +397,9 @@ class TickState:
         self.seed = seed
         self.v = v
         self.gate = ActivityGate(c, v) if gated else None
+        # The PRNG key buffer and its shift temporary: per engine, never on
+        # the shared artifact (two engines may step one CompiledNetwork).
+        self.scratch = np.empty((2, c.n_neurons), dtype=np.uint64)
 
     def set_lane(self, lane: int, v_lane: np.ndarray) -> None:
         """Replace one lane's membranes (batch reset / lane restore)."""
@@ -461,20 +454,33 @@ class TickState:
         """
         c, gate = self.c, self.gate
         if gate is None:
-            self.v, spiked = update_neurons(c, self.seed, tick, self.v, syn)
+            self.v, spiked = update_neurons(c, self.seed, tick, self.v, syn, self.scratch)
             self.n_active = c.n_neurons
             self.n_saturated = _saturated(self.v)
             return np.nonzero(spiked)
         act = gate.active_set(touched)
         sl = NeuronTables(**take(NeuronTables, c, act))
         v_old = self.v[..., act]
-        v_new, spiked = update_neurons(sl, self.seed, tick, v_old, syn[..., act])
+        v_new, spiked = update_neurons(sl, self.seed, tick, v_old, syn[..., act], self.scratch)
         self.v[..., act] = v_new
         gate.commit(sl, act, v_old, v_new)
         self.n_active = int(act.size)
         self.n_saturated = gate.n_saturated
         *lanes, pos = np.nonzero(spiked)
         return (*lanes, act[pos])
+
+
+def sort_runs(keys: np.ndarray) -> np.ndarray:
+    """Sort *keys* in place; mask the first of each run of equal values.
+
+    Distinct values in O(k log k) whatever their range: NumPy's ``unique``
+    hashes integers since 2.3 (10x this at a few thousand keys), and a
+    dense histogram of (src, dst) core pairs is 134 MB at 4,096 cores.
+    """
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 def count_cross_core_messages(src_cores: np.ndarray, dst_cores: np.ndarray, n_cores: int) -> int:
@@ -486,10 +492,8 @@ def count_cross_core_messages(src_cores: np.ndarray, dst_cores: np.ndarray, n_co
     ``n_ranks=n_cores`` counts exactly this.
     """
     cross = src_cores != dst_cores
-    if not cross.any():
-        return 0
     pairs = src_cores[cross] * np.int64(n_cores) + dst_cores[cross]
-    return int(np.unique(pairs).size)
+    return int(np.count_nonzero(sort_runs(pairs)))
 
 
 def staged_inputs(compiled, inputs: InputSchedule) -> dict[int, np.ndarray]:

@@ -128,12 +128,13 @@ _ST_N = 6
 REPLY_DEADLINE_S = 120.0
 
 #: ``engine="auto"`` routes to the parallel engine only at or above this
-#: many neurons.  Benchmarked in ``benchmarks/bench_parallel_scaling.py``:
-#: below ~8k neurons the per-tick barrier (two pipe messages per worker,
-#: ~100 us) outweighs the partitioned matvec win, and small-network
-#: latency would regress; above it the sparse tick dominates and splits
-#: near-linearly.
-AUTO_MIN_NEURONS = 8192
+#: many neurons.  Benchmarked in ``benchmarks/bench_parallel_scaling.py``
+#: (table in docs/performance.md, PR 19): two workers lose to the
+#: single-process tick at every size measured, 0.5x at 16,384 neurons and
+#: 0.6x at 65,536, the per-tick barrier and the doubled fixed cost
+#: outweighing the halved update, so the threshold sits above the largest
+#: of them, where nothing has been measured yet.
+AUTO_MIN_NEURONS = 131072
 
 #: Cap on ``n_workers="auto"`` — beyond this the per-rank slices of
 #: typical workloads are too thin to amortize the barrier.

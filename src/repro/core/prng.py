@@ -24,6 +24,8 @@ All functions are vectorized over the *unit* axis.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # Draw purposes (mixed into the key so distinct consumers never collide).
@@ -74,46 +76,71 @@ def _key(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np
     return _mix64(np.uint64(k) + _GOLDEN * u)
 
 
-def _key_multi(
-    seed: int, purpose: int, cores: np.ndarray, tick: int, units: np.ndarray
-) -> np.ndarray:
-    """Like :func:`_key` but vectorized over a per-unit *cores* array.
+def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """:func:`_mix64` in place on *x*, *tmp* holding each shifted copy."""
+    for shift, mult in ((_U30, _MIX1), (_U27, _MIX2), (_U31, None)):
+        np.right_shift(x, shift, out=tmp)
+        np.bitwise_xor(x, tmp, out=x)
+        if mult is not None:
+            np.multiply(x, mult, out=x)
 
-    Bit-identical to calling :func:`_key` element-wise with each unit's
-    core id: the (seed, purpose) prefix mixes in exact Python integers,
-    then the core and tick stages run on uint64 arrays whose wrap-around
-    arithmetic matches the explicitly masked scalar chain.  This is what
-    lets a whole-network engine draw for crosspoints spanning many cores
-    in one call.
+
+class DrawSites(NamedTuple):
+    """The tick-invariant half of a draw for units living on many cores."""
+
+    cores: np.ndarray  # (k,) global core id of each unit
+    unit_terms: np.ndarray  # (k,) uint64 ``GOLDEN * unit``, wrapped
+    core_terms: np.ndarray  # (max core id + 1,) uint64 ``GOLDEN * core``
+
+    def at(self, idx: np.ndarray) -> "DrawSites":
+        """The sites of the units *idx* alone."""
+        return DrawSites(self.cores[idx], self.unit_terms[idx], self.core_terms)
+
+
+def draw_sites(cores: np.ndarray, units: np.ndarray) -> DrawSites:
+    """Precompute what :func:`draw_staged` needs of per-unit *cores* / *units*."""
+    cores = np.asarray(cores, dtype=np.int64)
+    span = int(cores.max()) + 1 if cores.size else 0
+    return DrawSites(
+        cores,
+        _GOLDEN * np.asarray(units, dtype=np.uint64),
+        _GOLDEN * np.arange(span, dtype=np.uint64),
+    )
+
+
+def draw_staged(
+    seed: int, purpose: int, tick: int, sites: DrawSites, bits: int,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Uniform *bits*-bit draws at *sites*: the one multi-core draw routine.
+
+    Bit-identical to :func:`draw_u8` / :func:`draw_u16` element-wise at
+    each unit's own core.  The (seed, purpose, core) and (core, tick)
+    stages of :func:`_key` depend on the core alone, so they run on one
+    row per global core id (uint64 wrap-around matches the masked scalar
+    chain); each unit then gathers its core's row, adds its term and
+    passes through the last mix, in place.  *scratch* is a caller-owned
+    ``(2, >= k)`` uint64 buffer; the result views it, until its next use.
     """
     k0 = _mix64_int((seed & _MASK64) + _GOLDEN_INT * (purpose & 0xFFFFFFFF))
-    c = np.asarray(cores, dtype=np.uint64)
-    k = _mix64(np.uint64(k0) + _GOLDEN * c)
     # Pre-wrap the tick term as a Python int: scalar uint64 overflow
     # warns in numpy even though wrapping is exactly what we want here.
     tick_term = np.uint64((_GOLDEN_INT * (tick & 0xFFFFFFFFFFFF)) & _MASK64)
-    k = _mix64(k + tick_term)
-    u = np.asarray(units, dtype=np.uint64)
-    return _mix64(k + _GOLDEN * u)
+    per_core = _mix64(_mix64(np.uint64(k0) + sites.core_terms) + tick_term)
+    k = sites.cores.size
+    if scratch is None:
+        scratch = np.empty((2, k), dtype=np.uint64)
+    key, tmp = scratch[0, :k], scratch[1, :k]
+    np.take(per_core, sites.cores, out=key, mode="clip")  # "raise" buffers out
+    key += sites.unit_terms
+    _mix64_into(key, tmp)
+    key &= np.uint64((1 << bits) - 1)
+    return key.view(np.int64)
 
 
 def draw_u8(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:
     """Return uniform uint8 draws in [0, 255], one per entry of *units*."""
     return (_key(seed, purpose, core, tick, units) & _U8MASK).astype(np.int64)
-
-
-def draw_u8_multi(
-    seed: int, purpose: int, cores: np.ndarray, tick: int, units: np.ndarray
-) -> np.ndarray:
-    """Uniform uint8 draws for units living on per-unit *cores* ids."""
-    return (_key_multi(seed, purpose, cores, tick, units) & _U8MASK).astype(np.int64)
-
-
-def draw_u16_multi(
-    seed: int, purpose: int, cores: np.ndarray, tick: int, units: np.ndarray
-) -> np.ndarray:
-    """Uniform uint16 draws for units living on per-unit *cores* ids."""
-    return (_key_multi(seed, purpose, cores, tick, units) & _U16MASK).astype(np.int64)
 
 
 def draw_u16(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:

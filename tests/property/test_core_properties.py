@@ -33,6 +33,48 @@ class TestPRNGProperties:
         assert d.min() >= 0 and d.max() <= 65535
 
 
+class TestStagedDrawEqualsScalarChain:
+    """``draw_staged`` (per-core stages, gathered) against ``draw_u8`` / ``draw_u16``."""
+
+    PURPOSES = (prng.PURPOSE_SYNAPSE, prng.PURPOSE_LEAK, prng.PURPOSE_THRESHOLD)
+    MAX_UNIT = prng.synapse_unit(255, 255)
+
+    @staticmethod
+    def _check(seed, purpose, tick, cores, units, scratch=None):
+        sites = prng.draw_sites(np.asarray(cores), np.asarray(units))
+        for bits, scalar in ((8, prng.draw_u8), (16, prng.draw_u16)):
+            got = prng.draw_staged(seed, purpose, tick, sites, bits, scratch)
+            assert got.dtype == np.int64 and got.shape == (len(cores),)
+            want = [int(scalar(seed, purpose, c, tick, np.asarray([u]))[0])
+                    for c, u in zip(cores, units)]
+            assert got.tolist() == want
+
+    @given(
+        seed=st.integers(0, 2**64 - 1), purpose=st.sampled_from(PURPOSES),
+        tick=st.integers(0, 2**48 - 1),
+        # Non-contiguous global core ids, as a partition's slice holds them.
+        sites=st.lists(
+            st.tuples(st.sampled_from([0, 3, 4, 77, 143, 4095]), st.integers(0, MAX_UNIT)),
+            max_size=24,
+        ),
+        buffered=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_coordinates(self, seed, purpose, tick, sites, buffered):
+        cores, units = [c for c, _ in sites], [u for _, u in sites]
+        scratch = np.empty((2, 32), dtype=np.uint64) if buffered else None
+        self._check(seed, purpose, tick, cores, units, scratch)
+
+    @given(seed=st.integers(0, 2**63), lane=st.integers(1, 64), tick=st.integers(0, 2**20))
+    @settings(max_examples=25, deadline=None)
+    def test_a_derived_stream_seed_lane(self, seed, lane, tick):
+        derived = prng.derive_stream_seed(seed, lane)
+        self._check(derived, prng.PURPOSE_LEAK, tick, [1, 1, 0, 5], [0, 255, 7, self.MAX_UNIT])
+
+    def test_an_empty_unit_list(self):
+        self._check(9, prng.PURPOSE_THRESHOLD, 4, [], [])
+
+
 class TestMembraneProperties:
     @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)

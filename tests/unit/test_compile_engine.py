@@ -263,9 +263,10 @@ class TestMultiCorePrngDraws:
         rng = np.random.default_rng(0)
         cores = rng.integers(0, 64, size=200)
         units = rng.integers(0, 1 << 16, size=200)
+        sites = prng.draw_sites(cores, units)
         for purpose in (prng.PURPOSE_SYNAPSE, prng.PURPOSE_LEAK, prng.PURPOSE_THRESHOLD):
-            got8 = prng.draw_u8_multi(7, purpose, cores, 13, units)
-            got16 = prng.draw_u16_multi(7, purpose, cores, 13, units)
+            got8 = prng.draw_staged(7, purpose, 13, sites, 8)
+            got16 = prng.draw_staged(7, purpose, 13, sites, 16)
             for i in range(cores.size):
                 assert got8[i] == prng.draw_u8_scalar(7, purpose, int(cores[i]), 13, int(units[i]))
                 assert got16[i] == prng.draw_u16_scalar(7, purpose, int(cores[i]), 13, int(units[i]))

@@ -154,6 +154,26 @@ class TestMessageCounting:
         assert count_cross_core_messages(src, dst, 4) == 3
         assert count_cross_core_messages(src[:0], dst[:0], 4) == 0
 
+    @pytest.mark.parametrize("case", ["no-cross", "one-pair", "all-distinct", "chip-ids"])
+    def test_count_equals_a_set_of_tuples(self, case):
+        from repro.compass.fast import count_cross_core_messages
+
+        rng = np.random.default_rng(5)
+        k = np.arange(400)
+        src, dst, n_cores, distinct = {
+            "no-cross": (k % 16, k % 16, 16, 0),
+            "one-pair": (np.full(400, 9), np.full(400, 3), 16, 1),
+            "all-distinct": (k // 20, (k // 20 + 1 + k % 20) % 64, 64, 400),
+            # The chip's core count: ids near the top of a 4,096 x 4,096 pair space.
+            "chip-ids": (rng.integers(4000, 4096, 400), rng.integers(4000, 4096, 400), 4096, None),
+        }[case]
+        want = {(s, d) for s, d in zip(src.tolist(), dst.tolist()) if s != d}
+        assert distinct is None or len(want) == distinct
+        before = (src.copy(), dst.copy())
+        assert count_cross_core_messages(src, dst, n_cores) == len(want)
+        np.testing.assert_array_equal(src, before[0])  # sorted a copy, not the caller's
+        np.testing.assert_array_equal(dst, before[1])
+
 
 class TestStepArrays:
     def test_step_arrays_matches_step_tuples(self):

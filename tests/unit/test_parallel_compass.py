@@ -199,6 +199,13 @@ class TestAutoWorkers:
         net = random_network(n_cores=4, seed=16)
         assert auto_workers(net) == 1
 
+    def test_threshold_is_above_every_size_two_workers_lost_at(self):
+        # docs/performance.md, PR 19: 0.5x at 16,384 neurons (the layer
+        # benchmark's own operating point) and 0.6x at 65,536.
+        from repro.compass import parallel as par
+
+        assert par.AUTO_MIN_NEURONS > 65_536
+
     def test_auto_spans_cpus_above_threshold(self, monkeypatch):
         from repro.compass import parallel as par
 

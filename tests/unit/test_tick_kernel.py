@@ -7,23 +7,29 @@ equal: B stacked one-lane calls, B one-lane gates, and the scalar
 ``ReferenceKernel``'s per-tick counter deltas.
 """
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.compass import fast
-from repro.compass.compile import compile_network
+from repro.compass.batched import BatchedCompassSimulator
+from repro.compass.compile import NeuronTables, compile_network, partition_compiled, take
 from repro.compass.fast import (
     ActivityGate,
     FastCompassSimulator,
     TickState,
     update_neurons,
 )
-from repro.core import params
+from repro.compass.partition import partition
+from repro.core import params, prng
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.kernel import ReferenceKernel
 from repro.core.network import Core, Network
+from repro.core.neuron import neuron_tick
 from repro.lint.examples import BUILTIN_NETWORKS
 
 B = 4
@@ -87,7 +93,8 @@ def _every_branch_core():
 
     With ``RESET_NONE`` a spiking neuron keeps its membrane (so it can
     sit on the upper rail, and stays unsettled), and a floor below the
-    20-bit range lets others ride the lower rail.
+    20-bit range lets others ride the lower rail.  Leak reversal is on
+    for every second block of six, so on and off for the leaky neurons.
     """
     n = 24
     k = np.arange(n)
@@ -95,6 +102,7 @@ def _every_branch_core():
         n, n,
         crossbar=np.eye(n, dtype=bool),
         leak=(k % 6 == 5).astype(np.int64),  # a few always-active neurons
+        leak_reversal=(k // 6) % 2 == 1,
         threshold=1000,
         neg_threshold=np.where(k % 2, 500, params.MEMBRANE_MAX),
         reset_value=7,
@@ -102,6 +110,169 @@ def _every_branch_core():
         neg_floor_mode=(k // 3) % 2,
     )
     return compile_network(Network(cores=[core], seed=0))
+
+
+def _listing_update(c, seed, tick, v, syn):
+    """The scalar-core algebra (``repro.core.neuron``), core by core."""
+    parts = [
+        neuron_tick(core, v[lo:hi], syn[lo:hi], i, tick, seed)
+        for i, (core, lo, hi) in enumerate(
+            zip(c.network.cores, c.neuron_base[:-1], c.neuron_base[1:])
+        )
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class TestUpdateIsPure:
+    """Frozen inputs in, fresh arrays out, whatever buffer the caller lends."""
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("lanes", [None, B])
+    @pytest.mark.parametrize("name", ["random-stochastic", "every-branch"])
+    def test_frozen_inputs_fresh_outputs_listing_values(self, name, lanes, cut):
+        c = _every_branch_core() if name == "every-branch" else _compiled(name)
+        plan = c.update_plan
+        if name == "every-branch":
+            assert plan.any_reversal and plan.reset_mode == -1
+            assert set(c.neg_floor_mode.tolist()) == set(params.NEG_FLOOR_MODES)
+        rng = np.random.default_rng(6)
+        v, syn = _membranes(rng, (lanes or 1, c.n_neurons))
+        seeds, ticks = [11, 12, 11, 14][: lanes or 1], np.array([5, 5, 9, 0])[: lanes or 1]
+        want_v, want_spiked = (
+            np.stack(rows) for rows in zip(*(
+                _listing_update(c, seeds[b], int(ticks[b]), v[b], syn[b])
+                for b in range(lanes or 1)
+            ))
+        )
+        tables, keep = c, np.arange(c.n_neurons)
+        if cut:
+            keep = np.nonzero(rng.random(c.n_neurons) < 0.6)[0]
+            tables = NeuronTables(**take(NeuronTables, c, keep))
+        v, syn = np.ascontiguousarray(v[:, keep]), np.ascontiguousarray(syn[:, keep])
+        seed, tick = seeds, ticks
+        if lanes is None:
+            v, syn, seed, tick = v[0], syn[0], seeds[0], int(ticks[0])
+            want_v, want_spiked = want_v[0], want_spiked[0]
+        v.flags.writeable = syn.flags.writeable = False
+
+        scratch = np.empty((2, c.n_neurons), dtype=np.uint64)
+        calls = [
+            update_neurons(tables, seed, tick, v, syn, scratch),
+            update_neurons(tables, seed, tick, v, syn, scratch),
+            update_neurons(tables, seed, tick, v, syn),  # its own buffer: same answer
+        ]
+        for v_next, spiked in calls:
+            np.testing.assert_array_equal(v_next, want_v[..., keep])
+            np.testing.assert_array_equal(spiked, want_spiked[..., keep])
+        outputs = [out for call in calls for out in call]
+        for i, out in enumerate(outputs):
+            assert out.base is None and out.flags.writeable
+            for other in (v, syn, scratch, *outputs[:i]):
+                assert not np.may_share_memory(out, other)
+
+
+class TestScratchIsPerEngine:
+    """Engines over one artifact, interleaved or concurrent, do not meet."""
+
+    TICKS = 30
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        net = random_network(n_cores=4, n_axons=64, n_neurons=256, stochastic=True, seed=21)
+        compiled = compile_network(net)
+        assert compiled.any_stoch_leak and compiled.any_stoch_threshold
+        inputs = [poisson_inputs(net, self.TICKS, 300.0, seed=s) for s in (1, 2)]
+        apart = [FastCompassSimulator(compiled).run(self.TICKS, ins) for ins in inputs]
+        assert apart[0] != apart[1]
+        return compiled, inputs, apart
+
+    def test_two_engines_stepped_alternately(self, shared):
+        compiled, inputs, apart = shared
+        sims = [FastCompassSimulator(compiled) for _ in inputs]
+        spikes = [[], []]
+        for sim, ins in zip(sims, inputs):
+            sim.load_inputs(ins)
+        for _ in range(self.TICKS):
+            for sim, acc in zip(sims, spikes):
+                acc.extend(sim.step())
+        for sim, acc, want in zip(sims, spikes, apart):
+            assert acc == want.as_tuples()
+            assert sim.counters.messages == want.counters.messages
+            np.testing.assert_array_equal(
+                sim.counters.synaptic_events_per_core, want.counters.synaptic_events_per_core
+            )
+
+    def test_one_engine_stepped_from_a_second_thread(self, shared):
+        compiled, inputs, apart = shared
+        sims = [FastCompassSimulator(compiled) for _ in inputs]
+        got = [None, None]
+
+        def drive(i):
+            got[i] = sims[i].run(self.TICKS, inputs[i])
+
+        worker = threading.Thread(target=drive, args=(1,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker.start()
+            drive(0)
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert got == apart
+
+
+class TestWorkRatchet:
+    """A count, not a timing: what one steady tick may do N-wide."""
+
+    TICKS = 10
+
+    @pytest.fixture
+    def mixed_sizes(self, monkeypatch):
+        """Sizes the vectorized mixers are called with; ``np.unique`` raises."""
+        sizes = []
+        for name in ("_mix64", "_mix64_into"):
+            mixer = getattr(prng, name)
+
+            def recording(x, *rest, _mixer=mixer):
+                sizes.append(np.size(x))
+                return _mixer(x, *rest)
+
+            monkeypatch.setattr(prng, name, recording)
+
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique on the tick path")
+
+        monkeypatch.setattr(np, "unique", unique)
+        return sizes
+
+    @pytest.mark.parametrize("expression", ["fast", "partition", "batched"])
+    def test_one_neuron_wide_mix_per_purpose_per_tick(self, expression, mixed_sizes):
+        net = probabilistic_recurrent_network(
+            100.0, 16, grid_side=2, neurons_per_core=64, coupling="balanced", seed=3
+        )
+        c = compile_network(net)
+        assert c.stoch_leak_idx.size == c.n_neurons  # one active purpose: the leak
+        assert not c.any_stoch_threshold and not c.any_stoch_synapse
+        wide = c.n_neurons
+        if expression == "fast":
+            sim = FastCompassSimulator(c)
+            spikes = sum(sim.step_arrays()[1].size for _ in range(self.TICKS))
+            assert spikes and sim.counters.messages
+        elif expression == "batched":
+            sim = BatchedCompassSimulator(c, 4)
+            spikes = sum(sim.step_arrays()[0].size for _ in range(self.TICKS))
+            assert spikes and sim.counters.messages
+        else:  # what a parallel worker runs, in process
+            part = partition_compiled(c, partition(net, 2, "round_robin"), 2).partitions[1]
+            assert part.core_ids.tolist() == [1, 3]  # global ids, not contiguous
+            state = TickState(part, net.seed, part.initial_v.copy(), False)
+            wide = part.n_neurons
+            for tick in range(self.TICKS):
+                state.update(tick, np.zeros(wide, dtype=np.int64), None)
+        assert mixed_sizes.count(wide) == self.TICKS
+        assert all(size == wide or size <= c.n_cores for size in mixed_sizes)
 
 
 class TestLaneGenericGate:
