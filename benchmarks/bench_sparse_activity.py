@@ -158,7 +158,7 @@ class TestIntegrateCrossover:
             20.0, 128, grid_side=8, coupling="zero", seed=1
         )
         c = compile_network(net)
-        stored = c.det_matrix_t.nnz
+        stored = c.det_col.size
         rng = np.random.default_rng(0)
 
         rows = []

@@ -98,8 +98,8 @@ def stoch_synapse_input(
 
 
 #: Per-entry cost of the event scatter (index build, two gathers,
-#: ``np.add.at``) over the CSR matvec's fused loop: measured 8 to 10 near
-#: the crossover at every size tried (docs/performance.md;
+#: ``np.add.at``) over the matvec's fused loop down the same table:
+#: measured 8 to 9 near the crossover, 7.4 to 11 overall (docs/performance.md;
 #: ``bench_sparse_activity.py::test_integrate_crossover`` re-measures it).
 _SCATTER_COST_RATIO = 9
 
@@ -120,7 +120,7 @@ def _scatter_rows(c, active_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matvec(c, active: np.ndarray) -> np.ndarray:
-    """Dense kernel: one ``(N, A)`` CSR matvec over every stored crosspoint."""
+    """Dense kernel: one ``(N, A)`` matvec over every deterministic crosspoint."""
     return np.asarray(c.det_matrix_t.dot(active.astype(np.int64))).reshape(-1)
 
 
@@ -139,12 +139,13 @@ def integrate_deliveries(
     The deterministic part takes whichever kernel has less to do this
     tick: the scatter when the crosspoints in the active rows (*events*,
     ``row_nnz[active_idx].sum()``; pass it if already summed), weighted
-    by ``_SCATTER_COST_RATIO``, number fewer than the crosspoints the
-    matvec would walk; the matvec otherwise.  Both are exact.
+    by ``_SCATTER_COST_RATIO``, number fewer than the ``det_*`` table's
+    entries, all of which the matvec would walk; the matvec otherwise.
+    Both are exact.
     """
     if events is None:
         events = int(c.row_nnz[active_idx].sum())
-    if events * _SCATTER_COST_RATIO < c.det_matrix_t.nnz:
+    if events * _SCATTER_COST_RATIO < c.det_col.size:
         syn, _ = _scatter_rows(c, active_idx)
     else:
         syn = _matvec(c, active)

@@ -6,8 +6,8 @@ compressed per-partition state plus cheap bulk exchange (paper III-B,
 Fig. 8); this module applies the same recipe with OS processes in place
 of MPI ranks:
 
-* :func:`repro.compass.compile.partition_compiled` slices the global
-  CSR weight matrix, stochastic crosspoint tables, and flat
+* :func:`repro.compass.compile.partition_compiled` cuts the global
+  deterministic and stochastic crosspoint tables and the flat
   neuron/routing vectors into per-rank
   :class:`~repro.compass.compile.CompiledPartition` artifacts (global
   PRNG coordinates preserved, so spike streams stay bit-identical to
