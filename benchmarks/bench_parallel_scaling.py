@@ -1,18 +1,26 @@
-"""PAR: parallel-engine scaling — the multi-worker speedup, measured.
+"""PAR: parallel-engine scaling — the multi-rank speedup, measured.
 
 The shared-memory partitioned engine exists to beat the single-process
 sparse path on large workloads (paper Fig. 8: Compass's strong scaling
 across BG/Q ranks).  This module measures exactly that claim on a
->=128-core recurrent workload and asserts the >=2x win with 4 workers,
-plus the crossover behaviour that grounds the ``engine="auto"``
-thresholds (:data:`repro.compass.parallel.AUTO_MIN_NEURONS`).
+>=128-core recurrent workload and asserts the >=2x win with 4 ranks,
+plus the decision rule ROADMAP item 2 fixed before the peer-rank
+rebuild: fast vs two ranks at the paper's 20 Hz x 128-synapse point,
+16,384 / 65,536 / 262,144 neurons, ten alternating pairs, tick p50 and
+peak RSS (``test_decision_rule_table``; the table and its verdict are
+in docs/performance.md, and :func:`repro.compass.parallel.auto_workers`
+follows from it).
 
 The speedup assertion needs real CPUs to share the work: on hosts with
-fewer than 4 usable cores the workers serialize and the measurement
-would say nothing about the engine, so it is skipped there (the
-bit-identity checks always run).
+fewer than 4 usable cores the ranks serialize and the measurement would
+say nothing about the engine, so it is skipped there; the bit-identity
+checks and the decision-rule report always run.
 """
 
+import os
+import statistics
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,16 +29,22 @@ from benchmarks.conftest import emit
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.compass.compile import compile_network
 from repro.compass.fast import FastCompassSimulator
-from repro.compass.parallel import (
-    AUTO_MAX_WORKERS,
-    AUTO_MIN_NEURONS,
-    ParallelCompassSimulator,
-    _usable_cpus,
-    auto_workers,
-)
+from repro.compass.parallel import ParallelCompassSimulator, auto_workers
 
 N_TICKS = 20
-CROSSOVER_TICKS = 60
+
+#: The decision rule's sizes: grid side -> ticks per timed block (about
+#: half a second each), at ``probabilistic_recurrent_network(20, 128)``.
+DECISION_BLOCKS = {8: 400, 16: 120, 32: 30}
+DECISION_PAIRS = 10
+#: ROADMAP item 2: two ranks reach >= 1.5x fast at grid side 32 and
+#: >= 1.0x at grid side 16 (65,536 neurons), peak RSS <= 1.5x fast.
+RULE_SPEEDUP = {16: 1.0, 32: 1.5}
+RULE_RSS = 1.5
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +64,48 @@ def _ticks_per_second(sim, n_ticks: int) -> float:
     for _ in range(n_ticks):
         sim.step_arrays()
     return n_ticks / (time.perf_counter() - start)
+
+
+def _decision_network(grid_side: int):
+    return probabilistic_recurrent_network(
+        20.0, 128, grid_side=grid_side, coupling="zero", seed=5
+    )
+
+
+def _tick_p50_ms(sim, n_ticks: int) -> float:
+    walls = []
+    for _ in range(n_ticks):
+        start = time.perf_counter_ns()
+        sim.step_arrays()
+        walls.append(time.perf_counter_ns() - start)
+    return statistics.median(walls) * 1e-6
+
+
+def _peak_rss_mb(engine: str, grid_side: int) -> float:
+    """Peak RSS of a fresh process running *engine*, by the layer
+    benchmark's own definition: ``ru_maxrss`` plus, for two ranks, the
+    child's ``VmHWM`` (pages the two share count in both)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "benchmarks.bench_parallel_scaling", engine, str(grid_side)],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, check=True,
+    )
+    return float(out.stdout.split()[-1])
+
+
+def _rss_probe(engine: str, grid_side: int) -> float:
+    from benchmarks.layers.measure import peak_rss_mb
+    from benchmarks.layers.recurrent import children_hwm_mb
+
+    compiled = compile_network(_decision_network(grid_side))
+    sim = (FastCompassSimulator(compiled) if engine == "fast"
+           else ParallelCompassSimulator(compiled, n_workers=2))
+    for _ in range(20):
+        sim.step_arrays()
+    mb = peak_rss_mb() + children_hwm_mb()  # before close(): the child is alive
+    if engine != "fast":
+        sim.close()
+    return mb
 
 
 class TestParallelScaling:
@@ -105,53 +161,70 @@ class TestParallelScaling:
         )
         assert speedup >= 2.0
 
-    def test_auto_threshold_crossover(self, benchmark):
-        # Measure fast vs parallel per-tick cost across sizes, with the
-        # worker count "auto" would pick on this host: the data behind
-        # AUTO_MIN_NEURONS (table in docs/performance.md).  Pure
-        # measurement — the auto policy itself is asserted below and in
-        # the unit suite.
-        workers = max(2, min(AUTO_MAX_WORKERS, _usable_cpus()))
-
-        def run_sweep():
-            rows = []
-            for grid, per_core in ((4, 64), (12, 64), (8, 256), (16, 256)):
-                net = probabilistic_recurrent_network(
-                    100.0, 32, grid_side=grid, neurons_per_core=per_core,
-                    coupling="balanced", seed=5,
-                )
-                compiled = compile_network(net)
+    def test_decision_rule_table(self, benchmark):
+        # Bit-identity + report: never asserts a speedup (a 2-CPU CI
+        # runner shares its cores), always asserts equal spikes.  Both
+        # engines stay up across the pairs and advance in lockstep; an
+        # idle pool costs the other side a yielding millisecond of spin
+        # per 100 ms.
+        def run_table():
+            table = []
+            for grid_side, block in DECISION_BLOCKS.items():
+                compiled = compile_network(_decision_network(grid_side))
                 fast = FastCompassSimulator(compiled)
-                fast.step_arrays()  # derived tables and caches off the clock
-                fast_tps = _ticks_per_second(fast, CROSSOVER_TICKS)
-                par = ParallelCompassSimulator(compiled, n_workers=workers)
+                par = ParallelCompassSimulator(compiled, n_workers=2)
                 try:
-                    par.step_arrays()
-                    par_tps = _ticks_per_second(par, CROSSOVER_TICKS)
+                    for _ in range(24):  # past the 16-slot ring fill
+                        tick_f, cores_f, neurons_f = fast.step_arrays()
+                        tick_p, cores_p, neurons_p = par.step_arrays()
+                        assert tick_f == tick_p
+                        assert (cores_f == cores_p).all() and (neurons_f == neurons_p).all()
+                    pairs = []
+                    for pair in range(DECISION_PAIRS):
+                        p50 = {}
+                        for sim in (fast, par) if pair % 2 == 0 else (par, fast):
+                            p50[sim] = _tick_p50_ms(sim, block)
+                        pairs.append((p50[fast], p50[par]))
+                    assert fast.counters.spikes == par.counters.spikes
+                    assert fast.counters.messages >= par.counters.messages > 0
                 finally:
                     par.close()
-                rows.append((net.n_cores, net.n_neurons, fast_tps, par_tps))
-            return rows
+                del fast, par, compiled
+                rss = [_peak_rss_mb(engine, grid_side) for engine in ("fast", "par2")]
+                table.append((grid_side, pairs, rss))
+            return table
 
-        rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-        lines = [
-            f"  {cores:4d} cores {neurons:5d} neurons: "
-            f"fast {f_tps:8.0f} ticks/s  parallel({workers}w) {p_tps:8.0f} ticks/s  "
-            f"{p_tps / f_tps:.2f}x"
-            for cores, neurons, f_tps, p_tps in rows
-        ]
-        emit("PAR crossover (grounds AUTO_MIN_NEURONS):\n" + "\n".join(lines))
+        table = benchmark.pedantic(run_table, rounds=1, iterations=1)
+        lines, met = [], True
+        for grid_side, pairs, (rss_fast, rss_par) in table:
+            fast_ms = statistics.median(f for f, _ in pairs)
+            par_ms = statistics.median(p for _, p in pairs)
+            ratios = sorted(f / p for f, p in pairs)
+            speedup = statistics.median(ratios)
+            wins = sum(p < f for f, p in pairs)
+            lines.append(
+                f"  {grid_side * grid_side * 256:7,d} neurons: fast {fast_ms:7.3f} ms  "
+                f"2 ranks {par_ms:7.3f} ms  speedup {speedup:.2f}x "
+                f"({ratios[2]:.2f}-{ratios[-3]:.2f}, {wins}/{len(pairs)} pairs)  "
+                f"peak RSS {rss_fast:5.0f} -> {rss_par:5.0f} MB ({rss_par / rss_fast:.2f}x)"
+            )
+            met = met and speedup >= RULE_SPEEDUP.get(grid_side, 0.0) \
+                and rss_par / rss_fast <= RULE_RSS
+        emit(
+            f"PAR decision rule (tick p50 over {DECISION_PAIRS} alternating pairs, "
+            f"{_usable_cpus()} usable CPUs; >= 1.5x at 262,144, >= 1.0x at 65,536, "
+            f"RSS <= 1.5x fast): {'MET' if met else 'NOT MET'}\n" + "\n".join(lines)
+        )
 
     def test_small_network_latency_guarded_by_auto(self, benchmark):
-        # <=16-core latency must not regress: "auto" keeps such networks
-        # on the single-process path (1024 neurons < AUTO_MIN_NEURONS),
-        # so their per-tick cost is exactly the sparse engine's.
+        # <=16-core latency must not regress: "auto" keeps every network
+        # on the single-process path, so their per-tick cost is exactly
+        # the sparse engine's.
         net = probabilistic_recurrent_network(
             100.0, 32, grid_side=4, neurons_per_core=64,
             coupling="balanced", seed=5,
         )
         assert net.n_cores <= 16
-        assert net.n_neurons < AUTO_MIN_NEURONS
         assert auto_workers(net) == 1
         compiled = compile_network(net)
 
@@ -168,3 +241,7 @@ class TestParallelScaling:
             f"{N_TICKS} ticks)"
         )
         assert counters.ticks == N_TICKS
+
+
+if __name__ == "__main__":  # the RSS probe: ``<engine> <grid side>`` -> MB
+    print(_rss_probe(sys.argv[1], int(sys.argv[2])))

@@ -47,13 +47,12 @@ def select_engine(
 
     ``engine="auto"`` resolves to the fastest applicable sparse
     expression: the batched multi-replica engine when the caller asks
-    for more than one replica (``n_replicas > 1``), the shared-memory
-    partitioned parallel engine when the network is at or above the
-    benchmarked :data:`repro.compass.parallel.AUTO_MIN_NEURONS`
-    threshold *and* the host has spare CPUs (see
-    :func:`repro.compass.parallel.auto_workers`), otherwise the
-    single-process FastCompass path — so small-network latency never
-    pays the multi-process barrier.  It falls back to the
+    for more than one replica (``n_replicas > 1``), otherwise the
+    single-process FastCompass path.  It never resolves to the
+    shared-memory parallel engine — the decision rule that would have
+    let it was measured and not met (see
+    :func:`repro.compass.parallel.auto_workers`); ask for
+    ``engine="parallel"`` and a rank count by name.  It falls back to the
     rank-partitioned Compass expression only when the caller requests
     rank-level behaviour (``n_ranks > 1``, which the flat engines do
     not model).
@@ -93,18 +92,8 @@ def select_engine(
             engine = "compass"
             reason = f"rank-level features requested (n_ranks={n_ranks})"
         else:
-            from repro.compass.parallel import AUTO_MIN_NEURONS, auto_workers
-
-            compiled = compile_network(network)
-            workers = auto_workers(compiled)
-            if workers > 1:
-                engine, n_workers = "parallel", workers
-                reason = (f"{compiled.n_neurons} neurons >= "
-                          f"{AUTO_MIN_NEURONS} with {workers} usable workers")
-            else:
-                engine = "fast"
-                reason = (f"{compiled.n_neurons} neurons below the parallel "
-                          "threshold or no spare CPUs")
+            engine = "fast"
+            reason = "the single-process sparse path applies to every network"
     log.info(
         "engine_selected", engine=engine, requested=requested,
         n_ranks=n_ranks, n_workers=n_workers, reason=reason,

@@ -1,5 +1,10 @@
 """Simulated MPI: rank-addressed, aggregated message exchange.
 
+What it is *for*: counting, per tick, the messages, bytes and sync steps
+of Compass's peer-to-peer exchange — the rank-level message model the
+Fig. 8 scaling curves are computed from; nothing here moves data between
+processes.
+
 Compass "sends spike events via MPI communication ... aggregates spikes
 between pairs of processes into a single MPI message; overlaps
 communication with computation; [and] uses an innovative synchronization

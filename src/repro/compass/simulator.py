@@ -1,5 +1,11 @@
 """Compass: the software (supercomputer) expression of the kernel.
 
+What it is *for*: the rank-level message model behind Fig. 8 — how many
+aggregated messages and bytes an n-rank Compass exchanges per tick,
+which is what the BG/Q and x86 cost models consume — not speed (the
+sparse engines are the fast expressions, and
+:mod:`repro.compass.parallel` the one that runs ranks as processes).
+
 A vectorized functional simulator for networks of neurosynaptic cores,
 structured exactly like the original C++/MPI/OpenMP Compass (paper
 Section III-B):

@@ -113,8 +113,8 @@ class FlightRecorder:
     the heap.  Reads (:meth:`rows`, :meth:`summary`, :meth:`to_json`,
     :meth:`dump`) reconstruct chronological order from the write
     cursor; a concurrent reader (the telemetry HTTP thread, the
-    parallel coordinator) sees at worst one torn in-flight row, never a
-    crash.
+    parallel engine's caller) sees at worst one torn in-flight row,
+    never a crash.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, buf=None) -> None:
@@ -201,7 +201,7 @@ class FlightRecorder:
     def extend(self, other: "FlightRecorder") -> None:
         """Append *other*'s retained rows and add its cumulative sums.
 
-        How the parallel coordinator adopts a worker's shared-memory
+        How the parallel engine adopts a child rank's shared-memory
         ring before the segment goes away: array slices, no per-row
         Python.  Rows *other* had already evicted stay counted in the
         sums, which is what keeps phase totals whole on a run longer

@@ -62,8 +62,9 @@ class Observer:
                  flight_capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = enabled
         self.flight = FlightRecorder(flight_capacity)
-        #: Flight ring per trace row: tid 0 is :attr:`flight`, tid r + 1
-        #: the rows adopted from parallel worker rank r.
+        #: Flight ring per trace row: tid 0 is :attr:`flight` (on the
+        #: parallel engine, rank 0's own rows), tid r the rows adopted
+        #: from parallel child rank r.
         self.rings: dict[int, FlightRecorder] = {0: self.flight}
         self.trace = TraceBuffer(capacity=trace_capacity, rings=self.rings)
         self.metrics = MetricsRegistry()
@@ -101,8 +102,8 @@ class Observer:
     def adopt(self, tid: int, ring: FlightRecorder) -> None:
         """Take over *ring*'s rows and sums as trace row *tid*.
 
-        Called by the parallel coordinator at ``close()`` for each
-        worker's shared-memory ring; afterwards every read answers from
+        Called by the parallel engine at ``close()`` for each child
+        rank's shared-memory ring; afterwards every read answers from
         this observer's own heap copy.
         """
         own = self.rings.get(tid)
@@ -185,8 +186,8 @@ def engine_phase_seconds(engine) -> dict:
     carries (``phase_seconds = engine_phase_seconds`` in the class
     body): the four canonical phases — ``deliver``/``integrate``/
     ``update``/``route`` — from the engine's observer; on the parallel
-    engine they are summed over every worker rank and populated once
-    the workers' rows have been adopted (at ``close()``).
+    engine they are summed over every rank: rank 0's as they happen, a
+    child rank's once its rows have been adopted (at ``close()``).
     """
     if engine.obs is None:
         return dict.fromkeys(PHASES, 0.0)

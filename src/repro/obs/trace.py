@@ -79,8 +79,8 @@ def row_spans(rows: np.ndarray, tid: int) -> list[Span]:
     exact for the sparse engines, whose phases are consecutive clock
     marks, and the per-phase split for the rank-partitioned simulator,
     whose phases interleave per core.  A row whose writer timed no
-    phases (the parallel coordinator, a runtime recording on an
-    engine's behalf) yields the whole-tick span only.
+    phases (a runtime recording on an engine's behalf) yields the
+    whole-tick span only.
     """
     begin = rows["begin_ns"]
     ends = begin[:, None] + np.cumsum(
@@ -173,7 +173,7 @@ class TraceBuffer:
         events: list[dict] = [
             {
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": "rank0 (coordinator)" if tid == 0 else f"rank{tid}"},
+                "args": {"name": f"rank{tid}"},
             }
             for tid in sorted({span.tid for span in spans})
         ]

@@ -10,13 +10,14 @@ Two layers over one declarative tick protocol
 * **dynamic** (:mod:`repro.sanitize.dynamic` +
   :mod:`repro.sanitize.analyze`) — opt-in (``sanitize=True`` or
   ``REPRO_SANITIZE=1``) shadow views record every access per actor;
-  logs merge at close with vector clocks derived from the barrier pipe
-  messages, and unordered conflicting pairs are reported with both
+  logs merge at close with vector clocks derived from the go / done
+  barrier posts, and unordered conflicting pairs are reported with both
   stack contexts; codes SL210-SL212.
 
 Fault injection (:mod:`repro.sanitize.faults`) tears the protocol in
 controlled ways — dropped barrier edge, overlapping partition slices,
-out-of-phase write — so detection is provable end-to-end: the
+a write to the slot a peer is consuming, out-of-phase write — so
+detection is provable end-to-end: the
 ``repro sanitize`` CLI and the CI ``sanitize`` job run both the clean
 sweep (zero findings required) and the fault runs (findings required).
 

@@ -2,7 +2,7 @@
 
 The offline half of the dynamic race detector.  Input: the merged
 per-actor :class:`~repro.sanitize.dynamic.AccessEvent` logs from one
-run (coordinator + every worker, or the single batched engine actor).
+run (every rank, or the single batched engine actor).
 Output: a :class:`~repro.lint.diagnostics.LintReport` carrying SL21x
 diagnostics.
 
@@ -13,15 +13,16 @@ Ordering model — classic message-passing vector clocks:
 * every barrier ``send`` marker publishes the sender's clock on the
   channel ``(sender, receiver, tick)``; the matching ``recv`` marker
   joins it into the receiver's clock.  The engines record exactly one
-  marker pair per (direction, tick), mirroring the real pipe traffic;
+  marker pair per (direction, tick), mirroring the real go / done posts;
 * two accesses are ordered iff one's clock is component-wise <= at the
   other's entry for its own actor — otherwise they are concurrent.
 
 A data race (SL210) is a concurrent pair from different actors on one
-region with overlapping first-axis spans, at least one side a write.
+region sharing a first-axis index, at least one side a write — except
+two writes in a phase the region declares set-only, which commute.
 Phase conformance (SL211) checks every access against the declarative
 :class:`~repro.sanitize.protocol.TickProtocol`.  A ``recv`` marker
-whose channel message never appears (a torn barrier — e.g. the worker
+whose channel message never appears (a torn barrier — e.g. the rank
 died, or the ``drop-barrier`` fault on the *sending* side of an edge)
 leaves that actor's remaining log unstampable and is reported as SL212.
 """
@@ -111,7 +112,7 @@ def _check_phases(events, protocol: TickProtocol, report: LintReport) -> None:
         spec = protocol.region(ev.region[1])
         if spec is not None and spec.opaque:
             continue
-        role = role_of_actor(ev.actor)
+        role = role_of_actor(ev.actor, ev.phase, ev.region[0])
         if spec is not None and spec.dynamic_allows(role, ev.phase, ev.kind):
             continue
         signature = (ev.region[1], role, ev.phase, ev.kind)
@@ -133,7 +134,7 @@ def _check_phases(events, protocol: TickProtocol, report: LintReport) -> None:
         ))
 
 
-def _check_races(events, report: LintReport) -> None:
+def _check_races(events, protocol: TickProtocol, report: LintReport) -> None:
     """SL210: concurrent overlapping access pairs with a write."""
     index = {actor: i for i, actor in enumerate(sorted({e.actor for e in events}))}
     by_region: dict[tuple, list[AccessEvent]] = {}
@@ -143,14 +144,16 @@ def _check_races(events, report: LintReport) -> None:
 
     seen: set[tuple] = set()
     emitted = 0
-    for region_events in by_region.values():
+    for region, region_events in by_region.items():
+        spec = protocol.region(region[1])
+        commute = spec.set_phases if spec is not None else ()
         for i, a in enumerate(region_events):
             for b in region_events[i + 1:]:
-                if a.actor == b.actor:
+                if a.actor == b.actor or not a.overlaps(b):
                     continue
                 if a.kind != "W" and b.kind != "W":
                     continue
-                if a.hi <= b.lo or b.hi <= a.lo:
+                if a.kind == b.kind and a.phase in commute and b.phase in commute:
                     continue
                 if _ordered(a, b, index) or _ordered(b, a, index):
                     continue
@@ -200,7 +203,7 @@ def analyze_access_log(
                 "could not be ordered",
                 rank=_rank_of(actor),
             ))
-    _check_races([ev for ev in events if ev.vc], report)
+    _check_races([ev for ev in events if ev.vc], protocol, report)
     return report
 
 

@@ -5,9 +5,9 @@ The opt-in runtime half of the sanitizer.  When an engine runs with
 wrapped in a :class:`ShadowArray` — an ndarray view subclass that
 records each indexed read/write as an :class:`AccessEvent` (actor,
 tick, phase, region, first-axis slice, trimmed stack) into that
-process's :class:`AccessRecorder`.  Barrier pipe messages are recorded
-as matching send/recv marker events; workers ship their logs back over
-the control pipe at shutdown, and :mod:`repro.sanitize.analyze` merges
+process's :class:`AccessRecorder`.  Each ``go`` / ``done`` of the tick
+barrier is recorded as a matching send/recv marker pair; child ranks ship
+their logs back over the control pipe at shutdown, and :mod:`repro.sanitize.analyze` merges
 everything, derives vector clocks from the markers, and reports
 conflicting unordered pairs.
 
@@ -60,10 +60,12 @@ class AccessEvent:
     """One recorded access or barrier marker in an actor's log.
 
     ``kind`` is ``"R"``/``"W"`` for array accesses (``region`` set,
-    ``[lo, hi)`` the touched first-axis span) or ``"send"``/``"recv"``
-    for barrier markers (``peer`` set).  ``vc`` is stamped by the
-    analyzer.  Mutable on purpose: fault relabelling and clock stamping
-    happen post-merge.
+    ``[lo, hi)`` the touched first-axis span, ``slots`` a bitmask of
+    the first-axis indices touched inside it — -1, every bit, unless
+    the key named them one by one) or ``"send"``/``"recv"`` for barrier
+    markers (``peer`` set).  ``vc`` is stamped by the analyzer.
+    Mutable on purpose: fault relabelling and clock stamping happen
+    post-merge.
     """
 
     actor: str
@@ -77,7 +79,20 @@ class AccessEvent:
     stack: str = ""
     peer: str | None = None
     count: int = 1
+    slots: int = -1
     vc: tuple = field(default=(), compare=False)
+
+    def overlaps(self, other: "AccessEvent") -> bool:
+        """Do the two accesses share a first-axis index?"""
+        if self.hi <= other.lo or other.hi <= self.lo:
+            return False
+        if self.slots < 0 or other.slots < 0:
+            named, span = (self, other) if other.slots < 0 else (other, self)
+            if named.slots < 0:
+                return True
+            above = named.slots >> span.lo  # named indices from span.lo up
+            return above != 0 and (above & -above).bit_length() <= span.hi - span.lo
+        return self.slots & other.slots != 0
 
     def describe(self) -> str:
         """Human rendering used inside race/phase diagnostics."""
@@ -99,7 +114,7 @@ def _stack_summary(skip: int = 3, keep: int = 3) -> str:
 
 
 class AccessRecorder:
-    """Per-process access log for one actor (coordinator, rank, engine).
+    """Per-process access log for one actor (a rank, the batched engine).
 
     The engine sets the (tick, phase) context at its phase boundaries;
     shadow views call :meth:`record` on every indexed access.  Barrier
@@ -122,19 +137,22 @@ class AccessRecorder:
         self.phase = phase
         self._coalesce = {}
 
-    def record(self, region: tuple[str, str], kind: str, lo: int, hi: int) -> None:
+    def record(self, region: tuple[str, str], kind: str, lo: int, hi: int,
+               slots: int = -1) -> None:
         """Record one ``R``/``W`` access to *region* spanning ``[lo, hi)``."""
         key = (region, kind)
         merged = self._coalesce.get(key)
         if merged is not None:
             merged.lo = min(merged.lo, lo)
             merged.hi = max(merged.hi, hi)
+            merged.slots |= slots
             merged.count += 1
             return
         self._seq += 1
         event = AccessEvent(
             actor=self.actor, seq=self._seq, tick=self.tick, phase=self.phase,
-            kind=kind, region=region, lo=lo, hi=hi, stack=_stack_summary(),
+            kind=kind, region=region, lo=lo, hi=hi, slots=slots,
+            stack=_stack_summary(),
         )
         self.events.append(event)
         self._coalesce[key] = event
@@ -145,18 +163,19 @@ class AccessRecorder:
         self.record(region, kind, lo, hi)
 
     def barrier(self, kind: str, peer: str, tick: int) -> None:
-        """Record a barrier pipe message (``send``/``recv``) with *peer*.
+        """Record one side of a ``go``/``done`` (``send``/``recv``) with *peer*.
 
-        The ``drop-barrier`` fault elides exactly one coordinator recv
-        marker — the ordering edge vanishes from the log while the
-        simulation (which still consumed the pipe message) is unchanged.
+        The ``drop-barrier`` fault elides exactly one ``done`` recv
+        marker of the caller — the ordering edge vanishes from the log
+        while the simulation (which still took the semaphore) is
+        unchanged.
         """
         self._coalesce = {}
         if (
             self.fault is not None
             and self.fault.kind == "drop-barrier"
             and kind == "recv"
-            and self.actor == "coord"
+            and self.actor == "rank0"
             and peer == f"rank{self.fault.rank}"
             and tick == self.fault.tick
         ):
@@ -185,34 +204,39 @@ class ShadowArray(np.ndarray):
         self._track = False
         self._is_root = False
 
-    def _key_span(self, key) -> tuple[int, int]:
-        """First-axis span ``[lo, hi)`` a subscript key touches.
+    def _key_span(self, key) -> tuple[int, int, int]:
+        """First-axis span ``[lo, hi)`` and slot mask a subscript key touches.
 
-        Exact for int and basic-slice leading keys; conservative (the
-        view's whole span) for fancy/boolean indexing — the direction
-        that can only over-report overlap, never miss it.
+        Exact for int and basic-slice leading keys; an integer-array
+        leading key (the ring's ``[slots, axons]`` scatter) keeps the
+        whole span and names its indices in the mask, so a write to
+        slots 3 and 9 is not a touch of slot 5; boolean indexing stays
+        conservative — the direction that can only over-report overlap,
+        never miss it.
         """
         lo, hi = self._span
         if not self._is_root:
-            return lo, hi
+            return lo, hi, -1
         lead = key[0] if isinstance(key, tuple) and key else key
         n = self.shape[0] if self.ndim else 1
         if isinstance(lead, (int, np.integer)):
             i = int(lead)
             if i < 0:
                 i += n
-            return i, i + 1
+            return i, i + 1, -1
         if isinstance(lead, slice):
             start, stop, step = lead.indices(n)
             if step > 0 and stop > start:
-                return start, stop
-        return 0, n
+                return start, stop, -1
+        if isinstance(lead, np.ndarray) and lead.dtype.kind in "iu":
+            return 0, n, sum(1 << i for i in np.unique(lead % n).tolist())
+        return 0, n, -1
 
     def __getitem__(self, key):
         out = super().__getitem__(key)
         if self._track and self._rec is not None:
-            lo, hi = self._key_span(key)
-            self._rec.record(self._region, "R", lo, hi)
+            lo, hi, slots = self._key_span(key)
+            self._rec.record(self._region, "R", lo, hi, slots)
             if self._is_root and isinstance(out, ShadowArray) and out.base is not None:
                 out._region = self._region
                 out._rec = self._rec
@@ -222,9 +246,8 @@ class ShadowArray(np.ndarray):
 
     def __setitem__(self, key, value) -> None:
         if self._track and self._rec is not None:
-            lo, hi = self._key_span(key)
             rec = self._rec
-            rec.record(self._region, "W", lo, hi)
+            rec.record(self._region, "W", *self._key_span(key))
             # numpy implements some slice assignments by re-entering
             # __getitem__ on self; mute the recorder for the duration so
             # the write doesn't also log a phantom read.

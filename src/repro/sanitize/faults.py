@@ -6,25 +6,31 @@ specific, contained way so the test suite (and the CI ``sanitize`` job)
 can assert the dynamic layer actually fires:
 
 ``drop-barrier``
-    The coordinator "forgets" one reply edge: its recorder skips the
-    recv barrier marker for (*rank*, *tick*).  The worker's tick-*tick*
-    writes and the coordinator's gather reads lose their ordering edge
-    and surface as SL210 data races — exactly what deleting the recv
-    loop from ``step_arrays`` would cause.  The simulation itself is
-    untouched (the pipe message is still consumed), so results stay
+    The caller "forgets" one ``done`` edge: its recorder skips the recv
+    barrier marker for (*rank*, *tick*).  That rank's tick-*tick*
+    writes and the caller's gather reads lose their ordering edge and
+    surface as SL210 data races — exactly what deleting the done wait
+    from ``step_arrays`` would cause.  The simulation itself is
+    untouched (the semaphore is still taken), so results stay
     bit-exact.
 
 ``overlap-slices``
     Models a partitioner bug assigning two ranks overlapping slices of
-    one ring slab: at merge time, rank *rank*'s ``ring`` accesses are
-    relabelled onto rank ``rank - 1``'s region.  Same-tick writes from
-    two workers now collide on "one" region with no cross-worker edge
+    one ring slab: at merge time, rank *rank*'s accesses to its own
+    ``ring`` are relabelled onto rank ``rank - 1``'s region.  Two
+    ranks now consume "one" slot in the same tick with no edge
     ordering them -> SL210.
+
+``consumed-slot-write``
+    Rank 0, in route of tick *tick*, writes rank *rank*'s slab at slot
+    ``tick % DELAY_SLOTS`` — the one slot that rank is consuming, which
+    the delay arithmetic can never produce (a real but empty write, so
+    value-neutral).  The ring invariant is broken -> SL210.
 
 ``out-of-phase-write``
     The engine performs one real (but value-neutral) write outside the
-    declared phase for its role: the parallel coordinator pokes a stats
-    slot during scatter, the batched engine pokes ``v`` during route.
+    declared phase for its role: the parallel caller pokes a stats
+    slot during inject, the batched engine pokes ``v`` during route.
     Phase conformance flags it as SL211.
 
 Faults only ever engage when the caller passes one explicitly (or sets
@@ -38,7 +44,7 @@ import os
 from dataclasses import dataclass
 
 #: Recognized fault kinds, in docs order.
-FAULT_KINDS = ("drop-barrier", "overlap-slices", "out-of-phase-write")
+FAULT_KINDS = ("drop-barrier", "overlap-slices", "consumed-slot-write", "out-of-phase-write")
 
 
 @dataclass(frozen=True)
@@ -76,16 +82,16 @@ def resolve_fault(spec) -> FaultInjection | None:
 def apply_overlap_relabel(events, fault: FaultInjection | None) -> None:
     """Apply ``overlap-slices`` to a merged access log, in place.
 
-    Rank *fault.rank*'s ``ring`` accesses move onto the previous rank's
-    region — the access pattern an overlapping partition slice would
-    actually produce.
+    Rank *fault.rank*'s accesses to its own ``ring`` move onto the
+    previous rank's region — the access pattern an overlapping
+    partition slice would actually produce.
     """
     if fault is None or fault.kind != "overlap-slices":
         return
     src = f"rank{fault.rank}"
     dst = f"rank{max(0, fault.rank - 1)}"
     for ev in events:
-        if ev.region is not None and ev.region == (src, "ring"):
+        if ev.actor == src and ev.region == (src, "ring"):
             ev.region = (dst, "ring")
 
 

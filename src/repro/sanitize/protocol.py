@@ -5,7 +5,7 @@ multi-replica engine (:mod:`repro.compass.batched`) implement the
 paper's one-spike-per-tick contract over shared state by hand: a small
 set of regions, each written by exactly the actors and phases the wire
 format in ``parallel.py``'s module docstring claims, with the per-tick
-pipe barrier as the only ordering edge.  This module states that design
+``go`` / ``done`` barrier as the only ordering edge.  This module states that design
 as *data* — one :class:`RegionSpec` per region, one :class:`Access`
 per (role, phase, kind) the protocol allows — so both sanitizer layers
 check the same source of truth:
@@ -45,21 +45,21 @@ SANITIZE_CODES: dict[str, SourceRuleInfo] = {
                        "tick protocol; either the code or the RegionSpec table "
                        "is wrong — fix whichever one misstates the design"),
         SourceRuleInfo("SL202", "access-in-barrier-window", Severity.ERROR,
-                       "the coordinator must not touch shared regions between "
-                       "releasing the workers (send loop) and collecting every "
-                       "reply (recv loop); move the access to scatter or gather"),
-        SourceRuleInfo("SL203", "worker-access-after-reply", Severity.ERROR,
-                       "a worker's reply hands the shared regions back to the "
-                       "coordinator; move the access before conn.send(tick)"),
+                       "between releasing the peers (go) and taking every done "
+                       "the caller is rank 0 and nothing else; move the access "
+                       "to inject or gather"),
+        SourceRuleInfo("SL203", "rank-access-after-done", Severity.ERROR,
+                       "a rank's done hands its regions back to the caller; "
+                       "move the access before done.release()"),
         SourceRuleInfo("SL204", "stale-protocol-accessor", Severity.WARNING,
                        "the protocol declares an access the source no longer "
                        "performs; prune the Access entry so the table stays "
                        "an exact model of the code"),
         SourceRuleInfo("SL205", "missing-barrier-edge", Severity.ERROR,
-                       "the tick barrier (send loop + recv loop on the "
-                       "coordinator, recv + reply send on the worker) is the "
-                       "only ordering edge; the engine source must keep both "
-                       "halves"),
+                       "the tick barrier (go release + done wait in "
+                       "step_arrays, go acquire + done release in the rank "
+                       "loop) is the only ordering edge; the engine source "
+                       "must keep both halves"),
         SourceRuleInfo("SL210", "shared-memory-data-race", Severity.ERROR,
                        "two actors touched an overlapping slice of one region "
                        "with no barrier edge ordering them; both stacks are in "
@@ -81,11 +81,14 @@ class Access:
     """One allowed (role, phase, kind) access to a region.
 
     *phase* is the coarse static phase the AST checker classifies
-    source accesses into (``init``, ``scatter``, ``gather``, ``tick``,
-    ``reset``); *dyn_phases* are the fine-grained runtime phases the
-    dynamic recorder stamps (``deliver``/``integrate``/``update``/
-    ``route`` inside a worker tick, else the coarse phase itself).
-    *kind* is ``"r"``, ``"w"``, or ``"rw"``.
+    source accesses into (``inject``, ``gather``, ``tick``, ``reset``,
+    ``other:<method>``); *dyn_phases* are the fine-grained runtime
+    phases the dynamic recorder stamps (``deliver``/``integrate``/
+    ``update``/``route`` inside a rank's tick, else the coarse phase
+    itself).  *kind* is ``"r"``, ``"w"``, or ``"rw"``.  Role ``peer`` —
+    a rank touching another rank's region — exists only at run time:
+    the source cannot tell whose slab ``rings[dst]`` is, so statically
+    a peer's access is the ``rank`` entry's.
     """
 
     role: str
@@ -106,9 +109,12 @@ class Access:
 class RegionSpec:
     """One shared region: layout plus its full allowed-access set.
 
-    *opaque* regions (the per-rank flight rings) are mediated by their
-    own lock-free record format and are excluded from the binding and
-    access checks.
+    *opaque* regions (the per-rank flight rings, the sync word that is
+    the barrier's own payload) are mediated by their own format and are
+    excluded from the binding and access checks.  Writes recorded in
+    one of *set_phases* only ever store ``True``: two actors setting
+    one bit commute, so such a pair is not a race — while the owner's
+    clear (another phase) still conflicts with either.
     """
 
     name: str
@@ -117,6 +123,7 @@ class RegionSpec:
     shape: str
     accesses: tuple[Access, ...] = ()
     opaque: bool = False
+    set_phases: tuple[str, ...] = ()
 
     def static_allows(self, role: str, phase: str, kind: str) -> bool:
         """Is (role, phase, kind) inside the declared static protocol?"""
@@ -147,67 +154,63 @@ class TickProtocol:
         return self.regions.get(name)
 
 
-def _spec(name, scope, dtype, shape, accesses, opaque=False) -> RegionSpec:
-    return RegionSpec(name, scope, dtype, shape, tuple(accesses), opaque)
+def _spec(name, scope, dtype, shape, accesses, opaque=False, set_phases=()) -> RegionSpec:
+    return RegionSpec(name, scope, dtype, shape, tuple(accesses), opaque, set_phases)
 
 
-#: The partitioned shared-memory engine.  Mirrors the wire-format table
-#: in ``parallel.py``'s module docstring, with the barrier edges made
-#: explicit: the coordinator's scatter happens-before every worker's
-#: tick (send edge), and every worker's tick happens-before the
-#: coordinator's gather (reply edge).
+#: The partitioned shared-memory engine: peer ranks, the caller being
+#: rank 0.  Mirrors the wire-format table in ``parallel.py``'s module
+#: docstring, with the barrier edges made explicit: the caller's inject
+#: happens-before every rank's tick (``go``), and every rank's tick
+#: happens-before the caller's gather (``done``).  No edge orders two
+#: ranks *within* a tick; what keeps them apart is the ring invariant:
+#: delays are 1..MAX_DELAY over DELAY_SLOTS = MAX_DELAY + 1 slots, so a
+#: slot set during tick t, ``(t + d) % DELAY_SLOTS``, is never the slot
+#: ``t % DELAY_SLOTS`` its owner consumes during tick t — the dynamic
+#: layer checks exactly that, slot by slot.
 PARALLEL_PROTOCOL = TickProtocol(
     engine="parallel",
-    roles=("coordinator", "worker"),
+    roles=("caller", "rank", "peer"),
     barrier=(
-        "full per-tick barrier: coordinator conn.send(tick) -> worker; "
-        "worker conn.send(tick) reply -> coordinator; pipes carry only "
-        "tick numbers"
+        "per tick and child rank: caller go.release() -> rank; rank "
+        "done.release() -> caller; rank 0 runs in the caller between the "
+        "two; pipes carry no per-tick traffic"
     ),
     regions={
         "ring": _spec(
             "ring", "per-rank", "bool", "(DELAY_SLOTS, n_axons)",
             [
-                Access("worker", "tick", "rw", ("deliver", "route")),
-                Access("coordinator", "init", "w"),
-                Access("coordinator", "scatter", "w"),
-                Access("coordinator", "gather", "w"),
-                # Checkpointing: the coordinator reads every rank's ring
-                # at the inter-tick barrier (snapshot) and rewrites it
-                # on restore; workers are parked in conn.recv() both
-                # times, so the pipe edge still orders every access.
-                Access("coordinator", "other:snapshot", "r", ("snapshot",)),
-                Access("coordinator", "other:restore", "w", ("restore",)),
+                Access("rank", "tick", "rw", ("deliver", "route")),
+                Access("peer", "tick", "w", ("route",)),
+                Access("caller", "inject", "w"),
+                # Checkpointing: the caller reads every rank's ring
+                # between ticks (snapshot) and rewrites it on restore;
+                # every child is parked on go both times, so the last
+                # done edge still orders every access.
+                Access("caller", "other:snapshot", "r", ("snapshot",)),
+                Access("caller", "other:restore", "w", ("restore",)),
             ],
+            set_phases=("route",),
         ),
         "spikes": _spec(
             "spikes", "per-rank", "int64", "(1 + n_neurons,)",
             [
-                Access("worker", "tick", "w", ("route",)),
-                Access("coordinator", "init", "w"),
-                Access("coordinator", "gather", "r"),
-            ],
-        ),
-        "outbox": _spec(
-            "outbox", "per-rank", "int64", "(1 + 3 * n_neurons,)",
-            [
-                Access("worker", "tick", "w", ("route",)),
-                Access("coordinator", "init", "w"),
-                Access("coordinator", "gather", "r"),
+                Access("rank", "tick", "w", ("route",)),
+                Access("caller", "gather", "r"),
             ],
         ),
         "stats": _spec(
-            "stats", "per-rank", "int64", "(6 + n_cores,)",
+            "stats", "per-rank", "int64", "(7 + n_cores,)",
             [
-                Access("worker", "tick", "rw", ("route",)),
-                Access("coordinator", "init", "w"),
-                Access("coordinator", "gather", "r"),
+                Access("rank", "tick", "w", ("route",)),
+                Access("caller", "gather", "r"),
             ],
         ),
         "obs": _spec(
-            "obs", "per-rank", "int64", "FlightRecorder ring: 6-word head + ROW_DTYPE rows",
-            [], opaque=True,
+            "obs", "per-child-rank", "int64",
+            "FlightRecorder ring: 6-word head + ROW_DTYPE rows", [], opaque=True,
         ),
+        "sync": _spec("sync", "rank 0", "int64", "(1,)", [], opaque=True),
     },
 )
 
@@ -249,13 +252,23 @@ PROTOCOLS = {
 }
 
 
-def role_of_actor(actor: str) -> str:
-    """Protocol role of a runtime actor id (``coord``/``rankN``/``engine``)."""
-    if actor == "coord":
-        return "coordinator"
-    if actor.startswith("rank"):
-        return "worker"
-    return "engine"
+#: Runtime phases of a rank's own tick; any other phase of a ``rankN``
+#: actor is rank 0 acting as the caller.
+TICK_PHASES = ("deliver", "integrate", "update", "route")
+
+
+def role_of_actor(actor: str, phase: str = "deliver", owner: str | None = None) -> str:
+    """Protocol role of a runtime access by *actor* in *phase* to *owner*'s region.
+
+    ``rankN`` inside its own tick is ``rank`` on its own regions and
+    ``peer`` on another rank's; outside a tick it is the caller (only
+    rank 0 ever is).  Any other actor is the batched ``engine``.
+    """
+    if not actor.startswith("rank"):
+        return "engine"
+    if phase not in TICK_PHASES:
+        return "caller"
+    return "rank" if owner in (None, actor) else "peer"
 
 
 __all__ = [

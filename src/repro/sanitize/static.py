@@ -2,30 +2,37 @@
 
 Parses :mod:`repro.compass.parallel` and extracts what the code
 *actually does* with the shared regions — which names bind
-``np.ndarray(..., buffer=shm.buf)`` views, which subscript reads and
-writes hit them, and where each access sits relative to the tick
-barrier (the coordinator's send loop / recv loop, the worker's
-``conn.recv()`` / reply ``conn.send(tick)``).  The result is diffed
-against the declarative :data:`~repro.sanitize.protocol.PARALLEL_PROTOCOL`:
+``np.ndarray(..., buffer=shm["region"].buf)`` views, which subscript
+reads and writes hit them, and where each access sits relative to the
+tick barrier (the caller's ``_release`` / ``_await_done`` in
+``step_arrays``, a child rank's ``go`` acquire / ``done.release()`` in
+``_rank_main``).  The result is diffed against the declarative
+:data:`~repro.sanitize.protocol.PARALLEL_PROTOCOL`:
 
 * SL200 — a buffer-backed view binding that does not resolve to a
   declared region;
 * SL201 — an access outside the declared (role, phase, kind) set;
-* SL202 — a coordinator access inside the barrier window (between
-  releasing the workers and collecting every reply);
-* SL203 — a worker access after its reply send (the region is the
-  coordinator's again);
+* SL202 — a caller access inside the barrier window (between releasing
+  the peers and taking every ``done``), where the caller is rank 0 and
+  nothing else;
+* SL203 — a child rank's access after its ``done`` (the region is the
+  caller's again);
 * SL204 — a declared access the source never performs (stale table);
-* SL205 — a missing barrier edge (send/recv loop or worker recv/reply
-  gone from the source).
+* SL205 — a missing barrier edge (release / await gone from
+  ``step_arrays``, acquire / release gone from the rank loop).
 
-Resolution is deliberately syntactic and conservative: view-ness
-propagates through direct aliasing (``row = ring[slot]``), through the
-known wrapper :func:`~repro.sanitize.dynamic.shadow_view`, and through
-the coordinator's ``self._attr.append(view)`` pattern.  Anything the
-extractor cannot resolve is reported rather than ignored.  Findings
+Resolution is deliberately syntactic and conservative.  Views are born
+in ``_region_views`` (one ``np.ndarray`` binding per region, collected
+into per-region lists) and live as the attributes a
+``... = _region_views(...)`` unpacking names — ``rings`` / ``spikes`` /
+``stats`` on whichever object; from there view-ness propagates through
+direct aliasing (``row = ring[slot]``, tuple assignments, a ``for`` over
+``zip`` of view lists) and the known wrapper
+:func:`~repro.sanitize.dynamic.shadow_view`.  Whose slab ``rings[dst]``
+is cannot be told from the source, so a peer's access is checked as the
+``rank`` role here and as ``peer`` by the dynamic layer.  Findings
 honour the same ``# repro-lint: allow=CODE`` pragma as the source lint,
-so sanctioned exceptions (the fault-injection write) stay auditable
+so sanctioned exceptions (the fault-injection writes) stay auditable
 in-source.
 
 The batched engine is single-process — its phase protocol is enforced
@@ -44,6 +51,8 @@ from repro.sanitize.protocol import PARALLEL_PROTOCOL, SANITIZE_CODES, TickProto
 
 #: Call names that return a view of their first argument unchanged.
 VIEW_WRAPPERS = {"shadow_view"}
+#: The function every region view is bound in.
+BINDER = "_region_views"
 
 
 def _preorder(node: ast.AST):
@@ -62,37 +71,31 @@ def _leaf(func: ast.AST) -> str | None:
     return None
 
 
-def _buffer_kw(call: ast.Call) -> ast.AST | None:
-    for kw in call.keywords:
-        if kw.arg == "buffer":
-            return kw.value
-    return None
+def _calls(node: ast.AST, *leaves: str):
+    """Calls under *node* whose target's trailing name is one of *leaves*."""
+    return [n for n in _preorder(node)
+            if isinstance(n, ast.Call) and _leaf(n.func) in leaves]
 
 
-def _const_subscript_key(node: ast.AST) -> str | None:
-    """String key of ``name["key"]``-style subscripts."""
-    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
-        if isinstance(node.slice.value, str):
-            return node.slice.value
-    return None
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    """Attribute name of a ``self.X`` expression."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
+def _shm_buffer_key(call: ast.Call) -> tuple[bool, str | None]:
+    """(binds a ``<expr>.buf`` buffer, its ``["region"]`` key if constant)."""
+    buffer = next((kw.value for kw in call.keywords if kw.arg == "buffer"), None)
+    if not (isinstance(buffer, ast.Attribute) and buffer.attr == "buf"):
+        return False, None
+    owner = buffer.value
+    if (isinstance(owner, ast.Subscript) and isinstance(owner.slice, ast.Constant)
+            and isinstance(owner.slice.value, str)):
+        return True, owner.slice.value
+    return True, None
 
 
 def _max_lineno(node: ast.AST) -> int:
-    return max(
-        (n.lineno for n in ast.walk(node) if hasattr(n, "lineno")),
-        default=node.lineno,
-    )
+    return max((n.lineno for n in ast.walk(node) if hasattr(n, "lineno")),
+               default=node.lineno)
+
+
+def _elts(node: ast.AST) -> list[ast.AST]:
+    return list(node.elts) if isinstance(node, ast.Tuple) else [node]
 
 
 class _Findings:
@@ -105,289 +108,170 @@ class _Findings:
     def add(self, code: str, message: str, line: int) -> None:
         self.items.append((code, message, line))
 
-    def observe(self, region: str, role: str, phase: str, kind: str) -> None:
-        self.observed.add((region, role, phase, kind.lower()))
 
+def _bind_views(tree: ast.Module, protocol: TickProtocol, out: _Findings) -> dict[str, str]:
+    """SL200 over every shm binding; return ``{view-list attribute: region}``.
 
-def _access_kind(node: ast.Subscript) -> str:
-    return "W" if isinstance(node.ctx, (ast.Store, ast.Del)) else "R"
+    The map is read off the binder: which region each of its returned
+    lists collects, then which attributes a ``= _region_views(...)``
+    unpacking gives them to.
+    """
+    for call in _calls(tree, "ndarray"):
+        binds, key = _shm_buffer_key(call)
+        if binds and key is None:
+            out.add("SL200", "np.ndarray buffer binding does not resolve to a "
+                    "shared region", call.lineno)
+        elif binds and protocol.region(key) is None:
+            out.add("SL200", f"buffer binding to undeclared region {key!r}", call.lineno)
 
-
-def _check_access(
-    region: str, role: str, phase: str, kind: str, line: int,
-    protocol: TickProtocol, out: _Findings,
-) -> None:
-    """Record one observed access and diff it against the protocol."""
-    out.observe(region, role, phase, kind)
-    spec = protocol.region(region)
-    if spec is None or spec.opaque:
-        return
-    if phase == "barrier-window":
-        out.add("SL202",
-                f"coordinator {kind} access to {region!r} inside the "
-                "barrier window (between worker release and reply "
-                "collection)", line)
-        return
-    if phase == "after-reply":
-        out.add("SL203",
-                f"worker {kind} access to {region!r} after the barrier "
-                "reply", line)
-        return
-    if not spec.static_allows(role, phase, kind):
-        out.add("SL201",
-                f"{role} {kind} access to {region!r} in phase {phase!r} "
-                "is outside the declared protocol", line)
+    binder = next((n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == BINDER), None)
+    if binder is None:
+        out.add("SL200", f"engine source has no {BINDER}", 1)
+        return {}
+    local: dict[str, str] = {}  # binder local (view or list of views) -> region
+    returned: list[str | None] = []
+    for node in _preorder(binder):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            call, target = node.value, node.targets[0]
+            if not isinstance(target, ast.Name):
+                continue
+            if _leaf(call.func) == "ndarray":
+                key = _shm_buffer_key(call)[1]
+                if key is not None:
+                    local[target.id] = key
+            elif (_leaf(call.func) in VIEW_WRAPPERS and call.args
+                  and isinstance(call.args[0], ast.Name) and call.args[0].id in local):
+                local[target.id] = local[call.args[0].id]
+        elif (isinstance(node, ast.Call) and _leaf(node.func) == "append" and node.args
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in local
+              and isinstance(node.func.value, ast.Name)):
+            local[node.func.value.id] = local[node.args[0].id]
+        elif isinstance(node, ast.Return) and node.value is not None:
+            returned = [local.get(e.id) if isinstance(e, ast.Name) else None
+                        for e in _elts(node.value)]
+    attrs: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and _leaf(node.value.func) == BINDER):
+            for target, region in zip(_elts(node.targets[0]), returned):
+                if isinstance(target, ast.Attribute) and region is not None:
+                    attrs[target.attr] = region
+    return attrs
 
 
 class _Scope:
-    """View/alias bindings for one function scope."""
+    """One function's accesses, resolved through *attrs* and local aliases."""
 
-    def __init__(self) -> None:
-        self.shm_vars: dict[str, str] = {}  # local -> region (SharedMemory handle)
-        self.views: dict[str, str] = {}     # local -> region (ndarray view/alias)
+    def __init__(self, attrs: dict[str, str]) -> None:
+        self.attrs = attrs
+        self.views: dict[str, str] = {}  # local alias -> region
 
-    def resolve_buffer(self, node: ast.AST) -> str | None:
-        """Region of a ``buffer=...`` argument, or None if unresolvable."""
-        if isinstance(node, ast.Attribute) and node.attr == "buf":
-            owner = node.value
-            if isinstance(owner, ast.Name):
-                return self.shm_vars.get(owner.id)
-            key = _const_subscript_key(owner)
-            if key is not None:
-                return key
-        return None
+    def resolve(self, node: ast.AST) -> tuple[str | None, bool]:
+        """(region, touches shared data) of an expression, else (None, False).
 
+        A one-level subscript of a view *list* (``self.stats[rank]``)
+        selects a view without touching shared data; a deeper chain, or
+        any subscript of a view-typed local, is a data access.
+        """
+        depth = 0
+        while isinstance(node, ast.Subscript):
+            depth += 1
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in self.views:
+            return self.views[node.id], depth >= 1
+        if isinstance(node, ast.Attribute) and node.attr in self.attrs:
+            return self.attrs[node.attr], depth >= 2
+        return None, False
 
-def _bind_scope(
-    scope_node: ast.AST, scope: _Scope, attr_map: dict[str, str],
-    protocol: TickProtocol, out: _Findings, path_label: str,
-) -> None:
-    """Pass 1: collect view bindings and aliases, flag SL200 on the way."""
-    for node in _preorder(scope_node):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            # self._attr.append(view): the coordinator's retention pattern.
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in scope.views
-            ):
-                attr = _self_attr(node.func.value)
-                if attr is not None:
-                    attr_map[attr] = scope.views[node.args[0].id]
-            continue
-        target = node.targets[0].id
-        value = node.value
-        if isinstance(value, ast.IfExp):
-            value = value.body
-        if isinstance(value, ast.Call):
-            leaf = _leaf(value.func)
-            if leaf == "_attach" and value.args:
-                key = _const_subscript_key(value.args[0])
-                if key is not None:
-                    scope.shm_vars[target] = key
+    def bind(self, fn: ast.AST) -> None:
+        """Collect the local names that alias a view (or a list of them)."""
+        for node in _preorder(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                pairs = zip(_elts(node.targets[0]), _elts(node.value))
+            elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                  and _leaf(node.iter.func) == "zip"):
+                pairs = zip(_elts(node.target), node.iter.args)
+            else:
                 continue
-            if leaf == "ndarray":
-                buffer = _buffer_kw(value)
-                if buffer is None:
-                    continue
-                region = scope.resolve_buffer(buffer)
-                if region is None:
-                    out.add("SL200",
-                            "np.ndarray buffer binding does not resolve to "
-                            f"a shared region in {path_label}", value.lineno)
-                elif protocol.region(region) is None:
-                    out.add("SL200",
-                            f"buffer binding to undeclared region {region!r}",
-                            value.lineno)
-                else:
-                    scope.views[target] = region
+            for target, value in pairs:
+                region = self.resolve(value)[0]
+                if isinstance(target, ast.Name) and region is not None:
+                    self.views[target.id] = region
+
+    def check(self, fn: ast.AST, role: str, phase_of, protocol, out: _Findings) -> None:
+        """Diff every resolvable subscript under *fn* against the protocol."""
+        self.bind(fn)
+        seen: set[tuple] = set()
+        for node in _preorder(fn):
+            if not isinstance(node, ast.Subscript):
                 continue
-            if leaf in VIEW_WRAPPERS and value.args:
-                first = value.args[0]
-                if isinstance(first, ast.Name) and first.id in scope.views:
-                    scope.views[target] = scope.views[first.id]
+            region, is_access = self.resolve(node)
+            spec = protocol.region(region) if is_access else None
+            if spec is None or spec.opaque:
                 continue
-        if isinstance(value, ast.Subscript):
-            region, _ = _resolve_subscript(value, scope, attr_map)
-            if region is not None:
-                scope.views[target] = region
+            kind = "W" if isinstance(node.ctx, (ast.Store, ast.Del)) else "R"
+            phase = phase_of(node.lineno)
+            if (region, kind, node.lineno) in seen:
+                continue
+            seen.add((region, kind, node.lineno))
+            out.observed.add((region, role, phase, kind.lower()))
+            if phase == "barrier-window":
+                out.add("SL202", f"caller {kind} access to {region!r} inside the "
+                        "barrier window (between go and done)", node.lineno)
+            elif phase == "after-done":
+                out.add("SL203", f"rank {kind} access to {region!r} after its "
+                        "done", node.lineno)
+            elif not spec.static_allows(role, phase, kind):
+                out.add("SL201", f"{role} {kind} access to {region!r} in phase "
+                        f"{phase!r} is outside the declared protocol", node.lineno)
 
 
-def _resolve_subscript(
-    node: ast.Subscript, scope: _Scope, attr_map: dict[str, str],
-) -> tuple[str | None, bool]:
-    """(region, is-data-access) of a subscript chain, else (None, False).
-
-    A one-level subscript of a ``self._attr`` *list* of views (e.g.
-    ``self._stats[rank]``) selects a view without touching shared data;
-    only deeper chains — or any subscript of a view-typed local — are
-    data accesses.
-    """
-    depth = 0
-    cur: ast.AST = node
-    while isinstance(cur, ast.Subscript):
-        depth += 1
-        cur = cur.value
-    if isinstance(cur, ast.Name) and cur.id in scope.views:
-        return scope.views[cur.id], True
-    attr = _self_attr(cur)
-    if attr is not None and attr in attr_map:
-        return attr_map[attr], depth >= 2
-    return None, False
-
-
-def _collect_accesses(
-    scope_node: ast.AST, scope: _Scope, attr_map: dict[str, str],
-    phase_of, role: str, protocol: TickProtocol, out: _Findings,
-) -> None:
-    """Pass 2: diff every resolvable subscript against the protocol."""
-    seen: set[tuple] = set()
-    for node in _preorder(scope_node):
-        if not isinstance(node, ast.Subscript):
-            continue
-        region, is_access = _resolve_subscript(node, scope, attr_map)
-        if region is None or not is_access:
-            continue
-        kind = _access_kind(node)
-        phase = phase_of(node.lineno)
-        key = (region, kind, phase, node.lineno)
-        if key in seen:
-            continue
-        seen.add(key)
-        _check_access(region, role, phase, kind, node.lineno, protocol, out)
-
-
-def _check_worker(
-    worker: ast.FunctionDef, protocol: TickProtocol, out: _Findings,
-) -> None:
-    loop = next(
-        (n for n in _preorder(worker) if isinstance(n, ast.While)), None
-    )
+def _check_rank_loop(fn: ast.FunctionDef, attrs, protocol, out: _Findings) -> None:
+    """The child rank's loop: both barrier halves, nothing after ``done``."""
+    loop = next((n for n in _preorder(fn) if isinstance(n, ast.While)), None)
     if loop is None:
-        out.add("SL205", "_worker_main has no tick loop", worker.lineno)
+        out.add("SL205", f"{fn.name} has no tick loop", fn.lineno)
         return
-    recv_line = reply_line = None
-    for node in _preorder(loop):
-        if not isinstance(node, ast.Call):
-            continue
-        leaf = _leaf(node.func)
-        if leaf == "recv" and recv_line is None:
-            recv_line = node.lineno
-        if (
-            leaf == "send"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == "tick"
-        ):
-            reply_line = node.lineno
-    if recv_line is None:
-        out.add("SL205", "worker tick loop never receives the barrier tick",
-                loop.lineno)
-    if reply_line is None:
-        out.add("SL205", "worker tick loop never sends the barrier reply",
-                loop.lineno)
-
-    scope = _Scope()
-    _bind_scope(worker, scope, {}, protocol, out, "_worker_main")
-    loop_end = _max_lineno(loop)
+    if not _calls(loop, "acquire", "_spin"):
+        out.add("SL205", "rank loop never takes go", loop.lineno)
+    done = [c.lineno for c in _calls(loop, "release")
+            if isinstance(c.func, ast.Attribute) and _leaf(c.func.value) == "done"]
+    if not done:
+        out.add("SL205", "rank loop never posts done", loop.lineno)
+    last, end = max(done, default=_max_lineno(loop)), _max_lineno(loop)
 
     def phase_of(line: int) -> str:
-        if loop.lineno <= line <= loop_end:
-            if reply_line is not None and line > reply_line:
-                return "after-reply"
-            return "tick"
-        return "setup"
+        if not loop.lineno <= line <= end:
+            return "setup"
+        return "after-done" if line > last else "tick"
 
-    _collect_accesses(worker, scope, {}, phase_of, "worker", protocol, out)
+    _Scope(attrs).check(fn, "rank", phase_of, protocol, out)
 
 
-def _check_coordinator(
-    cls: ast.ClassDef, protocol: TickProtocol, out: _Findings,
-) -> None:
-    methods = {
-        n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
-    }
-    spawn = methods.get("_spawn")
+def _check_caller(cls: ast.ClassDef, attrs, protocol, out: _Findings) -> None:
+    """The simulator: inject | barrier window | gather in ``step_arrays``."""
+    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
     step = methods.get("step_arrays")
-    if spawn is None or step is None:
-        out.add("SL205",
-                "coordinator is missing _spawn or step_arrays", cls.lineno)
+    if step is None:
+        out.add("SL205", f"{cls.name} has no step_arrays", cls.lineno)
         return
+    release = [c.lineno for c in _calls(step, "_release")]
+    wait = [_max_lineno(s) for s in step.body if _calls(s, "_await_done")]
+    if not release:
+        out.add("SL205", "step_arrays never releases the peers (go)", step.lineno)
+    if not wait:
+        out.add("SL205", "step_arrays never waits for the peers (done)", step.lineno)
+    window = (min(release), max(wait)) if release and wait else None
 
-    attr_map: dict[str, str] = {}
-    spawn_scope = _Scope()
-    _bind_scope(spawn, spawn_scope, attr_map, protocol, out, "_spawn")
-    _collect_accesses(
-        spawn, spawn_scope, attr_map, lambda line: "init",
-        "coordinator", protocol, out,
-    )
-
-    send_loop = recv_loop = None
-    for stmt in step.body:
-        for node in _preorder(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            leaf = _leaf(node.func)
-            if leaf == "send" and send_loop is None and isinstance(stmt, ast.For):
-                send_loop = stmt
-            if leaf in ("recv", "_barrier_recv") and isinstance(stmt, ast.For):
-                if recv_loop is None and stmt is not send_loop:
-                    recv_loop = stmt
-    if send_loop is None:
-        out.add("SL205", "step_arrays has no worker-release send loop",
-                step.lineno)
-    if recv_loop is None:
-        out.add("SL205", "step_arrays has no barrier reply-collection loop",
-                step.lineno)
-
-    if send_loop is not None and recv_loop is not None:
-        window = (send_loop.lineno, _max_lineno(recv_loop))
-
-        def phase_of(line: int) -> str:
-            if line < window[0]:
-                return "scatter"
-            if line <= window[1]:
-                return "barrier-window"
-            return "gather"
-    else:
-        def phase_of(line: int) -> str:
-            return "scatter"
-
-    step_scope = _Scope()
-    _bind_scope(step, step_scope, attr_map, protocol, out, "step_arrays")
-    _collect_accesses(
-        step, step_scope, attr_map, phase_of, "coordinator", protocol, out,
-    )
+    def step_phase(line: int) -> str:
+        if window is None or line < window[0]:
+            return "inject"
+        return "barrier-window" if line <= window[1] else "gather"
 
     for name, method in methods.items():
-        if name in ("_spawn", "step_arrays"):
-            continue
-        other_scope = _Scope()
-        _bind_scope(method, other_scope, attr_map, protocol, out, name)
-        _collect_accesses(
-            method, other_scope, attr_map,
-            lambda line, name=name: f"other:{name}",
-            "coordinator", protocol, out,
-        )
-
-
-def _check_stale(protocol: TickProtocol, out: _Findings) -> None:
-    """SL204: declared accesses the source never performs."""
-    for spec in protocol.regions.values():
-        if spec.opaque:
-            continue
-        for access in spec.accesses:
-            for letter in access.kind:
-                if (spec.name, access.role, access.phase, letter) not in out.observed:
-                    out.add("SL204",
-                            f"protocol declares {access.role} {letter.upper()} "
-                            f"access to {spec.name!r} in phase "
-                            f"{access.phase!r} but the source never performs "
-                            "it", 1)
+        phase_of = step_phase if method is step else (lambda line, n=name: f"other:{n}")
+        _Scope(attrs).check(method, "caller", phase_of, protocol, out)
 
 
 def check_parallel_text(
@@ -407,26 +291,29 @@ def check_parallel_text(
         return report
 
     out = _Findings()
-    worker = next(
-        (n for n in tree.body
-         if isinstance(n, ast.FunctionDef) and n.name == "_worker_main"),
-        None,
-    )
-    cls = next(
-        (n for n in tree.body
-         if isinstance(n, ast.ClassDef) and n.name == "ParallelCompassSimulator"),
-        None,
-    )
-    if worker is None:
-        out.add("SL205", "engine source has no _worker_main", 1)
-    else:
-        _check_worker(worker, protocol, out)
-    if cls is None:
-        out.add("SL205", "engine source has no ParallelCompassSimulator", 1)
-    else:
-        _check_coordinator(cls, protocol, out)
-    _check_stale(protocol, out)
-
+    attrs = _bind_views(tree, protocol, out)
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for name, check in (("_rank_main", _check_rank_loop),
+                        ("ParallelCompassSimulator", _check_caller)):
+        if name in top:
+            check(top[name], attrs, protocol, out)
+        else:
+            out.add("SL205", f"engine source has no {name}", 1)
+    if "_Rank" in top:
+        for method in top["_Rank"].body:
+            if isinstance(method, ast.FunctionDef):
+                phase = "tick" if method.name == "tick" else "setup"
+                _Scope(attrs).check(method, "rank", lambda line, p=phase: p, protocol, out)
+    # SL204: declared accesses the source never performs (``peer``
+    # entries are the dynamic layer's: see the module docstring).
+    for spec in protocol.regions.values():
+        for access in () if spec.opaque else spec.accesses:
+            for letter in access.kind:
+                if access.role != "peer" and (
+                        spec.name, access.role, access.phase, letter) not in out.observed:
+                    out.add("SL204", f"protocol declares {access.role} {letter.upper()} "
+                            f"access to {spec.name!r} in phase {access.phase!r} but "
+                            "the source never performs it", 1)
     _emit(out, text, path, report)
     return report
 
@@ -444,17 +331,10 @@ def sweep_buffer_bindings(text: str, path: str | Path) -> LintReport:
     except SyntaxError:
         return report  # the source lint owns SL100
     out = _Findings()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _leaf(node.func) == "ndarray":
-            buffer = _buffer_kw(node)
-            if (
-                buffer is not None
-                and isinstance(buffer, ast.Attribute)
-                and buffer.attr == "buf"
-            ):
-                out.add("SL200",
-                        "shared-memory buffer view bound outside the "
-                        "declared engine protocol", node.lineno)
+    for call in _calls(tree, "ndarray"):
+        if _shm_buffer_key(call)[0]:
+            out.add("SL200", "shared-memory buffer view bound outside the "
+                    "declared engine protocol", call.lineno)
     _emit(out, text, path, report)
     return report
 

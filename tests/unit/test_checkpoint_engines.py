@@ -9,6 +9,8 @@ PRNG makes this possible; these tests make it enforced.
 
 import json
 import os
+import signal
+import socket
 from dataclasses import fields
 
 import numpy as np
@@ -266,6 +268,40 @@ class TestSameEngineResume:
         assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
             full_events
         )
+
+    def test_parallel_restore_of_a_vector_beyond_the_socket_buffer(self):
+        # A child's membrane slice travels by pipe.  With the send buffer
+        # shrunk far below it (the default only holds ~26k neurons), the
+        # caller's send completes only if the child is already in recv.
+        net = random_network(
+            n_cores=8, n_axons=16, n_neurons=256, connectivity=0.2, seed=9,
+        )
+        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
+        full_sim, full_events = reference_run(net, ins)
+        ckpt, head = checkpoint_at(net, ins)
+
+        def hung(signum, frame):
+            raise AssertionError("restore() blocked on the control pipe")
+
+        resumed = ParallelCompassSimulator(net, n_workers=2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        try:
+            resumed.snapshot()  # spawn the pool
+            sock = socket.socket(fileno=os.dup(resumed._conns[0].fileno()))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)  # the minimum
+            sock.close()
+            signal.alarm(30)
+            resumed.restore(ckpt)
+            signal.alarm(0)
+            tail = drive(resumed, TICKS - SPLIT)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            resumed.close()
+        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
+            full_events
+        )
+        assert_logical_counters_equal(resumed.counters, full_sim.counters)
 
 
 class TestCrossEngineRestore:

@@ -208,51 +208,35 @@ class TestEngineSelection:
         assert isinstance(select_engine(net), FastCompassSimulator)
         assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
 
-    def test_auto_goes_parallel_above_threshold(self, monkeypatch):
-        # With spare CPUs and a network above the benchmarked neuron
-        # threshold, "auto" resolves to the partitioned parallel engine
-        # sized by auto_workers.
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(par, "AUTO_MIN_NEURONS", 16)
+    def test_parallel_engine_is_by_name_only(self):
+        # The decision rule for letting "auto" pick the parallel engine
+        # was measured and not met (docs/performance.md, PR 21), so a
+        # rank count comes from the caller or is 1.
         net = random_network(n_cores=6, n_neurons=8, seed=61)
-        sim = select_engine(net, "auto")
+        sim = select_engine(net, "parallel", n_workers=3)
         try:
-            assert isinstance(sim, ParallelCompassSimulator)
-            assert sim.n_workers == 4
+            assert isinstance(sim, ParallelCompassSimulator) and sim.n_workers == 3
         finally:
             sim.close()
+        assert select_engine(net, "parallel").n_workers == 1
 
-    def test_auto_stays_single_process_below_threshold(self, monkeypatch):
-        # Below AUTO_MIN_NEURONS the barrier would dominate: small-network
-        # latency must not regress, even with CPUs to spare.
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 8)
+    def test_auto_stays_single_process_below_threshold(self):
         net = random_network(n_cores=6, n_neurons=8, seed=62)
         assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
 
-    def test_auto_stays_single_process_on_single_cpu(self, monkeypatch):
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(par, "AUTO_MIN_NEURONS", 1)
+    def test_auto_stays_single_process_on_single_cpu(self):
         net = random_network(n_cores=6, seed=63)
         assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
 
-    def test_auto_parallel_resolution_is_correct(self, monkeypatch):
-        # End to end: an auto-resolved parallel engine still reproduces
-        # the reference kernel exactly.
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(par, "AUTO_MIN_NEURONS", 16)
+    def test_auto_parallel_resolution_is_correct(self):
+        # End to end: "auto", and the parallel engine asked for by name
+        # with "auto" ranks, both reproduce the reference kernel exactly.
         net = random_network(n_cores=4, n_neurons=8, stochastic=True, seed=64)
         ins = poisson_inputs(net, 10, 400.0, seed=3)
         ref = run_kernel(net, 10, ins)
-        got = run_engine(net, 10, ins, engine="auto")
-        assert got.first_mismatch(ref) is None
+        for engine in ("auto", "parallel"):
+            got = run_engine(net, 10, ins, engine=engine)
+            assert got.first_mismatch(ref) is None
 
     def test_auto_falls_back_for_rank_features(self):
         net = random_network(n_cores=2, seed=7)

@@ -131,7 +131,7 @@ class TestFlightRecorder:
 
 
 class TestAdoption:
-    """extend(): how the coordinator takes over a worker's ring."""
+    """extend(): how the parallel engine takes over a child rank's ring."""
 
     def test_extend_adopts_rows_and_sums_past_eviction(self):
         worker = FlightRecorder(4, bytearray(FlightRecorder.nbytes(4)))

@@ -327,7 +327,7 @@ class TestTraceBuffer:
         events = buf.chrome_trace_events()
         meta = [e for e in events if e["ph"] == "M"]
         complete = [e for e in events if e["ph"] == "X"]
-        assert {m["args"]["name"] for m in meta} == {"rank0 (coordinator)", "rank1"}
+        assert {m["args"]["name"] for m in meta} == {"rank0", "rank1"}
         first = complete[0]
         assert first["ts"] == 0.0  # rebased to the earliest span
         assert first["dur"] == 3.0  # ns -> us

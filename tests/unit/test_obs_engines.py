@@ -85,18 +85,19 @@ class TestParallelTraceMerge:
         sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
         sim.run(TICKS, inputs)
         sim.close()
-        # Coordinator is tid 0; each worker rank contributes its own row.
-        assert obs.trace.tids() == [0, 1, 2]
+        # Rank r is tid r: rank 0 wrote its rows in-process, with its
+        # phases like any other rank; rank 1's were adopted at close().
+        assert obs.trace.tids() == [0, 1]
         per_rank_phases = {
             tid: {s.name for s in obs.trace.spans() if s.tid == tid}
-            for tid in (1, 2)
+            for tid in (0, 1)
         }
         for names in per_rank_phases.values():
             assert set(PHASES) <= names
         # Merged view is tick-ordered across ranks.
         ticks = [s.tick for s in obs.trace.spans() if s.tick is not None]
         assert ticks == sorted(ticks)
-        # Worker phase time feeds the uniform phase metric.
+        # Every rank's phase time feeds the uniform phase metric.
         assert sum(obs.phase_seconds()[p] for p in PHASES) > 0
 
 
@@ -110,9 +111,13 @@ class TestParallelTraceMerge:
         sim.load_inputs(poisson_inputs(network, 40, 300.0, seed=3))
         for _ in range(40):
             sim.step_arrays()
-        assert [ring.recorded for ring in sim._worker_flights] == [40, 40]
-        accumulated = [ring.totals_ns() for ring in sim._worker_flights]
-        assert sim.phase_seconds == dict.fromkeys(PHASES, 0.0)  # adopted at close
+        rings = [obs.flight, *sim._worker_flights]  # rank 0's, then the child's
+        assert [ring.recorded for ring in rings] == [40, 40]
+        accumulated = [ring.totals_ns() for ring in rings]
+        # Rank 0's phases count as they happen; the child's are adopted at close.
+        assert sim.phase_seconds == {
+            phase: accumulated[0][f"{phase}_ns"] * 1e-9 for phase in PHASES
+        }
 
         per_record = []  # close() drains with array slices, not per record
         monkeypatch.setattr(FlightRecorder, "record",
@@ -129,13 +134,13 @@ class TestParallelTraceMerge:
             assert obs.phase_seconds()[phase] == sim.phase_seconds[phase] == total_ns * 1e-9
             assert (f'repro_phase_seconds_total{{phase="{phase}"}} {total_ns * 1e-9}'
                     in obs.metrics.to_prometheus())
-        for tid in (1, 2):
+        for tid in (0, 1):
             kept = [s.tick for s in obs.trace.spans()
                     if s.tid == tid and s.name == "tick"]
             assert kept == list(range(32, 40))
             update_ns = sum(s.end_ns - s.begin_ns for s in obs.trace.spans()
                             if s.tid == tid and s.name == "update")
-            assert 0 < update_ns < accumulated[tid - 1]["update_ns"]
+            assert 0 < update_ns < accumulated[tid]["update_ns"]
 
 
 class TestEngineSelectionLogging:
@@ -229,7 +234,7 @@ class TestCli:
         doc = json.loads(out.read_text())
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         tids = {e["tid"] for e in complete}
-        assert tids >= {0, 1, 2}  # coordinator + both worker ranks
+        assert tids == {0, 1}  # both ranks: the caller's own and the child's
         phase_names = {e["name"] for e in complete}
         assert set(PHASES) <= phase_names
         # Per-tick spans from all ranks appear in merged tick order.

@@ -1,11 +1,10 @@
-"""Tests for the shared-memory partitioned ParallelCompass expression."""
+"""Tests for the peer-rank shared-memory ParallelCompass expression."""
 
 import numpy as np
 import pytest
 
 from repro.compass import fast
 from repro.compass.parallel import (
-    _STOP,
     ParallelCompassSimulator,
     auto_workers,
     run_parallel_compass,
@@ -100,16 +99,32 @@ class TestParallelCompass:
         assert all(not p.is_alive() for p in sim._procs)
 
     def test_close_drains_workers_mid_protocol(self):
-        # If step_arrays() dies between scatter and gather, workers still
-        # owe a tick reply; close() must drain it so join cannot deadlock.
+        # If step_arrays() dies between go and done, the peers are inside
+        # a tick whose done nobody will take; close() must still stop
+        # them, so join cannot deadlock.
         net = random_network(n_cores=4, connectivity=0.6, seed=6)
-        sim = ParallelCompassSimulator(net, n_workers=2)
+        sim = ParallelCompassSimulator(net, n_workers=3)
         sim.step()  # spawn the pool
-        for rank, conn in enumerate(sim._conns):
-            conn.send(sim.tick)
-            sim._awaiting[rank] = True
+        sim._release(sim.tick)
         sim.close()  # must not hang
-        assert all(not p.is_alive() for p in sim._procs)
+        assert len(sim._procs) == 2
+        assert all(p.exitcode == 0 for p in sim._procs)
+
+    def test_rank_zero_runs_in_the_calling_process(self):
+        # N ranks are the caller plus N - 1 children: nobody coordinates.
+        import multiprocessing as mp
+
+        net = random_network(n_cores=6, connectivity=0.6, seed=6)
+        before = set(mp.active_children())
+        sim = ParallelCompassSimulator(net, n_workers=3)
+        try:
+            sim.step()
+            assert set(sim._procs) == set(mp.active_children()) - before
+            assert len(sim._procs) == 2 and sorted(sim.liveness()) == ["rank1", "rank2"]
+            assert all(probe() for probe in sim.liveness().values())
+        finally:
+            sim.close()
+        assert not any(probe() for probe in sim.liveness().values())
 
 
 class TestSharedMemoryLifecycle:
@@ -125,9 +140,11 @@ class TestSharedMemoryLifecycle:
             sim.load_inputs(ins)
             for _ in range(10):
                 sim.step()
-            assert len(sim._shms) == 2
+            assert [set(shms) for shms in sim._shms] == [
+                {"ring", "spikes", "stats", "sync"},  # rank 0 holds the sync word
+                {"ring", "spikes", "stats"},
+            ]
             for shms in sim._shms:
-                assert set(shms) == {"ring", "spikes", "outbox", "stats"}
                 for shm in shms.values():
                     probe = shared_memory.SharedMemory(name=shm.name)
                     probe.close()
@@ -141,25 +158,34 @@ class TestSharedMemoryLifecycle:
         sim = ParallelCompassSimulator(net, n_workers=2)
         sim.step()
         names = [shm.name for shms in sim._shms for shm in shms.values()]
-        assert len(names) == 8
+        assert len(names) == 7
         sim.close()
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_pipes_carry_only_tick_numbers(self):
-        # The control channel is a barrier, not a data plane: workers
-        # echo the bare tick int (and accept the stop sentinel).
-        net = random_network(n_cores=2, seed=9)
+    def test_pipes_carry_no_per_tick_traffic(self, monkeypatch):
+        # The barrier is the go / done semaphores; a pipe moves only
+        # between-tick control: here, the one snapshot round trip.
+        from multiprocessing.connection import Connection
+
+        net = random_network(n_cores=4, connectivity=0.6, seed=9)
         sim = ParallelCompassSimulator(net, n_workers=2)
         try:
-            sim.step()
-            assert _STOP < 0
-            for conn in sim._conns:
-                conn.send(sim.tick)
-            for conn in sim._conns:
-                assert conn.recv() == sim.tick
+            sim.load_inputs(poisson_inputs(net, 20, 500.0, seed=2))
+            sim.step()  # spawn
+            sent = []
+            send = Connection.send
+            monkeypatch.setattr(
+                Connection, "send", lambda conn, obj: (sent.append(obj), send(conn, obj))[1]
+            )
+            for _ in range(20):
+                sim.step()
+            assert sent == [] and not any(conn.poll() for conn in sim._conns)
+            sim.snapshot()
+            assert len(sent) == 1  # the request; the reply is sent in the child
         finally:
+            monkeypatch.undo()
             sim.close()
 
 
@@ -200,25 +226,19 @@ class TestAutoWorkers:
         assert auto_workers(net) == 1
 
     def test_threshold_is_above_every_size_two_workers_lost_at(self):
-        # docs/performance.md, PR 19: 0.5x at 16,384 neurons (the layer
-        # benchmark's own operating point) and 0.6x at 65,536.
+        # docs/performance.md, PR 21: the decision rule ROADMAP item 2
+        # fixed was NOT MET (two ranks 2.0x at 262,144 neurons, but 1.8x
+        # the RSS against a 1.5x bound), so there is no threshold left:
+        # "auto" is one rank at every size, whatever the host offers.
         from repro.compass import parallel as par
+        from repro.compass.engine import select_engine
 
-        assert par.AUTO_MIN_NEURONS > 65_536
-
-    def test_auto_spans_cpus_above_threshold(self, monkeypatch):
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(par, "AUTO_MIN_NEURONS", 16)
+        assert not hasattr(par, "AUTO_MIN_NEURONS")
         net = random_network(n_cores=6, n_neurons=8, seed=17)
-        assert auto_workers(net) == min(par.AUTO_MAX_WORKERS, 8, 6)
+        assert auto_workers(net) == auto_workers() == 1
+        assert isinstance(select_engine(net, "auto"), fast.FastCompassSimulator)
 
-    def test_single_cpu_host_never_goes_parallel(self, monkeypatch):
-        from repro.compass import parallel as par
-
-        monkeypatch.setattr(par, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(par, "AUTO_MIN_NEURONS", 1)
+    def test_single_cpu_host_never_goes_parallel(self):
         net = random_network(n_cores=6, seed=18)
         assert auto_workers(net) == 1
 
@@ -237,7 +257,10 @@ class TestAutoWorkers:
 
 
 class TestWorkerFailure:
-    """A dead rank must surface as WorkerFailedError, not a barrier hang."""
+    """A dead rank must surface as WorkerFailedError, not a barrier hang.
+
+    ``_procs[0]`` is rank 1's process: rank 0 is the test's own.
+    """
 
     @staticmethod
     def _fork_only():
@@ -255,9 +278,9 @@ class TestWorkerFailure:
         def _boom(*args, **kwargs):
             raise RuntimeError("injected worker fault")
 
-        # Fork inherits the patched module (the worker's TickState
-        # reaches the kernels through repro.compass.fast), so every
-        # worker raises on its first neuron update.
+        # Fork inherits the patched module (a rank's TickState reaches
+        # the kernels through repro.compass.fast), so every rank — the
+        # caller's own rank 0 first — raises on its first neuron update.
         monkeypatch.setattr(fast, "update_neurons", _boom)
         net = random_network(n_cores=4, connectivity=0.6, seed=31)
         sim = ParallelCompassSimulator(net, n_workers=2)
@@ -290,6 +313,109 @@ class TestWorkerFailure:
                 sim.step()
         assert "distinctive-worker-detail" in str(err.value)
         assert err.value.rank in (0, 1)
+
+    @pytest.mark.parametrize("phase", ["integrate", "update", "route"])
+    def test_child_failure_in_each_phase_is_bounded(self, phase, monkeypatch):
+        """Only rank 1 fails, while the caller is busy being rank 0: the
+        child's traceback still surfaces, well inside the deadline."""
+        self._fork_only()
+        import os
+        import time
+
+        from repro.compass import parallel as par
+
+        caller = os.getpid()
+        real = {"integrate": fast.TickState.integrate, "update": fast.TickState.update}
+
+        def _integrate(st, *args):
+            if phase == "integrate" and os.getpid() != caller:
+                raise ValueError("child-only-fault in integrate")
+            return real["integrate"](st, *args)
+
+        def _update(st, *args):
+            if phase == "update" and os.getpid() != caller:
+                raise ValueError("child-only-fault in update")
+            out = real["update"](st, *args)
+            if phase == "route" and os.getpid() != caller:
+                return (np.array([10**9]),)  # no such neuron: route's gather raises
+            return out
+
+        monkeypatch.setattr(fast.TickState, "integrate", _integrate)
+        monkeypatch.setattr(fast.TickState, "update", _update)
+        net = random_network(n_cores=4, connectivity=0.6, seed=36)
+        sim = ParallelCompassSimulator(net, n_workers=3)
+        sim.load_inputs(poisson_inputs(net, 4, 800.0, seed=1))
+        began = time.monotonic()
+        with pytest.raises(par.WorkerFailedError) as err:
+            sim.step()
+        assert time.monotonic() - began < 10.0 < par.REPLY_DEADLINE_S
+        assert err.value.rank in (1, 2)
+        assert "Traceback" in str(err.value)
+        assert ("IndexError" if phase == "route" else f"fault in {phase}") in str(err.value)
+        assert sim._closed and sim._shms == []
+        assert all(p.exitcode is not None for p in sim._procs)
+
+    def test_rank_killed_while_the_caller_computes(self):
+        net = random_network(n_cores=4, connectivity=0.6, seed=33)
+        sim = ParallelCompassSimulator(net, n_workers=2)
+        sim.step()
+        tick = sim._rank0.tick
+
+        def _kill_then_tick(t):
+            sim._procs[0].kill()
+            return tick(t)
+
+        sim._rank0.tick = _kill_then_tick
+        from repro.compass.parallel import WorkerFailedError
+
+        with pytest.raises(WorkerFailedError, match="died|closed") as err:
+            sim.step()
+        assert err.value.rank == 1
+        assert sim._closed and sim._shms == []
+        assert sim._procs[0].exitcode is not None
+
+    def test_children_of_a_dead_caller_exit_on_their_own(self, tmp_path):
+        """No pipe EOF wakes a rank parked on ``go``: the wait times out
+        and finds a new parent pid.  Nothing survives the caller — no
+        process, and (the resource tracker's doing) no segment."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        script = (
+            "import os, signal\n"
+            "from repro.compass.parallel import ParallelCompassSimulator\n"
+            "from repro.core.builders import random_network\n"
+            "sim = ParallelCompassSimulator(random_network(n_cores=4, seed=3), n_workers=3)\n"
+            "sim.step()\n"
+            "print(*[p.pid for p in sim._procs], flush=True)\n"
+            "print(*[s.name for d in sim._shms for s in d.values()], flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        pids, names = (line.split() for line in out.stdout.splitlines()[:2])
+        assert len(pids) == 2 and len(names) == 10
+
+        def _running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and (
+            any(_running(pid) for pid in pids)
+            or any(os.path.exists(f"/dev/shm/{name.lstrip('/')}") for name in names)
+        ):
+            time.sleep(0.1)
+        assert not any(_running(pid) for pid in pids)
+        assert not any(os.path.exists(f"/dev/shm/{name.lstrip('/')}") for name in names)
 
     def test_killed_worker_does_not_hang(self):
         net = random_network(n_cores=4, connectivity=0.6, seed=33)
@@ -341,7 +467,7 @@ class TestWorkerFailure:
                 if proc.is_alive():
                     proc.kill()
         assert time.monotonic() - began < 15.0
-        assert err.value.rank == 0
+        assert err.value.rank == 1
         assert sim._closed and sim._shms == []
         for proc in procs:
             assert not proc.is_alive() and proc.exitcode is not None
@@ -351,7 +477,7 @@ class TestWorkerFailure:
 
         (bundle,) = [p for p in tmp_path.iterdir() if p.name.startswith("crash-")]
         manifest = json.loads((bundle / "manifest.json").read_text())
-        assert manifest["reason"] == "worker_failed rank=0"
+        assert manifest["reason"] == "worker_failed rank=1"
         assert manifest["checkpoint_tick"] == 4
         with np.load(bundle / "flight.npz") as data:
             assert data["rows"]["tick"].tolist() == [0, 1, 2, 3, 4]

@@ -66,39 +66,51 @@ class TestProtocolTables:
 
     def test_parallel_regions(self):
         assert set(PARALLEL_PROTOCOL.regions) == {
-            "ring", "spikes", "outbox", "stats", "obs",
+            "ring", "spikes", "stats", "obs", "sync",
         }
+        assert PARALLEL_PROTOCOL.roles == ("caller", "rank", "peer")
         assert PARALLEL_PROTOCOL.region("obs").opaque
+        assert PARALLEL_PROTOCOL.region("sync").opaque
+        assert PARALLEL_PROTOCOL.region("ring").set_phases == ("route",)
         assert PARALLEL_PROTOCOL.region("missing") is None
 
     def test_static_allows(self):
         ring = PARALLEL_PROTOCOL.region("ring")
-        assert ring.static_allows("worker", "tick", "R")
-        assert ring.static_allows("worker", "tick", "w")
-        assert ring.static_allows("coordinator", "scatter", "W")
-        assert not ring.static_allows("coordinator", "scatter", "R")
-        assert not ring.static_allows("worker", "setup", "W")
+        assert ring.static_allows("rank", "tick", "R")
+        assert ring.static_allows("rank", "tick", "w")
+        assert ring.static_allows("caller", "inject", "W")
+        assert not ring.static_allows("caller", "inject", "R")
+        assert not ring.static_allows("caller", "gather", "W")
+        assert not ring.static_allows("rank", "setup", "W")
         stats = PARALLEL_PROTOCOL.region("stats")
-        assert stats.static_allows("coordinator", "gather", "R")
-        assert not stats.static_allows("coordinator", "gather", "W")
+        assert stats.static_allows("caller", "gather", "R")
+        assert not stats.static_allows("caller", "gather", "W")
 
     def test_dynamic_allows_uses_runtime_phases(self):
-        # The worker's static "tick" phase splits into deliver/route at
-        # runtime; the static label itself is not a runtime phase.
+        # A rank's static "tick" phase splits into deliver/route at
+        # runtime; the static label itself is not a runtime phase.  A
+        # peer may only set deliveries, and only in route.
         ring = PARALLEL_PROTOCOL.region("ring")
-        assert ring.dynamic_allows("worker", "deliver", "R")
-        assert ring.dynamic_allows("worker", "route", "W")
-        assert not ring.dynamic_allows("worker", "tick", "W")
+        assert ring.dynamic_allows("rank", "deliver", "R")
+        assert ring.dynamic_allows("rank", "route", "W")
+        assert not ring.dynamic_allows("rank", "tick", "W")
+        assert ring.dynamic_allows("peer", "route", "W")
+        assert not ring.dynamic_allows("peer", "route", "R")
+        assert not ring.dynamic_allows("peer", "deliver", "W")
+        assert not PARALLEL_PROTOCOL.region("spikes").dynamic_allows("peer", "route", "W")
         v = BATCHED_PROTOCOL.region("v")
         assert v.dynamic_allows("engine", "update", "W")
         assert v.dynamic_allows("engine", "reset", "W")
         assert not v.dynamic_allows("engine", "route", "W")
 
     def test_role_of_actor(self):
-        assert role_of_actor("coord") == "coordinator"
-        assert role_of_actor("rank0") == "worker"
-        assert role_of_actor("rank12") == "worker"
-        assert role_of_actor("engine") == "engine"
+        assert role_of_actor("rank0", "route", "rank0") == "rank"
+        assert role_of_actor("rank12", "deliver", "rank12") == "rank"
+        assert role_of_actor("rank0", "route", "rank1") == "peer"
+        # Outside a tick, rank 0 is the caller — on any rank's region.
+        assert role_of_actor("rank0", "gather", "rank1") == "caller"
+        assert role_of_actor("rank0", "inject", "rank0") == "caller"
+        assert role_of_actor("engine", "update", "batch") == "engine"
 
     def test_sanitize_enabled(self, monkeypatch):
         assert sanitize_enabled(True)
@@ -154,6 +166,20 @@ class TestShadowArray:
         (event,) = rec.events
         assert (event.lo, event.hi) == (0, 8)
 
+    def test_integer_array_key_names_its_slots(self):
+        # The ring's [slots, axons] scatter: the span stays whole, the
+        # mask says which first-axis indices were touched.
+        rec, arr = self._fresh()
+        arr[np.array([1, 6, 6]), np.array([0, 1, 2])] = 1
+        (event,) = rec.events
+        assert (event.kind, event.lo, event.hi, event.slots) == ("W", 0, 8, 0b1000010)
+        arr[np.array([3]), np.array([0])] = 1  # coalesces: masks OR
+        assert rec.events[-1].slots == 0b1001010 and rec.events[-1].count == 2
+        read = _ev("rank1", 1, "R", ("rank0", "ring"), 2, 3)
+        assert not event.overlaps(read) and not read.overlaps(event)
+        assert event.overlaps(_ev("rank1", 1, "R", ("rank0", "ring"), 2, 4))
+        assert event.overlaps(_ev("rank1", 1, "R", ("rank0", "ring"), 0, 8))
+
     def test_setitem_records_write_without_phantom_read(self):
         # numpy re-enters __getitem__ during some slice assignments;
         # the recorder must be muted for the duration (regression).
@@ -193,34 +219,63 @@ class TestShadowArray:
 class TestAnalyzer:
     def test_ordered_pair_is_clean(self):
         events = [
-            _ev("coord", 1, "W", ("rank0", "spikes"), 0, 4, phase="init"),
-            _ev("coord", 2, "send", peer="rank0", tick=0),
-            _ev("rank0", 1, "recv", peer="coord", tick=0),
-            _ev("rank0", 2, "W", ("rank0", "spikes"), 0, 4, tick=0, phase="route"),
+            _ev("rank0", 1, "W", ("rank1", "ring"), 0, 1, phase="inject"),
+            _ev("rank0", 2, "send", peer="rank1", tick=0),
+            _ev("rank1", 1, "recv", peer="rank0", tick=0),
+            _ev("rank1", 2, "R", ("rank1", "ring"), 0, 1, tick=0, phase="deliver"),
         ]
         report = analyze_access_log(events, PARALLEL_PROTOCOL)
         assert len(report) == 0, report.render_text()
 
     def test_unordered_overlapping_writes_race(self):
         events = [
-            _ev("coord", 1, "W", ("rank0", "spikes"), 0, 4, phase="init"),
-            _ev("rank0", 1, "W", ("rank0", "spikes"), 2, 6, tick=0, phase="route"),
+            _ev("rank0", 1, "R", ("rank1", "spikes"), 0, 4, phase="gather"),
+            _ev("rank1", 1, "W", ("rank1", "spikes"), 2, 6, tick=0, phase="route"),
         ]
         report = analyze_access_log(events, PARALLEL_PROTOCOL)
         assert report.codes() == ["SL210"]
 
     def test_disjoint_spans_do_not_race(self):
         events = [
-            _ev("coord", 1, "W", ("rank0", "spikes"), 0, 2, phase="init"),
-            _ev("rank0", 1, "W", ("rank0", "spikes"), 2, 6, tick=0, phase="route"),
+            _ev("rank0", 1, "R", ("rank1", "spikes"), 0, 2, phase="gather"),
+            _ev("rank1", 1, "W", ("rank1", "spikes"), 2, 6, tick=0, phase="route"),
         ]
         assert len(analyze_access_log(events, PARALLEL_PROTOCOL)) == 0
 
+    def test_ring_invariant_is_checked_slot_by_slot(self):
+        # Tick 5: the owner consumes slot 5 while a peer, with no edge
+        # between them, sets deliveries for ticks 6 and 20 (slot 4).
+        def log(peer_slots):
+            peer = _ev("rank0", 1, "W", ("rank1", "ring"), 0, 16, tick=5, phase="route")
+            peer.slots = sum(1 << slot for slot in peer_slots)
+            return [
+                peer,
+                _ev("rank1", 1, "R", ("rank1", "ring"), 5, 6, tick=5, phase="deliver"),
+                _ev("rank1", 2, "W", ("rank1", "ring"), 5, 6, tick=5, phase="deliver"),
+            ]
+
+        assert len(analyze_access_log(log([6, 4]), PARALLEL_PROTOCOL)) == 0
+        report = analyze_access_log(log([6, 5]), PARALLEL_PROTOCOL)
+        assert report.codes() == ["SL210", "SL210"], report.render_text()
+
+    def test_concurrent_sets_of_one_slot_commute(self):
+        # Owner and peer both set deliveries in slot 7 during route: the
+        # ring declares route set-only, so W/W there is no race — but
+        # the same pair of writes to spikes (no set phase) is.
+        def pair(name):
+            return [
+                _ev("rank0", 1, "W", ("rank1", name), 7, 8, tick=5, phase="route"),
+                _ev("rank1", 1, "W", ("rank1", name), 7, 8, tick=5, phase="route"),
+            ]
+
+        assert len(analyze_access_log(pair("ring"), PARALLEL_PROTOCOL)) == 0
+        assert "SL210" in analyze_access_log(pair("spikes"), PARALLEL_PROTOCOL).codes()
+
     def test_concurrent_reads_do_not_race(self):
         events = [
-            _ev("coord", 1, "R", ("rank0", "stats"), 0, 4, phase="gather"),
             _ev("rank0", 1, "R", ("rank0", "ring"), 0, 4, tick=0, phase="deliver"),
-            _ev("rank1", 1, "R", ("rank0", "ring"), 0, 4, tick=0, phase="deliver"),
+            _ev("rank1", 1, "R", ("rank1", "ring"), 0, 4, tick=0, phase="deliver"),
+            _ev("rank0", 2, "R", ("rank1", "stats"), 0, 4, phase="gather"),
         ]
         assert len(analyze_access_log(events, PARALLEL_PROTOCOL)) == 0
 
@@ -228,6 +283,12 @@ class TestAnalyzer:
         events = [_ev("engine", 1, "W", ("batch", "v"), 0, 2, phase="route")]
         report = analyze_access_log(events, BATCHED_PROTOCOL)
         assert report.codes() == ["SL211"]
+
+    def test_peer_touching_more_than_a_ring_is_out_of_phase(self):
+        events = [_ev("rank0", 1, "W", ("rank1", "spikes"), 0, 2, tick=0, phase="route")]
+        report = analyze_access_log(events, PARALLEL_PROTOCOL)
+        assert report.codes() == ["SL211"]
+        assert "'peer'" in report.render_text()
 
     def test_undeclared_region_is_out_of_phase(self):
         events = [_ev("engine", 1, "W", ("batch", "rogue"), 0, 2, phase="update")]
@@ -237,34 +298,38 @@ class TestAnalyzer:
 
     def test_torn_barrier_reports_sl212(self):
         events = [
-            _ev("rank0", 1, "recv", peer="coord", tick=3),
-            _ev("rank0", 2, "W", ("rank0", "spikes"), 0, 4, tick=3, phase="route"),
+            _ev("rank1", 1, "recv", peer="rank0", tick=3),
+            _ev("rank1", 2, "W", ("rank1", "spikes"), 0, 4, tick=3, phase="route"),
         ]
         report = analyze_access_log(events, PARALLEL_PROTOCOL)
         assert "SL212" in report.codes()
-        assert "rank0" in report.render_text()
+        assert "rank1" in report.render_text()
 
     def test_stamp_vector_clocks_orders_across_channel(self):
-        a = _ev("coord", 1, "send", peer="rank0", tick=0)
-        b = _ev("rank0", 1, "recv", peer="coord", tick=0)
-        c = _ev("rank0", 2, "W", ("rank0", "spikes"), 0, 1, tick=0, phase="route")
+        a = _ev("rank0", 1, "send", peer="rank1", tick=0)
+        b = _ev("rank1", 1, "recv", peer="rank0", tick=0)
+        c = _ev("rank1", 2, "W", ("rank1", "spikes"), 0, 1, tick=0, phase="route")
         leftover = stamp_vector_clocks([a, b, c])
         assert leftover == []
-        coord_i = 0  # actors sort as ["coord", "rank0"]
-        assert c.vc[coord_i] >= a.vc[coord_i]
+        caller_i = 0  # actors sort as ["rank0", "rank1"]
+        assert c.vc[caller_i] >= a.vc[caller_i]
 
     def test_stamp_vector_clocks_returns_blocked_suffix(self):
-        blocked = _ev("rank0", 1, "recv", peer="coord", tick=9)
-        tail = _ev("rank0", 2, "R", ("rank0", "ring"), 0, 1, tick=9, phase="deliver")
+        blocked = _ev("rank1", 1, "recv", peer="rank0", tick=9)
+        tail = _ev("rank1", 2, "R", ("rank1", "ring"), 0, 1, tick=9, phase="deliver")
         leftover = stamp_vector_clocks([blocked, tail])
         assert leftover == [blocked, tail]
 
     def test_overlap_relabel_moves_rank_events(self):
         mine = _ev("rank1", 1, "W", ("rank1", "ring"), 0, 4, phase="deliver")
         other = _ev("rank1", 2, "W", ("rank1", "spikes"), 0, 4, phase="route")
-        apply_overlap_relabel([mine, other], FaultInjection("overlap-slices", rank=1))
+        theirs = _ev("rank0", 1, "W", ("rank1", "ring"), 0, 4, phase="route")
+        apply_overlap_relabel(
+            [mine, other, theirs], FaultInjection("overlap-slices", rank=1)
+        )
         assert mine.region == ("rank0", "ring")
         assert other.region == ("rank1", "spikes")  # only ring is relabelled
+        assert theirs.region == ("rank1", "ring")  # and only the owner's accesses
 
 
 class TestStaticChecker:
@@ -285,52 +350,56 @@ class TestStaticChecker:
         report = check_protocol_sources()
         assert len(report) == 0, report.render_text()
 
+    GATHER = "            per_core = stats[_ST_N:]\n"
+    AWAIT = (
+        "        for rank in range(1, self.n_workers):\n"
+        "            self._await_done(rank)\n"
+    )
+
     def test_undeclared_buffer_binding_sl200(self):
-        mutated = self._mutate('buffer=shms["stats"].buf', 'buffer=shms["rogue"].buf')
+        mutated = self._mutate('buffer=shm["stats"].buf', 'buffer=shm["rogue"].buf')
         assert "SL200" in self._codes(mutated)
 
     def test_out_of_protocol_access_sl201(self):
-        anchor = "            stats = self._stats[rank]\n"
-        mutated = self._mutate(anchor, anchor + "            stats[0] = 99\n")
+        mutated = self._mutate(self.GATHER, self.GATHER + "            stats[0] = 99\n")
         codes = self._codes(mutated)
         assert "SL201" in codes, codes
 
     def test_access_in_barrier_window_sl202(self):
-        anchor = (
-            "        for rank in range(self.n_workers):\n"
-            "            self._barrier_recv(rank)\n"
-        )
         mutated = self._mutate(
-            anchor, "        self._rings[0][0, 0] = True\n" + anchor
+            self.AWAIT, "        rank0.rings[1][0, 0] = True\n" + self.AWAIT
         )
         codes = self._codes(mutated)
         assert "SL202" in codes, codes
 
     def test_worker_access_after_reply_sl203(self):
-        anchor = "            conn.send(tick)\n    except Exception:"
+        anchor = "            done.release()\n    except Exception:"
         mutated = self._mutate(
             anchor,
-            "            conn.send(tick)\n"
-            "            ring[0, 0] = False\n"
+            "            done.release()\n"
+            "            me.rings[rank][0, 0] = False\n"
             "    except Exception:",
         )
         codes = self._codes(mutated)
         assert "SL203" in codes, codes
 
     def test_missing_barrier_edge_sl205(self):
-        anchor = (
-            "        for rank in range(self.n_workers):\n"
-            "            self._barrier_recv(rank)\n"
-        )
-        mutated = self._mutate(anchor, "")
-        assert "SL205" in self._codes(mutated)
+        for half in (
+            self.AWAIT,
+            "        self._release(tick)\n",
+            "            done.release()\n",
+            "            while not (_spin(go) or go.acquire(timeout=_POLL_S)):\n"
+            "                if os.getppid() != parent_pid:\n"
+            "                    return\n",
+        ):
+            assert "SL205" in self._codes(self._mutate(half, "")), half
 
     def test_stale_protocol_accessor_sl204(self):
         # A declared access the source never performs is a WARNING, so
         # the report stays clean at the default ERROR threshold.
         stats = PARALLEL_PROTOCOL.region("stats")
         phantom = dataclasses.replace(
-            stats, accesses=stats.accesses + (Access("coordinator", "teardown", "r"),)
+            stats, accesses=stats.accesses + (Access("caller", "teardown", "r"),)
         )
         regions = dict(PARALLEL_PROTOCOL.regions)
         regions["stats"] = phantom
@@ -344,11 +413,10 @@ class TestStaticChecker:
         assert not report.clean(Severity.WARNING)
 
     def test_allow_pragma_suppresses(self):
-        anchor = "            stats = self._stats[rank]\n"
-        dirty = self._mutate(anchor, anchor + "            stats[0] = 99\n")
+        dirty = self._mutate(self.GATHER, self.GATHER + "            stats[0] = 99\n")
         clean = self._mutate(
-            anchor,
-            anchor + "            stats[0] = 99  # repro-lint: allow=SL201\n",
+            self.GATHER,
+            self.GATHER + "            stats[0] = 99  # repro-lint: allow=SL201\n",
         )
         assert "SL201" in self._codes(dirty)
         assert "SL201" not in self._codes(clean)
@@ -417,6 +485,17 @@ class TestFaultDetection:
     def test_overlap_slices_detected(self):
         report = self._parallel_report(FaultInjection("overlap-slices", rank=1))
         assert "SL210" in report.codes(), report.render_text()
+
+    def test_consumed_slot_write_detected(self):
+        # The one slot of a peer's slab the delay arithmetic can never
+        # reach; every other finding-free run proves the mask is exact.
+        report = self._parallel_report(FaultInjection("consumed-slot-write", rank=1))
+        assert report.codes() == ["SL210", "SL210"], report.render_text()
+        assert "rank1/ring" in report.render_text()
+
+    def test_out_of_phase_write_detected_on_parallel(self):
+        report = self._parallel_report(FaultInjection("out-of-phase-write", tick=2))
+        assert report.codes() == ["SL211"], report.render_text()
 
     def test_out_of_phase_write_detected_on_batched(self):
         network = _network()

@@ -47,6 +47,21 @@ class TestEvaluateHealth:
         assert doc["status"] == "degraded"
         assert doc["budget_ratio"] == pytest.approx(5.0)
 
+    def test_one_slow_tick_among_fast_ones_is_ok(self):
+        # The rule reads the flight window, not its last row: a single
+        # 50 ms hiccup on a shared host is not an engine running behind.
+        obs = Observer()
+        for tick in range(40):
+            obs.tick(tick, 0, 300_000, 0, 0)
+        obs.tick(40, 0, 50_000_000, 0, 0)
+        doc = evaluate_health(obs)
+        assert doc["status"] == "ok"
+        assert doc["budget_ratio"] == pytest.approx(50.0)
+        assert doc["slow_tick_share"] == pytest.approx(1 / 41)
+        for tick in range(41, 90):  # ... but a run of them is
+            obs.tick(tick, 0, 2_500_000, 0, 0)
+        assert evaluate_health(obs)["status"] == "degraded"
+
     def test_dead_probe_fails(self):
         obs = Observer()
         obs.tick(0, 0, 100_000, 0, 0)

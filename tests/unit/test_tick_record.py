@@ -129,11 +129,19 @@ class TestOneSchema:
             assert snap != later
             for name, attr in EVENT_METRICS.items():
                 assert snap[name] == getattr(sim.counters, attr), name
+            if engine == "parallel":  # N - 1 children; rank 0 is this process
+                assert evaluate_health(obs, sim.liveness())["workers"] == {"rank1": True}
         finally:
-            _close(sim)  # parallel: the workers' rows are adopted here
+            _close(sim)  # parallel: the child rank's rows are adopted here
 
         seconds = obs.phase_seconds()
         assert seconds == _span_seconds(obs)
+        if engine == "parallel":  # the sums cover all N ranks, rank 0's included
+            assert sorted(obs.rings) == [0, 1] and all(
+                ring.totals_ns()[f"{name}_ns"] > 0
+                for ring in obs.rings.values() for name in PHASES
+            )
+            assert evaluate_health(obs, sim.liveness())["workers"] == {"rank1": False}
         if engine != "batched":  # the one engine without the property
             assert seconds == sim.phase_seconds
         assert seconds == _phase_samples(obs.metrics.to_prometheus())
@@ -244,12 +252,13 @@ class TestScrapeUnderShutdown:
         sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
         sim.load_inputs(poisson_inputs(network, 50, 300.0, seed=3))
         with TelemetryServer(obs, port=0) as telemetry:
-            telemetry.add_liveness(
-                "workers", lambda: all(p.is_alive() for p in sim._procs))
+            sim.step_arrays()  # spawn: the children exist from here on
+            for name, probe in sim.liveness().items():
+                telemetry.add_liveness(name, probe)
             hammer = _Hammer(telemetry.url)
             hammer.start()
             try:
-                for _ in range(50):
+                for _ in range(49):
                     sim.step_arrays()
                 sim.close()
             finally:
@@ -266,10 +275,12 @@ class TestScrapeUnderShutdown:
             after.check()
             bodies = {path: body for path, _, body in after.responses}
         tids = {e["tid"] for e in json.loads(bodies["/trace"])["traceEvents"]}
-        assert tids == {0, 1, 2}
+        assert tids == {0, 1}
         assert 'repro_phase_seconds_total{phase="update"}' in bodies["/metrics"]
         assert json.loads(bodies["/flight"])["recorded"] == 50
-        assert json.loads(bodies["/health"])["status"] == "failed"  # pool is down
+        health = json.loads(bodies["/health"])
+        assert health["workers"] == {"rank1": False}  # N - 1 children, rank 0 is us
+        assert health["status"] == "failed"  # pool is down
         assert handler_errors == []
 
     def test_model_server_drains_and_closes_under_scrape(self, network, handler_errors):
