@@ -8,8 +8,8 @@ plus the decision rule ROADMAP item 2 fixed before the peer-rank
 rebuild: fast vs two ranks at the paper's 20 Hz x 128-synapse point,
 16,384 / 65,536 / 262,144 neurons, ten alternating pairs, tick p50 and
 peak RSS (``test_decision_rule_table``; the table and its verdict are
-in docs/performance.md, and :func:`repro.compass.parallel.auto_workers`
-follows from it).
+in docs/performance.md, and ``engine="auto"`` never selecting this
+engine follows from it).
 
 The speedup assertion needs real CPUs to share the work: on hosts with
 fewer than 4 usable cores the ranks serialize and the measurement would
@@ -28,8 +28,9 @@ import pytest
 from benchmarks.conftest import emit
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.compass.compile import compile_network
+from repro.compass.engine import select_engine
 from repro.compass.fast import FastCompassSimulator
-from repro.compass.parallel import ParallelCompassSimulator, auto_workers
+from repro.compass.parallel import ParallelCompassSimulator
 
 N_TICKS = 20
 
@@ -225,7 +226,7 @@ class TestParallelScaling:
             coupling="balanced", seed=5,
         )
         assert net.n_cores <= 16
-        assert auto_workers(net) == 1
+        assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
         compiled = compile_network(net)
 
         def run():

@@ -150,12 +150,11 @@ def _cmd_simulate(args) -> int:
     from repro.hardware.energy import EnergyModel
 
     network = _resolve_model(args.model)
-    workers = args.workers if args.workers == "auto" else int(args.workers)
     if args.resume or args.checkpoint_every:
-        return _simulate_checkpointed(args, network, workers)
+        return _simulate_checkpointed(args, network)
     record = run_engine(
         network, args.ticks, engine=args.expression, n_ranks=args.ranks,
-        n_workers=workers,
+        n_workers=args.workers,
     )
     c = record.counters
     print(f"{network.name or args.model}: {network.n_cores} cores, "
@@ -173,7 +172,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_checkpointed(args, network, workers) -> int:
+def _simulate_checkpointed(args, network) -> int:
     """The stepped simulate path: periodic checkpoints and/or --resume.
 
     Drives the selected engine tick by tick (instead of one-shot
@@ -188,7 +187,7 @@ def _simulate_checkpointed(args, network, workers) -> int:
     from repro.lint.diagnostics import LintError
 
     sim = select_engine(
-        network, args.expression, n_ranks=args.ranks, n_workers=workers,
+        network, args.expression, n_ranks=args.ranks, n_workers=args.workers,
     )
     if getattr(sim, "snapshot", None) is None:
         print(f"expression {args.expression!r} does not support "
@@ -383,9 +382,8 @@ def _run_observed(args):
     network = _resolve_model(args.model)
     inputs = poisson_inputs(network, args.ticks, args.rate, seed=args.seed)
     obs = Observer()
-    workers = args.workers if args.workers == "auto" else int(args.workers)
     sim = select_engine(
-        network, args.expression, n_ranks=args.ranks, n_workers=workers, obs=obs,
+        network, args.expression, n_ranks=args.ranks, n_workers=args.workers, obs=obs,
     )
     sim.run(args.ticks, inputs)
     # The parallel engine merges its per-rank trace strips at close().
@@ -595,9 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--expression", choices=list(ENGINES), default="auto",
                     help="kernel expression to run (auto = sparse fast path)")
     ps.add_argument("--ranks", type=int, default=1)
-    ps.add_argument("--workers", default="auto",
-                    help="worker processes for the parallel engine "
-                         "('auto' sizes to the host and network)")
+    ps.add_argument("--workers", type=int, default=2,
+                    help="ranks (processes) for the parallel engine")
     ps.add_argument("--output", help="write output spikes to this AER file")
     ps.add_argument("--checkpoint-every", type=int, default=None,
                     help="write a checkpoint every N ticks (docs/checkpoint.md)")
@@ -686,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(ENGINES), default="auto",
                        help="kernel expression to run (auto = sparse path)")
         p.add_argument("--ranks", type=int, default=1)
-        p.add_argument("--workers", default="auto",
-                       help="worker processes for the parallel engine")
+        p.add_argument("--workers", type=int, default=2,
+                       help="ranks (processes) for the parallel engine")
 
     pt = sub.add_parser(
         "trace",

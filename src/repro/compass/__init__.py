@@ -23,7 +23,6 @@ from repro.compass.batched import (
 from repro.compass.fast import FastCompassSimulator, run_fast_compass
 from repro.compass.parallel import (
     ParallelCompassSimulator,
-    auto_workers,
     run_parallel_compass,
 )
 from repro.compass.simmpi import SimMPI
@@ -36,7 +35,6 @@ __all__ = [
     "PartitionedNetwork",
     "compile_network",
     "partition_compiled",
-    "auto_workers",
     "select_engine",
     "run_engine",
     "partition",

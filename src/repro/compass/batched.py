@@ -40,6 +40,7 @@ import numpy as np
 from repro.compass.compile import CompiledNetwork, bind_compiled, csr_row_entries
 from repro.compass.fast import (
     TickState,
+    concat_columns,
     sort_runs,
     stage_inputs,
     staged_inputs,
@@ -515,26 +516,9 @@ class BatchedCompassSimulator:
         lane ``b``'s (seed, inputs).
         """
         self.load_inputs(inputs)
-        lanes_acc: list[np.ndarray] = []
-        ticks_acc: list[np.ndarray] = []
-        cores_acc: list[np.ndarray] = []
-        neurons_acc: list[np.ndarray] = []
-        for _ in range(n_ticks):
-            lanes, ticks, cores, neurons = self.step_arrays()
-            if lanes.size:
-                lanes_acc.append(lanes)
-                ticks_acc.append(ticks)
-                cores_acc.append(cores)
-                neurons_acc.append(neurons)
-        if lanes_acc:
-            all_lanes = np.concatenate(lanes_acc)
-            all_ticks = np.concatenate(ticks_acc)
-            all_cores = np.concatenate(cores_acc)
-            all_neurons = np.concatenate(neurons_acc)
-        else:
-            all_lanes = all_ticks = all_cores = all_neurons = np.zeros(
-                0, dtype=np.int64
-            )
+        all_lanes, all_ticks, all_cores, all_neurons = concat_columns(
+            self.step_arrays, n_ticks, 4
+        )
         if self._san is not None:
             self.sanitize_check()
         records = []

@@ -367,13 +367,6 @@ class CompiledNetwork(TickTables):
         """True when any stochastic mode is in use anywhere."""
         return self.any_stoch_synapse or self.any_stoch_leak or self.any_stoch_threshold
 
-    def membranes_per_core(self) -> list[np.ndarray]:
-        """Fresh per-core membrane arrays initialized to V(0)."""
-        return [
-            self.initial_v[self.neuron_base[i] : self.neuron_base[i + 1]].copy()
-            for i in range(self.n_cores)
-        ]
-
 
 def _build(network: Network) -> CompiledNetwork:
     """One full compilation pass (no caching)."""

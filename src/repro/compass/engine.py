@@ -17,7 +17,7 @@ Every returned simulator exposes the common driving surface:
 
 from __future__ import annotations
 
-from repro.compass.compile import CompiledNetwork, compile_network
+from repro.compass.compile import CompiledNetwork, bind_compiled, compile_network
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
@@ -36,7 +36,7 @@ def select_engine(
     engine: str = "auto",
     *,
     n_ranks: int = 1,
-    n_workers: int | str = "auto",
+    n_workers: int = 2,
     n_replicas: int = 1,
     replica_seeds=None,
     partition_strategy: str = "load_balanced",
@@ -50,9 +50,9 @@ def select_engine(
     for more than one replica (``n_replicas > 1``), otherwise the
     single-process FastCompass path.  It never resolves to the
     shared-memory parallel engine — the decision rule that would have
-    let it was measured and not met (see
-    :func:`repro.compass.parallel.auto_workers`); ask for
-    ``engine="parallel"`` and a rank count by name.  It falls back to the
+    let it was measured and not met (docs/performance.md, PR 21); ask
+    for ``engine="parallel"`` by name (*n_workers* ranks, two unless
+    said).  It falls back to the
     rank-partitioned Compass expression only when the caller requests
     rank-level behaviour (``n_ranks > 1``, which the flat engines do
     not model).
@@ -66,8 +66,8 @@ def select_engine(
     The compass-family engines accept a pre-built
     :class:`CompiledNetwork` and share it; the hardware and reference
     expressions take the underlying :class:`Network`.  An *obs*
-    observer (see :mod:`repro.obs`) is threaded through to the
-    compass-family engines for tracing and metrics, and the selection
+    observer (see :mod:`repro.obs`) is threaded through to every engine
+    but the scalar reference kernel for tracing and metrics, and the selection
     decision itself is logged on the ``repro.engine`` structured logger
     (set ``REPRO_LOG_LEVEL=INFO`` to see it).
 
@@ -128,7 +128,9 @@ def select_engine(
     if engine == "truenorth":
         from repro.hardware.simulator import TrueNorthSimulator
 
-        return TrueNorthSimulator(raw)
+        sim = TrueNorthSimulator(raw)
+        bind_compiled(sim, raw, obs)  # threads the observer; the artifact is a cache hit
+        return sim
     from repro.core.kernel import ReferenceKernel
 
     return ReferenceKernel(raw)

@@ -132,21 +132,6 @@ class WorkerFailedError(RuntimeError):
 REPLY_DEADLINE_S = 120.0
 
 
-def auto_workers(network: Network | CompiledNetwork | None = None) -> int:
-    """Rank count the ``"auto"`` engine policy uses: 1, for every network.
-
-    ROADMAP item 2 fixed the rule before the peer-rank rebuild: two
-    ranks at >= 1.5x the single-process tick at 262,144 neurons and
-    >= 1.0x at 65,536, with peak RSS (caller + children) <= 1.5x.
-    Measured (``benchmarks/bench_parallel_scaling.py``, table in
-    docs/performance.md, PR 21): 2.0x and 1.7x — and 1.8x the RSS, a
-    forked child's high-water mark starting at its parent's resident
-    set.  Not met, so ``"auto"`` never selects this engine; name it and
-    its rank count (``engine="parallel", n_workers=N``) to use it.
-    """
-    return 1
-
-
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach a child rank to a caller-created segment.
 
@@ -361,7 +346,6 @@ class ParallelCompassSimulator:
     kept partitioned artifact and performs an independent, fresh
     simulation.
 
-    ``n_workers="auto"`` is :func:`auto_workers`'s answer: one rank.
     ``gated`` selects the activity-gated update on every rank
     (``"auto"`` engages it when the network has any passive-stable
     neuron; bit-identical either way).
@@ -372,7 +356,7 @@ class ParallelCompassSimulator:
     def __init__(
         self,
         network: Network | CompiledNetwork,
-        n_workers: int | str = 2,
+        n_workers: int = 2,
         partition_strategy: str = "load_balanced",
         obs: Observer | None = None,
         gated: bool | str = "auto",
@@ -388,11 +372,9 @@ class ParallelCompassSimulator:
         self.sanitize_fault = resolve_fault(sanitize_fault)
         self.sanitize_report = None
         compiled = bind_compiled(self, network, obs, gated)
-        if n_workers == "auto":
-            n_workers = auto_workers(compiled)
         require(
             isinstance(n_workers, int) and n_workers >= 1,
-            "n_workers must be a positive integer or 'auto'",
+            "n_workers must be a positive integer",
         )
         self.n_workers = n_workers
         self.partition_strategy = partition_strategy
@@ -870,7 +852,7 @@ def run_parallel_compass(
     network: Network | CompiledNetwork,
     n_ticks: int,
     inputs: InputSchedule | None = None,
-    n_workers: int | str = 2,
+    n_workers: int = 2,
     partition_strategy: str = "load_balanced",
     obs: Observer | None = None,
     gated: bool | str = "auto",

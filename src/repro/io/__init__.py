@@ -13,8 +13,6 @@ from repro.io.checkpoint import (
     EngineCheckpoint,
     load_checkpoint,
     model_digest,
-    restore_simulator,
-    snapshot_simulator,
 )
 from repro.io.graph_json import (
     composition_graph,
@@ -36,8 +34,6 @@ __all__ = [
     "EngineCheckpoint",
     "load_checkpoint",
     "model_digest",
-    "restore_simulator",
-    "snapshot_simulator",
     "composition_graph",
     "network_graph",
     "read_graph_json",

@@ -14,7 +14,7 @@ codes:
   :func:`repro.utils.rng.seeded_rng` helper so seeding discipline has
   one auditable home;
 * ``SL104`` — wall-clock reads (``time.time``, ``perf_counter``, ...)
-  are banned inside ``core/`` and ``compass/`` tick paths (profiling
+  are banned inside ``core/``, ``compass/`` and ``hardware/`` tick paths (profiling
   hooks carry an explicit pragma);
 * ``SL105`` — every ``multiprocessing.shared_memory`` ``create=True``
   must be paired with ``.close()`` and ``.unlink()`` calls in the same
@@ -89,7 +89,7 @@ SOURCE_CODES: dict[str, SourceRuleInfo] = {
 DEFAULT_RNG_ALLOW = {"utils/rng.py"}
 
 #: Package sub-trees whose modules are tick paths (SL104 applies).
-TICK_PATH_PREFIXES = ("core/", "compass/")
+TICK_PATH_PREFIXES = ("core/", "compass/", "hardware/")
 
 #: Integer-kernel modules (SL106 applies).
 INT_KERNEL_MODULES = {

@@ -157,8 +157,8 @@ class StreamingRuntime:
         self.seed = seed
         # An engine holding this observer records its own tick rows;
         # the runtime records them only on behalf of one that does not
-        # (the reference and hardware expressions take no observer, and
-        # a constructed simulator may carry a different one).
+        # (the scalar reference kernel takes no observer, and a
+        # constructed simulator may carry a different one).
         self._records_ticks = getattr(simulator, "obs", None) is not obs
         self.telemetry: TelemetryServer | None = None
         if telemetry_port is not None:

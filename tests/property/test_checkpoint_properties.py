@@ -36,13 +36,12 @@ LOGICAL = (
 )
 
 
-def assert_counters_equal(got, want, logical_only=False, skip=()) -> None:
+def assert_counters_equal(got, want, logical_only=False) -> None:
     names = LOGICAL if logical_only else tuple(
         f.name for f in fields(want) if f.name != "synaptic_events_per_core"
     )
     for name in names:
-        if name not in skip:
-            assert getattr(got, name) == getattr(want, name), name
+        assert getattr(got, name) == getattr(want, name), name
     np.testing.assert_array_equal(
         got.synaptic_events_per_core, want.synaptic_events_per_core
     )
@@ -50,7 +49,7 @@ def assert_counters_equal(got, want, logical_only=False, skip=()) -> None:
 
 def drive(sim, n_ticks):
     events = []
-    step_arrays = getattr(sim, "step_arrays", None)
+    step_arrays = getattr(sim, "step_arrays", None)  # all but ReferenceKernel
     for _ in range(n_ticks):
         if step_arrays is not None:
             tick, cores, neurons = step_arrays()
@@ -207,8 +206,6 @@ class TestCrossEngineMatrixProperty:
         rate, seed = sched
         ins = poisson_inputs(net, TICKS, rate, seed=seed) if rate else None
         compiled = compile_network(net)
-        # TrueNorthSimulator does not tally membrane saturations.
-        skip = ("membrane_saturations",) if per_core is TrueNorthSimulator else ()
 
         full = FastCompassSimulator(compiled)
         full.load_inputs(ins)
@@ -233,7 +230,7 @@ class TestCrossEngineMatrixProperty:
         assert SpikeRecord.from_events(head + drive(fast, TICKS - split)) == full_rec
         np.testing.assert_array_equal(fast.v, full.v)
         assert_counters_equal(fast.counters, full.counters,
-                              logical_only=True, skip=skip)
+                              logical_only=True)
 
         batched = BatchedCompassSimulator(compiled, 2)
         batched.restore_lane(1, ckpt)
@@ -243,7 +240,7 @@ class TestCrossEngineMatrixProperty:
         assert SpikeRecord.from_events(head + tail) == full_rec
         np.testing.assert_array_equal(batched.v[1], full.v)
         assert_counters_equal(batched.lane_counters(1), full.counters,
-                              logical_only=True, skip=skip)
+                              logical_only=True)
 
         # ...and the other way: fast -> the per-core expression.
         lead = FastCompassSimulator(compiled)
@@ -254,7 +251,7 @@ class TestCrossEngineMatrixProperty:
         assert SpikeRecord.from_events(head + drive(back, TICKS - split)) == full_rec
         np.testing.assert_array_equal(back.snapshot().v, full.v)
         assert_counters_equal(back.counters, full.counters,
-                              logical_only=True, skip=skip)
+                              logical_only=True)
 
     @given(net=small_networks(), split=st.integers(1, TICKS - 1),
            sched=schedules(), n_workers=st.sampled_from([2, 3]))
@@ -305,5 +302,4 @@ class TestCrossEngineMatrixProperty:
             par3.close()
         assert SpikeRecord.from_events(head3 + tail3) == full_rec
         np.testing.assert_array_equal(v3, full.v)
-        assert_counters_equal(par3.counters, full.counters, logical_only=True,
-                              skip=("membrane_saturations",))
+        assert_counters_equal(par3.counters, full.counters, logical_only=True)

@@ -7,15 +7,18 @@ invariant in the repository: hypothesis explores the configuration space
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compass.simulator import run_compass
+from repro.compass.simulator import CompassSimulator, run_compass
 from repro.core import params
 from repro.core.builders import poisson_inputs, random_network
+from repro.core.chip import ChipGeometry, Placement
 from repro.core.inputs import InputSchedule
 from repro.core.kernel import run_kernel
 from repro.core.network import Core, Network
-from repro.hardware.simulator import run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.noc.multichip import ChipArray
 
 
 @st.composite
@@ -136,6 +139,64 @@ class TestExpressionEquivalence:
         a = run_compass(net, 12, ins, n_ranks=2, partition_strategy=strategies[0])
         b = run_compass(net, 12, ins, n_ranks=3, partition_strategy=strategies[1])
         assert a == b
+
+
+#: What the two hand-written per-core loops counted at the commit before
+#: they became one (3447c2b), on ``random_network(6 cores, 12 x 12,
+#: connectivity 0.5, stochastic, seed)`` driven 24 ticks by
+#: ``poisson_inputs(500 Hz, seed + 1)``: per seed the spikes, Compass
+#: (messages, SimMPI bytes) at three ranks per strategy, and TrueNorth
+#: (hops, boundary crossings) compact on one chip and on a 2 x 1 array of
+#: 2 x 2-core chips.  How spikes travel is the one thing the shared loop
+#: leaves to the expression; these are the numbers that would move.
+TRAVEL_AT_PARENT = {
+    3: (656, {"block": (138, 4112), "round_robin": (126, 3256), "load_balanced": (111, 3904)},
+        (981, 0), (1358, 402)),
+    11: (712, {"block": (139, 4456), "round_robin": (138, 4128), "load_balanced": (138, 4424)},
+         (1200, 0), (1216, 384)),
+    29: (656, {"block": (139, 4064), "round_robin": (138, 3496), "load_balanced": (131, 3104)},
+         (968, 0), (1219, 418)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRAVEL_AT_PARENT))
+class TestSharedLoopKeepsEachExpressionsAccounting:
+    TICKS = 24
+
+    def case(self, seed):
+        net = random_network(n_cores=6, n_axons=12, n_neurons=12, connectivity=0.5,
+                             stochastic=True, seed=seed)
+        return net, poisson_inputs(net, self.TICKS, 500.0, seed=seed + 1)
+
+    @pytest.mark.parametrize("n_ranks", [1, 3])
+    @pytest.mark.parametrize("strategy", ["block", "round_robin", "load_balanced"])
+    def test_compass_messages_and_bytes(self, seed, n_ranks, strategy):
+        spikes, by_strategy, _, _ = TRAVEL_AT_PARENT[seed]
+        net, ins = self.case(seed)
+        sim = CompassSimulator(net, n_ranks, strategy)
+        record = sim.run(self.TICKS, ins)
+        want = by_strategy[strategy] if n_ranks == 3 else (0, 0)  # one rank sends nothing
+        assert record.n_spikes == spikes
+        assert (sim.counters.messages, sim.mpi.bytes_sent) == want
+        assert sim.mpi.messages_sent == sim.counters.messages
+        assert sim.mpi.exchanges == self.TICKS
+        assert sim.mpi.sync_messages == 2 * (n_ranks - 1) * self.TICKS
+
+    def test_truenorth_hops_and_crossings(self, seed):
+        spikes, _, compact, tiled = TRAVEL_AT_PARENT[seed]
+        g = ChipGeometry(cores_x=2, cores_y=2)
+        for want, kwargs in (
+            (compact, {}),
+            (tiled, {"placement": Placement.grid(6, g)}),
+            (tiled, {"placement": Placement.grid(6, g), "detailed_noc": True}),
+            (tiled, {"placement": Placement.grid(6, g),
+                     "chip_array": ChipArray(chips_x=2, chips_y=1, geometry=g)}),
+        ):
+            net, ins = self.case(seed)
+            sim = TrueNorthSimulator(net, **kwargs)
+            assert sim.run(self.TICKS, ins).n_spikes == spikes
+            assert (sim.counters.hops, sim.boundary_crossings) == want
+            assert sim.counters.messages == 0
 
 
 class TestKernelInvariants:

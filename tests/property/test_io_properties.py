@@ -9,8 +9,6 @@ from repro.io.aer import AERStream, decode_aer, encode_aer
 from repro.compass.simulator import CompassSimulator
 from repro.io.checkpoint import (
     EngineCheckpoint,
-    restore_simulator,
-    snapshot_simulator,
 )
 from repro.lint.diagnostics import LintError
 from repro.core.record import SpikeRecord
@@ -110,9 +108,9 @@ class TestCheckpointProperties:
         events = []
         for _ in range(split):
             events.extend(part.step())
-        ckpt = snapshot_simulator(part)
+        ckpt = part.snapshot()
         resumed = sim_cls(net)
-        restore_simulator(resumed, ckpt)
+        resumed.restore(ckpt)
         for _ in range(20 - split):
             events.extend(resumed.step())
 
@@ -129,7 +127,7 @@ class TestCheckpointProperties:
         sim.load_inputs(poisson_inputs(net, 6, 400.0, seed=6))
         for _ in range(4):
             sim.step()
-        blob = snapshot_simulator(sim).to_bytes()
+        blob = sim.snapshot().to_bytes()
         at = data.draw(st.integers(0, len(blob) - 1))
         if data.draw(st.booleans()):
             bad = blob[:at]

@@ -23,6 +23,7 @@ from repro.compass.fast import FastCompassSimulator
 from repro.compass.parallel import ParallelCompassSimulator, WorkerFailedError
 from repro.compass.compile import invalidate
 from repro.compass.simulator import CompassSimulator
+from repro.core import params
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
@@ -78,10 +79,9 @@ def assert_counters_equal(got, want) -> None:
             assert a == b, f"{f.name}: {a} != {b}"
 
 
-def assert_logical_counters_equal(got, want, skip=()) -> None:
+def assert_logical_counters_equal(got, want) -> None:
     for name in LOGICAL:
-        if name not in skip:
-            assert getattr(got, name) == getattr(want, name), name
+        assert getattr(got, name) == getattr(want, name), name
     np.testing.assert_array_equal(
         got.synaptic_events_per_core, want.synaptic_events_per_core
     )
@@ -90,7 +90,7 @@ def assert_logical_counters_equal(got, want, skip=()) -> None:
 def drive(sim, n_ticks):
     """Step *sim* n_ticks, collecting (tick, core, neuron) spike events."""
     events = []
-    step_arrays = getattr(sim, "step_arrays", None)
+    step_arrays = getattr(sim, "step_arrays", None)  # all but ReferenceKernel
     for _ in range(n_ticks):
         if step_arrays is not None:
             tick, cores, neurons = step_arrays()
@@ -340,14 +340,31 @@ class TestCrossEngineRestore:
             assert SpikeRecord.from_events(head + tail) == \
                 SpikeRecord.from_events(full_events)
             np.testing.assert_array_equal(resumed.snapshot().v, full_sim.v)
-            # TrueNorthSimulator does not tally membrane saturations.
-            assert_logical_counters_equal(
-                resumed.counters, full_sim.counters,
-                skip=("membrane_saturations",)
-                if "truenorth" in (src, dst) else (),
-            )
+            assert_logical_counters_equal(resumed.counters, full_sim.counters)
         finally:
             close(first, resumed)
+
+    def test_saturation_tally_is_identical_across_expressions(self):
+        # core/counters.py calls membrane_saturations "identical across
+        # expressions"; before the shared per-core tick TrueNorth never
+        # booked it.  Two neurons per core are driven onto the rails: one
+        # leaks down to MEMBRANE_MIN under a floor too low to catch it,
+        # one starts above every threshold and never resets.
+        net = small_net(n_cores=3)
+        for core in net.cores:
+            core.initial_v[:2] = params.MEMBRANE_MIN + 7, params.MEMBRANE_MAX - 7
+            core.leak[:2] = -3, 3
+            core.stoch_leak[:2] = core.leak_reversal[:2] = False
+            core.neg_threshold[0] = -params.MEMBRANE_MIN
+            core.reset_mode[1] = params.RESET_NONE
+        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
+        sims = {name: ENGINES[name](net) for name in ("fast", "compass", "truenorth")}
+        for sim in sims.values():
+            sim.run(TICKS, ins)
+        assert sims["fast"].counters.membrane_saturations > TICKS
+        for name in ("compass", "truenorth"):
+            assert_logical_counters_equal(sims[name].counters, sims["fast"].counters)
+            np.testing.assert_array_equal(sims[name].v, sims["fast"].v)
 
     def test_truenorth_to_batched_lane(self):
         net = small_net()
@@ -366,10 +383,7 @@ class TestCrossEngineRestore:
             full_events
         )
         np.testing.assert_array_equal(batched.v[2], full_sim.v)
-        assert_logical_counters_equal(
-            batched.lane_counters(2), full_sim.counters,
-            skip=("membrane_saturations",),
-        )
+        assert_logical_counters_equal(batched.lane_counters(2), full_sim.counters)
         # The mesh hops the chip counted ride along in the lane's tally.
         assert batched.lane_counters(2).hops == chip.counters.hops
 

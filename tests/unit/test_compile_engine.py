@@ -211,14 +211,14 @@ class TestEngineSelection:
     def test_parallel_engine_is_by_name_only(self):
         # The decision rule for letting "auto" pick the parallel engine
         # was measured and not met (docs/performance.md, PR 21), so a
-        # rank count comes from the caller or is 1.
+        # rank count comes from the caller or is the constructor's 2.
         net = random_network(n_cores=6, n_neurons=8, seed=61)
         sim = select_engine(net, "parallel", n_workers=3)
         try:
             assert isinstance(sim, ParallelCompassSimulator) and sim.n_workers == 3
         finally:
             sim.close()
-        assert select_engine(net, "parallel").n_workers == 1
+        assert select_engine(net, "parallel").n_workers == 2
 
     def test_auto_stays_single_process_below_threshold(self):
         net = random_network(n_cores=6, n_neurons=8, seed=62)

@@ -84,6 +84,8 @@ class TestSl104:
     def test_wall_clock_in_tick_path(self):
         assert codes(self.TIMED, KERNEL) == ["SL104"]
         assert codes(self.TIMED, "src/repro/compass/simulator.py") == ["SL104"]
+        # The silicon expression's tick is a tick path too.
+        assert codes(self.TIMED, "src/repro/hardware/simulator.py") == ["SL104"]
 
     def test_wall_clock_outside_tick_path_is_fine(self):
         assert codes(self.TIMED, APP) == []

@@ -45,6 +45,23 @@ class TestPhaseParity:
             assert fast.phase_seconds[name] > 0
             assert compass.phase_seconds[name] > 0
 
+    def test_truenorth_records_the_same_row_once_selected_with_an_observer(self, network, inputs):
+        # The hardware expression runs the per-core tick Compass runs, so
+        # an observer threaded through select_engine gets the four-phase
+        # row from it too, and the streaming runtime leaves the row to it.
+        from repro.compass.engine import select_engine
+        from repro.runtime.streaming import StreamingRuntime
+
+        obs = Observer()
+        chip = select_engine(network, "truenorth", obs=obs)
+        assert not StreamingRuntime(chip, [], obs=obs)._records_ticks
+        record = chip.run(TICKS, inputs)
+        rows = obs.flight.rows()
+        assert rows["tick"].tolist() == list(range(TICKS))
+        assert int(rows["spikes"].sum()) == record.n_spikes
+        assert all(chip.phase_seconds[name] > 0 for name in PHASES)
+        assert record == select_engine(network, "truenorth").run(TICKS, inputs)
+
     def test_profiling_does_not_change_fast_results(self, network, inputs):
         a = FastCompassSimulator(network, obs=Observer()).run(TICKS, inputs)
         b = FastCompassSimulator(network).run(TICKS, inputs)

@@ -6,7 +6,6 @@ import pytest
 from repro.compass import fast
 from repro.compass.parallel import (
     ParallelCompassSimulator,
-    auto_workers,
     run_parallel_compass,
 )
 from repro.compass.simulator import run_compass
@@ -221,34 +220,49 @@ class TestRerun:
 
 
 class TestAutoWorkers:
+    """There is no automatic rank count: ``engine="auto"`` never selects
+    this engine (docs/performance.md, PR 21: the decision rule was NOT
+    MET — two ranks 2.0x at 262,144 neurons but 1.8x the RSS against a
+    1.5x bound), and asked for by name it runs the constructor's two
+    ranks unless told otherwise."""
+
     def test_small_networks_stay_single_process(self):
+        from repro.compass.engine import select_engine
+
         net = random_network(n_cores=4, seed=16)
-        assert auto_workers(net) == 1
+        assert isinstance(select_engine(net, "auto"), fast.FastCompassSimulator)
 
     def test_threshold_is_above_every_size_two_workers_lost_at(self):
-        # docs/performance.md, PR 21: the decision rule ROADMAP item 2
-        # fixed was NOT MET (two ranks 2.0x at 262,144 neurons, but 1.8x
-        # the RSS against a 1.5x bound), so there is no threshold left:
-        # "auto" is one rank at every size, whatever the host offers.
+        # No threshold is left to tune, and rank-level requests go to Compass.
         from repro.compass import parallel as par
         from repro.compass.engine import select_engine
 
         assert not hasattr(par, "AUTO_MIN_NEURONS")
         net = random_network(n_cores=6, n_neurons=8, seed=17)
-        assert auto_workers(net) == auto_workers() == 1
+        for n_ranks in (1, 3):
+            sim = select_engine(net, "auto", n_ranks=n_ranks)
+            assert not isinstance(sim, ParallelCompassSimulator)
+
+    def test_single_cpu_host_never_goes_parallel(self, monkeypatch):
+        # Whatever the host offers, "auto" does not look at it.
+        from repro.compass.engine import select_engine
+
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        net = random_network(n_cores=6, seed=18)
         assert isinstance(select_engine(net, "auto"), fast.FastCompassSimulator)
 
-    def test_single_cpu_host_never_goes_parallel(self):
-        net = random_network(n_cores=6, seed=18)
-        assert auto_workers(net) == 1
+    def test_engine_parallel_without_a_count_is_two_ranks(self):
+        from repro.compass.engine import select_engine
 
-    def test_constructor_accepts_auto(self):
         net = random_network(n_cores=3, seed=19)
-        sim = ParallelCompassSimulator(net, n_workers="auto")
+        sim = select_engine(net, "parallel")
         try:
-            assert sim.n_workers == auto_workers(net)
+            assert isinstance(sim, ParallelCompassSimulator)
+            assert sim.n_workers == 2
         finally:
             sim.close()
+        with pytest.raises(ValueError, match="positive integer"):
+            ParallelCompassSimulator(net, n_workers="auto")
 
     def test_rejects_bad_worker_count(self):
         net = random_network(n_cores=2, seed=20)
