@@ -590,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builtin network name (see `repro lint --builtin`) "
                          "or path to a .npz model file")
     ps.add_argument("--ticks", type=int, default=100)
-    ps.add_argument("--expression", choices=list(ENGINES), default="auto",
+    # One record out: a batch returns one per lane (and one lane *is* fast).
+    one_record = [name for name in ENGINES if name != "batched"]
+    ps.add_argument("--expression", choices=one_record, default="auto",
                     help="kernel expression to run (auto = sparse fast path)")
     ps.add_argument("--ranks", type=int, default=1)
     ps.add_argument("--workers", type=int, default=2,
@@ -759,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--grid", type=int, default=4)
     pc.add_argument("--neurons", type=int, default=64)
     pc.add_argument("--ticks", type=int, default=200)
-    pc.add_argument("--engine", choices=list(ENGINES), default="truenorth",
+    pc.add_argument("--engine", choices=one_record, default="truenorth",
                     help="kernel expression for the sweep point "
                          "(auto/fast = the sparse engine)")
     pc.set_defaults(fn=_cmd_characterize)

@@ -623,10 +623,9 @@ def bind_compiled(sim, network, obs, gated=None) -> CompiledNetwork:
     *obs*'s ``compile`` span and sets ``sim.obs``, ``sim.compiled`` and
     ``sim.network``; *obs* is told where the engine's live event
     counters are (read at scrape time — ``restore()`` and a re-spawn
-    rebind ``sim.counters``, so the source is a callable).  With *gated*
-    given (``"auto"``, True or False) it also sets ``sim.gated``,
-    ``"auto"`` engaging the activity gate whenever the network has a
-    passive-stable neuron.
+    rebind ``sim.counters``, so the source is a callable).  ``sim.gated``
+    follows *gated*: ``"auto"`` engages the activity gate whenever the
+    network has a passive-stable neuron, None is an engine without one.
     """
     sim.obs = obs
     if obs is not None:
@@ -635,8 +634,7 @@ def bind_compiled(sim, network, obs, gated=None) -> CompiledNetwork:
         compiled = compile_network(network)
     sim.compiled = compiled
     sim.network = compiled.network
-    if gated is not None:
-        sim.gated = compiled.gating_worthwhile if gated == "auto" else bool(gated)
+    sim.gated = compiled.gating_worthwhile if gated == "auto" else bool(gated)
     return compiled
 
 

@@ -17,7 +17,7 @@ Every returned simulator exposes the common driving surface:
 
 from __future__ import annotations
 
-from repro.compass.compile import CompiledNetwork, bind_compiled, compile_network
+from repro.compass.compile import CompiledNetwork, compile_network
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
@@ -63,13 +63,11 @@ def select_engine(
     replica lane*; *replica_seeds* optionally sets per-lane seeds
     (default: every lane at the network's own seed).
 
-    The compass-family engines accept a pre-built
-    :class:`CompiledNetwork` and share it; the hardware and reference
-    expressions take the underlying :class:`Network`.  An *obs*
-    observer (see :mod:`repro.obs`) is threaded through to every engine
-    but the scalar reference kernel for tracing and metrics, and the selection
-    decision itself is logged on the ``repro.engine`` structured logger
-    (set ``REPRO_LOG_LEVEL=INFO`` to see it).
+    Every engine but the scalar reference kernel shares a pre-built
+    :class:`CompiledNetwork` and takes the *obs* observer (see
+    :mod:`repro.obs`) for tracing and metrics; the selection decision
+    itself is logged on the ``repro.engine`` structured logger (set
+    ``REPRO_LOG_LEVEL=INFO`` to see it).
 
     *gated* selects the activity-gated tick path on the sparse engines
     (fast/parallel/batched): ``"auto"`` (default) engages it whenever
@@ -124,16 +122,13 @@ def select_engine(
             partition_strategy=partition_strategy, obs=obs, gated=gated,
         )
 
-    raw = network.network if isinstance(network, CompiledNetwork) else network
     if engine == "truenorth":
         from repro.hardware.simulator import TrueNorthSimulator
 
-        sim = TrueNorthSimulator(raw)
-        bind_compiled(sim, raw, obs)  # threads the observer; the artifact is a cache hit
-        return sim
+        return TrueNorthSimulator(network, obs=obs)
     from repro.core.kernel import ReferenceKernel
 
-    return ReferenceKernel(raw)
+    return ReferenceKernel(network.network if isinstance(network, CompiledNetwork) else network)
 
 
 def run_engine(

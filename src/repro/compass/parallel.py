@@ -542,21 +542,15 @@ class ParallelCompassSimulator:
         for part, spike_buf, stats in zip(
             self.partitioned.partitions, rank0.spikes, rank0.stats
         ):
-            (deliveries, syn_events, spikes, updates, saturations, active,
+            (deliveries, _, spikes, updates, saturations, active,
              messages) = stats[:_ST_N].tolist()
-            c.deliveries += deliveries
-            c.synaptic_events += syn_events
-            c.spikes += spikes
-            c.neuron_updates += updates
-            c.membrane_saturations += saturations
+            per_core = stats[_ST_N:]
+            c.record_tick(
+                per_core, part.core_ids, deliveries=deliveries, neurons=updates,
+                computed=active, saturations=saturations, spikes=spikes,
+            )
             c.messages += messages
             active_this_tick += active
-            per_core = stats[_ST_N:]
-            if syn_events:
-                c.synaptic_events_per_core[part.core_ids] += per_core
-                c.max_core_events_per_tick = max(
-                    c.max_core_events_per_tick, int(per_core.max())
-                )
             if spikes:
                 n_spikes += spikes
                 fired_acc.append(spike_buf[1 : 1 + spikes])
@@ -565,7 +559,6 @@ class ParallelCompassSimulator:
         core_ids = self.compiled.core_of_neuron[fired]
         neurons = self.compiled.local_neuron[fired]
 
-        c.active_neuron_updates += active_this_tick
         self.tick = c.ticks = tick + 1
         if self.checkpoint_every and self.tick % self.checkpoint_every == 0:
             with (obs.span("checkpoint", tick=self.tick)

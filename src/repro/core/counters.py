@@ -48,11 +48,32 @@ class EventCounters:
             self.synaptic_events_per_core = np.zeros(n_cores, dtype=np.int64)
 
     def record_core_tick(self, core_index: int, n_events: int) -> None:
-        """Account one core's synaptic events for the current tick."""
+        """Account one core's synaptic events for the current tick (scalar kernel)."""
         self.synaptic_events += n_events
         self.synaptic_events_per_core[core_index] += n_events
         if n_events > self.max_core_events_per_tick:
             self.max_core_events_per_tick = n_events
+
+    def record_tick(
+        self, per_core: np.ndarray, cores, *, deliveries: int, neurons: int,
+        computed: int, saturations: int, spikes: int,
+    ) -> None:
+        """Book one tick's tallies over *cores*: every core, or one rank's.
+
+        *per_core* holds the synaptic events on each of *cores* (a slice or
+        index array); *computed* of the *neurons* evaluated were updated
+        (fewer under the gate).  ``ticks`` / ``messages`` / ``hops``: the caller's.
+        """
+        self.deliveries += deliveries
+        self.neuron_updates += neurons
+        self.active_neuron_updates += computed
+        self.membrane_saturations += saturations
+        self.spikes += spikes
+        self.synaptic_events += int(per_core.sum())
+        self.synaptic_events_per_core[cores] += per_core
+        self.max_core_events_per_tick = max(
+            self.max_core_events_per_tick, int(per_core.max(initial=0))
+        )
 
     @property
     def mean_firing_rate_hz(self) -> float:

@@ -133,9 +133,10 @@ def empirical_validation(
 
     The default engine is the hardware expression (it additionally
     accounts mesh hops, feeding the energy figure); any engine name from
-    :data:`repro.compass.engine.ENGINES` works — the sweep's stochastic
-    recurrent networks run end to end on the sparse ``"fast"`` /
-    ``"auto"`` path, with identical spike and synaptic-event counts.
+    :data:`repro.compass.engine.ENGINES` but ``"batched"`` (one record
+    per lane) works — the sweep's stochastic recurrent networks run end
+    to end on the sparse ``"fast"`` / ``"auto"`` path, with identical
+    spike and synaptic-event counts.
     """
     net = probabilistic_recurrent_network(
         rate_hz, active_synapses, grid_side=grid_side,

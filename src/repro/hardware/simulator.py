@@ -12,21 +12,23 @@ kernel (paper Section VI-A), but organized the way the chip is:
 * defective cores are disabled and packets detour around them (with
   ``detailed_noc=True`` the detour paths are actually walked).
 
-The per-core tick is shared with Compass (the two expressions were
-co-designed from one kernel): state, staging, the synapse and neuron
-phases, accounting and checkpoints are
-:class:`~repro.compass.simulator.PerCoreSimulator`'s; the orchestration
-— placement, routing, boundary links — is the hardware's.
+Who owns what: the tick is shared with Compass (one kernel, co-designed)
+— state, staging, accounting, checkpoints and the tick frame are
+:class:`~repro.compass.fast.ArrayEngine`'s, the synapse and neuron
+phases :class:`~repro.compass.simulator.PerCoreSimulator`'s; the
+orchestration — placement, routing, boundary links — is the hardware's.
 """
 
 from __future__ import annotations
 
+from repro.compass.compile import CompiledNetwork
 from repro.compass.simulator import PerCoreSimulator
 from repro.core.chip import ChipGeometry, Placement
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
 from repro.noc.mesh import MeshNetwork
+from repro.obs.observer import Observer
 
 
 class TrueNorthSimulator(PerCoreSimulator):
@@ -34,11 +36,12 @@ class TrueNorthSimulator(PerCoreSimulator):
 
     def __init__(
         self,
-        network: Network,
+        network: Network | CompiledNetwork,
         placement: Placement | None = None,
         detailed_noc: bool = False,
         disabled_routers: set | None = None,
         chip_array=None,
+        obs: Observer | None = None,
     ) -> None:
         """Build a simulator for *network*.
 
@@ -46,9 +49,9 @@ class TrueNorthSimulator(PerCoreSimulator):
         detailed multi-chip routing: packets walk the tiled global mesh
         and every chip-boundary crossing goes through the merge/split
         links, accumulating their traffic statistics.  The placement's
-        chip coordinates must fit inside the array.
+        chip coordinates must fit inside the array.  *obs* as on Compass.
         """
-        self._bind(network, None)
+        super().__init__(network, obs)
         network = self.network
         if placement is not None:
             self.placement = placement

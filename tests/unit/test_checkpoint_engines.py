@@ -305,20 +305,6 @@ class TestSameEngineResume:
 
 
 class TestCrossEngineRestore:
-    def test_fast_to_reference_compass(self):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-        ckpt, head = checkpoint_at(net, ins)
-
-        resumed = CompassSimulator(net)
-        resumed.restore(ckpt)
-        tail = drive(resumed, TICKS - SPLIT)
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-        assert_logical_counters_equal(resumed.counters, full_sim.counters)
-
     @pytest.mark.parametrize("src, dst", [
         ("truenorth", "fast"), ("fast", "truenorth"),
         ("truenorth", "parallel"), ("truenorth", "compass"),

@@ -74,6 +74,15 @@ class TestFastCompassEquivalence:
             std.counters.synaptic_events_per_core,
         )
 
+    def test_matches_compass_on_many_cores(self):
+        # Equality only: the speed-up is gated where clocks belong
+        # (benchmarks/bench_kernel.py::test_sparse_engine_stochastic_speedup).
+        net = random_network(
+            n_cores=40, n_axons=32, n_neurons=32, connectivity=0.3, seed=6
+        )
+        ins = poisson_inputs(net, 10, 300.0, seed=2)
+        assert run_fast_compass(net, 10, ins) == run_compass(net, 10, ins)
+
     def test_mixed_core_sizes(self):
         from repro.core.network import Core, Network
 
@@ -212,29 +221,6 @@ class TestStepArrays:
         report = runtime.run(SceneSource(scene), drain_ticks=2)
         assert report.ticks == 7
         assert calls["n"] == 7
-
-
-class TestFastCompassPerformance:
-    def test_faster_than_standard_on_many_cores(self):
-        import time
-
-        net = random_network(
-            n_cores=40, n_axons=32, n_neurons=32, connectivity=0.3, seed=6
-        )
-        ins = poisson_inputs(net, 10, 300.0, seed=2)
-
-        start = time.perf_counter()
-        std = run_compass(net, 10, ins)
-        t_std = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fast = run_fast_compass(net, 10, ins)
-        t_fast = time.perf_counter() - start
-
-        assert fast == std
-        # flat execution removes the per-core Python loop; allow slack
-        # for timer noise but expect a clear win
-        assert t_fast < t_std
 
 
 class TestSynapseKernelDispatch:

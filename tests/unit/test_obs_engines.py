@@ -62,6 +62,21 @@ class TestPhaseParity:
         assert all(chip.phase_seconds[name] > 0 for name in PHASES)
         assert record == select_engine(network, "truenorth").run(TICKS, inputs)
 
+    def test_truenorth_built_directly_is_observed(self, network, inputs):
+        # The observer goes through the constructor, as on Compass: no
+        # select_engine needed, and nothing bound twice.
+        from repro.hardware.simulator import TrueNorthSimulator
+
+        obs = Observer()
+        chip = TrueNorthSimulator(network, detailed_noc=True, obs=obs)
+        assert chip.obs is obs
+        record = chip.run(TICKS, inputs)
+        rows = obs.flight.rows()
+        assert rows["tick"].tolist() == list(range(TICKS))
+        assert int(rows["spikes"].sum()) == record.n_spikes
+        assert all(chip.phase_seconds[name] > 0 for name in PHASES)
+        assert obs.event_snapshot()["repro_spikes_total"] == record.n_spikes
+
     def test_profiling_does_not_change_fast_results(self, network, inputs):
         a = FastCompassSimulator(network, obs=Observer()).run(TICKS, inputs)
         b = FastCompassSimulator(network).run(TICKS, inputs)

@@ -102,6 +102,30 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "synaptic events" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "recurrent-stochastic", "--ticks", "10", "--expression", "batched"],
+        ["run", "recurrent-stochastic", "--ticks", "10", "--expression", "batched",
+         "--checkpoint-every", "5"],
+        ["characterize", "--engine", "batched"],
+    ], ids=["run", "run-checkpointed", "characterize"])
+    def test_one_record_commands_refuse_the_batched_expression(self, argv, capsys):
+        # A batch returns one record per lane; these commands print one.
+        # They used to die in an AttributeError traceback (`'list' object
+        # has no attribute 'counters'` / `'save'`); the parser says no.
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batched'" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_trace_and_metrics_keep_the_batched_expression(self):
+        for command in ("trace", "metrics"):
+            args = build_parser().parse_args(
+                [command, "recurrent-stochastic", "--expression", "batched"]
+            )
+            assert args.expression == "batched"
+
     def test_parser_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
