@@ -616,7 +616,7 @@ def compile_network(network: Network | CompiledNetwork) -> CompiledNetwork:
     return compiled
 
 
-def bind_compiled(sim, network, obs, gated=None) -> CompiledNetwork:
+def bind_compiled(sim, network, obs, gated) -> CompiledNetwork:
     """The constructor prologue every engine shares; returns the artifact.
 
     Compiles *network* (a cache hit after the first engine) under
@@ -625,7 +625,7 @@ def bind_compiled(sim, network, obs, gated=None) -> CompiledNetwork:
     counters are (read at scrape time — ``restore()`` and a re-spawn
     rebind ``sim.counters``, so the source is a callable).  ``sim.gated``
     follows *gated*: ``"auto"`` engages the activity gate whenever the
-    network has a passive-stable neuron, None is an engine without one.
+    network has a passive-stable neuron, False is an engine that runs dense.
     """
     sim.obs = obs
     if obs is not None:

@@ -44,7 +44,6 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U8MASK = np.uint64(0xFF)
 _U16MASK = np.uint64(0xFFFF)
-_U32MASK = np.uint64(0xFFFFFFFF)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -114,8 +113,8 @@ def draw_staged(
 ) -> np.ndarray:
     """Uniform *bits*-bit draws at *sites*: the one multi-core draw routine.
 
-    Bit-identical to :func:`draw_u8` / :func:`draw_u16` element-wise at
-    each unit's own core.  The (seed, purpose, core) and (core, tick)
+    Bit-identical to :func:`draw_u8_scalar` / :func:`draw_u16` element-wise
+    at each unit's own core.  The (seed, purpose, core) and (core, tick)
     stages of :func:`_key` depend on the core alone, so they run on one
     row per global core id (uint64 wrap-around matches the masked scalar
     chain); each unit then gathers its core's row, adds its term and
@@ -138,24 +137,14 @@ def draw_staged(
     return key.view(np.int64)
 
 
-def draw_u8(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:
-    """Return uniform uint8 draws in [0, 255], one per entry of *units*."""
-    return (_key(seed, purpose, core, tick, units) & _U8MASK).astype(np.int64)
-
-
 def draw_u16(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:
     """Return uniform uint16 draws in [0, 65535], one per entry of *units*."""
     return (_key(seed, purpose, core, tick, units) & _U16MASK).astype(np.int64)
 
 
-def draw_u32(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:
-    """Return uniform uint32 draws, one per entry of *units*."""
-    return (_key(seed, purpose, core, tick, units) & _U32MASK).astype(np.int64)
-
-
 def draw_u8_scalar(seed: int, purpose: int, core: int, tick: int, unit: int) -> int:
     """Scalar convenience wrapper used by the reference kernel."""
-    return int(draw_u8(seed, purpose, core, tick, np.asarray([unit]))[0])
+    return int(_key(seed, purpose, core, tick, np.asarray([unit]))[0] & _U8MASK)
 
 
 def draw_u16_scalar(seed: int, purpose: int, core: int, tick: int, unit: int) -> int:

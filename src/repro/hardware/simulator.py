@@ -13,16 +13,16 @@ kernel (paper Section VI-A), but organized the way the chip is:
   ``detailed_noc=True`` the detour paths are actually walked).
 
 Who owns what: the tick is shared with Compass (one kernel, co-designed)
-— state, staging, accounting, checkpoints and the tick frame are
-:class:`~repro.compass.fast.ArrayEngine`'s, the synapse and neuron
-phases :class:`~repro.compass.simulator.PerCoreSimulator`'s; the
-orchestration — placement, routing, boundary links — is the hardware's.
+— state, staging, accounting, checkpoints and the tick, its synapse and
+neuron phases included, are :class:`~repro.compass.fast.ArrayEngine`'s;
+the orchestration — placement, routing, boundary links — is the
+hardware's.
 """
 
 from __future__ import annotations
 
 from repro.compass.compile import CompiledNetwork
-from repro.compass.simulator import PerCoreSimulator
+from repro.compass.fast import ArrayEngine
 from repro.core.chip import ChipGeometry, Placement
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
@@ -31,7 +31,7 @@ from repro.noc.mesh import MeshNetwork
 from repro.obs.observer import Observer
 
 
-class TrueNorthSimulator(PerCoreSimulator):
+class TrueNorthSimulator(ArrayEngine):
     """Event-driven chip-level simulator for one network."""
 
     def __init__(

@@ -124,7 +124,9 @@ class StreamingRuntime:
         :class:`~repro.core.network.Network` /
         :class:`~repro.compass.compile.CompiledNetwork`, in which case
         :func:`repro.compass.engine.select_engine` constructs the
-        *engine* expression for it (``"auto"`` picks the sparse path).
+        *engine* expression for it (``"auto"`` picks the sparse path;
+        ``"batched"`` is refused: a stream is one session, and that
+        engine's ticks return a lane column the loop does not read).
 
         With *obs* attached, each frame's transduce-and-advance window
         becomes a ``frame`` span and the session totals publish to the
@@ -141,6 +143,11 @@ class StreamingRuntime:
         tick 0.
         """
         require(ticks_per_frame >= 1, "need at least one tick per frame")
+        require(
+            engine != "batched",
+            "StreamingRuntime streams one session; engine='batched' steps replica "
+            "lanes (ModelServer serves sessions on it)",
+        )
         if telemetry_port is not None and obs is None:
             obs = Observer()
         self.obs = obs
@@ -184,8 +191,6 @@ class StreamingRuntime:
         with (obs.span("checkpoint", tick=tick_cursor)
               if obs is not None else NULL_SPAN):
             ckpt = snapshot()
-        if not hasattr(ckpt, "save"):  # batched: a list of lane checkpoints
-            return
         self.last_checkpoint = ckpt
         n_bytes = 0
         if self.checkpoint_dir is not None:

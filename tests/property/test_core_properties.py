@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import params, prng
 from repro.core.chip import ChipGeometry, Placement
-from repro.core.network import Core
-from repro.core.neuron import clamp_membrane, neuron_tick
+from repro.compass.compile import compile_network
+from repro.compass.fast import update_neurons
+from repro.core.network import Core, Network
 from repro.core.workload import WorkloadDescriptor
 from repro.hardware.energy import EnergyModel
 from repro.hardware.timing import TimingModel
@@ -20,9 +21,9 @@ class TestPRNGProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_range_and_determinism(self, seed, purpose, core, tick):
-        units = np.arange(64)
-        a = prng.draw_u8(seed, purpose, core, tick, units)
-        b = prng.draw_u8(seed, purpose, core, tick, units)
+        sites = prng.draw_sites(np.full(64, core), np.arange(64))
+        a = prng.draw_staged(seed, purpose, tick, sites, 8)
+        b = prng.draw_staged(seed, purpose, tick, sites, 8)
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() <= 255
 
@@ -34,7 +35,7 @@ class TestPRNGProperties:
 
 
 class TestStagedDrawEqualsScalarChain:
-    """``draw_staged`` (per-core stages, gathered) against ``draw_u8`` / ``draw_u16``."""
+    """``draw_staged`` (per-core stages, gathered) against the reference kernel's scalar draws."""
 
     PURPOSES = (prng.PURPOSE_SYNAPSE, prng.PURPOSE_LEAK, prng.PURPOSE_THRESHOLD)
     MAX_UNIT = prng.synapse_unit(255, 255)
@@ -42,11 +43,10 @@ class TestStagedDrawEqualsScalarChain:
     @staticmethod
     def _check(seed, purpose, tick, cores, units, scratch=None):
         sites = prng.draw_sites(np.asarray(cores), np.asarray(units))
-        for bits, scalar in ((8, prng.draw_u8), (16, prng.draw_u16)):
+        for bits, scalar in ((8, prng.draw_u8_scalar), (16, prng.draw_u16_scalar)):
             got = prng.draw_staged(seed, purpose, tick, sites, bits, scratch)
             assert got.dtype == np.int64 and got.shape == (len(cores),)
-            want = [int(scalar(seed, purpose, c, tick, np.asarray([u]))[0])
-                    for c, u in zip(cores, units)]
+            want = [scalar(seed, purpose, c, tick, u) for c, u in zip(cores, units)]
             assert got.tolist() == want
 
     @given(
@@ -79,7 +79,14 @@ class TestMembraneProperties:
     @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_clamp_always_in_range(self, values):
-        v = clamp_membrane(np.asarray(values, dtype=np.int64))
+        n = len(values)
+        core = Core.build(
+            n_axons=n, n_neurons=n, threshold=params.THRESHOLD_MAX,
+            reset_mode=params.RESET_NONE, neg_threshold=-params.MEMBRANE_MIN,
+        )
+        c = compile_network(Network(cores=[core]))
+        v, _ = update_neurons(c, 0, 0, np.zeros(n, dtype=np.int64), np.asarray(values))
+        assert v.tolist() == np.clip(values, params.MEMBRANE_MIN, params.MEMBRANE_MAX).tolist()
         assert v.min() >= params.MEMBRANE_MIN
         assert v.max() <= params.MEMBRANE_MAX
 
@@ -96,8 +103,9 @@ class TestMembraneProperties:
             n_axons=4, n_neurons=4, threshold=threshold, leak=leak,
             reset_mode=reset_mode, neg_threshold=100,
         )
-        v, spiked = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.asarray(syn, dtype=np.int64), 0, tick, 0
+        c = compile_network(Network(cores=[core]))
+        v, spiked = update_neurons(
+            c, 0, tick, np.zeros(4, dtype=np.int64), np.asarray(syn, dtype=np.int64)
         )
         assert v.min() >= params.MEMBRANE_MIN and v.max() <= params.MEMBRANE_MAX
         assert spiked.dtype == bool

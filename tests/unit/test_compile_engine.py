@@ -259,6 +259,13 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             select_engine(net, "warp")
 
+    def test_streaming_refuses_the_batched_engine_at_construction(self):
+        # Its step_arrays() returns a lane column too: the stream would
+        # die on its first tick, after writing a crash dump.
+        net = random_network(n_cores=1, seed=9)
+        with pytest.raises(ValueError, match="engine='batched'"):
+            streaming.StreamingRuntime(net, [], engine="batched")
+
     def test_engines_accept_compiled_artifact(self):
         net = random_network(n_cores=2, stochastic=True, seed=10)
         compiled = compile_network(net)

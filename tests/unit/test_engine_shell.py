@@ -1,14 +1,17 @@
-"""The engine shell: what ``ArrayEngine``'s frame guarantees for every subclass.
+"""The array engine: what ``ArrayEngine``'s tick guarantees for every subclass.
 
-Fast, Compass and TrueNorth run one deliver -> compute -> route frame
-around their own middle and network phase, so what the frame promises
-is stated here once, for all three, with the scalar ``ReferenceKernel``
-as the only oracle.
+Fast, Compass and TrueNorth run one deliver -> integrate -> update ->
+route tick and differ in their network phase alone, so what the tick
+promises is stated here once, for all three, with the scalar
+``ReferenceKernel`` as the only oracle.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.compass import fast
 from repro.compass.engine import select_engine
 from repro.core import params
 from repro.core.builders import poisson_inputs, random_network
@@ -18,6 +21,7 @@ from repro.core.record import SpikeRecord
 from repro.obs import Observer
 
 SHELL = ("fast", "compass", "truenorth")
+PHASES = ("deliver", "integrate", "update", "route")
 TICKS, SPLIT, QUIET, N_RANKS = 30, 13, 3, 3
 
 # What every expression must agree on with Listing 1; `hops` / `messages`
@@ -94,7 +98,7 @@ def test_the_frame_is_the_same_on_every_engine(engine, network, inputs, oracle):
     # One row per tick whose four phases are the tick's wall, to the ns.
     rows = obs.flight.rows()
     assert rows["tick"].tolist() == list(range(SPLIT))
-    phases = sum(rows[f"{name}_ns"] for name in ("deliver", "integrate", "update", "route"))
+    phases = sum(rows[f"{name}_ns"] for name in PHASES)
     assert phases.tolist() == rows["wall_ns"].tolist()
 
     # A silent tick still reaches the network phase (Compass's barrier).
@@ -119,3 +123,22 @@ def test_the_frame_is_the_same_on_every_engine(engine, network, inputs, oracle):
             resumed.counters.synaptic_events_per_core,
             want_counters.synaptic_events_per_core, err_msg=other,
         )
+
+
+@pytest.mark.parametrize("engine", SHELL)
+def test_an_observed_tick_is_four_contiguous_spans(engine, network, inputs, monkeypatch):
+    """Five clock readings a tick, whatever the core count, the phases
+    lying between consecutive ones: on a clock that advances one ns per
+    reading every phase lasts exactly 1 and the tick exactly 4."""
+    assert network.n_cores > 1  # a per-core accumulation would read more
+    clock = itertools.count()
+    monkeypatch.setattr(fast, "now_ns", lambda: next(clock))
+    obs = Observer()
+    sim = build(network, engine, obs)
+    sim.load_inputs(inputs)
+    drive(sim, SPLIT)
+    rows = obs.flight.rows()
+    assert rows["begin_ns"].tolist() == list(range(0, 5 * SPLIT, 5))
+    for name in PHASES:
+        assert rows[f"{name}_ns"].tolist() == [1] * SPLIT, name
+    assert rows["wall_ns"].tolist() == [4] * SPLIT

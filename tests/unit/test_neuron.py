@@ -1,87 +1,123 @@
-"""Tests for the vectorized neuron dynamics (repro.core.neuron)."""
+"""The neuron phase (``update_neurons``), one core at a time.
+
+Leak, threshold, fire, reset and the 20-bit rails, each on a hand-built
+core compiled alone as core 0 of a network — small enough that the
+expected membranes are written out by hand from the paper's rules.
+"""
 
 import numpy as np
 import pytest
 
+from repro.compass.compile import compile_network
+from repro.compass.fast import update_neurons
 from repro.core import params
-from repro.core.network import Core
-from repro.core.neuron import clamp_membrane, leak_values, neuron_tick, thresholds
+from repro.core.network import Core, Network
+
+FLOOR_OUT_OF_REACH = -params.MEMBRANE_MIN  # beta the negative floor never engages at
 
 
 def make_core(n=4, **kwargs):
     return Core.build(n_axons=n, n_neurons=n, **kwargs)
 
 
+def neuron_tick(core, v, syn, at=0, seed=0):
+    """One ``update_neurons`` pass over *core* alone: ``(v_next, spiked)``."""
+    c = compile_network(Network(cores=[core], seed=seed))
+    return update_neurons(
+        c, seed, at, np.asarray(v, dtype=np.int64), np.asarray(syn, dtype=np.int64)
+    )
+
+
+def passive_core(n=4, **kwargs):
+    """Never fires, never floors: the membrane shows the leak and the rails alone."""
+    return make_core(
+        n, threshold=params.THRESHOLD_MAX, reset_mode=params.RESET_NONE,
+        neg_threshold=FLOOR_OUT_OF_REACH, **kwargs,
+    )
+
+
 class TestClamp:
     def test_within_range_untouched(self):
-        v = np.array([0, 100, -100])
-        assert np.array_equal(clamp_membrane(v), v)
+        v = np.array([0, 100, -100, 7])
+        v2, spiked = neuron_tick(passive_core(), v, np.zeros(4))
+        assert np.array_equal(v2, v) and not spiked.any()
 
     def test_saturates_high(self):
-        v = np.array([params.MEMBRANE_MAX + 5])
-        assert clamp_membrane(v)[0] == params.MEMBRANE_MAX
+        v2, _ = neuron_tick(passive_core(), np.zeros(4), np.full(4, params.MEMBRANE_MAX + 5))
+        assert (v2 == params.MEMBRANE_MAX).all()
 
     def test_saturates_low(self):
-        v = np.array([params.MEMBRANE_MIN - 5])
-        assert clamp_membrane(v)[0] == params.MEMBRANE_MIN
+        v2, _ = neuron_tick(passive_core(), np.zeros(4), np.full(4, params.MEMBRANE_MIN - 5))
+        assert (v2 == params.MEMBRANE_MIN).all()
+
+
+def leak_values(core, v):
+    """The leak a tick applies at membranes *v*: what the tick moved them by."""
+    v = np.asarray(v, dtype=np.int64)
+    v2, spiked = neuron_tick(core, v, np.zeros_like(v))
+    assert not spiked.any()
+    return v2 - v
 
 
 class TestLeak:
     def test_constant_leak(self):
-        core = make_core(leak=-2)
-        lv = leak_values(core, np.zeros(4, dtype=np.int64), 0, 0, 0)
+        lv = leak_values(passive_core(leak=-2), np.zeros(4))
         assert np.array_equal(lv, np.full(4, -2))
 
     def test_positive_leak(self):
-        core = make_core(leak=3)
-        lv = leak_values(core, np.zeros(4, dtype=np.int64), 0, 0, 0)
+        lv = leak_values(passive_core(leak=3), np.zeros(4))
         assert np.array_equal(lv, np.full(4, 3))
 
     def test_leak_reversal_follows_sign_of_v(self):
-        core = make_core(leak=2, leak_reversal=True)
-        v = np.array([10, -10, 0, 5], dtype=np.int64)
-        lv = leak_values(core, v, 0, 0, 0)
+        lv = leak_values(passive_core(leak=2, leak_reversal=True), [10, -10, 0, 5])
         assert np.array_equal(lv, np.array([2, -2, 0, 2]))
 
     def test_leak_reversal_negative_lambda(self):
         # lambda < 0 with reversal drives V toward zero.
-        core = make_core(leak=-2, leak_reversal=True)
-        v = np.array([10, -10, 0, 20], dtype=np.int64)
-        lv = leak_values(core, v, 0, 0, 0)
+        lv = leak_values(passive_core(leak=-2, leak_reversal=True), [10, -10, 0, 20])
         assert np.array_equal(lv, np.array([-2, 2, 0, -2]))
 
     def test_stochastic_leak_is_unit_step(self):
-        core = make_core(n=256, leak=128, stoch_leak=True)
-        lv = leak_values(core, np.zeros(256, dtype=np.int64), 0, 0, 0)
+        lv = leak_values(passive_core(n=256, leak=128, stoch_leak=True), np.zeros(256))
         assert set(np.unique(lv)).issubset({0, 1})
         # |lambda| = 128 => P(step) = 0.5; 256 neurons, loose bound
         assert 64 <= lv.sum() <= 192
 
     def test_stochastic_leak_always_steps_at_full_magnitude(self):
-        core = make_core(n=64, leak=-256, stoch_leak=True)
-        lv = leak_values(core, np.zeros(64, dtype=np.int64), 0, 0, 0)
+        lv = leak_values(passive_core(n=64, leak=-256, stoch_leak=True), np.zeros(64))
         assert np.array_equal(lv, np.full(64, -1))
 
     def test_zero_leak_no_effect(self):
-        core = make_core(leak=0, stoch_leak=True)
-        lv = leak_values(core, np.ones(4, dtype=np.int64), 0, 0, 0)
+        lv = leak_values(passive_core(leak=0, stoch_leak=True), np.ones(4))
         assert np.array_equal(lv, np.zeros(4))
+
+
+def thresholds(core):
+    """This tick's effective thresholds: a linear reset subtracts exactly theta."""
+    drive = np.full(core.n_neurons, 10**5)
+    v2, spiked = neuron_tick(core, np.zeros_like(drive), drive)
+    assert spiked.all()
+    return drive - v2
 
 
 class TestThreshold:
     def test_deterministic(self):
-        core = make_core(threshold=17)
-        assert np.array_equal(thresholds(core, 0, 0, 0), np.full(4, 17))
+        core = make_core(threshold=17, reset_mode=params.RESET_LINEAR)
+        assert np.array_equal(thresholds(core), np.full(4, 17))
 
     def test_stochastic_adds_masked_draw(self):
-        core = make_core(n=512, threshold=100, threshold_mask=0x0F)
-        theta = thresholds(core, 0, 0, 0)
+        core = make_core(
+            n=512, threshold=100, threshold_mask=0x0F, reset_mode=params.RESET_LINEAR
+        )
+        theta = thresholds(core)
         assert theta.min() >= 100 and theta.max() <= 115
         assert len(np.unique(theta)) > 8  # draws actually vary
 
     def test_mixed_masks(self):
-        core = make_core(threshold=10, threshold_mask=np.array([0, 0, 7, 7]))
-        theta = thresholds(core, 0, 0, 0)
+        core = make_core(
+            threshold=10, threshold_mask=np.array([0, 0, 7, 7]), reset_mode=params.RESET_LINEAR
+        )
+        theta = thresholds(core)
         assert theta[0] == 10 and theta[1] == 10
         assert 10 <= theta[2] <= 17
 
@@ -91,7 +127,7 @@ class TestNeuronTick:
         core = make_core(threshold=10, reset_value=0)
         v = np.zeros(4, dtype=np.int64)
         syn = np.array([5, 10, 15, 0], dtype=np.int64)
-        v2, spiked = neuron_tick(core, v, syn, 0, 0, 0)
+        v2, spiked = neuron_tick(core, v, syn)
         assert spiked.tolist() == [False, True, True, False]
         assert v2.tolist() == [5, 0, 0, 0]
 
@@ -99,14 +135,14 @@ class TestNeuronTick:
         core = make_core(threshold=10, reset_mode=params.RESET_LINEAR)
         v = np.zeros(4, dtype=np.int64)
         syn = np.full(4, 23, dtype=np.int64)
-        v2, spiked = neuron_tick(core, v, syn, 0, 0, 0)
+        v2, spiked = neuron_tick(core, v, syn)
         assert spiked.all()
         assert v2.tolist() == [13, 13, 13, 13]
 
     def test_reset_none_keeps_v(self):
         core = make_core(threshold=10, reset_mode=params.RESET_NONE)
         v2, spiked = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.full(4, 12, dtype=np.int64), 0, 0, 0
+            core, np.zeros(4, dtype=np.int64), np.full(4, 12, dtype=np.int64)
         )
         assert spiked.all()
         assert v2.tolist() == [12] * 4
@@ -114,7 +150,7 @@ class TestNeuronTick:
     def test_reset_to_value(self):
         core = make_core(threshold=5, reset_value=3)
         v2, spiked = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.full(4, 9, dtype=np.int64), 0, 0, 0
+            core, np.zeros(4, dtype=np.int64), np.full(4, 9, dtype=np.int64)
         )
         assert spiked.all()
         assert v2.tolist() == [3] * 4
@@ -122,7 +158,7 @@ class TestNeuronTick:
     def test_negative_floor_saturate(self):
         core = make_core(threshold=100, neg_threshold=20)
         v2, spiked = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.full(4, -50, dtype=np.int64), 0, 0, 0
+            core, np.zeros(4, dtype=np.int64), np.full(4, -50, dtype=np.int64)
         )
         assert not spiked.any()
         assert v2.tolist() == [-20] * 4
@@ -135,24 +171,22 @@ class TestNeuronTick:
             neg_floor_mode=params.NEG_FLOOR_RESET,
         )
         v2, _ = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.full(4, -50, dtype=np.int64), 0, 0, 0
+            core, np.zeros(4, dtype=np.int64), np.full(4, -50, dtype=np.int64)
         )
         assert v2.tolist() == [-7] * 4
 
     def test_membrane_saturation_under_large_input(self):
         core = make_core(threshold=params.THRESHOLD_MAX)
         big = np.full(4, 10**9, dtype=np.int64)
-        v2, spiked = neuron_tick(core, np.zeros(4, dtype=np.int64), big, 0, 0, 0)
+        v2, spiked = neuron_tick(core, np.zeros(4, dtype=np.int64), big)
         assert spiked.all()  # MEMBRANE_MAX >= THRESHOLD_MAX
-        v2b, _ = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), -big, 0, 0, 0
-        )
+        v2b, _ = neuron_tick(core, np.zeros(4, dtype=np.int64), -big)
         assert (v2b >= params.MEMBRANE_MIN).all()
 
     def test_leak_applied_before_threshold(self):
         core = make_core(threshold=10, leak=5)
         v2, spiked = neuron_tick(
-            core, np.zeros(4, dtype=np.int64), np.full(4, 5, dtype=np.int64), 0, 0, 0
+            core, np.zeros(4, dtype=np.int64), np.full(4, 5, dtype=np.int64)
         )
         # 0 + 5 syn + 5 leak = 10 >= 10 -> spike
         assert spiked.all()
@@ -161,8 +195,8 @@ class TestNeuronTick:
         core = make_core(n=64, threshold=50, threshold_mask=31, stoch_leak=True, leak=100)
         v = np.zeros(64, dtype=np.int64)
         syn = np.full(64, 49, dtype=np.int64)
-        a = neuron_tick(core, v, syn, 3, 11, 42)
-        b = neuron_tick(core, v, syn, 3, 11, 42)
+        a = neuron_tick(core, v, syn, 11, 42)
+        b = neuron_tick(core, v, syn, 11, 42)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 

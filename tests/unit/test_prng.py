@@ -6,15 +6,22 @@ import pytest
 from repro.core import prng
 
 
+def draw(bits, seed, purpose, core, tick, units):
+    """*bits*-bit draws for *units* of one core, by the tick's own routine."""
+    units = np.asarray(units)
+    sites = prng.draw_sites(np.full(units.size, core), units)
+    return prng.draw_staged(seed, purpose, tick, sites, bits)
+
+
 class TestDeterminism:
     def test_same_coordinates_same_draws(self):
-        a = prng.draw_u8(42, prng.PURPOSE_SYNAPSE, 3, 17, np.arange(64))
-        b = prng.draw_u8(42, prng.PURPOSE_SYNAPSE, 3, 17, np.arange(64))
+        a = draw(8, 42, prng.PURPOSE_SYNAPSE, 3, 17, np.arange(64))
+        b = draw(8, 42, prng.PURPOSE_SYNAPSE, 3, 17, np.arange(64))
         assert np.array_equal(a, b)
 
     def test_scalar_matches_vector(self):
         units = np.arange(32)
-        vec = prng.draw_u8(7, prng.PURPOSE_LEAK, 5, 9, units)
+        vec = draw(8, 7, prng.PURPOSE_LEAK, 5, 9, units)
         for u in units:
             assert prng.draw_u8_scalar(7, prng.PURPOSE_LEAK, 5, 9, int(u)) == vec[u]
 
@@ -27,8 +34,8 @@ class TestDeterminism:
     def test_order_independence(self):
         units = np.arange(100)
         shuffled = units[::-1].copy()
-        a = prng.draw_u8(1, prng.PURPOSE_SYNAPSE, 0, 0, units)
-        b = prng.draw_u8(1, prng.PURPOSE_SYNAPSE, 0, 0, shuffled)
+        a = draw(8, 1, prng.PURPOSE_SYNAPSE, 0, 0, units)
+        b = draw(8, 1, prng.PURPOSE_SYNAPSE, 0, 0, shuffled)
         assert np.array_equal(a, b[::-1])
 
 
@@ -44,14 +51,14 @@ class TestIndependenceAcrossCoordinates:
     )
     def test_streams_differ(self, kwargs_a, kwargs_b):
         base = dict(seed=0, purpose=prng.PURPOSE_SYNAPSE, core=0, tick=0)
-        a = prng.draw_u32(**{**base, **kwargs_a}, units=np.arange(256))
-        b = prng.draw_u32(**{**base, **kwargs_b}, units=np.arange(256))
+        a = draw(32, **{**base, **kwargs_a}, units=np.arange(256))
+        b = draw(32, **{**base, **kwargs_b}, units=np.arange(256))
         assert not np.array_equal(a, b)
 
 
 class TestUniformity:
     def test_u8_mean_and_range(self):
-        d = prng.draw_u8(0, prng.PURPOSE_SYNAPSE, 0, 0, np.arange(200_000))
+        d = draw(8, 0, prng.PURPOSE_SYNAPSE, 0, 0, np.arange(200_000))
         assert 0 <= d.min() and d.max() <= 255
         assert abs(d.mean() - 127.5) < 1.0
 
@@ -61,13 +68,13 @@ class TestUniformity:
         assert abs(d.mean() - 32767.5) < 300
 
     def test_u8_bucket_uniformity(self):
-        d = prng.draw_u8(3, prng.PURPOSE_LEAK, 1, 1, np.arange(256_000))
+        d = draw(8, 3, prng.PURPOSE_LEAK, 1, 1, np.arange(256_000))
         counts = np.bincount(d, minlength=256)
         # each bucket expects 1000; allow 5 sigma (~sqrt(1000)*5)
         assert np.all(np.abs(counts - 1000) < 160)
 
     def test_no_unit_correlation(self):
-        d = prng.draw_u8(0, prng.PURPOSE_SYNAPSE, 0, 0, np.arange(65536))
+        d = draw(8, 0, prng.PURPOSE_SYNAPSE, 0, 0, np.arange(65536))
         # adjacent-unit draws should be uncorrelated
         x = d[:-1].astype(float) - d.mean()
         y = d[1:].astype(float) - d.mean()

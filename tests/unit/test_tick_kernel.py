@@ -29,7 +29,6 @@ from repro.core import params, prng
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.kernel import ReferenceKernel
 from repro.core.network import Core, Network
-from repro.core.neuron import neuron_tick
 from repro.lint.examples import BUILTIN_NETWORKS
 
 B = 4
@@ -113,14 +112,15 @@ def _every_branch_core():
 
 
 def _listing_update(c, seed, tick, v, syn):
-    """The scalar-core algebra (``repro.core.neuron``), core by core."""
-    parts = [
-        neuron_tick(core, v[lo:hi], syn[lo:hi], i, tick, seed)
-        for i, (core, lo, hi) in enumerate(
-            zip(c.network.cores, c.neuron_base[:-1], c.neuron_base[1:])
-        )
+    """Listing 1 itself: the scalar kernel's update, neuron by neuron."""
+    ref = ReferenceKernel(c.network)
+    ref.seed, ref.tick = seed, tick
+    rows = [
+        ref._update_neuron(core, core_id, neuron, int(v[lo + neuron]), int(syn[lo + neuron]))
+        for core_id, (core, lo) in enumerate(zip(c.network.cores, c.neuron_base))
+        for neuron in range(core.n_neurons)
     ]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 class TestUpdateIsPure:
