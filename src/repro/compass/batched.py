@@ -18,11 +18,11 @@ and the counter-based generator (:mod:`repro.core.prng`) makes each
 draw a pure function of (seed, purpose, core, tick, unit).  Lane ``b``
 therefore observes *bit-identical* spikes, counters, and membrane
 trajectories to a standalone :class:`~repro.compass.fast.FastCompassSimulator`
-run of the same seed and inputs, which is what the batched property
-suite asserts.  Per-lane tick counters also make lanes restartable in
-place (:meth:`~BatchedCompassSimulator.reset_lane`), the primitive the
-serving runtime (:mod:`repro.runtime.serving`) uses to admit a new
-session into a free lane mid-flight.
+run of the same seed and inputs, which the differential oracle holds
+to Listing 1 lane by lane.  Per-lane tick counters also make lanes
+restartable in place (:meth:`~BatchedCompassSimulator.reset_lane`), the
+primitive the serving runtime (:mod:`repro.runtime.serving`) uses to
+admit a new session into a free lane mid-flight.
 
 The neuron phase *is* the sparse engine's: one
 :class:`~repro.compass.fast.TickState` over the ``(B, N)`` membranes
@@ -56,10 +56,6 @@ from repro.core.record import SpikeRecord
 from repro.io.checkpoint import EngineCheckpoint
 from repro.obs.observer import Observer, active_observer
 from repro.obs.trace import now_ns
-from repro.sanitize.analyze import analyze_access_log
-from repro.sanitize.dynamic import AccessRecorder, sanitize_enabled, shadow_view
-from repro.sanitize.faults import resolve_fault
-from repro.sanitize.protocol import BATCHED_PROTOCOL
 from repro.utils.validation import require
 
 
@@ -132,8 +128,6 @@ class BatchedCompassSimulator:
         seeds=None,
         obs: Observer | None = None,
         gated: bool | str = "auto",
-        sanitize: bool | None = None,
-        sanitize_fault=None,
     ) -> None:
         require(n_replicas >= 1, f"n_replicas must be >= 1, got {n_replicas}")
         compiled = bind_compiled(self, network, obs, gated)
@@ -157,11 +151,6 @@ class BatchedCompassSimulator:
         )
 
         B = self.n_replicas
-        self.sanitize_report = None
-        self._san = (
-            AccessRecorder("engine", fault=resolve_fault(sanitize_fault))
-            if sanitize_enabled(sanitize) else None
-        )
         # Mutable per-run state, lane-major where it matters.  The
         # seeds list is shared with the tick state: reseeding a lane in
         # place is seen by the next pass.
@@ -172,14 +161,6 @@ class BatchedCompassSimulator:
         self.buffers = np.zeros(
             (params.DELAY_SLOTS, B, compiled.n_axons), dtype=bool
         )
-        if self._san is not None:
-            # The single-actor engine still gets phase conformance
-            # checking: buffers accesses record through the shadow view;
-            # self.v is rebound each dense pass, so its traffic is noted
-            # explicitly at the phase boundaries.
-            self._san.set_context(-1, "init")
-            self.buffers = shadow_view(self.buffers, ("batch", "buffers"), self._san)
-            self._san.note(("batch", "v"), "W")
         self.lane_tick = np.zeros(B, dtype=np.int64)
         self._inputs: list[dict[int, object]] = [dict() for _ in range(B)]
         self._lanes = np.arange(B, dtype=np.int64)
@@ -262,9 +243,6 @@ class BatchedCompassSimulator:
         admission primitive of :class:`~repro.runtime.serving.ModelServer`.
         """
         require(0 <= lane < self.n_replicas, f"lane {lane} out of range")
-        if self._san is not None:
-            self._san.set_context(self.passes, "reset")
-            self._san.note(("batch", "v"), "W")
         self._state.set_lane(lane, self.compiled.initial_v)
         self.buffers[:, lane, :] = False
         self.lane_tick[lane] = 0
@@ -281,8 +259,8 @@ class BatchedCompassSimulator:
         """One lane's event counters as a standalone struct.
 
         Bit-identical to the counters of a standalone sparse run of the
-        same (seed, inputs) — the equivalence the batched property
-        suite asserts field by field.
+        same (seed, inputs) — what the differential oracle compares
+        field by field.
         """
         ec = EventCounters(
             ticks=int(self.lane_tick[lane]),
@@ -320,9 +298,6 @@ class BatchedCompassSimulator:
         resumed from a preempted serving lane is bit-identical).
         """
         require(0 <= lane < self.n_replicas, f"lane {lane} out of range")
-        if self._san is not None:
-            self._san.set_context(self.passes, "checkpoint")
-            self._san.note(("batch", "v"), "R")
         return EngineCheckpoint.capture(
             self.network, self.lane_tick[lane], self.v[lane],
             self.buffers[:, lane, :], self._inputs[lane],
@@ -341,9 +316,6 @@ class BatchedCompassSimulator:
         """
         require(0 <= lane < self.n_replicas, f"lane {lane} out of range")
         v, raw, pending, ec = ckpt.restore_state(self.network, adopt_seed=True)
-        if self._san is not None:
-            self._san.set_context(self.passes, "checkpoint")
-            self._san.note(("batch", "v"), "W")
         self._state.set_lane(lane, v)
         self.buffers[:, lane, :] = raw
         self.lane_tick[lane] = int(ckpt.tick)
@@ -381,9 +353,6 @@ class BatchedCompassSimulator:
         c, st, tally = self.compiled, self._state, self._tally
         B = self.n_replicas
         obs = active_observer(self.obs)
-        san = self._san
-        if san is not None:
-            san.set_context(self.passes, "deliver")
         if obs is not None:
             t0 = now_ns()
         slots = self.lane_tick % params.DELAY_SLOTS  # (B,) — diverge after resets
@@ -423,29 +392,13 @@ class BatchedCompassSimulator:
         if obs is not None:
             t2 = now_ns()
 
-        if san is not None:
-            san.set_context(self.passes, "update")
-            san.note(("batch", "v"), "R")
         lane_f, neuron_f = st.update(self.lane_tick, syn, touched)
         tally["neuron_updates"] += c.n_neurons
         tally["active_neuron_updates"] += st.n_active
         tally["membrane_saturations"] += st.n_saturated
-        if san is not None:
-            san.note(("batch", "v"), "W")
         if obs is not None:
             t3 = now_ns()
 
-        if san is not None:
-            san.set_context(self.passes, "route")
-            if (
-                san.fault is not None
-                and san.fault.kind == "out-of-phase-write"
-                and self.passes == san.fault.tick
-            ):
-                # Deliberate protocol tear for detection tests: a
-                # value-neutral membrane poke during the route phase.
-                self.v[0, 0] = self.v[0, 0]
-                san.note(("batch", "v"), "W")
         if lane_f.size:
             tally["spikes"] += np.bincount(lane_f, minlength=B)
             emit_ticks = self.lane_tick[lane_f]
@@ -485,23 +438,6 @@ class BatchedCompassSimulator:
             )
         return lane_f, emit_ticks, core_ids, local
 
-    def sanitize_check(self):
-        """Analyze the recorded access log against the batched protocol.
-
-        Returns the :class:`~repro.lint.diagnostics.LintReport` (also
-        kept as ``sanitize_report``), or ``None`` when the engine runs
-        without sanitize.  :meth:`run` calls this automatically; callers
-        driving :meth:`step_arrays` directly call it when done.  The
-        log keeps accumulating, so the report covers every pass so far.
-        """
-        if self._san is None:
-            return None
-        report = analyze_access_log(
-            self._san.events, BATCHED_PROTOCOL, subject="sanitize:batched"
-        )
-        self.sanitize_report = report
-        return report
-
     # -- public API --------------------------------------------------------
     def step(self) -> list[tuple[int, int, int, int]]:
         """Advance one pass; return ``(lane, tick, core, neuron)`` tuples."""
@@ -519,8 +455,6 @@ class BatchedCompassSimulator:
         all_lanes, all_ticks, all_cores, all_neurons = concat_columns(
             self.step_arrays, n_ticks, 4
         )
-        if self._san is not None:
-            self.sanitize_check()
         records = []
         for b in range(self.n_replicas):
             mask = all_lanes == b

@@ -19,7 +19,7 @@ sparse engine draws vectorized batches only for the *active* stochastic
 crosspoints (enumerated from the CSR rows of spiking axons) and the
 stochastic neurons, and still observes bit-identical random streams to
 the scalar reference kernel.  Spike-for-spike equivalence across every
-mode is enforced by the equivalence suites.
+mode is enforced by the differential oracle.
 
 Who owns what.  The two tick phases are module-level functions
 (:func:`integrate_deliveries`, :func:`update_neurons`) over any

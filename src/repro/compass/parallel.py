@@ -61,7 +61,7 @@ sync       (1,) on rank 0           caller, before ``go``: the tick to run,
 Determinism: the counter-based PRNG makes every rank's draws a pure
 function of (seed, core, tick, unit), so results are bit-identical to
 every other expression regardless of process scheduling — verified by
-the equivalence suites.
+the differential oracle.
 """
 
 from __future__ import annotations
@@ -618,15 +618,20 @@ class ParallelCompassSimulator:
     def _worker_failed(self, rank: int, detail: str) -> None:
         """Tear down the pool and surface a rank's death as an error.
 
-        After the cleanup (children reaped, shared segments unlinked) a
-        postmortem bundle — flight ring, metric snapshot, recent spans,
-        sanitize report if armed — is written to ``$REPRO_CRASH_DIR``
-        so the telemetry survives the dead pool.
+        A failed child rank is SIGKILLed first — stopped or hung, it would
+        never take the stop, and close() would wait out its joins — while
+        the healthy ranks get the graceful stop.  After the cleanup
+        (children reaped, shared segments unlinked) a postmortem bundle —
+        flight ring, metric snapshot, recent spans, sanitize report if
+        armed — is written to ``$REPRO_CRASH_DIR`` so the telemetry
+        survives the dead pool.
         """
         summary = detail.strip().splitlines()[-1] if detail.strip() else detail
         log.error(
             "parallel.worker_failed", rank=rank, tick=self.tick, error=summary
         )
+        if rank >= 1:
+            self._procs[rank - 1].kill()
         self.close()
         err = WorkerFailedError(rank, detail)
         write_crash_dump(

@@ -27,7 +27,7 @@ subclass too; what is Compass's own is the Network phase.
 Numerical semantics are bit-identical to the scalar reference kernel
 (Section VI-A's one-to-one equivalence): the vectorized tick draws from
 the same counter-based PRNG and applies the same integer update rules,
-and the equivalence suites hold it to Listing 1 spike for spike.
+and the differential oracle holds it to Listing 1 spike for spike.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ The optimized expressions — :class:`repro.compass.CompassSimulator`
 (software/"supercomputer" expression) and
 :class:`repro.hardware.TrueNorthSimulator` (silicon expression) — must
 produce spike streams identical to this kernel for any network, seed, and
-input schedule; that property is enforced by the equivalence test suite,
-mirroring the 100%-match regressions of paper Section VI-A.
+input schedule; that property is enforced by the differential oracle
+(``tests/property/test_oracle.py``), mirroring the 100%-match
+regressions of paper Section VI-A.  It books every logical event
+counter itself, ``membrane_saturations`` included: the membranes on
+either 20-bit rail after each tick's update.
 
 The structure follows Listing 1 line-by-line:
 
@@ -186,6 +189,8 @@ class ReferenceKernel:
                 self.membranes[core_id][neuron] = v
                 self.counters.neuron_updates += 1
                 self.counters.active_neuron_updates += 1
+                if v in (params.MEMBRANE_MIN, params.MEMBRANE_MAX):
+                    self.counters.membrane_saturations += 1
                 if spiked:
                     self.counters.spikes += 1
                     emitted.append((self.tick, core_id, neuron))

@@ -402,7 +402,6 @@ class ModelServer:
             write_crash_dump(
                 self.obs, "serving_step_failed",
                 detail=f"pass={self.engine.passes}", exc=err,
-                sanitize_report=self.engine.sanitize_report,
             )
             raise
         self._pass_wall_ns += now_ns() - begin

@@ -1,4 +1,4 @@
-"""repro.sanitize: shared-memory race detection for the parallel engines.
+"""repro.sanitize: shared-memory race detection for the parallel engine.
 
 Two layers over one declarative tick protocol
 (:mod:`repro.sanitize.protocol`):
@@ -40,9 +40,7 @@ from repro.sanitize.faults import (
     resolve_fault,
 )
 from repro.sanitize.protocol import (
-    BATCHED_PROTOCOL,
     PARALLEL_PROTOCOL,
-    PROTOCOLS,
     SANITIZE_CODES,
     Access,
     RegionSpec,
@@ -60,8 +58,6 @@ __all__ = [
     "RegionSpec",
     "TickProtocol",
     "PARALLEL_PROTOCOL",
-    "BATCHED_PROTOCOL",
-    "PROTOCOLS",
     "AccessEvent",
     "AccessRecorder",
     "ShadowArray",

@@ -2,7 +2,7 @@
 
 The offline half of the dynamic race detector.  Input: the merged
 per-actor :class:`~repro.sanitize.dynamic.AccessEvent` logs from one
-run (every rank, or the single batched engine actor).
+run (every rank).
 Output: a :class:`~repro.lint.diagnostics.LintReport` carrying SL21x
 diagnostics.
 

@@ -114,7 +114,7 @@ def _stack_summary(skip: int = 3, keep: int = 3) -> str:
 
 
 class AccessRecorder:
-    """Per-process access log for one actor (a rank, the batched engine).
+    """Per-process access log for one actor (a rank).
 
     The engine sets the (tick, phase) context at its phase boundaries;
     shadow views call :meth:`record` on every indexed access.  Barrier

@@ -29,8 +29,8 @@ can assert the dynamic layer actually fires:
 
 ``out-of-phase-write``
     The engine performs one real (but value-neutral) write outside the
-    declared phase for its role: the parallel caller pokes a stats
-    slot during inject, the batched engine pokes ``v`` during route.
+    declared phase for its role: the caller pokes a stats slot during
+    inject.
     Phase conformance flags it as SL211.
 
 Faults only ever engage when the caller passes one explicitly (or sets

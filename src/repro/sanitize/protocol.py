@@ -1,7 +1,6 @@
-"""Declarative tick protocol of the shared-memory parallel engines.
+"""Declarative tick protocol of the shared-memory parallel engine.
 
-The partitioned engine (:mod:`repro.compass.parallel`) and the batched
-multi-replica engine (:mod:`repro.compass.batched`) implement the
+The partitioned engine (:mod:`repro.compass.parallel`) implements the
 paper's one-spike-per-tick contract over shared state by hand: a small
 set of regions, each written by exactly the actors and phases the wire
 format in ``parallel.py``'s module docstring claims, with the per-tick
@@ -214,44 +213,6 @@ PARALLEL_PROTOCOL = TickProtocol(
     },
 )
 
-#: The batched engine shares arrays between phases of one process, not
-#: between processes — the protocol degenerates to phase bracketing on
-#: a single "engine" actor, which is exactly what the out-of-phase
-#: fault-injection tests exercise.
-BATCHED_PROTOCOL = TickProtocol(
-    engine="batched",
-    roles=("engine",),
-    barrier="single-process; phase order within one pass is the protocol",
-    regions={
-        "buffers": _spec(
-            "buffers", "whole-batch", "bool", "(DELAY_SLOTS, B, n_axons)",
-            [
-                Access("engine", "init", "w"),
-                Access("engine", "tick", "rw", ("deliver",)),
-                Access("engine", "tick", "w", ("route",)),
-                Access("engine", "reset", "w"),
-                Access("engine", "checkpoint", "rw"),
-            ],
-        ),
-        "v": _spec(
-            "v", "whole-batch", "int64", "(B, n_neurons)",
-            [
-                Access("engine", "init", "w"),
-                Access("engine", "tick", "rw", ("update",)),
-                Access("engine", "reset", "w"),
-                Access("engine", "checkpoint", "rw"),
-            ],
-        ),
-    },
-)
-
-#: Protocols by engine name.
-PROTOCOLS = {
-    "parallel": PARALLEL_PROTOCOL,
-    "batched": BATCHED_PROTOCOL,
-}
-
-
 #: Runtime phases of a rank's own tick; any other phase of a ``rankN``
 #: actor is rank 0 acting as the caller.
 TICK_PHASES = ("deliver", "integrate", "update", "route")
@@ -262,10 +223,8 @@ def role_of_actor(actor: str, phase: str = "deliver", owner: str | None = None) 
 
     ``rankN`` inside its own tick is ``rank`` on its own regions and
     ``peer`` on another rank's; outside a tick it is the caller (only
-    rank 0 ever is).  Any other actor is the batched ``engine``.
+    rank 0 ever is).
     """
-    if not actor.startswith("rank"):
-        return "engine"
     if phase not in TICK_PHASES:
         return "caller"
     return "rank" if owner in (None, actor) else "peer"
@@ -273,5 +232,5 @@ def role_of_actor(actor: str, phase: str = "deliver", owner: str | None = None) 
 
 __all__ = [
     "SANITIZE_CODES", "Access", "RegionSpec", "TickProtocol",
-    "PARALLEL_PROTOCOL", "BATCHED_PROTOCOL", "PROTOCOLS", "role_of_actor",
+    "PARALLEL_PROTOCOL", "role_of_actor",
 ]

@@ -35,9 +35,9 @@ honour the same ``# repro-lint: allow=CODE`` pragma as the source lint,
 so sanctioned exceptions (the fault-injection writes) stay auditable
 in-source.
 
-The batched engine is single-process — its phase protocol is enforced
-by the dynamic layer; here it only gets the SL200 binding sweep, along
-with ``obs/flight.py`` and ``runtime/serving.py``.
+The batched engine, ``obs/flight.py`` and ``runtime/serving.py`` share
+arrays in-process only; they get the SL200 binding sweep, which keeps
+it that way.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def check_protocol_sources(extra_paths=()) -> LintReport:
 
     The parallel engine gets the full extraction; the batched engine,
     the flight ring, and the serving runtime get the SL200 binding
-    sweep (their sharing is in-process and dynamically enforced).
+    sweep (their sharing is in-process).
     """
     import repro.compass.batched as batched_mod
     import repro.compass.parallel as parallel_mod

@@ -1,23 +1,23 @@
-"""Property-based equivalence: the paper's Section VI-A as a hypothesis test.
+"""What the shared tick leaves to each expression, and Listing 1's own invariants.
 
-For ANY randomly generated network, input schedule, and seed, the three
-kernel expressions must agree spike-for-spike.  This is the strongest
-invariant in the repository: hypothesis explores the configuration space
-(stochastic modes, rank counts, delays) adversarially.
+Spike-for-spike equivalence of the expressions is the differential
+oracle's (``test_oracle.py``); what stays here is the accounting only an
+expression keeps — Compass's messages and bytes, TrueNorth's hops and
+crossings — and properties of the reference kernel itself.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compass.simulator import CompassSimulator, run_compass
+from repro.compass.simulator import CompassSimulator
 from repro.core import params
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.chip import ChipGeometry, Placement
 from repro.core.inputs import InputSchedule
 from repro.core.kernel import run_kernel
 from repro.core.network import Core, Network
-from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.noc.multichip import ChipArray
 
 
@@ -39,106 +39,6 @@ def schedules(draw):
     rate = draw(st.floats(50.0, 800.0))
     seed = draw(st.integers(0, 2**31))
     return rate, seed
-
-
-class TestExpressionEquivalence:
-    @given(net=small_networks(), sched=schedules(), n_ranks=st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_compass_matches_kernel(self, net, sched, n_ranks):
-        rate, seed = sched
-        ins = poisson_inputs(net, 15, rate, seed=seed)
-        ref = run_kernel(net, 15, ins)
-        got = run_compass(net, 15, ins, n_ranks=n_ranks)
-        assert got.first_mismatch(ref) is None
-
-    @given(net=small_networks(), sched=schedules())
-    @settings(max_examples=25, deadline=None)
-    def test_truenorth_matches_kernel(self, net, sched):
-        rate, seed = sched
-        ins = poisson_inputs(net, 15, rate, seed=seed)
-        ref = run_kernel(net, 15, ins)
-        got = run_truenorth(net, 15, ins)
-        assert got.first_mismatch(ref) is None
-
-    @given(
-        n_cores=st.integers(1, 4),
-        size=st.sampled_from([4, 8, 12]),
-        connectivity=st.floats(0.1, 0.9),
-        stochastic=st.booleans(),
-        net_seed=st.integers(0, 2**31),
-        sched=schedules(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_fast_compass_matches_kernel(
-        self, n_cores, size, connectivity, stochastic, net_seed, sched
-    ):
-        from repro.compass.fast import run_fast_compass
-
-        net = random_network(
-            n_cores=n_cores, n_axons=size, n_neurons=size,
-            connectivity=connectivity, stochastic=stochastic, seed=net_seed,
-        )
-        rate, seed = sched
-        ins = poisson_inputs(net, 15, rate, seed=seed)
-        ref = run_kernel(net, 15, ins)
-        got = run_fast_compass(net, 15, ins)
-        assert got.first_mismatch(ref) is None
-
-    @given(net=small_networks(), sched=schedules())
-    @settings(max_examples=25, deadline=None)
-    def test_sparse_engine_three_way_stochastic(self, net, sched):
-        # FastCompass ≡ ReferenceKernel ≡ CompassSimulator spike-for-spike
-        # on networks exercising stochastic synapse, stochastic leak and
-        # masked-threshold modes (small_networks draws all of them), with
-        # randomized seeds and per-neuron delays.
-        from repro.compass.engine import select_engine
-        from repro.compass.fast import FastCompassSimulator, run_fast_compass
-
-        rate, seed = sched
-        ins = poisson_inputs(net, 15, rate, seed=seed)
-        ref = run_kernel(net, 15, ins)
-        fast = run_fast_compass(net, 15, ins)
-        std = run_compass(net, 15, ins)
-        assert fast.first_mismatch(ref) is None
-        assert std.first_mismatch(fast) is None
-        # The auto selector routes every network — stochastic included —
-        # to the sparse path.
-        assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
-
-    @given(net=small_networks(), sched=schedules(), n_workers=st.sampled_from([2, 3]))
-    @settings(max_examples=8, deadline=None)
-    def test_parallel_engine_three_way(self, net, sched, n_workers):
-        # ParallelCompass ≡ FastCompass ≡ ReferenceKernel spike-for-spike:
-        # the shared-memory partitioned expression observes the same
-        # counter-based PRNG streams as the whole-network engines.
-        # (Bounded example count: each example spawns a worker pool.)
-        from repro.compass.fast import run_fast_compass
-        from repro.compass.parallel import run_parallel_compass
-
-        rate, seed = sched
-        ins = poisson_inputs(net, 12, rate, seed=seed)
-        ref = run_kernel(net, 12, ins)
-        fast = run_fast_compass(net, 12, ins)
-        par = run_parallel_compass(net, 12, ins, n_workers=n_workers)
-        assert fast.first_mismatch(ref) is None
-        assert par.first_mismatch(fast) is None
-        assert par == ref
-
-    @given(
-        net=small_networks(),
-        sched=schedules(),
-        strategies=st.lists(
-            st.sampled_from(["block", "round_robin", "load_balanced"]),
-            min_size=2, max_size=2, unique=True,
-        ),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_partition_invariance(self, net, sched, strategies):
-        rate, seed = sched
-        ins = poisson_inputs(net, 12, rate, seed=seed)
-        a = run_compass(net, 12, ins, n_ranks=2, partition_strategy=strategies[0])
-        b = run_compass(net, 12, ins, n_ranks=3, partition_strategy=strategies[1])
-        assert a == b
 
 
 #: What the two hand-written per-core loops counted at the commit before

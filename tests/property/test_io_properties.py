@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.builders import poisson_inputs, random_network
 from repro.hardware.config import config_stream, decode_core, encode_core, parse_config_stream
 from repro.io.aer import AERStream, decode_aer, encode_aer
-from repro.compass.simulator import CompassSimulator
 from repro.io.checkpoint import (
     EngineCheckpoint,
 )
 from repro.lint.diagnostics import LintError
-from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
 
 
@@ -86,36 +84,6 @@ class TestConfigProperties:
 
 
 class TestCheckpointProperties:
-    @given(
-        sim_cls=st.sampled_from([TrueNorthSimulator, CompassSimulator]),
-        seed=st.integers(0, 2**31),
-        split=st.integers(1, 19),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_resume_bit_exact_at_any_split(self, sim_cls, seed, split):
-        net = random_network(n_cores=2, n_axons=8, n_neurons=8,
-                             stochastic=True, seed=seed)
-        ins = poisson_inputs(net, 20, 400.0, seed=seed + 1)
-
-        full = sim_cls(net)
-        full.load_inputs(ins)
-        full_events = []
-        for _ in range(20):
-            full_events.extend(full.step())
-
-        part = sim_cls(net)
-        part.load_inputs(ins)
-        events = []
-        for _ in range(split):
-            events.extend(part.step())
-        ckpt = part.snapshot()
-        resumed = sim_cls(net)
-        resumed.restore(ckpt)
-        for _ in range(20 - split):
-            events.extend(resumed.step())
-
-        assert SpikeRecord.from_events(events) == SpikeRecord.from_events(full_events)
-
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_damaged_bytes_never_escape_as_anything_but_tn601(self, data):

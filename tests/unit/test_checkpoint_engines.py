@@ -1,10 +1,10 @@
-"""Engine-agnostic snapshot/restore: the checkpoint plane across engines.
+"""Engine-agnostic snapshot/restore: the checkpoint plane around the engines.
 
-The tentpole invariant: a checkpoint captured at ANY mid-run tick on
-ANY engine restores — on the same engine or a different one — to a
-simulator whose remaining run is bit-identical to the uninterrupted
-one: same spikes, same membranes, same event counters.  Counter-based
-PRNG makes this possible; these tests make it enforced.
+That a checkpoint taken at any tick on any engine resumes bit-exactly on
+any other is the differential oracle's ``snapshot_restore`` rule
+(``tests/property/test_oracle.py``).  Here: files, identity and size
+validation, the control pipe, crash bundles, serving preemption,
+streaming checkpoints and the CLI.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.compass.fast import FastCompassSimulator
 from repro.compass.parallel import ParallelCompassSimulator, WorkerFailedError
 from repro.compass.compile import invalidate
 from repro.compass.simulator import CompassSimulator
-from repro.core import params
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
@@ -119,52 +118,6 @@ def checkpoint_at(net, ins, split=SPLIT):
 
 
 class TestSameEngineResume:
-    @pytest.mark.parametrize("gated", [True, False])
-    def test_fast_resume_bit_exact(self, gated):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-
-        sim = FastCompassSimulator(compile_network(net), gated=gated)
-        sim.load_inputs(ins)
-        head = drive(sim, SPLIT)
-        ckpt = sim.snapshot()
-
-        resumed = FastCompassSimulator(compile_network(net), gated=gated)
-        resumed.restore(ckpt)
-        tail = drive(resumed, TICKS - SPLIT)
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-        np.testing.assert_array_equal(resumed.v, full_sim.v)
-        assert_counters_equal(resumed.counters, full_sim.counters)
-
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_every_expression_resumes_with_every_counter(self, engine):
-        # Same expression on both sides of the split: every counter
-        # field, the expression-dependent ones included, must match the
-        # uninterrupted run of that expression, through the container.
-        net = small_net(n_cores=4)
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full, first, resumed = (ENGINES[engine](net) for _ in range(3))
-        try:
-            full.load_inputs(ins)
-            full_events = drive(full, TICKS)
-            first.load_inputs(ins)
-            head = drive(first, SPLIT)
-            resumed.restore(
-                EngineCheckpoint.from_bytes(first.snapshot().to_bytes())
-            )
-            tail = drive(resumed, TICKS - SPLIT)
-            assert SpikeRecord.from_events(head + tail) == \
-                SpikeRecord.from_events(full_events)
-            np.testing.assert_array_equal(
-                resumed.snapshot().v, full.snapshot().v
-            )
-            assert_counters_equal(resumed.counters, full.counters)
-        finally:
-            close(full, first, resumed)
-
     def test_fast_resume_through_bytes_and_file(self, tmp_path):
         net = small_net(seed=4)
         ins = poisson_inputs(net, TICKS, 500.0, seed=7)
@@ -247,28 +200,6 @@ class TestSameEngineResume:
         with pytest.raises(ValueError):
             FastCompassSimulator(compile_network(net)).restore(ckpt2)
 
-    def test_parallel_resume_into_different_worker_count(self):
-        net = small_net(n_cores=4)
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        _, full_events = reference_run(net, ins)
-
-        first = ParallelCompassSimulator(net, n_workers=2)
-        second = ParallelCompassSimulator(net, n_workers=3)
-        try:
-            first.load_inputs(ins)
-            head = drive(first, SPLIT)
-            ckpt = first.snapshot()
-            # The checkpoint is in global coordinates: a pool with a
-            # DIFFERENT partitioning restores it bit-exactly.
-            second.restore(ckpt)
-            tail = drive(second, TICKS - SPLIT)
-        finally:
-            first.close()
-            second.close()
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-
     def test_parallel_restore_of_a_vector_beyond_the_socket_buffer(self):
         # A child's membrane slice travels by pipe.  With the send buffer
         # shrunk far below it (the default only holds ~26k neurons), the
@@ -302,171 +233,6 @@ class TestSameEngineResume:
             full_events
         )
         assert_logical_counters_equal(resumed.counters, full_sim.counters)
-
-
-class TestCrossEngineRestore:
-    @pytest.mark.parametrize("src, dst", [
-        ("truenorth", "fast"), ("fast", "truenorth"),
-        ("truenorth", "parallel"), ("truenorth", "compass"),
-        ("compass", "truenorth"), ("compass", "fast"),
-        ("parallel", "truenorth"),
-    ])
-    def test_cross_expression_matrix(self, src, dst):
-        # The hardware expression speaks the one checkpoint too: a state
-        # captured on it resumes on every software expression and back.
-        net = small_net(n_cores=4)
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-        first, resumed = ENGINES[src](net), ENGINES[dst](net)
-        try:
-            first.load_inputs(ins)
-            head = drive(first, SPLIT)
-            resumed.restore(first.snapshot())
-            tail = drive(resumed, TICKS - SPLIT)
-            assert SpikeRecord.from_events(head + tail) == \
-                SpikeRecord.from_events(full_events)
-            np.testing.assert_array_equal(resumed.snapshot().v, full_sim.v)
-            assert_logical_counters_equal(resumed.counters, full_sim.counters)
-        finally:
-            close(first, resumed)
-
-    def test_saturation_tally_is_identical_across_expressions(self):
-        # core/counters.py calls membrane_saturations "identical across
-        # expressions"; before the shared per-core tick TrueNorth never
-        # booked it.  Two neurons per core are driven onto the rails: one
-        # leaks down to MEMBRANE_MIN under a floor too low to catch it,
-        # one starts above every threshold and never resets.
-        net = small_net(n_cores=3)
-        for core in net.cores:
-            core.initial_v[:2] = params.MEMBRANE_MIN + 7, params.MEMBRANE_MAX - 7
-            core.leak[:2] = -3, 3
-            core.stoch_leak[:2] = core.leak_reversal[:2] = False
-            core.neg_threshold[0] = -params.MEMBRANE_MIN
-            core.reset_mode[1] = params.RESET_NONE
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        sims = {name: ENGINES[name](net) for name in ("fast", "compass", "truenorth")}
-        for sim in sims.values():
-            sim.run(TICKS, ins)
-        assert sims["fast"].counters.membrane_saturations > TICKS
-        for name in ("compass", "truenorth"):
-            assert_logical_counters_equal(sims[name].counters, sims["fast"].counters)
-            np.testing.assert_array_equal(sims[name].v, sims["fast"].v)
-
-    def test_truenorth_to_batched_lane(self):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-        chip = TrueNorthSimulator(net)
-        chip.load_inputs(ins)
-        head = drive(chip, SPLIT)
-
-        batched = BatchedCompassSimulator(compile_network(net), 3)
-        batched.restore_lane(2, chip.snapshot())
-        tail = []
-        for _ in range(TICKS - SPLIT):
-            tail.extend((t, c, nn) for b, t, c, nn in batched.step() if b == 2)
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-        np.testing.assert_array_equal(batched.v[2], full_sim.v)
-        assert_logical_counters_equal(batched.lane_counters(2), full_sim.counters)
-        # The mesh hops the chip counted ride along in the lane's tally.
-        assert batched.lane_counters(2).hops == chip.counters.hops
-
-    def test_fast_to_batched_lane(self):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-        ckpt, head = checkpoint_at(net, ins)
-
-        batched = BatchedCompassSimulator(compile_network(net), 3)
-        batched.restore_lane(1, ckpt)
-        events = []
-        for _ in range(TICKS - SPLIT):
-            events.extend(
-                (t, c, nn) for b, t, c, nn in batched.step() if b == 1
-            )
-        assert SpikeRecord.from_events(head + events) == SpikeRecord.from_events(
-            full_events
-        )
-        np.testing.assert_array_equal(batched.v[1], full_sim.v)
-        assert_logical_counters_equal(
-            batched.lane_counters(1), full_sim.counters
-        )
-
-    def test_batched_lane_to_fast(self):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-
-        batched = BatchedCompassSimulator(
-            compile_network(net), 2, seeds=[net.seed, net.seed + 1]
-        )
-        batched.load_inputs(ins, lane=0)
-        head = []
-        for _ in range(SPLIT):
-            head.extend(
-                (t, c, nn) for b, t, c, nn in batched.step() if b == 0
-            )
-        ckpt = batched.snapshot_lane(0)
-
-        resumed = FastCompassSimulator(compile_network(net))
-        resumed.restore(ckpt)
-        tail = drive(resumed, TICKS - SPLIT)
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-        np.testing.assert_array_equal(resumed.v, full_sim.v)
-
-    def test_parallel_to_fast_and_back(self):
-        net = small_net(n_cores=4)
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-
-        par = ParallelCompassSimulator(net, n_workers=2)
-        try:
-            par.load_inputs(ins)
-            head = drive(par, SPLIT)
-            ckpt = par.snapshot()
-        finally:
-            par.close()
-
-        fast = FastCompassSimulator(compile_network(net))
-        fast.restore(ckpt)
-        tail = drive(fast, TICKS - SPLIT)
-        assert SpikeRecord.from_events(head + tail) == SpikeRecord.from_events(
-            full_events
-        )
-        np.testing.assert_array_equal(fast.v, full_sim.v)
-
-        # And the other direction: fast -> parallel.
-        ckpt2, head2 = checkpoint_at(net, ins)
-        par2 = ParallelCompassSimulator(net, n_workers=3)
-        try:
-            par2.restore(ckpt2)
-            tail2 = drive(par2, TICKS - SPLIT)
-        finally:
-            par2.close()
-        assert SpikeRecord.from_events(head2 + tail2) == SpikeRecord.from_events(
-            full_events
-        )
-
-    def test_whole_batch_snapshot_round_trip(self):
-        net = small_net()
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        compiled = compile_network(net)
-        a = BatchedCompassSimulator(compiled, 2, seeds=[7, 8])
-        a.load_inputs(ins)
-        for _ in range(SPLIT):
-            a.step()
-        ckpts = a.snapshot()
-        assert len(ckpts) == 2
-
-        b = BatchedCompassSimulator(compiled, 2, seeds=[0, 0])
-        b.restore(ckpts)
-        for _ in range(TICKS - SPLIT):
-            assert a.step() == b.step()
-        np.testing.assert_array_equal(a.v, b.v)
 
 
 class TestCrashDumpCheckpoint:

@@ -13,7 +13,6 @@ from repro.compass.partition import (
 from repro.compass.simmpi import SimMPI
 from repro.compass.simulator import CompassSimulator, run_compass
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import run_kernel
 
 
 class TestSimMPI:
@@ -86,44 +85,6 @@ class TestPartition:
     def test_more_ranks_than_cores(self, net):
         a = partition(net, 32, "load_balanced")
         assert ((a >= 0) & (a < 32)).all()
-
-
-class TestCompassEquivalence:
-    """Compass must be spike-for-spike identical to the reference kernel."""
-
-    @pytest.mark.parametrize("n_ranks", [1, 2, 5])
-    @pytest.mark.parametrize("stochastic", [False, True])
-    def test_matches_reference_kernel(self, n_ranks, stochastic):
-        net = random_network(
-            n_cores=5, n_axons=12, n_neurons=12, stochastic=stochastic, seed=21
-        )
-        ins = poisson_inputs(net, 25, 300.0, seed=9)
-        ref = run_kernel(net, 25, ins)
-        got = run_compass(net, 25, ins, n_ranks=n_ranks)
-        assert got.first_mismatch(ref) is None
-        assert got == ref
-
-    def test_partition_invariance(self):
-        net = random_network(n_cores=8, stochastic=True, seed=3)
-        ins = poisson_inputs(net, 20, 250.0, seed=1)
-        records = [
-            run_compass(net, 20, ins, n_ranks=r, partition_strategy=s)
-            for r, s in [(1, "block"), (3, "round_robin"), (8, "load_balanced")]
-        ]
-        assert records[0] == records[1] == records[2]
-
-    def test_counter_equivalence_with_kernel(self):
-        net = random_network(n_cores=4, seed=13)
-        ins = poisson_inputs(net, 15, 400.0, seed=2)
-        ref = run_kernel(net, 15, ins)
-        got = run_compass(net, 15, ins, n_ranks=2)
-        assert got.counters.synaptic_events == ref.counters.synaptic_events
-        assert got.counters.spikes == ref.counters.spikes
-        assert got.counters.deliveries == ref.counters.deliveries
-        assert got.counters.neuron_updates == ref.counters.neuron_updates
-        assert np.array_equal(
-            got.counters.synaptic_events_per_core, ref.counters.synaptic_events_per_core
-        )
 
 
 class TestCompassBehaviour:

@@ -8,10 +8,12 @@ events.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.core.inputs as inputs_module
 import repro.hardware.simulator as hardware_simulator
 from repro.apps.audio import AudioClassifier
 from repro.apps.optical_flow import build_flow_pipeline, moving_bar_inputs
@@ -124,6 +126,19 @@ def digest(schedule) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(PRODUCERS))
 def test_producer_is_bit_identical_to_the_per_event_form(name, monkeypatch):
     assert digest(build(name, monkeypatch)) == PINNED[name]
+
+
+@pytest.mark.parametrize("cores", [None, [2, 0, 3], [1, 1, 0]])
+def test_poisson_columns_are_canonical_as_drawn(cores, monkeypatch):
+    # Nothing is left to merge on first read — or on a replace() copy's.
+    net = random_network(n_cores=4, n_axons=12, n_neurons=8, seed=3)
+    schedule = poisson_inputs(net, 20, 300.0, seed=8, cores=cores)
+    monkeypatch.setattr(inputs_module, "canonical_events", None)
+    for copy in (schedule, replace(schedule)):
+        ticks, core_ids, axons = copy.columns()
+        assert all(col.dtype == np.int64 for col in (ticks, core_ids, axons))
+        keys = (ticks * 4 + core_ids) * 12 + axons
+        assert ticks.size > 0 and (np.diff(keys) > 0).all()
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCERS))

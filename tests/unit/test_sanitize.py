@@ -1,6 +1,6 @@
 """Sanitizer tests: protocol tables, shadow views, the vector-clock
 analyzer, static mutation fixtures, dynamic clean sweeps over every
-builtin network on both engines, and fault-injection detection."""
+builtin network, and fault-injection detection."""
 
 from __future__ import annotations
 
@@ -13,13 +13,11 @@ import pytest
 
 import repro.compass.parallel as parallel_mod
 from repro.cli import main as cli_main
-from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.parallel import ParallelCompassSimulator
 from repro.core.builders import poisson_inputs
 from repro.lint.diagnostics import Severity
 from repro.lint.examples import BUILTIN_NETWORKS
 from repro.sanitize import (
-    BATCHED_PROTOCOL,
     PARALLEL_PROTOCOL,
     SANITIZE_CODES,
     Access,
@@ -98,10 +96,6 @@ class TestProtocolTables:
         assert not ring.dynamic_allows("peer", "route", "R")
         assert not ring.dynamic_allows("peer", "deliver", "W")
         assert not PARALLEL_PROTOCOL.region("spikes").dynamic_allows("peer", "route", "W")
-        v = BATCHED_PROTOCOL.region("v")
-        assert v.dynamic_allows("engine", "update", "W")
-        assert v.dynamic_allows("engine", "reset", "W")
-        assert not v.dynamic_allows("engine", "route", "W")
 
     def test_role_of_actor(self):
         assert role_of_actor("rank0", "route", "rank0") == "rank"
@@ -110,7 +104,6 @@ class TestProtocolTables:
         # Outside a tick, rank 0 is the caller — on any rank's region.
         assert role_of_actor("rank0", "gather", "rank1") == "caller"
         assert role_of_actor("rank0", "inject", "rank0") == "caller"
-        assert role_of_actor("engine", "update", "batch") == "engine"
 
     def test_sanitize_enabled(self, monkeypatch):
         assert sanitize_enabled(True)
@@ -280,8 +273,8 @@ class TestAnalyzer:
         assert len(analyze_access_log(events, PARALLEL_PROTOCOL)) == 0
 
     def test_out_of_phase_access(self):
-        events = [_ev("engine", 1, "W", ("batch", "v"), 0, 2, phase="route")]
-        report = analyze_access_log(events, BATCHED_PROTOCOL)
+        events = [_ev("rank1", 1, "W", ("rank1", "stats"), 0, 2, tick=0, phase="update")]
+        report = analyze_access_log(events, PARALLEL_PROTOCOL)
         assert report.codes() == ["SL211"]
 
     def test_peer_touching_more_than_a_ring_is_out_of_phase(self):
@@ -291,8 +284,8 @@ class TestAnalyzer:
         assert "'peer'" in report.render_text()
 
     def test_undeclared_region_is_out_of_phase(self):
-        events = [_ev("engine", 1, "W", ("batch", "rogue"), 0, 2, phase="update")]
-        report = analyze_access_log(events, BATCHED_PROTOCOL)
+        events = [_ev("rank1", 1, "W", ("rank1", "rogue"), 0, 2, tick=0, phase="update")]
+        report = analyze_access_log(events, PARALLEL_PROTOCOL)
         assert report.codes() == ["SL211"]
         assert "not declared" in report.render_text()
 
@@ -445,24 +438,11 @@ class TestDynamicCleanSweep:
         assert report is not None
         assert len(report) == 0, report.render_text()
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_NETWORKS))
-    def test_batched_engine_clean(self, name):
-        network = _network(name)
-        inputs = poisson_inputs(network, 4, 200.0, seed=1)
-        sim = BatchedCompassSimulator(network, n_replicas=2, sanitize=True)
-        sim.run(4, inputs)
-        report = sim.sanitize_report
-        assert report is not None
-        assert len(report) == 0, report.render_text()
-
     def test_disabled_mode_builds_no_report(self):
         network = _network()
         sim = ParallelCompassSimulator(network, n_workers=2, sanitize=False)
         sim.run(2)
         assert sim.sanitize_report is None
-        batched = BatchedCompassSimulator(network, n_replicas=2, sanitize=False)
-        batched.run(2)
-        assert batched.sanitize_report is None
 
 
 class TestFaultDetection:
@@ -497,34 +477,18 @@ class TestFaultDetection:
         report = self._parallel_report(FaultInjection("out-of-phase-write", tick=2))
         assert report.codes() == ["SL211"], report.render_text()
 
-    def test_out_of_phase_write_detected_on_batched(self):
-        network = _network()
-        inputs = poisson_inputs(network, 6, 200.0, seed=1)
-        sim = BatchedCompassSimulator(
-            network, n_replicas=2, sanitize=True,
-            sanitize_fault=FaultInjection("out-of-phase-write", tick=2),
-        )
-        sim.run(6, inputs)
-        report = sim.sanitize_report
-        assert report is not None
-        assert "SL211" in report.codes(), report.render_text()
-
 
 class TestCli:
     def test_static_only_strict_passes(self):
         assert cli_main(["sanitize", "--static-only", "--strict"]) == 0
 
     def test_dynamic_builtin_single_model(self):
-        code = cli_main([
-            "sanitize", "haar", "--dynamic-only", "--engine", "batched",
-            "--ticks", "3",
-        ])
+        code = cli_main(["sanitize", "haar", "--dynamic-only", "--ticks", "3"])
         assert code == 0
 
     def test_expect_findings_inverts_exit(self):
         argv = [
-            "sanitize", "recurrent-stochastic", "--dynamic-only",
-            "--engine", "batched", "--ticks", "4",
+            "sanitize", "recurrent-stochastic", "--dynamic-only", "--ticks", "4",
             "--fault", "out-of-phase-write:1:2",
         ]
         assert cli_main(argv + ["--expect-findings"]) == 0
