@@ -30,10 +30,10 @@ def main() -> None:
     geometry = ChipGeometry(cores_x=4, cores_y=4)
     net = random_network(n_cores=64, n_axons=16, n_neurons=16,
                          connectivity=0.4, seed=3)
-    placement = Placement.grid(64, geometry)
+    strip = Placement.grid(64, geometry)
     # Re-tile the linear chip strip into a 2x2 array.
-    placement.chip_y[:] = placement.chip_x // 2
-    placement.chip_x[:] = placement.chip_x % 2
+    placement = Placement(chip_x=strip.chip_x % 2, chip_y=strip.chip_x // 2,
+                          x=strip.x, y=strip.y, geometry=geometry)
     sim = TrueNorthSimulator(net, placement=placement)
     ins = poisson_inputs(net, 40, 300.0, seed=9)
     rec = sim.run(40, ins)

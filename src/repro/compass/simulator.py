@@ -20,9 +20,12 @@ Section III-B):
 Who owns what: state, input staging, event accounting, the delivery
 ring, checkpoints and the tick — its first two phases are
 :class:`~repro.compass.fast.TickState`'s integrate and update, run
-dense — are :class:`~repro.compass.fast.ArrayEngine`'s, the engine the
-sparse and the silicon expressions (:mod:`repro.hardware.simulator`)
-subclass too; what is Compass's own is the Network phase.
+dense — are the fast engine's
+(:class:`~repro.compass.fast.FastCompassSimulator`), which this class
+extends, as the silicon expression (:mod:`repro.hardware.simulator`)
+does.  What is Compass's own is the Network phase, and that is the fast
+engine's message count over a core -> rank map: the fast engine is
+Compass with every core its own rank.
 
 Numerical semantics are bit-identical to the scalar reference kernel
 (Section VI-A's one-to-one equivalence): the vectorized tick draws from
@@ -32,18 +35,17 @@ and the differential oracle holds it to Listing 1 spike for spike.
 
 from __future__ import annotations
 
-from repro.core.events import event_tuples
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
 from repro.compass.compile import CompiledNetwork
-from repro.compass.fast import ArrayEngine
+from repro.compass.fast import FastCompassSimulator
 from repro.compass.partition import partition
 from repro.compass.simmpi import SimMPI
 from repro.obs.observer import NULL_SPAN, Observer
 
 
-class CompassSimulator(ArrayEngine):
+class CompassSimulator(FastCompassSimulator):
     """Rank-partitioned, vectorized simulator for one network."""
 
     def __init__(
@@ -59,30 +61,20 @@ class CompassSimulator(ArrayEngine):
         tick — the measurement Compass used to overlap communication
         with computation — and the partitioning gets a span of its own.
         """
-        super().__init__(network, obs)
+        super().__init__(network, obs=obs, gated=False)
         self.n_ranks = n_ranks
         with (obs.span("partition", ranks=n_ranks)
               if obs is not None else NULL_SPAN):
             self.rank_of_core = partition(self.network, n_ranks, partition_strategy)
         self.mpi = SimMPI(n_ranks)
 
-    def _network_phase(self, src_cores, dst_cores, dst_axons, when) -> None:
-        """Send every routed spike rank to rank; exchange; close the barrier.
+    def _network_phase(self, src_cores, dst_cores) -> None:
+        """Exchange the tick's spikes rank to rank; close the tick barrier.
 
         Spikes between a pair of ranks aggregate into one message.
-        ``messages`` accumulates per tick (see ``EventCounters``), so
-        only this exchange's newly sent messages are booked.
         """
         ranks = self.rank_of_core
-        for src, dst, event in zip(
-            ranks[src_cores].tolist(), ranks[dst_cores].tolist(),
-            event_tuples(dst_axons, when),
-        ):
-            self.mpi.send(src, dst, event)
-        sent_before = self.mpi.messages_sent
-        self.mpi.exchange()
-        self.counters.messages += self.mpi.messages_sent - sent_before
-        # Tick barrier: two-step synchronization.
+        self.counters.messages += self.mpi.exchange(ranks[src_cores], ranks[dst_cores])
         self.mpi.barrier_sync()
 
 

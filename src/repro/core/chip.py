@@ -69,7 +69,9 @@ class Placement:
 
     Arrays are indexed by logical core id; ``chip_x/chip_y`` locate the
     chip within a board-level tile array, ``x/y`` locate the core within
-    the chip's 64x64 grid.
+    the chip's 64x64 grid.  They are read-only once placed: the global
+    mesh coordinates every route is measured on are derived from them
+    once, at construction.
     """
 
     chip_x: np.ndarray
@@ -77,6 +79,17 @@ class Placement:
     x: np.ndarray
     y: np.ndarray
     geometry: ChipGeometry = field(default_factory=ChipGeometry)
+
+    def __post_init__(self) -> None:
+        for coords in (self.chip_x, self.chip_y, self.x, self.y):
+            coords.flags.writeable = False
+        # Rows: global x, global y, chip x, chip y — one gather per route end.
+        self._route_coords = np.stack([
+            self.chip_x * self.geometry.cores_x + self.x,
+            self.chip_y * self.geometry.cores_y + self.y,
+            self.chip_x,
+            self.chip_y,
+        ])
 
     @property
     def n_cores(self) -> int:
@@ -86,9 +99,7 @@ class Placement:
     @property
     def n_chips(self) -> int:
         """Number of distinct chips used by the placement."""
-        if self.n_cores == 0:
-            return 0
-        return len(set(zip(self.chip_x.tolist(), self.chip_y.tolist())))
+        return np.unique(self._route_coords[2:], axis=1).shape[1]
 
     def global_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Global mesh coordinates, treating tiled chips as one big grid.
@@ -96,83 +107,52 @@ class Placement:
         Chip tiling is seamless (merge/split preserves mesh semantics), so
         dimension-order routing operates on these global coordinates.
         """
-        gx = self.chip_x * self.geometry.cores_x + self.x
-        gy = self.chip_y * self.geometry.cores_y + self.y
-        return gx, gy
+        return self._route_coords[0], self._route_coords[1]
 
-    def hops_between(self, src_core: int, dst_core: int) -> int:
-        """Manhattan hop count of the dimension-order route src -> dst."""
-        gx, gy = self.global_xy()
-        return int(
-            abs(gx[dst_core] - gx[src_core]) + abs(gy[dst_core] - gy[src_core])
-        )
-
-    def chip_crossings(self, src_core: int, dst_core: int) -> int:
-        """Number of chip-boundary (merge/split) crossings on the route."""
-        return int(
-            abs(self.chip_x[dst_core] - self.chip_x[src_core])
-            + abs(self.chip_y[dst_core] - self.chip_y[src_core])
-        )
-
-    def hop_matrix_for_targets(
+    def route_lengths(
         self, src_cores: np.ndarray, dst_cores: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized hop counts for parallel (src, dst) arrays."""
-        gx, gy = self.global_xy()
-        return np.abs(gx[dst_cores] - gx[src_cores]) + np.abs(
-            gy[dst_cores] - gy[src_cores]
-        )
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hops and chip-boundary crossings of each route ``src -> dst``.
+
+        Vectorized over parallel core-id arrays.  The hop count of the
+        X-then-Y route is the Manhattan distance on the global mesh
+        (:meth:`global_xy`); the merge/split crossings are the Manhattan
+        distance between the two cores' chips.
+        """
+        coords = self._route_coords
+        # take(axis=1): a third of the time of coords[:, idx] at 3k routes.
+        d = np.abs(coords.take(dst_cores, axis=1) - coords.take(src_cores, axis=1))
+        return d[0] + d[1], d[2] + d[3]
 
     @staticmethod
     def grid(
         n_cores: int,
         geometry: ChipGeometry | None = None,
         defects: DefectMap | None = None,
-        chips_x: int | None = None,
     ) -> "Placement":
         """Place logical cores row-major onto chips, skipping defects.
 
-        Chips are added along +x as needed (then the caller may reshape
-        with :func:`tile`); defective slots are skipped, emulating the
-        route-around reconfiguration of the paper.
+        Chips are added along +x as needed; defective slots are skipped,
+        emulating the route-around reconfiguration of the paper.
         """
         geometry = geometry or ChipGeometry()
         defects = defects or DefectMap()
         per_chip = geometry.cores_per_chip
-        if chips_x is None:
-            chips_x = max(1, -(-n_cores // per_chip))  # ceil; refined below
 
-        chip_x_list: list[int] = []
-        chip_y_list: list[int] = []
-        xs: list[int] = []
-        ys: list[int] = []
+        slots: list[tuple[int, int, int, int]] = []  # (chip_x, chip_y, x, y)
         chip = 0
-        placed = 0
-        while placed < n_cores:
-            cx, cy = chip, 0
-            for y in range(geometry.cores_y):
-                for x in range(geometry.cores_x):
-                    if placed >= n_cores:
-                        break
-                    if defects.is_defective(cx, cy, x, y):
-                        continue
-                    chip_x_list.append(cx)
-                    chip_y_list.append(cy)
-                    xs.append(x)
-                    ys.append(y)
-                    placed += 1
-                if placed >= n_cores:
-                    break
+        while len(slots) < n_cores:
+            slots += [
+                (chip, 0, x, y)
+                for y in range(geometry.cores_y)
+                for x in range(geometry.cores_x)
+                if not defects.is_defective(chip, 0, x, y)
+            ]
             chip += 1
             if chip > 2 * (n_cores // max(1, per_chip) + 2):
                 raise ValueError("placement failed: too many defective slots")
-        return Placement(
-            chip_x=np.asarray(chip_x_list, dtype=np.int64),
-            chip_y=np.asarray(chip_y_list, dtype=np.int64),
-            x=np.asarray(xs, dtype=np.int64),
-            y=np.asarray(ys, dtype=np.int64),
-            geometry=geometry,
-        )
+        chip_x, chip_y, x, y = np.array(slots[:n_cores], dtype=np.int64).reshape(-1, 4).T
+        return Placement(chip_x=chip_x, chip_y=chip_y, x=x, y=y, geometry=geometry)
 
     @staticmethod
     def compact(n_cores: int, geometry: ChipGeometry | None = None) -> "Placement":

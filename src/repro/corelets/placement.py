@@ -111,11 +111,8 @@ def total_wirelength(network: Network, placement: Placement) -> int:
     spike and lower communication energy.
     """
     total = 0
-    gx, gy = placement.global_xy()
     for src, core in enumerate(network.cores):
-        routed = core.target_core != OUTPUT_TARGET
-        dst = core.target_core[routed]
-        total += int(
-            (np.abs(gx[dst] - gx[src]) + np.abs(gy[dst] - gy[src])).sum()
-        )
+        dst = core.target_core[core.target_core != OUTPUT_TARGET]
+        hops, _ = placement.route_lengths(np.full(dst.size, src), dst)
+        total += int(hops.sum())
     return total

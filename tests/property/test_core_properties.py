@@ -165,8 +165,12 @@ class TestPlacementProperties:
         if a >= n or b >= n:
             return
         p = Placement.grid(n, ChipGeometry(cores_x=8, cores_y=8))
-        for mid in range(0, n, max(1, n // 5)):
-            assert p.hops_between(a, b) <= p.hops_between(a, mid) + p.hops_between(mid, b)
+        mid = np.arange(0, n, max(1, n // 5))
+        a, b = np.full(mid.size, a), np.full(mid.size, b)
+        for direct, via_a, via_b in zip(
+            p.route_lengths(a, b), p.route_lengths(a, mid), p.route_lengths(mid, b)
+        ):  # hops, then chip crossings
+            assert (direct <= via_a + via_b).all()
 
 
 class TestModelProperties:

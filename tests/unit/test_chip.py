@@ -44,36 +44,55 @@ class TestGridPlacement:
             Placement.grid(4, g, DefectMap(slots))
 
 
+def route(p, src, dst):
+    """One route's (hops, crossings) through the array form."""
+    hops, crossings = p.route_lengths(np.array([src]), np.array([dst]))
+    return int(hops[0]), int(crossings[0])
+
+
 class TestHops:
     def test_same_core_zero_hops(self):
         p = Placement.compact(4)
-        assert p.hops_between(2, 2) == 0
+        assert route(p, 2, 2) == (0, 0)
 
     def test_manhattan_distance(self):
         p = Placement.grid(8, ChipGeometry(cores_x=4, cores_y=4))
         # core0 at (0,0), core7 at (3,1): |3-0| + |1-0| = 4
-        assert p.hops_between(0, 7) == 4
+        assert route(p, 0, 7) == (4, 0)
 
     def test_symmetric(self):
         p = Placement.compact(9)
-        for a in range(9):
-            for b in range(9):
-                assert p.hops_between(a, b) == p.hops_between(b, a)
+        a, b = (ids.ravel() for ids in np.meshgrid(np.arange(9), np.arange(9)))
+        np.testing.assert_array_equal(p.route_lengths(a, b), p.route_lengths(b, a))
 
     def test_cross_chip_hops_use_global_grid(self):
         g = ChipGeometry(cores_x=2, cores_y=2)
         p = Placement.grid(8, g)  # two 2x2 chips side by side
         # core0 at chip0 (0,0) -> global (0,0); core4 at chip1 (0,0) -> global (2,0)
-        assert p.hops_between(0, 4) == 2
-        assert p.chip_crossings(0, 4) == 1
+        assert route(p, 0, 4) == (2, 1)
 
-    def test_vectorized_matches_scalar(self):
-        p = Placement.grid(12, ChipGeometry(cores_x=3, cores_y=3))
-        src = np.array([0, 3, 7])
-        dst = np.array([11, 2, 7])
-        hops = p.hop_matrix_for_targets(src, dst)
-        for k in range(3):
-            assert hops[k] == p.hops_between(int(src[k]), int(dst[k]))
+    def test_vectorized_matches_a_per_pair_loop(self):
+        """Two rows of chips, defects skipped: every route against the
+        coordinates read one pair at a time."""
+        g = ChipGeometry(cores_x=3, cores_y=3)
+        defects = DefectMap(frozenset({(0, 0, 1, 1), (1, 0, 0, 0), (2, 0, 2, 2)}))
+        strip = Placement.grid(30, g, defects)
+        p = Placement(chip_x=strip.chip_x % 2, chip_y=strip.chip_x // 2,
+                      x=strip.x, y=strip.y, geometry=g)
+        assert p.n_chips == 4
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, 30, 200), rng.integers(0, 30, 200)
+        hops, crossings = p.route_lengths(src, dst)
+        for s, d, h, c in zip(src.tolist(), dst.tolist(), hops.tolist(), crossings.tolist()):
+            gx = [p.chip_x[i] * 3 + p.x[i] for i in (s, d)]
+            gy = [p.chip_y[i] * 3 + p.y[i] for i in (s, d)]
+            assert h == abs(gx[1] - gx[0]) + abs(gy[1] - gy[0])
+            assert c == abs(p.chip_x[d] - p.chip_x[s]) + abs(p.chip_y[d] - p.chip_y[s])
+
+    def test_coordinates_are_read_only_once_placed(self):
+        p = Placement.compact(4)
+        with pytest.raises(ValueError):
+            p.x[0] = 3
 
 
 class TestCompactPlacement:

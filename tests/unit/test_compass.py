@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compass.partition import (
     partition,
@@ -15,23 +17,26 @@ from repro.compass.simulator import CompassSimulator, run_compass
 from repro.core.builders import poisson_inputs, random_network
 
 
+def ranks(*ids):
+    return np.array(ids, dtype=np.int64)
+
+
 class TestSimMPI:
     def test_local_delivery_is_free(self):
         mpi = SimMPI(2)
-        mpi.send(0, 0, ("x",))
-        inboxes = mpi.exchange()
-        assert inboxes[0] == [("x",)]
-        assert mpi.messages_sent == 0
+        assert mpi.exchange(ranks(0, 1, 1), ranks(0, 1, 1)) == 0
+        assert mpi.messages_sent == 0 and mpi.bytes_sent == 0
 
     def test_aggregation_one_message_per_pair(self):
         mpi = SimMPI(3)
-        for _ in range(10):
-            mpi.send(0, 1, ("e",))
-        mpi.send(0, 2, ("e",))
-        inboxes = mpi.exchange()
-        assert len(inboxes[1]) == 10 and len(inboxes[2]) == 1
-        assert mpi.messages_sent == 2  # aggregated
+        assert mpi.exchange(ranks(*[0] * 11), ranks(*[1] * 10, 2)) == 2  # aggregated
+        assert mpi.messages_sent == 2
         assert mpi.bytes_sent == 11 * 8
+
+    def test_silent_tick_books_an_exchange_and_no_message(self):
+        mpi = SimMPI(4)
+        assert mpi.exchange(ranks(), ranks()) == 0
+        assert (mpi.exchanges, mpi.messages_sent, mpi.bytes_sent) == (1, 0, 0)
 
     def test_two_step_sync(self):
         mpi = SimMPI(8)
@@ -39,17 +44,34 @@ class TestSimMPI:
         assert mpi.sync_steps == 2
         assert mpi.sync_messages == 2 * 7
 
-    def test_outboxes_drain(self):
-        mpi = SimMPI(2)
-        mpi.send(0, 1, ("e",))
-        assert mpi.pending_events == 1
-        mpi.exchange()
-        assert mpi.pending_events == 0
-        assert mpi.exchange() == [[], []]
-
     def test_rejects_zero_ranks(self):
         with pytest.raises(ValueError):
             SimMPI(0)
+
+    @given(
+        data=st.data(),
+        n_ranks=st.integers(1, 6),
+        n_ticks=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exchange_equals_a_set_of_tuples(self, data, n_ranks, n_ticks):
+        """Messages are the distinct cross-rank pairs of a tick, bytes 8 per
+        cross-rank event, summed over ticks — empty ones included."""
+        mpi = SimMPI(n_ranks)
+        want_messages = want_bytes = 0
+        for _ in range(n_ticks):
+            events = data.draw(st.lists(
+                st.tuples(st.integers(0, n_ranks - 1), st.integers(0, n_ranks - 1)),
+                max_size=30,
+            ))
+            cross = [(s, d) for s, d in events if s != d]
+            want_messages += len(set(cross))
+            want_bytes += 8 * len(cross)
+            src = np.array([s for s, _ in events], dtype=np.int64)
+            dst = np.array([d for _, d in events], dtype=np.int64)
+            assert mpi.exchange(src, dst) == len(set(cross))
+        assert (mpi.messages_sent, mpi.bytes_sent) == (want_messages, want_bytes)
+        assert mpi.exchanges == n_ticks
 
 
 class TestPartition:

@@ -1,4 +1,4 @@
-"""The array engine: what ``ArrayEngine``'s tick frame guarantees every subclass.
+"""The array engine: what ``FastCompassSimulator``'s tick frame guarantees every subclass.
 
 Fast, Compass and TrueNorth run one deliver -> integrate -> update ->
 route tick and differ in their network phase alone.  That the tick

@@ -11,8 +11,9 @@ TrueNorth plain / ``detailed_noc`` / ``chip_array``, the sparse engine
 dense / gated — and prints one line per case: a SHA-256 over the spike
 columns, the final ``v``, every ``EventCounters`` field, the ``SimMPI``
 tallies, ``boundary_crossings`` and the chip array's per-link traffic,
-then the spike count for a human.  "Byte-identical to the parent" is
-this script run on two checkouts and a ``diff``.
+then the spike count for a human.  ``tools/engine_dump.txt`` is the
+golden output and ``tests/unit/test_engine_dump.py`` holds every run to
+it, so "byte-identical to the parent" is a tier-1 test.
 """
 
 from __future__ import annotations

@@ -91,11 +91,11 @@ MUTANTS = [
     ("rank-route-delay", "compass/parallel.py", "_Rank.tick",
      "slot = (tick + part.delay[rf]) % params.DELAY_SLOTS",
      "slot = (tick + part.delay[rf] + 1) % params.DELAY_SLOTS"),
-    ("engine-route-delay", "compass/fast.py", "ArrayEngine.step_arrays",
+    ("engine-route-delay", "compass/fast.py", "FastCompassSimulator.step_arrays",
      "when = tick + c.delay[routed]", "when = tick + c.delay[routed] + 1"),
-    ("engine-input-slot", "compass/fast.py", "ArrayEngine.step_arrays",
+    ("engine-input-slot", "compass/fast.py", "FastCompassSimulator.step_arrays",
      "self.buffers[slot, staged] = True", "self.buffers[slot - 1, staged] = True"),
-    ("engine-deliveries", "compass/fast.py", "ArrayEngine.step_arrays",
+    ("engine-deliveries", "compass/fast.py", "FastCompassSimulator.step_arrays",
      "deliveries=int(active_idx.size)", "deliveries=int(active.size)"),
     ("capture-ring-rotation", "io/checkpoint.py", "EngineCheckpoint.capture",
      "-(tick % params.DELAY_SLOTS), axis=0,", "(tick % params.DELAY_SLOTS), axis=0,"),
