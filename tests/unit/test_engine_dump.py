@@ -2,7 +2,9 @@
 
 ``tools/engine_dump.py`` prints one SHA-256 per fixed-seed case (spikes,
 final membranes, every counter, the SimMPI tallies, hops, crossings and
-per-link traffic) over Compass, TrueNorth and the fast engine;
+per-link traffic) over Compass, TrueNorth, the fast engine and a
+three-lane batch (every lane's spikes and counters, one lane reset
+mid-run in one of the two batch cases);
 ``tools/engine_dump.txt`` holds that output.  A change that means to move
 a digest regenerates the file and says why.
 """

@@ -8,8 +8,10 @@ Usage::
 Runs a fixed case list — the bundled networks plus two recurrent
 operating points; Compass at 1 / 3 ranks and two partition strategies,
 TrueNorth plain / ``detailed_noc`` / ``chip_array``, the sparse engine
-dense / gated — and prints one line per case: a SHA-256 over the spike
-columns, the final ``v``, every ``EventCounters`` field, the ``SimMPI``
+dense / gated, and a three-lane batch on distinct seeds and schedules,
+run through or with lane 1 reset mid-run — and prints one line per
+case: a SHA-256 over the spike columns (each lane's, on a batch), the
+final ``v``, every ``EventCounters`` field (each lane's), the ``SimMPI``
 tallies, ``boundary_crossings`` and the chip array's per-link traffic,
 then the spike count for a human.  ``tools/engine_dump.txt`` is the
 golden output and ``tests/unit/test_engine_dump.py`` holds every run to
@@ -29,10 +31,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps.recurrent import probabilistic_recurrent_network  # noqa: E402
+from repro.compass.batched import BatchedCompassSimulator, replica_seeds  # noqa: E402
 from repro.compass.fast import FastCompassSimulator  # noqa: E402
 from repro.compass.simulator import CompassSimulator  # noqa: E402
 from repro.core.builders import poisson_inputs  # noqa: E402
 from repro.core.chip import ChipGeometry, Placement  # noqa: E402
+from repro.core.prng import derive_stream_seed  # noqa: E402
 from repro.hardware.simulator import TrueNorthSimulator  # noqa: E402
 from repro.lint.examples import BUILTIN_NETWORKS  # noqa: E402
 from repro.noc.multichip import ChipArray  # noqa: E402
@@ -40,6 +44,9 @@ from repro.noc.multichip import ChipArray  # noqa: E402
 TICKS = 24
 INPUT_RATE_HZ = 300.0
 INPUT_SEED = 3
+LANES = 3
+#: The pass before which ``batched/reset`` restarts lane 1.
+RESET_AT = 9
 
 NETWORKS = {
     **BUILTIN_NETWORKS,
@@ -71,7 +78,40 @@ CASES = {
 }
 
 
-def digest(sim, record) -> str:
+def run_single(sim, inputs):
+    """One engine's run: ``(records, counters)``, one of each."""
+    record = sim.run(TICKS, inputs)
+    return [record], [sim.counters]
+
+
+def run_batch(net, reset: bool):
+    """Three lanes on ``replica_seeds``, a schedule each; with *reset*, lane 1
+    restarts before pass ``RESET_AT`` on a new seed and a new schedule.
+    Returns the engine, each lane's record and each lane's counters."""
+    sim = BatchedCompassSimulator(net, LANES, seeds=replica_seeds(net.seed, LANES))
+    sim.load_inputs([
+        poisson_inputs(net, TICKS, INPUT_RATE_HZ, seed=INPUT_SEED + b) for b in range(LANES)
+    ])
+    records = [sim.run(RESET_AT if reset else TICKS)]
+    if reset:
+        sim.reset_lane(
+            1, seed=derive_stream_seed(net.seed, 7),
+            inputs=poisson_inputs(net, TICKS, INPUT_RATE_HZ, seed=INPUT_SEED + 7),
+        )
+        records.append(sim.run(TICKS - RESET_AT))
+    # The lane records of every run, lane by lane, in run order.
+    return sim, [r for b in range(LANES) for r in (run[b] for run in records)], [
+        sim.lane_counters(b) for b in range(LANES)
+    ]
+
+
+BATCH_CASES = {
+    "batched/3lanes": lambda net: run_batch(net, reset=False),
+    "batched/reset": lambda net: run_batch(net, reset=True),
+}
+
+
+def digest(sim, records, counters) -> str:
     """SHA-256 over everything the case is judged by."""
     sha = hashlib.sha256()
 
@@ -79,11 +119,13 @@ def digest(sim, record) -> str:
         sha.update(name.encode())
         sha.update(np.ascontiguousarray(value, dtype=np.int64).tobytes())
 
-    for name in ("ticks", "cores", "neurons"):
-        feed(name, getattr(record, name))
+    for record in records:
+        for name in ("ticks", "cores", "neurons"):
+            feed(name, getattr(record, name))
     feed("v", sim.v)
-    for field in dataclasses.fields(sim.counters):
-        feed(field.name, getattr(sim.counters, field.name))
+    for lane in counters:
+        for field in dataclasses.fields(lane):
+            feed(field.name, getattr(lane, field.name))
     mpi = getattr(sim, "mpi", None)
     if mpi is not None:
         for name in ("messages_sent", "bytes_sent", "sync_steps", "sync_messages", "exchanges"):
@@ -97,6 +139,12 @@ def digest(sim, record) -> str:
     return sha.hexdigest()
 
 
+def line(net_name: str, case: str, sim, records, counters) -> str:
+    """One case's output line."""
+    spikes = sum(record.n_spikes for record in records)
+    return f"{net_name:24s} {case:28s} {digest(sim, records, counters)} spikes={spikes}"
+
+
 def main() -> int:
     """Run every case on every network; print one digest line each."""
     for net_name, build in NETWORKS.items():
@@ -104,8 +152,10 @@ def main() -> int:
         inputs = poisson_inputs(network, TICKS, INPUT_RATE_HZ, seed=INPUT_SEED)
         for case, construct in CASES.items():
             sim = construct(network)
-            record = sim.run(TICKS, inputs)
-            print(f"{net_name:24s} {case:28s} {digest(sim, record)} spikes={record.n_spikes}")
+            records, counters = run_single(sim, inputs)
+            print(line(net_name, case, sim, records, counters))
+        for case, run in BATCH_CASES.items():
+            print(line(net_name, case, *run(network)))
     return 0
 
 
