@@ -66,21 +66,33 @@ def csr_row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Flat entry indices of the CSR *rows*, in row-then-entry order.
 
     The one flat-enumeration idiom shared by every consumer that walks a
-    subset of CSR rows — the stochastic-crosspoint draw in
-    :func:`repro.compass.fast.stoch_synapse_input`, the entry-table
-    cuts in :func:`take`, and the synapse event scatter behind
-    :func:`repro.compass.fast.integrate_deliveries`.  Returns an
-    int64 index array of ``sum(indptr[rows+1] - indptr[rows])`` entries.
+    subset of CSR rows — the entry-table cuts in :func:`take` and, lane
+    by lane (:func:`lane_row_entries`), the synapse event scatter and
+    the stochastic-crosspoint draw behind
+    :func:`repro.compass.fast.integrate_deliveries`.  Returns an int64
+    index array of ``sum(indptr[rows+1] - indptr[rows])`` entries.
+    """
+    return lane_row_entries(indptr, rows, [0, rows.size])[0]
+
+
+def lane_row_entries(
+    indptr: np.ndarray, rows: np.ndarray, bounds: list[int]
+) -> tuple[np.ndarray, list[int]]:
+    """:func:`csr_row_entries` of *rows* that lanes own in runs.
+
+    Lane ``b``'s rows are ``rows[bounds[b]:bounds[b + 1]]``.  Returns
+    the flat entries and the same split carried over to them.
     """
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    # One lane owns every entry; more split them where they split the rows.
+    entry_bounds = [0, total] if len(bounds) == 2 else np.concatenate(([0], ends))[bounds].tolist()
     if not total:
-        return np.zeros(0, dtype=np.int64)
-    cum = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (cum - counts), counts
-    )
+        return np.zeros(0, dtype=np.int64), entry_bounds
+    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+    return flat, entry_bounds
 
 
 def classify_activity(

@@ -223,12 +223,12 @@ class _Rank:
         if active_idx.size:
             row[:] = False
         t1 = now_ns()
-        syn, touched = st.integrate(tick, active, active_idx)
+        syn = st.integrate(tick, active, active_idx)
         t2 = now_ns()
 
         if rec is not None:
             rec.set_context(tick, "update")
-        fired, = st.update(tick, syn, touched)
+        fired, _ = st.update(tick, syn)
         t3 = now_ns()
 
         if rec is not None:
@@ -259,7 +259,7 @@ class _Rank:
             self.rings[fault.rank][tick % params.DELAY_SLOTS, :0] = True
         stats[:_ST_N] = (
             active_idx.size, st.events, fired.size, part.n_neurons,
-            st.n_saturated, st.n_active, messages,
+            st.n_saturated[0], st.n_active, messages,
         )
         stats[_ST_N:] = st.per_core
         t4 = now_ns()

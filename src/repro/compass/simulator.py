@@ -68,10 +68,11 @@ class CompassSimulator(FastCompassSimulator):
             self.rank_of_core = partition(self.network, n_ranks, partition_strategy)
         self.mpi = SimMPI(n_ranks)
 
-    def _network_phase(self, src_cores, dst_cores) -> None:
+    def _network_phase(self, src_cores, dst_cores, bounds) -> None:
         """Exchange the tick's spikes rank to rank; close the tick barrier.
 
-        Spikes between a pair of ranks aggregate into one message.
+        Spikes between a pair of ranks aggregate into one message (one
+        lane: *bounds* splits nothing).
         """
         ranks = self.rank_of_core
         self.counters.messages += self.mpi.exchange(ranks[src_cores], ranks[dst_cores])

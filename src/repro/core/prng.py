@@ -24,6 +24,8 @@ All functions are vectorized over the *unit* axis.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +63,12 @@ def _mix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _seed_stage(seed: int, purpose: int) -> int:
+    """The (seed, purpose) stage of :func:`_key`, kept: a lane holds its seed for many ticks."""
+    return _mix64_int((seed & _MASK64) + _GOLDEN_INT * (purpose & 0xFFFFFFFF))
+
+
 def _key(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np.ndarray:
     """Combine the draw coordinates into a well-mixed uint64 key array.
 
@@ -68,8 +76,7 @@ def _key(seed: int, purpose: int, core: int, tick: int, units: np.ndarray) -> np
     only the per-unit tail is vectorized, so scalar and array callers see
     identical streams.
     """
-    k = _mix64_int((seed & _MASK64) + _GOLDEN_INT * (purpose & 0xFFFFFFFF))
-    k = _mix64_int(k + _GOLDEN_INT * (core & 0xFFFFFFFFFFFF))
+    k = _mix64_int(_seed_stage(seed, purpose) + _GOLDEN_INT * (core & 0xFFFFFFFFFFFF))
     k = _mix64_int(k + _GOLDEN_INT * (tick & 0xFFFFFFFFFFFF))
     u = np.asarray(units, dtype=np.uint64)
     return _mix64(np.uint64(k) + _GOLDEN * u)
@@ -87,13 +94,17 @@ def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
 class DrawSites(NamedTuple):
     """The tick-invariant half of a draw for units living on many cores."""
 
-    cores: np.ndarray  # (k,) global core id of each unit
+    cores: np.ndarray  # (k,) global core id of each unit, lane-major when lane_major
     unit_terms: np.ndarray  # (k,) uint64 ``GOLDEN * unit``, wrapped
     core_terms: np.ndarray  # (max core id + 1,) uint64 ``GOLDEN * core``
+    # False: every lane draws at every unit.  True: each unit is one lane's,
+    # ``cores`` holding ``lane * len(core_terms) + core`` (the lane column).
+    lane_major: bool = False
 
-    def at(self, idx: np.ndarray) -> "DrawSites":
-        """The sites of the units *idx* alone."""
-        return DrawSites(self.cores[idx], self.unit_terms[idx], self.core_terms)
+    def at(self, idx: np.ndarray, lanes: np.ndarray) -> "DrawSites":
+        """The sites of the units *idx* alone, unit ``j`` drawn in lane ``lanes[j]`` only."""
+        cores = lanes * self.core_terms.size + self.cores[idx]
+        return DrawSites(cores, self.unit_terms[idx], self.core_terms, lane_major=True)
 
 
 def draw_sites(cores: np.ndarray, units: np.ndarray) -> DrawSites:
@@ -108,29 +119,42 @@ def draw_sites(cores: np.ndarray, units: np.ndarray) -> DrawSites:
 
 
 def draw_staged(
-    seed: int, purpose: int, tick: int, sites: DrawSites, bits: int,
+    seed, purpose: int, tick, sites: DrawSites, bits: int,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform *bits*-bit draws at *sites*: the one multi-core draw routine.
 
     Bit-identical to :func:`draw_u8_scalar` / :func:`draw_u16` element-wise
     at each unit's own core.  The (seed, purpose, core) and (core, tick)
-    stages of :func:`_key` depend on the core alone, so they run on one
-    row per global core id (uint64 wrap-around matches the masked scalar
-    chain); each unit then gathers its core's row, adds its term and
-    passes through the last mix, in place.  *scratch* is a caller-owned
-    ``(2, >= k)`` uint64 buffer; the result views it, until its next use.
+    stages of :func:`_key` depend on the lane and the core alone, so they
+    run on one ``(lanes, cores)`` block (uint64 wrap-around matches the
+    masked scalar chain); each unit then gathers its row, adds its term
+    and passes through the last mix, in place.
+
+    An int *seed* and *tick* are one lane; a length-B *seed* sequence and
+    a ``(B,)`` *tick* array are B lanes, each at its own coordinates, in
+    one call.  The result is ``(k,)`` when *sites* are lane-major or the
+    lane is one, else ``(B, k)``: every lane at every site.  *scratch* is
+    a caller-owned ``(2, >= B * k)`` uint64 buffer; the result views it,
+    until its next use.
     """
-    k0 = _mix64_int((seed & _MASK64) + _GOLDEN_INT * (purpose & 0xFFFFFFFF))
-    # Pre-wrap the tick term as a Python int: scalar uint64 overflow
-    # warns in numpy even though wrapping is exactly what we want here.
-    tick_term = np.uint64((_GOLDEN_INT * (tick & 0xFFFFFFFFFFFF)) & _MASK64)
-    per_core = _mix64(_mix64(np.uint64(k0) + sites.core_terms) + tick_term)
-    k = sites.cores.size
+    lanes = np.shape(tick)
+    # Per lane: the (seed, purpose) stage and the tick term, as exact
+    # Python integers (pre-wrapped: scalar uint64 overflow warns in numpy).
+    prefix = np.array([
+        (_seed_stage(s, purpose), (_GOLDEN_INT * (t & 0xFFFFFFFFFFFF)) & _MASK64)
+        for s, t in (zip(seed, tick.tolist()) if lanes else [(seed, tick)])
+    ], dtype=np.uint64)
+    per_core = _mix64(_mix64(prefix[:, :1] + sites.core_terms) + prefix[:, 1:])
+    if sites.lane_major:  # one flat row per (lane, core) for the lane column to pick
+        per_core, shape = per_core.reshape(-1), sites.cores.shape
+    else:  # every lane's row at every unit
+        per_core, shape = per_core.reshape(lanes + (-1,)), lanes + sites.cores.shape
+    k = math.prod(shape)
     if scratch is None:
         scratch = np.empty((2, k), dtype=np.uint64)
-    key, tmp = scratch[0, :k], scratch[1, :k]
-    np.take(per_core, sites.cores, out=key, mode="clip")  # "raise" buffers out
+    key, tmp = scratch[0, :k].reshape(shape), scratch[1, :k].reshape(shape)
+    np.take(per_core, sites.cores, axis=-1, out=key, mode="clip")  # "raise" buffers out
     key += sites.unit_terms
     _mix64_into(key, tmp)
     key &= np.uint64((1 << bits) - 1)

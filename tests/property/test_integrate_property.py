@@ -72,20 +72,25 @@ def activity(c, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return active, np.nonzero(active)[0]
 
 
+def scatter(c, active_idx) -> np.ndarray:
+    """The event kernel's ``syn`` over one lane."""
+    return fast._scatter_rows(c, *fast.split_lanes(active_idx.copy(), c.n_axons, 1))
+
+
 def all_kernels(c, seed, tick, active, active_idx) -> list[np.ndarray]:
     """``syn`` from each helper (+ stochastic part) and the dispatcher each way."""
-    stoch = fast.stoch_synapse_input(c, seed, tick, active_idx)
-    if stoch is None:
-        stoch = 0
+    stoch = np.zeros(c.n_neurons, dtype=np.int64)
+    fast.add_stochastic_synapses(
+        c, seed, tick, *fast.split_lanes(active_idx.copy(), c.n_axons, 1), stoch
+    )
     out = [
-        fast._scatter_rows(c, active_idx)[0] + stoch,
+        scatter(c, active_idx) + stoch,
         fast._matvec(c, active) + stoch,
         fast.integrate_deliveries(c, seed, tick, active, active_idx),
         fast.integrate_deliveries(
             c, seed, tick, active, active_idx,
             events=int(c.row_nnz[active_idx].sum()),
         ),
-        fast.integrate_deliveries_gated(c, seed, tick, active_idx)[0],
     ]
     # Ratio 0 sends every tick with a stored crosspoint to the scatter,
     # a huge one sends every tick with an event to the matvec.
@@ -138,7 +143,7 @@ class TestKernelsAgree:
             )
             block = det[axons][:, neurons]
             np.testing.assert_array_equal(c.det_matrix_t.toarray(), block.T)
-            for syn in (fast._scatter_rows(c, active_idx)[0], fast._matvec(c, active)):
+            for syn in (scatter(c, active_idx), fast._matvec(c, active)):
                 np.testing.assert_array_equal(syn, active.astype(np.int64) @ block)
 
 
@@ -161,7 +166,7 @@ class TestEdges:
         syns = all_kernels(c, 11, 3, active, active_idx)
         for syn in syns:
             np.testing.assert_array_equal(syn, syns[0])
-        np.testing.assert_array_equal(fast._scatter_rows(c, active_idx)[0], 0)
+        np.testing.assert_array_equal(scatter(c, active_idx), 0)
 
     def test_empty_active_set(self):
         c = compile_network(one_core_net(stoch_synapse=False))

@@ -109,6 +109,32 @@ class TestRunShapes:
         assert records[1].counters.deliveries > records[0].counters.deliveries
 
 
+class TestLaneRange:
+    """Every lane-taking method refuses a lane outside ``0..B-1``: a negative
+    one would otherwise name a lane from the end, and stage or read it."""
+
+    METHODS = ("load_inputs", "reset_lane", "snapshot_lane", "restore_lane", "lane_counters")
+
+    @pytest.mark.parametrize("lane", [-1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_lane_out_of_range_is_a_value_error(self, method, lane):
+        net = small_net()
+        sim = BatchedCompassSimulator(net, 3)
+        ckpt = sim.snapshot_lane(0)
+        call = {
+            "load_inputs": lambda: sim.load_inputs(
+                poisson_inputs(net, 10, 2000.0, seed=1), lane=lane
+            ),
+            "reset_lane": lambda: sim.reset_lane(lane),
+            "snapshot_lane": lambda: sim.snapshot_lane(lane),
+            "restore_lane": lambda: sim.restore_lane(lane, ckpt),
+            "lane_counters": lambda: sim.lane_counters(lane),
+        }[method]
+        with pytest.raises(ValueError, match=f"lane {lane} out of range"):
+            call()
+        assert not any(sim.snapshot_lane(b).pending for b in range(3))
+
+
 class TestEngineSelection:
     def test_explicit_batched_engine(self):
         sim = select_engine(small_net(), "batched", n_replicas=4)

@@ -18,7 +18,7 @@ def synaptic_input(core, active_axons, tick=0, seed=0):
     state = TickState(c, seed, c.initial_v.copy(), gated=False)
     active = np.zeros(c.n_axons, dtype=bool)
     active[active_axons] = True
-    syn, _ = state.integrate(tick, active, np.nonzero(active)[0])
+    syn = state.integrate(tick, active, np.nonzero(active)[0])
     return syn, state.events
 
 

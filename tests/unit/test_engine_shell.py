@@ -70,7 +70,7 @@ def test_an_observed_tick_is_four_contiguous_spans(engine, network, inputs, monk
 
     def counted_network_phase(*spikes):
         routed_ticks.append(sim.tick)
-        network_phase(*spikes)
+        return network_phase(*spikes)
 
     sim._network_phase = counted_network_phase
     sim.load_inputs(inputs)

@@ -211,7 +211,7 @@ class TestFastIdentity:
         )
         c = compile_network(Network(cores=[core], seed=0))
         gate = ActivityGate(c, c.initial_v.copy())
-        assert gate.n_saturated == 1
+        assert gate.n_saturated == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ class TestCheckpoint:
         other = sim_cls(net)
         other.restore(sim.snapshot())
         assert other.tick == sim.tick
-        assert sorted(other._input_by_tick) == sorted(sim._input_by_tick)
+        assert sorted(other._inputs[0]) == sorted(sim._inputs[0])
         np.testing.assert_array_equal(other.v, sim.v)
         np.testing.assert_array_equal(other.buffers, sim.buffers)
 

@@ -294,7 +294,6 @@ class TestWorkerFailure:
             raise ValueError("distinctive-worker-detail")
 
         monkeypatch.setattr(fast, "integrate_deliveries", _boom)
-        monkeypatch.setattr(fast, "integrate_deliveries_gated", _boom)
         net = random_network(n_cores=4, connectivity=0.6, seed=32)
         ins = poisson_inputs(net, 4, 800.0, seed=1)
         sim = ParallelCompassSimulator(net, n_workers=2)
@@ -328,7 +327,7 @@ class TestWorkerFailure:
                 raise ValueError("child-only-fault in update")
             out = real["update"](st, *args)
             if phase == "route" and os.getpid() != caller:
-                return (np.array([10**9]),)  # no such neuron: route's gather raises
+                return np.array([10**9]), np.array([0, 1])  # no such neuron: route's gather raises
             return out
 
         monkeypatch.setattr(fast.TickState, "integrate", _integrate)

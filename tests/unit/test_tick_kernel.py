@@ -1,10 +1,10 @@
 """The pieces every sparse engine's tick shares (``repro.compass.fast``).
 
-``update_neurons`` and ``ActivityGate`` are lane-generic — one body
-serves the single-lane engines and the batched one — and ``TickState``
-sequences them.  Each is checked here against the simpler thing it must
-equal: B stacked one-lane calls, B one-lane gates, and the scalar
-``ReferenceKernel``'s per-tick counter deltas.
+``update_neurons``, ``ActivityGate`` and the PRNG draws are lane-generic
+— one body serves one lane and B — and ``TickState`` sequences them.
+Each is checked here against the simpler thing it must equal: B stacked
+one-lane calls, B one-lane gates, and the scalar ``ReferenceKernel``'s
+per-tick counter deltas.
 """
 
 import sys
@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.apps.recurrent import probabilistic_recurrent_network
-from repro.compass import fast
-from repro.compass.batched import BatchedCompassSimulator
+from repro.compass.batched import BatchedCompassSimulator, replica_seeds
 from repro.compass.compile import NeuronTables, compile_network, partition_compiled, take
 from repro.compass.fast import (
     ActivityGate,
@@ -72,19 +71,6 @@ class TestLaneGenericUpdate:
             assert want_v.shape == (c.n_neurons,)  # one lane stays 1-D
             np.testing.assert_array_equal(v_next[b], want_v)
             np.testing.assert_array_equal(spiked[b], want_spiked)
-
-    def test_equal_coordinates_draw_one_row_for_the_whole_batch(self, monkeypatch):
-        c = _compiled("random-stochastic")
-        assert c.any_stoch_leak and c.any_stoch_threshold
-        v, syn = _membranes(np.random.default_rng(4), (B, c.n_neurons))
-        for name in ("effective_leak", "effective_threshold"):
-            monkeypatch.setattr(fast, name, mock.Mock(wraps=getattr(fast, name)))
-        update_neurons(c, [7] * B, np.full(B, 2), v, syn)
-        assert fast.effective_leak.call_count == 1
-        assert fast.effective_threshold.call_count == 1
-        update_neurons(c, [7, 7, 8, 7], np.full(B, 2), v, syn)
-        assert fast.effective_leak.call_count == 1 + B
-        assert fast.effective_threshold.call_count == 1 + B
 
 
 def _every_branch_core():
@@ -155,7 +141,7 @@ class TestUpdateIsPure:
             want_v, want_spiked = want_v[0], want_spiked[0]
         v.flags.writeable = syn.flags.writeable = False
 
-        scratch = np.empty((2, c.n_neurons), dtype=np.uint64)
+        scratch = np.empty((2, (lanes or 1) * c.n_neurons), dtype=np.uint64)
         calls = [
             update_neurons(tables, seed, tick, v, syn, scratch),
             update_neurons(tables, seed, tick, v, syn, scratch),
@@ -255,13 +241,15 @@ class TestWorkRatchet:
         c = compile_network(net)
         assert c.stoch_leak_idx.size == c.n_neurons  # one active purpose: the leak
         assert not c.any_stoch_threshold and not c.any_stoch_synapse
-        wide = c.n_neurons
+        wide, lanes = c.n_neurons, 1
         if expression == "fast":
             sim = FastCompassSimulator(c)
             spikes = sum(sim.step_arrays()[1].size for _ in range(self.TICKS))
             assert spikes and sim.counters.messages
-        elif expression == "batched":
-            sim = BatchedCompassSimulator(c, 4)
+        elif expression == "batched":  # every lane in the one mix
+            lanes = 4
+            sim = BatchedCompassSimulator(c, lanes)
+            wide = lanes * c.n_neurons
             spikes = sum(sim.step_arrays()[0].size for _ in range(self.TICKS))
             assert spikes and sim.counters.messages
         else:  # what a parallel worker runs, in process
@@ -270,9 +258,33 @@ class TestWorkRatchet:
             state = TickState(part, net.seed, part.initial_v.copy(), False)
             wide = part.n_neurons
             for tick in range(self.TICKS):
-                state.update(tick, np.zeros(wide, dtype=np.int64), None)
+                state.update(tick, np.zeros(wide, dtype=np.int64))
         assert mixed_sizes.count(wide) == self.TICKS
-        assert all(size == wide or size <= c.n_cores for size in mixed_sizes)
+        assert all(size == wide or size <= lanes * c.n_cores for size in mixed_sizes)
+
+    def test_a_pass_draws_once_per_purpose_for_every_lane(self, monkeypatch):
+        """16 lanes on distinct seeds, their ticks diverged by a reset: one
+        ``draw_staged`` per purpose covers them all."""
+        net = random_network(
+            n_cores=16, n_axons=64, n_neurons=64, connectivity=0.3, stochastic=True, seed=4,
+        )
+        c = compile_network(net)
+        assert c.any_stoch_synapse and c.any_stoch_leak and c.any_stoch_threshold
+        lanes = 16
+        sim = BatchedCompassSimulator(c, lanes, seeds=replica_seeds(net.seed, lanes))
+        sim.load_inputs([poisson_inputs(net, 20, 400.0, seed=b) for b in range(lanes)])
+        for _ in range(5):
+            sim.step_arrays()
+        sim.reset_lane(3, seed=99, inputs=poisson_inputs(net, 20, 400.0, seed=77))
+        sim.step_arrays()
+        assert sorted(set(sim.lane_tick.tolist())) == [1, 6]
+        draws = mock.Mock(wraps=prng.draw_staged)
+        monkeypatch.setattr(prng, "draw_staged", draws)
+        sim.step_arrays()
+        purposes = [call.args[1] for call in draws.call_args_list]
+        assert sorted(purposes) == sorted(
+            [prng.PURPOSE_SYNAPSE, prng.PURPOSE_LEAK, prng.PURPOSE_THRESHOLD]
+        )
 
 
 class TestLaneGenericGate:
@@ -294,24 +306,21 @@ class TestLaneGenericGate:
                 batch.set_lane(2, fresh)
                 lanes[2] = TickState(c, seeds[2], fresh.copy(), True)
             _, syn = _membranes(rng, (B, c.n_neurons))
-            reached = rng.random((B, c.n_neurons)) < 0.2
-            syn[~reached] = 0
-            touched = [np.nonzero(reached[b])[0] for b in range(B)]
+            syn[rng.random((B, c.n_neurons)) >= 0.2] = 0  # a fifth of the neurons get input
 
-            lane_f, neuron_f = batch.update(
-                np.full(B, step), syn, np.concatenate(touched)
-            )
+            neuron_f, bounds = batch.update(np.full(B, step), syn)
             for b in range(B):
-                fired, = lanes[b].update(step, syn[b], touched[b])
-                np.testing.assert_array_equal(neuron_f[lane_f == b], fired)
+                fired, one_lane = lanes[b].update(step, syn[b])
+                assert one_lane == [0, fired.size]
+                np.testing.assert_array_equal(neuron_f[bounds[b] : bounds[b + 1]], fired)
                 np.testing.assert_array_equal(batch.v[b], lanes[b].v)
                 np.testing.assert_array_equal(batch.gate.hot[b], lanes[b].gate.hot)
-                assert batch.gate.n_saturated[b] == lanes[b].gate.n_saturated
-                assert batch.n_saturated[b] == lanes[b].n_saturated
+                assert [batch.gate.n_saturated[b]] == lanes[b].gate.n_saturated
+                assert [batch.n_saturated[b]] == lanes[b].n_saturated
             # One union sweep: at least every lane's own active set.
             assert batch.n_active >= max(lane.n_active for lane in lanes)
             saw_hot |= bool(batch.gate.hot.any())
-            saw_saturated |= bool(batch.gate.n_saturated.any())
+            saw_saturated |= any(batch.gate.n_saturated)
         assert saw_hot and saw_saturated
 
 
@@ -335,9 +344,9 @@ class TestTickStateStats:
             assert sim.step() == want_spikes
             after = ref.counters
             assert st.events == after.synaptic_events - before.synaptic_events
-            np.testing.assert_array_equal(
+            np.testing.assert_array_equal(  # the engine's one lane
                 st.per_core,
-                after.synaptic_events_per_core - before.synaptic_events_per_core,
+                [after.synaptic_events_per_core - before.synaptic_events_per_core],
             )
             computed = after.active_neuron_updates - before.active_neuron_updates
             if gated:
@@ -345,7 +354,7 @@ class TestTickStateStats:
             else:
                 assert st.n_active == computed
             membranes = np.concatenate([np.asarray(m) for m in ref.membranes])
-            assert st.n_saturated == np.count_nonzero(
+            assert st.n_saturated == [np.count_nonzero(
                 (membranes == params.MEMBRANE_MIN) | (membranes == params.MEMBRANE_MAX)
-            )
+            )]
         assert sim.counters.synaptic_events == ref.counters.synaptic_events > 0
