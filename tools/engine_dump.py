@@ -32,6 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps.recurrent import probabilistic_recurrent_network  # noqa: E402
 from repro.compass.batched import BatchedCompassSimulator, replica_seeds  # noqa: E402
+from repro.compass.compile import compile_network  # noqa: E402
 from repro.compass.fast import FastCompassSimulator  # noqa: E402
 from repro.compass.simulator import CompassSimulator  # noqa: E402
 from repro.core.builders import poisson_inputs  # noqa: E402
@@ -87,8 +88,11 @@ def run_single(sim, inputs):
 def run_batch(net, reset: bool):
     """Three lanes on ``replica_seeds``, a schedule each; with *reset*, lane 1
     restarts before pass ``RESET_AT`` on a new seed and a new schedule.
-    Returns the engine, each lane's record and each lane's counters."""
-    sim = BatchedCompassSimulator(net, LANES, seeds=replica_seeds(net.seed, LANES))
+    Returns the engine, each lane's record and each lane's counters.  The
+    gate is on wherever any neuron is passive-stable: pinned, not ``"auto"``,
+    so ``active_neuron_updates`` does not follow auto's crossover."""
+    gated = bool(compile_network(net).passive_mask.any())
+    sim = BatchedCompassSimulator(net, LANES, seeds=replica_seeds(net.seed, LANES), gated=gated)
     sim.load_inputs([
         poisson_inputs(net, TICKS, INPUT_RATE_HZ, seed=INPUT_SEED + b) for b in range(LANES)
     ])
