@@ -36,6 +36,7 @@ from repro.compass.compile import CompiledNetwork
 from repro.compass.fast import (
     FastCompassSimulator,
     concat_columns,
+    lane_bounds,
     stage_inputs,
     staged_inputs,
 )
@@ -74,8 +75,8 @@ class BatchedCompassSimulator(FastCompassSimulator):
     admission bit-identical to a fresh standalone run.
 
     ``gated`` selects the activity-gated update (``"auto"`` engages it
-    when the network has passive-stable neurons): each pass updates the
-    cross-lane *union* active set (see
+    past its measured crossover in passive-stable neurons): each pass
+    updates the cross-lane *union* active set (see
     :class:`~repro.compass.fast.ActivityGate`), keeping one vectorized
     ``(B, k)`` sweep while staying bit-identical per lane to the dense
     path.
@@ -189,13 +190,12 @@ class BatchedCompassSimulator(FastCompassSimulator):
         """
         self.load_inputs(inputs)
         lanes, ticks, cores, neurons = concat_columns(self.step_arrays, n_ticks, 4)
-        records = []
-        for b in range(self.n_replicas):
-            mine = lanes == b
-            records.append(SpikeRecord.from_arrays(
-                ticks[mine], cores[mine], neurons[mine], self.lane_counters(b)
-            ))
-        return records
+        order = lanes.argsort(kind="stable")  # each lane one run, in pass order
+        bounds = lane_bounds(lanes[order], 1, self.n_replicas)
+        return [
+            SpikeRecord.from_arrays(ticks[mine], cores[mine], neurons[mine], self.lane_counters(b))
+            for b, mine in enumerate(np.split(order, bounds[1:-1]))
+        ]
 
 
 def run_batched_compass(

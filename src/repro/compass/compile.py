@@ -217,6 +217,14 @@ class NeuronTables:
         )
 
 
+#: Passive-stable neurons the activity gate needs before it beats the dense
+#: update: its cut, plan and commit are a fixed ~60 us per pass, the dense
+#: update ~5 ns per neuron.  Gated / dense tick 1.04x at 14,336 all-passive
+#: neurons, 0.97x at 16,384 (docs/performance.md;
+#: ``bench_sparse_activity.py::test_gate_crossover`` re-measures it).
+_GATE_MIN_PASSIVE = 16_384
+
+
 @dataclass(eq=False)
 class TickTables(NeuronTables):
     """Every table the sparse tick reads: synapse, neuron and routing state.
@@ -267,8 +275,8 @@ class TickTables(NeuronTables):
 
     @property
     def gating_worthwhile(self) -> bool:
-        """True when any neuron is passive-stable (the gate can win)."""
-        return bool(self.passive_mask.any())
+        """True when enough neurons are passive-stable for the gate to win."""
+        return int(np.count_nonzero(self.passive_mask)) >= _GATE_MIN_PASSIVE
 
     @property
     def any_stoch_synapse(self) -> bool:
@@ -636,8 +644,8 @@ def bind_compiled(sim, network, obs, gated) -> CompiledNetwork:
     ``sim.network``; *obs* is told where the engine's live event
     counters are (read at scrape time — ``restore()`` and a re-spawn
     rebind ``sim.counters``, so the source is a callable).  ``sim.gated``
-    follows *gated*: ``"auto"`` engages the activity gate whenever the
-    network has a passive-stable neuron, False is an engine that runs dense.
+    follows *gated*: ``"auto"`` is ``gating_worthwhile`` (the gate only past
+    its measured crossover), False is an engine that runs dense.
     """
     sim.obs = obs
     if obs is not None:

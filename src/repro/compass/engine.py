@@ -70,8 +70,8 @@ def select_engine(
     ``REPRO_LOG_LEVEL=INFO`` to see it).
 
     *gated* selects the activity-gated tick path on the sparse engines
-    (fast/parallel/batched): ``"auto"`` (default) engages it whenever
-    the compiled network has passive-stable neurons, ``True``/``False``
+    (fast/parallel/batched): ``"auto"`` (default) engages it only where
+    enough neurons are passive-stable to repay it, ``True``/``False``
     force it.  Bit-identical either way; see
     :class:`~repro.compass.fast.ActivityGate`.
     """

@@ -577,8 +577,8 @@ class FastCompassSimulator:
     TrueNorth are subclasses that run dense and override only how a
     tick's spikes travel, :meth:`_network_phase`.  ``gated`` selects the
     activity-gated tick path (bit-identical to the dense one; see
-    :class:`ActivityGate`): ``"auto"`` (default) engages it whenever the
-    network has a passive-stable neuron, ``True`` / ``False`` force it.
+    :class:`ActivityGate`): ``"auto"`` (default) engages it only on enough
+    passive-stable neurons to repay it, ``True`` / ``False`` force it.
     With ``obs=Observer()`` every tick records one flight row whose four
     phase durations sum to its wall exactly; without one the tick path
     reads no clock.

@@ -347,8 +347,8 @@ class ParallelCompassSimulator:
     simulation.
 
     ``gated`` selects the activity-gated update on every rank
-    (``"auto"`` engages it when the network has any passive-stable
-    neuron; bit-identical either way).
+    (``"auto"`` engages it only past its measured crossover in
+    passive-stable neurons; bit-identical either way).
     """
 
     phase_seconds = engine_phase_seconds

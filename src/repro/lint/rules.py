@@ -120,9 +120,9 @@ CODES: dict[str, RuleInfo] = {
         RuleInfo("TN701", "fully-always-active-network", Severity.WARNING,
                  "every neuron is always-active (nonzero or stochastic "
                  "leak, or a stochastic threshold), so the activity-gated "
-                 "tick path cannot skip any work; zero out leaks on "
-                 "event-driven neurons, or force gated=False to avoid "
-                 "paying the gate's bookkeeping"),
+                 "tick path cannot skip any work here and gated=True only "
+                 "adds the gate's bookkeeping; zero out leaks on "
+                 "event-driven neurons to give the gate work to skip"),
     ]
 }
 

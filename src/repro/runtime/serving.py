@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import CompiledNetwork, compile_network
-from repro.compass.fast import staged_inputs
+from repro.compass.fast import lane_bounds, staged_inputs
 from repro.core import params
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
@@ -406,13 +406,13 @@ class ModelServer:
             raise
         self._pass_wall_ns += now_ns() - begin
         finished = []
+        bounds = lane_bounds(lanes, 1, self.n_lanes)  # the lane column ascends
         for lane, session in self._active.items():
-            if lanes.size:
-                mask = lanes == lane
-                if mask.any():
-                    session._ticks.append(ticks[mask])
-                    session._cores.append(cores[mask])
-                    session._neurons.append(neurons[mask])
+            a, b = bounds[lane], bounds[lane + 1]
+            if a < b:  # copies: a view would hold the whole pass until the session ends
+                session._ticks.append(ticks[a:b].copy())
+                session._cores.append(cores[a:b].copy())
+                session._neurons.append(neurons[a:b].copy())
             session.ticks_done += 1
             if session.ticks_done >= session.n_ticks:
                 finished.append(session)

@@ -12,6 +12,9 @@ from repro.compass.compile import compile_network
 from repro.compass.engine import run_engine, select_engine
 from repro.compass.fast import FastCompassSimulator, staged_inputs
 from repro.core.builders import poisson_inputs, random_network
+from repro.core.counters import SCALAR_COUNTERS
+from repro.core.inputs import InputSchedule
+from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
 from repro.obs import Observer
 
@@ -107,6 +110,43 @@ class TestRunShapes:
         records = sim.run(10)
         assert records[1].n_spikes >= records[0].n_spikes
         assert records[1].counters.deliveries > records[0].counters.deliveries
+
+
+class TestRunDemux:
+    """``run`` splits the passes' spikes into lane records by lane bounds."""
+
+    TICKS = 16
+
+    def records_match_standalone(self, net, schedules):
+        seeds = replica_seeds(net.seed, len(schedules))
+        records = BatchedCompassSimulator(net, len(schedules), seeds=seeds).run(
+            self.TICKS, schedules
+        )
+        for seed, schedule, record in zip(seeds, schedules, records):
+            alone = FastCompassSimulator(Network(cores=net.cores, seed=seed)).run(
+                self.TICKS, schedule
+            )
+            assert record == alone
+            # Every counter, active_neuron_updates too: "auto" runs both sides dense.
+            for name in SCALAR_COUNTERS:
+                assert getattr(record.counters, name) == getattr(alone.counters, name), name
+        return records
+
+    def test_lanes_0_and_2_fire_while_1_and_3_stay_silent(self):
+        net = small_net(stochastic=True)
+        # Drive from tick 4 on: passes 0-3 are silent in every lane.
+        ticks, cores, axons = poisson_inputs(net, self.TICKS - 4, 800.0, seed=1).columns()
+        late = InputSchedule()
+        late.add_events(ticks + 4, cores, axons)
+        records = self.records_match_standalone(
+            net, [late, None, poisson_inputs(net, self.TICKS, 800.0, seed=2), None]
+        )
+        assert [r.n_spikes > 0 for r in records] == [True, False, True, False]
+        assert records[0].ticks.min() >= 4
+
+    def test_every_pass_all_silent(self):
+        records = self.records_match_standalone(small_net(stochastic=True), [None] * 4)
+        assert all(r.n_spikes == 0 for r in records)
 
 
 class TestLaneRange:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.compass import compile as compile_mod
+from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import (
     classify_activity,
     compile_network,
@@ -39,6 +41,16 @@ LOGICAL = (
     "ticks", "synaptic_events", "spikes", "deliveries", "neuron_updates",
     "hops", "messages", "membrane_saturations", "max_core_events_per_tick",
 )
+
+
+def identity_network(n_cores: int) -> Network:
+    """*n_cores* all-passive 256-neuron identity cores (the crossover sweep's)."""
+    eye = np.eye(256, dtype=bool)
+    cores = [
+        Core.build(256, 256, crossbar=eye, weights=[2, 0, 0, 0], threshold=2)
+        for _ in range(n_cores)
+    ]
+    return Network(cores=cores, seed=7)
 
 
 def assert_counters_match(gated, dense) -> None:
@@ -86,7 +98,8 @@ class TestClassification:
         )
         c = compile_network(Network(cores=[core], seed=0))
         np.testing.assert_array_equal(c.passive_mask, [True, False, False, True])
-        assert c.gating_worthwhile
+        gate = FastCompassSimulator(c, gated=True)._state.gate
+        np.testing.assert_array_equal(gate.always_mask, ~c.passive_mask)
 
     def test_fully_active_network_is_not_worthwhile(self):
         core = Core.build(2, 2, crossbar=np.eye(2, dtype=bool), leak=1, threshold=4)
@@ -96,6 +109,27 @@ class TestClassification:
         assert FastCompassSimulator(c).gated is False
         # ...but forcing the gate on stays bit-identical.
         assert_fast_identity(c)
+
+    def test_auto_runs_the_serving_network_dense(self):
+        # serve_b16's network: 65 passive-stable neurons, far under the crossover.
+        net = random_network(
+            n_cores=16, n_axons=64, n_neurons=64, connectivity=0.3, stochastic=True, seed=1,
+        )
+        c = compile_network(net)
+        assert int(c.passive_mask.sum()) == 65
+        assert not c.gating_worthwhile
+        assert BatchedCompassSimulator(c, 16).gated is False
+
+    def test_auto_runs_12288_passive_neurons_dense(self):
+        c = compile_network(identity_network(48))
+        assert c.passive_mask.all() and c.n_neurons == 12_288
+        assert FastCompassSimulator(c).gated is False
+
+    def test_auto_gates_past_the_crossover(self):
+        # The smallest all-passive identity network at or past the constant.
+        c = compile_network(identity_network(-(-compile_mod._GATE_MIN_PASSIVE // 256)))
+        assert c.passive_mask.all()
+        assert FastCompassSimulator(c).gated is True
 
     def test_partition_slices_align(self):
         net = random_network(n_cores=6, n_neurons=12, stochastic=True, seed=7)

@@ -6,6 +6,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.compass.fast import FastCompassSimulator
 from repro.core.builders import poisson_inputs, random_network
+from repro.core.counters import SCALAR_COUNTERS
+from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
 from repro.obs import Observer
@@ -238,6 +240,63 @@ class TestModelServer:
         assert snap["repro_batch_occupancy"] == 0.0
         assert snap["repro_sessions_completed_total"] == 3
         assert snap["repro_compile_cache_misses_total"] == 1
+
+
+def late_drive(net, n_ticks, seed):
+    """Heavy drive from tick 4 on: the first four ticks are silent."""
+    ticks, cores, axons = poisson_inputs(net, n_ticks - 4, 800.0, seed=seed).columns()
+    schedule = InputSchedule()
+    schedule.add_events(ticks + 4, cores, axons)
+    return schedule
+
+
+def assert_standalone(net, seed, n_ticks, schedule, record) -> None:
+    """*record* equals a standalone fast run's: spikes and every counter
+    (``active_neuron_updates`` too: ``"auto"`` runs both sides dense)."""
+    alone = FastCompassSimulator(Network(cores=net.cores, seed=seed)).run(n_ticks, schedule)
+    assert record == alone
+    for name in SCALAR_COUNTERS:
+        assert getattr(record.counters, name) == getattr(alone.counters, name), name
+    np.testing.assert_array_equal(
+        record.counters.synaptic_events_per_core, alone.counters.synaptic_events_per_core
+    )
+
+
+class TestDemux:
+    """A pass's spikes reach their sessions by the lane column's bounds."""
+
+    TICKS = 16
+
+    def test_lanes_0_and_2_fire_while_1_and_3_stay_silent(self):
+        net = small_net()
+        server = ModelServer(net, n_lanes=4)
+        schedules = [late_drive(net, self.TICKS, 1), None, late_drive(net, self.TICKS, 2), None]
+        sessions = [server.submit(s, self.TICKS) for s in schedules]
+        assert [s.lane for s in sessions] == [0, 1, 2, 3]
+        lanes_fired = []
+        step_arrays = server.engine.step_arrays
+
+        def spy():
+            columns = step_arrays()
+            lanes_fired.append(set(columns[0].tolist()))
+            return columns
+
+        server.engine.step_arrays = spy
+        server.run()
+        assert lanes_fired[:4] == [set()] * 4  # all-silent passes
+        assert set().union(*lanes_fired) == {0, 2}
+        assert [s.record.n_spikes > 0 for s in sessions] == [True, False, True, False]
+        for session, schedule in zip(sessions, schedules):
+            assert_standalone(net, session.seed, self.TICKS, schedule, session.record)
+
+    def test_every_pass_all_silent(self):
+        net = small_net()
+        server = ModelServer(net, n_lanes=4)
+        sessions = [server.submit(None, 5) for _ in range(4)]
+        server.run()
+        for session in sessions:
+            assert session.record.n_spikes == 0
+            assert_standalone(net, session.seed, 5, None, session.record)
 
 
 class TestServeCli:

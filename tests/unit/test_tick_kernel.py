@@ -291,7 +291,7 @@ class TestLaneGenericGate:
     def test_batch_gate_tracks_b_single_lane_gates(self):
         """Random gated updates with one lane reset midway."""
         c = _every_branch_core()
-        assert c.gating_worthwhile and (~c.passive_mask).any()
+        assert c.passive_mask.any() and (~c.passive_mask).any()
         rng = np.random.default_rng(8)
         v0, _ = _membranes(rng, (B, c.n_neurons))
         seeds = [3] * B
