@@ -6,8 +6,6 @@ scalar reference kernel, on the same recurrent workload.  These numbers
 are this repository's own "Compass on a workstation" datapoints.
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import emit
@@ -107,43 +105,6 @@ class TestKernelThroughput:
             f"events / {N_TICKS} ticks on {workload_network.n_cores} cores"
         )
         assert counters.ticks == N_TICKS
-
-    def test_sparse_engine_stochastic_speedup(self, benchmark):
-        # The PR-claimed win, measured: the sparse engine vs the per-core
-        # Python loop on the same stochastic recurrent workload.
-        net = probabilistic_recurrent_network(
-            100.0, 32, grid_side=6, neurons_per_core=64,
-            coupling="balanced", seed=5,
-        )
-        compiled = compile_network(net)
-        n_ticks = 40
-
-        def run_pair():
-            start = time.perf_counter()
-            std = CompassSimulator(compiled)
-            for _ in range(n_ticks):
-                std.step()
-            t_std = time.perf_counter() - start
-
-            start = time.perf_counter()
-            fast = FastCompassSimulator(compiled)
-            for _ in range(n_ticks):
-                fast.step()
-            t_fast = time.perf_counter() - start
-            return std.counters, fast.counters, t_std, t_fast
-
-        std_c, fast_c, t_std, t_fast = benchmark.pedantic(
-            run_pair, rounds=1, iterations=1
-        )
-        speedup = t_std / t_fast
-        emit(
-            f"KERN sparse stochastic speedup: {speedup:.1f}x "
-            f"({t_std * 1e3:.0f} ms -> {t_fast * 1e3:.0f} ms over {n_ticks} "
-            f"ticks, {net.n_cores} cores)"
-        )
-        assert fast_c.spikes == std_c.spikes
-        assert fast_c.synaptic_events == std_c.synaptic_events
-        assert speedup >= 5.0
 
     def test_compiled_network_shared_across_simulators(self, workload_network):
         # Constructing further simulators from a CompiledNetwork must do

@@ -22,9 +22,8 @@ theirs, and :func:`take` is the one slicer driven by the tags: a rank's
 partition and the gated tick's active subset are both cuts of it, so a
 new field is added — or a dtype narrowed — in one place and cannot go
 unsliced.  Only what an engine reads is built eagerly; what derives
-from the fields alone (``update_plan``, ``stoch_sites``, and the
-matrices ``det_matrix_t`` / ``weight_matrix``, views of the entry
-table's own arrays) is computed on first access and kept.
+from the fields alone (``update_plan``; ``det_matrix_t`` / ``weight_matrix``,
+views of the entry table's own arrays) is computed on first access and kept.
 
 The resulting :class:`CompiledNetwork` is immutable shared state: it is
 built **once per Network** (cached on the network object) and reused by
@@ -65,12 +64,11 @@ def n_builds() -> int:
 def csr_row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Flat entry indices of the CSR *rows*, in row-then-entry order.
 
-    The one flat-enumeration idiom shared by every consumer that walks a
-    subset of CSR rows — the entry-table cuts in :func:`take` and, lane
-    by lane (:func:`lane_row_entries`), the synapse event scatter and
-    the stochastic-crosspoint draw behind
-    :func:`repro.compass.fast.integrate_deliveries`.  Returns an int64
-    index array of ``sum(indptr[rows+1] - indptr[rows])`` entries.
+    The flat-enumeration idiom of the entry-table cuts in :func:`take`
+    and, lane by lane (:func:`lane_row_entries`), of the event scatter
+    behind :func:`repro.compass.fast.integrate_deliveries` (the
+    stochastic draw walks its own lane-major tables in place).  Returns
+    an int64 index array of ``sum(indptr[rows+1] - indptr[rows])`` entries.
     """
     return lane_row_entries(indptr, rows, [0, rows.size])[0]
 
@@ -295,11 +293,6 @@ class TickTables(NeuronTables):
             (self.det_weight, self.det_col, self.det_indptr),
             shape=(self.n_neurons, self.n_axons), copy=False,
         )
-
-    @functools.cached_property
-    def stoch_sites(self) -> prng.DrawSites:
-        """PRNG sites of every stochastic crosspoint, derived on first use."""
-        return prng.draw_sites(self.stoch_core, self.stoch_unit)
 
 
 @functools.cache  # the gated tick cuts NeuronTables every tick

@@ -98,13 +98,8 @@ class DrawSites(NamedTuple):
     unit_terms: np.ndarray  # (k,) uint64 ``GOLDEN * unit``, wrapped
     core_terms: np.ndarray  # (max core id + 1,) uint64 ``GOLDEN * core``
     # False: every lane draws at every unit.  True: each unit is one lane's,
-    # ``cores`` holding ``lane * len(core_terms) + core`` (the lane column).
+    # ``cores`` holding its site row ``lane * len(core_terms) + core``.
     lane_major: bool = False
-
-    def at(self, idx: np.ndarray, lanes: np.ndarray) -> "DrawSites":
-        """The sites of the units *idx* alone, unit ``j`` drawn in lane ``lanes[j]`` only."""
-        cores = lanes * self.core_terms.size + self.cores[idx]
-        return DrawSites(cores, self.unit_terms[idx], self.core_terms, lane_major=True)
 
 
 def draw_sites(cores: np.ndarray, units: np.ndarray) -> DrawSites:

@@ -80,9 +80,8 @@ def scatter(c, active_idx) -> np.ndarray:
 def all_kernels(c, seed, tick, active, active_idx) -> list[np.ndarray]:
     """``syn`` from each helper (+ stochastic part) and the dispatcher each way."""
     stoch = np.zeros(c.n_neurons, dtype=np.int64)
-    fast.add_stochastic_synapses(
-        c, seed, tick, *fast.split_lanes(active_idx.copy(), c.n_axons, 1), stoch
-    )
+    if c.any_stoch_synapse:
+        fast.StochasticTables(c, 1).draw_into(seed, tick, active_idx, stoch)
     out = [
         scatter(c, active_idx) + stoch,
         fast._matvec(c, active) + stoch,

@@ -293,7 +293,7 @@ class TestWorkerFailure:
         def _boom(*args, **kwargs):
             raise ValueError("distinctive-worker-detail")
 
-        monkeypatch.setattr(fast, "integrate_deliveries", _boom)
+        monkeypatch.setattr(fast, "_integrate", _boom)
         net = random_network(n_cores=4, connectivity=0.6, seed=32)
         ins = poisson_inputs(net, 4, 800.0, seed=1)
         sim = ParallelCompassSimulator(net, n_workers=2)

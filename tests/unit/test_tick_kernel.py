@@ -9,6 +9,7 @@ per-tick counter deltas.
 
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.compass.fast import (
     ActivityGate,
     FastCompassSimulator,
     TickState,
+    integrate_deliveries,
     update_neurons,
 )
 from repro.compass.partition import partition
@@ -285,6 +287,88 @@ class TestWorkRatchet:
         assert sorted(purposes) == sorted(
             [prng.PURPOSE_SYNAPSE, prng.PURPOSE_LEAK, prng.PURPOSE_THRESHOLD]
         )
+
+
+class TestStochasticWorkspace:
+    """A ``TickState``'s own lane-major stochastic tables against a call's
+    and against B one-lane calls; and what a steady pass may allocate."""
+
+    @staticmethod
+    def _artifact(kind):
+        net = random_network(
+            n_cores=4, n_axons=16, n_neurons=16, connectivity=0.5,
+            stochastic=kind != "deterministic", seed=9,
+        )
+        c = compile_network(net)
+        assert c.any_stoch_synapse == (kind != "deterministic")
+        if kind != "rank":
+            return c
+        part = partition_compiled(c, partition(net, 2, "round_robin"), 2).partitions[1]
+        assert part.core_ids.tolist() == [1, 3]  # global ids, not contiguous
+        return part
+
+    @pytest.mark.parametrize("lanes", [1, 3, 16])
+    @pytest.mark.parametrize("kind", ["whole", "rank", "deterministic"])
+    def test_workspace_equals_call_local_and_single_lanes(self, kind, lanes):
+        c = self._artifact(kind)
+        rng = np.random.default_rng(lanes)
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=lanes)]
+        ticks = rng.integers(0, 50, size=lanes)
+        state = TickState(c, seeds, np.repeat(c.initial_v[None], lanes, axis=0), False)
+        passes = ["none", "all", "some", "reset", "some", "all"]
+        for step in passes:
+            if step == "reset":  # a lane restarts on a new seed; the shared list follows
+                seeds[lanes - 1], ticks[lanes - 1] = 12345, 0
+            active = rng.random((lanes, c.n_axons)) < 0.3
+            if step in ("none", "all"):
+                active[:] = step == "all"
+            active_idx = active.ravel().nonzero()[0]
+            got = state.integrate(ticks, active, active_idx)
+            np.testing.assert_array_equal(
+                got, integrate_deliveries(c, seeds, ticks, active, active_idx)
+            )
+            for b in range(lanes):
+                np.testing.assert_array_equal(got[b], integrate_deliveries(
+                    c, seeds[b], int(ticks[b]), active[b], active[b].nonzero()[0]
+                ))
+            if step == "none":  # nothing drawn yet, so nothing built
+                assert state._stoch is None
+            elif step == "all" and c.any_stoch_synapse:  # k = B * S, the workspace's capacity
+                tables = state._stoch
+                assert tables.work.shape[1] == lanes * c.stoch_col.size == tables.indptr[-1]
+            ticks += 1
+        assert (state._stoch is None) == (not c.any_stoch_synapse)
+
+    def test_steady_integrate_allocates_nothing_event_sized(self, monkeypatch):
+        """serve_b16's network and 16 lanes at 50 Hz: a steady pass's
+        tracemalloc peak inside ``TickState.integrate``, and its draws."""
+        net = random_network(
+            n_cores=16, n_axons=64, n_neurons=64, connectivity=0.3, stochastic=True, seed=1,
+        )
+        lanes = 16
+        sim = BatchedCompassSimulator(net, lanes, seeds=replica_seeds(net.seed, lanes))
+        sim.load_inputs([poisson_inputs(net, 30, 50.0, seed=b) for b in range(lanes)])
+        for _ in range(10):
+            sim.step_arrays()
+        state, peaks = sim._state, []
+        integrate = state.integrate
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return integrate(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(state, "integrate", traced)
+        draws = mock.Mock(wraps=prng.draw_staged)
+        monkeypatch.setattr(prng, "draw_staged", draws)
+        for _ in range(5):
+            sim.step_arrays()
+        assert state.events > 0
+        assert draws.call_count == 5 * 3  # synapse, leak and threshold, every lane in each
+        assert max(peaks) <= 1.5 * 2**20, peaks
 
 
 class TestLaneGenericGate:
