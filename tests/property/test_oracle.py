@@ -126,9 +126,10 @@ COMPASS = st.tuples(
     st.sampled_from(["block", "round_robin", "load_balanced"]),
 )
 POOL = st.tuples(st.just("parallel"), st.integers(2, 3), st.booleans())  # workers, gated
-BATCH = st.tuples(  # lanes, compared lane, gated, loads as a per-lane list, seed offset
+BATCH = st.tuples(  # lanes, compared lane, gated, loads as a per-lane list, seed offset,
+    # and the other lanes' input rate: at 100 Hz a pass scatters, at 400 Hz it often multiplies
     st.just("batch"), st.sampled_from([3, 1]), st.sampled_from([1, 2, 0]), st.booleans(),
-    st.booleans(), st.integers(1, 2**31),
+    st.booleans(), st.integers(1, 2**31), st.sampled_from([400.0, 100.0]),
 )
 SPECS = st.one_of(
     st.tuples(st.just("fast"), st.booleans()), COMPASS, st.just(("truenorth",)), POOL, BATCH,
@@ -258,12 +259,12 @@ class Oracle(RuleBasedStateMachine):
             return Expression(TrueNorthSimulator(c), reference)
         if kind == "parallel":
             return Pool(ParallelCompassSimulator(c, n_workers=spec[1], gated=spec[2]), reference)
-        n_lanes, lane, gated, listed, offset = spec[1:]
+        n_lanes, lane, gated, listed, offset, rate = spec[1:]
         lane %= n_lanes
         seeds = [self.net.seed + (b != lane) * (offset + b) for b in range(n_lanes)]
         sim = BatchedCompassSimulator(c, n_lanes, seeds=seeds, gated=gated)
         sim.load_inputs([
-            None if b == lane else poisson_inputs(self.net, 30, 400.0, seed=seeds[b])
+            None if b == lane else poisson_inputs(self.net, 30, rate, seed=seeds[b])
             for b in range(n_lanes)
         ])
         return Lane(sim, reference, lane, listed)

@@ -161,22 +161,22 @@ class TestCompiledNetwork:
         net = random_network(n_cores=3, n_axons=8, n_neurons=12, seed=4)
         c = compile_network(net)
         assert not any(sparse.issparse(v) for v in vars(c).values())
-        assert c.det_col.dtype == np.int32 and c.det_weight.dtype == np.int64
+        assert c.det_col.dtype == np.int32 and c.det_weight.dtype == np.int32
         for m, fmt in ((c.det_matrix_t, "csc"), (c.weight_matrix, "csr")):
-            assert m.format == fmt and m.dtype == np.int64
+            assert m.format == fmt and m.dtype == np.int32
             assert np.shares_memory(m.data, c.det_weight)
             assert np.shares_memory(m.indices, c.det_col)
         np.testing.assert_array_equal(c.weight_matrix.toarray(), c.det_matrix_t.toarray().T)
 
     def test_eager_artifact_stays_within_its_byte_budget(self):
-        # The line ROADMAP item 2 ratchets down (<= 12 B is its target).
+        # The line ROADMAP item 2 ratchets down: 8.5 B with int32 weights.
         # Dense and deterministic, so per-neuron vectors amortize away
         # and what is left is the cost of storing one synapse: an int32
-        # column and an int64 weight, the two matrices being views.
+        # column and an int32 weight, the two matrices being views.
         net = random_network(n_cores=2, n_axons=256, n_neurons=256, connectivity=1.0, seed=13)
         c = compile_network(net)
         c.det_matrix_t, c.weight_matrix  # memoised: counted, but not twice
-        assert held_bytes(c) / int(c.row_nnz.sum()) <= 13.5
+        assert held_bytes(c) / int(c.row_nnz.sum()) <= 9.0
 
     @pytest.mark.parametrize("stochastic", [False, True])
     def test_build_peak_stays_near_the_artifact(self, stochastic):

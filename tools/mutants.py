@@ -66,9 +66,10 @@ MUTANTS = [
      "self.hot[..., idx] = self.c.passive_mask[idx] & settled_mask(sl, v_new)"),
     ("gate-skips-input", "compass/fast.py", "ActivityGate.active_set",
      "reached = (syn != 0) | self.hot", "reached = (syn > 0) | self.hot"),
-    ("scatter-buffered-add", "compass/fast.py", "_scatter_rows",
-     "np.add.at(syn, shift_lanes(c.det_col[flat], entry_bounds, c.n_neurons), c.det_weight[flat])",
-     "syn[shift_lanes(c.det_col[flat], entry_bounds, c.n_neurons)] += c.det_weight[flat]"),
+    ("scatter-lane-input", "compass/fast.py", "_scatter_rows",
+     "lane_syn = syn[lane * n : (lane + 1) * n]", "lane_syn = syn[:n]"),
+    ("scatter-lane-last-row", "compass/fast.py", "_scatter_rows",
+     "lane_ptr = ptr[lo : hi + 1]", "lane_ptr = ptr[lo:hi]"),
     ("stochastic-synapse-sign", "compass/fast.py", "StochasticTables.__init__",
      "lane_major(np.sign(w))", "lane_major(-np.sign(w))"),
     ("synapse-draw-tick", "compass/fast.py", "StochasticTables.draw_into",
