@@ -108,18 +108,28 @@ def _in(space: str):
 
 
 class UpdatePlan(NamedTuple):
-    """What the neuron phase derives from :class:`NeuronTables` alone."""
+    """What the neuron phase derives from :class:`NeuronTables` alone: int32
+    columns, each one ``np.int32`` when its entries are all equal."""
 
     any_reversal: bool  # some neuron's leak follows sign(V)
     reset_mode: int  # the reset mode every neuron shares, -1 when they differ
     resets_to_value: np.ndarray  # (N,) reset_mode == RESET_TO_VALUE
     resets_linear: np.ndarray  # (N,) reset_mode == RESET_LINEAR
-    neg_limit: np.ndarray  # (N,) -neg_threshold
-    neg_floor: np.ndarray  # (N,) where a membrane below neg_limit lands
+    leak: np.ndarray | np.int32  # lam
+    threshold: np.ndarray | np.int32  # alpha
+    reset_value: np.ndarray | np.int32  # R
+    neg_limit: np.ndarray | np.int32  # -neg_threshold
+    neg_floor: np.ndarray | np.int32  # where a membrane below neg_limit lands
     # Per stochastic subset, None when empty: its PRNG sites, its neurons
     # (a full slice when that is all of them), and two columns over them.
     leak_draw: tuple | None  # (sites, neurons, sign(lam), |lam|)
     threshold_draw: tuple | None  # (sites, neurons, threshold, threshold_mask)
+
+
+def _narrow(column: np.ndarray) -> np.ndarray | np.int32:
+    """*column* in int32; its one value when every entry holds it."""
+    column = column.astype(np.int32)
+    return column[0] if column.size and (column == column[0]).all() else column
 
 
 @dataclass(eq=False)
@@ -182,17 +192,20 @@ class NeuronTables:
             if not idx.size:
                 return None
             sites = prng.draw_sites(self.core_of_neuron[idx], self.local_neuron[idx])
-            return (sites, slice(None) if idx.size == self.n_neurons else idx, *columns)
+            return (sites, slice(None) if idx.size == self.n_neurons else idx, *map(_narrow, columns))
 
         return UpdatePlan(
             any_reversal=bool(self.leak_reversal.any()),
             reset_mode=int(mode[0]) if mode.size and (mode == mode[0]).all() else -1,
             resets_to_value=mode == params.RESET_TO_VALUE,
             resets_linear=mode == params.RESET_LINEAR,
-            neg_limit=neg_limit,
-            neg_floor=np.where(
+            leak=_narrow(self.leak),
+            threshold=_narrow(self.threshold),
+            reset_value=_narrow(self.reset_value),
+            neg_limit=_narrow(neg_limit),
+            neg_floor=_narrow(np.where(
                 self.neg_floor_mode == params.NEG_FLOOR_SATURATE, neg_limit, -self.reset_value
-            ),
+            )),
             leak_draw=draw(sl, np.sign(lam), np.abs(lam)),
             threshold_draw=draw(ti, self.threshold[ti], self.threshold_mask[ti]),
         )

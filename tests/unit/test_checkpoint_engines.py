@@ -7,11 +7,13 @@ validation, the control pipe, crash bundles, serving preemption,
 streaming checkpoints and the CLI.
 """
 
+import hashlib
 import json
 import os
 import signal
 import socket
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.core.builders import poisson_inputs, random_network
 from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
 from repro.io.checkpoint import EngineCheckpoint, load_checkpoint, model_digest
+from repro.lint.examples import BUILTIN_NETWORKS
 from repro.lint.diagnostics import LintError
 from repro.obs import Observer
 from repro.obs.flight import write_crash_dump
@@ -233,6 +236,43 @@ class TestSameEngineResume:
             full_events
         )
         assert_logical_counters_equal(resumed.counters, full_sim.counters)
+
+
+class TestWireFormat:
+    """Membranes are int32 in the engine and int64 in a checkpoint, whose
+    bytes are those the engine wrote while it held int64 membranes."""
+
+    #: sha256 of ``snapshot().to_bytes()`` at tick 40 of :meth:`_engine`'s
+    #: run, recorded from the int64-membrane engine.
+    TICK_40_SHA256 = "a7cc01cd6373635f8d83519e1739c3df3d20d9b3cfff50cbab45b6d4984d2c2f"
+    #: That engine's checkpoint of the same run at tick 20.
+    TICK_20_FILE = Path(__file__).parent / "data" / "recurrent-stochastic-tick20.npz"
+
+    @staticmethod
+    def _engine():
+        net = BUILTIN_NETWORKS["recurrent-stochastic"]()
+        sim = FastCompassSimulator(net)
+        sim.load_inputs(poisson_inputs(net, 40, 300.0, seed=2))
+        return net, sim
+
+    def test_int32_in_the_engine_int64_on_the_wire(self):
+        _, sim = self._engine()
+        drive(sim, 40)
+        ckpt = sim.snapshot()
+        assert sim.v.dtype == np.int32 and ckpt.v.dtype == np.int64
+        np.testing.assert_array_equal(ckpt.v, sim.v)
+        blob = ckpt.to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.TICK_40_SHA256
+        assert EngineCheckpoint.from_bytes(blob).v.dtype == np.int64
+
+    def test_an_int64_engines_checkpoint_resumes_bit_exactly(self):
+        net, sim = self._engine()
+        head = drive(sim, 20)
+        resumed = FastCompassSimulator(net)
+        resumed.restore(EngineCheckpoint.load(self.TICK_20_FILE, net))
+        assert resumed.v.dtype == np.int32
+        assert drive(resumed, 20) == drive(sim, 20) and head
+        assert hashlib.sha256(resumed.snapshot().to_bytes()).hexdigest() == self.TICK_40_SHA256
 
 
 class TestCrashDumpCheckpoint:

@@ -99,6 +99,41 @@ def _every_branch_core():
     return compile_network(Network(cores=[core], seed=0))
 
 
+def _uniform_network():
+    """The recurrent generator at grid side 2: every plan column uniform."""
+    return compile_network(probabilistic_recurrent_network(
+        100.0, 16, grid_side=2, neurons_per_core=64, coupling="balanced", seed=3
+    ))
+
+
+def _reset_core(mode):
+    """Every neuron on one reset *mode*, to a nonzero value; some leak stochastically."""
+    n = 24
+    k = np.arange(n)
+    core = Core.build(
+        n, n,
+        crossbar=np.eye(n, dtype=bool),
+        leak=np.where(k % 4 == 0, 100, -3),
+        stoch_leak=k % 4 == 0,
+        threshold=np.where(k % 2, 900, 40_000),
+        neg_threshold=np.where(k % 3, 600, 200_000),
+        reset_value=37,
+        reset_mode=mode,
+        neg_floor_mode=k % 2,
+    )
+    return compile_network(Network(cores=[core], seed=0))
+
+
+_UPDATE_CASES = {
+    "random-stochastic": lambda: _compiled("random-stochastic"),
+    "every-branch": _every_branch_core,
+    "uniform": _uniform_network,
+    "reset-value": lambda: _reset_core(params.RESET_TO_VALUE),
+    "reset-linear": lambda: _reset_core(params.RESET_LINEAR),
+    "reset-none": lambda: _reset_core(params.RESET_NONE),
+}
+
+
 def _listing_update(c, seed, tick, v, syn):
     """Listing 1 itself: the scalar kernel's update, neuron by neuron."""
     ref = ReferenceKernel(c.network)
@@ -114,17 +149,22 @@ def _listing_update(c, seed, tick, v, syn):
 class TestUpdateIsPure:
     """Frozen inputs in, fresh arrays out, whatever buffer the caller lends."""
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("lanes", [None, B])
-    @pytest.mark.parametrize("name", ["random-stochastic", "every-branch"])
-    def test_frozen_inputs_fresh_outputs_listing_values(self, name, lanes, cut):
-        c = _every_branch_core() if name == "every-branch" else _compiled(name)
+    @pytest.mark.parametrize("name", sorted(_UPDATE_CASES))
+    def test_frozen_inputs_fresh_outputs_listing_values(self, name, lanes, cut, dtype):
+        c = _UPDATE_CASES[name]()
         plan = c.update_plan
         if name == "every-branch":
             assert plan.any_reversal and plan.reset_mode == -1
             assert set(c.neg_floor_mode.tolist()) == set(params.NEG_FLOOR_MODES)
+        elif name == "uniform":  # the one-sign unit-step leak
+            assert isinstance(plan.leak_draw[1], slice) and plan.leak_draw[2] == 1
+        elif name.startswith("reset-"):
+            assert plan.reset_mode == c.reset_mode[0] and plan.reset_value == 37
         rng = np.random.default_rng(6)
-        v, syn = _membranes(rng, (lanes or 1, c.n_neurons))
+        v, syn = (a.astype(dtype) for a in _membranes(rng, (lanes or 1, c.n_neurons)))
         seeds, ticks = [11, 12, 11, 14][: lanes or 1], np.array([5, 5, 9, 0])[: lanes or 1]
         want_v, want_spiked = (
             np.stack(rows) for rows in zip(*(
@@ -150,6 +190,7 @@ class TestUpdateIsPure:
             update_neurons(tables, seed, tick, v, syn),  # its own buffer: same answer
         ]
         for v_next, spiked in calls:
+            assert v_next.dtype == np.int32
             np.testing.assert_array_equal(v_next, want_v[..., keep])
             np.testing.assert_array_equal(spiked, want_spiked[..., keep])
         outputs = [out for call in calls for out in call]
@@ -157,6 +198,71 @@ class TestUpdateIsPure:
             assert out.base is None and out.flags.writeable
             for other in (v, syn, scratch, *outputs[:i]):
                 assert not np.may_share_memory(out, other)
+
+
+def _masked_uniform_core():
+    """One core, every column uniform, a stochastic leak and threshold on all."""
+    n = 16
+    core = Core.build(
+        n, n, crossbar=np.eye(n, dtype=bool), leak=-5, stoch_leak=True,
+        threshold=50, threshold_mask=15, reset_value=3, neg_threshold=40,
+    )
+    return compile_network(Network(cores=[core], seed=0))
+
+
+def _plan_columns(c):
+    """``(plan column, the field values it narrows)`` for every column the update reads."""
+    plan, neg_limit = c.update_plan, -c.neg_threshold
+    pairs = [
+        (plan.leak, c.leak),
+        (plan.threshold, c.threshold),
+        (plan.reset_value, c.reset_value),
+        (plan.neg_limit, neg_limit),
+        (plan.neg_floor, np.where(
+            c.neg_floor_mode == params.NEG_FLOOR_SATURATE, neg_limit, -c.reset_value
+        )),
+    ]
+    if plan.leak_draw is not None:
+        lam = c.leak[c.stoch_leak_idx]
+        pairs += [(plan.leak_draw[2], np.sign(lam)), (plan.leak_draw[3], np.abs(lam))]
+    if plan.threshold_draw is not None:
+        ti = c.stoch_threshold_idx
+        pairs += [(plan.threshold_draw[2], c.threshold[ti]),
+                  (plan.threshold_draw[3], c.threshold_mask[ti])]
+    return pairs
+
+
+class TestUpdatePlanNarrowing:
+    """Every column the update reads is int32; a uniform one is one ``np.int32``."""
+
+    @pytest.mark.parametrize("build", [_uniform_network, _masked_uniform_core])
+    def test_uniform_columns_are_scalars(self, build):
+        c = build()
+        pairs = _plan_columns(c)
+        assert len(pairs) == (9 if c.any_stoch_threshold else 7)
+        for column, values in pairs:
+            assert type(column) is np.int32 and column == values[0]
+
+    @pytest.mark.parametrize("name", ["every-branch", "random-stochastic", "reset-linear"])
+    def test_mixed_columns_are_int32_arrays(self, name):
+        arrays = 0
+        for column, values in _plan_columns(_UPDATE_CASES[name]()):
+            if (values == values[0]).all():
+                assert type(column) is np.int32 and column == values[0]
+            else:
+                assert column.dtype == np.int32
+                np.testing.assert_array_equal(column, values)
+                arrays += 1
+        assert arrays
+
+    @pytest.mark.parametrize("build", [_uniform_network, _masked_uniform_core])
+    def test_a_gated_cut_keeps_its_scalars(self, build):
+        c = build()
+        keep = np.nonzero(np.random.default_rng(2).random(c.n_neurons) < 0.4)[0]
+        cut = NeuronTables(**take(NeuronTables, c, keep))
+        assert 0 < cut.n_neurons < c.n_neurons
+        for (column, values), (whole, _) in zip(_plan_columns(cut), _plan_columns(c)):
+            assert type(column) is np.int32 and column == whole == values[0]
 
 
 class TestScratchIsPerEngine:
@@ -263,6 +369,33 @@ class TestWorkRatchet:
                 state.update(tick, np.zeros(wide, dtype=np.int64))
         assert mixed_sizes.count(wide) == self.TICKS
         assert all(size == wide or size <= lanes * c.n_cores for size in mixed_sizes)
+
+    def test_dense_update_allocates_no_wide_temporary(self, monkeypatch):
+        """The tracemalloc peak of a steady dense ``TickState.update`` on a
+        uniform 4,096-neuron network: 59,352 B at most in five ticks, under
+        16 B a neuron; with int64 membranes and an int64 leak vector it was
+        104,656 B (25.6 B a neuron)."""
+        net = probabilistic_recurrent_network(
+            200.0, 26, grid_side=4, coupling="balanced", seed=1
+        )
+        sim = FastCompassSimulator(net, gated=False)
+        for _ in range(self.TICKS):
+            sim.step_arrays()
+        state, peaks = sim._state, []
+        update = state.update
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return update(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(state, "update", traced)
+        spikes = sum(sim.step_arrays()[1].size for _ in range(5))
+        assert spikes and state.v.dtype == np.int32
+        assert max(peaks) <= 16 * net.n_neurons, peaks
 
     def test_a_pass_draws_once_per_purpose_for_every_lane(self, monkeypatch):
         """16 lanes on distinct seeds, their ticks diverged by a reset: one

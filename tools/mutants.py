@@ -44,7 +44,7 @@ MUTANTS = [
     ("update-dense-saturations", "compass/fast.py", "TickState.update",
      "self.n_saturated = saturated(self.v)", "self.n_saturated = saturated(syn)"),
     ("neurons-input-sign", "compass/fast.py", "update_neurons",
-     "v = v + syn", "v = v - syn"),
+     "v = np.add(v, syn, dtype=np.int32)", "v = np.subtract(v, syn, dtype=np.int32)"),
     ("neurons-strict-threshold", "compass/fast.py", "update_neurons",
      "spiked = v >= theta", "spiked = v > theta"),
     ("neurons-linear-reset", "compass/fast.py", "update_neurons",
@@ -54,6 +54,8 @@ MUTANTS = [
      "leak = np.where(c.leak_reversal, -np.sign(v), 1) * leak"),
     ("neurons-negative-floor", "compass/fast.py", "update_neurons",
      "below = ~spiked & (v < plan.neg_limit)", "below = spiked & (v < plan.neg_limit)"),
+    ("neurons-reset-blend", "compass/fast.py", "update_neurons",
+     "delta *= spiked", "delta *= ~spiked"),
     ("lanes-share-a-draw", "core/prng.py", "draw_staged",
      "for s, t in (zip(seed, tick.tolist()) if lanes else [(seed, tick)])",
      "for s, t in (zip(seed[:1] * len(seed), tick.tolist()) if lanes else [(seed, tick)])"),
