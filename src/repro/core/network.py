@@ -71,7 +71,7 @@ class Core:
     @property
     def n_synapses(self) -> int:
         """Number of programmed (non-zero) synapses in the crossbar."""
-        return int(self.crossbar.sum())
+        return int(np.count_nonzero(self.crossbar))
 
     @property
     def any_stochastic_synapse(self) -> bool:
