@@ -4,8 +4,8 @@ Periodic checkpointing (ISSUE 10) is meant to run in production: long
 streaming sessions capture an :class:`~repro.io.checkpoint.EngineCheckpoint`
 every ``checkpoint_every`` ticks so a crash resumes from the last good
 tick instead of tick 0.  This benchmark holds the promised budget on
-the paper-scale workload — the 64k-neuron activity-gated network from
-``bench_sparse_activity.py`` — by gating the *amortized* cost of
+a paper-scale workload — a 64k-neuron identity network, 64 axons
+driven a tick — by gating the *amortized* cost of
 snapshot-and-save at <= 5% at the production ``checkpoint_every=1000``
 cadence (with a small absolute floor so micro-jitter cannot trip the
 gate).  Two engine-side costs keep this honest: the model digest is
@@ -48,7 +48,7 @@ ABS_SLACK_S = 0.002
 
 @pytest.fixture(scope="module")
 def checkpoint_workload():
-    """The 64k-neuron sparse workload from ``bench_sparse_activity``."""
+    """256 identity cores of 256 neurons, 8 axons driven on each of 8 cores a tick."""
     eye = np.eye(CORE_SIZE, dtype=bool)
     cores = [
         Core.build(
@@ -67,8 +67,8 @@ def checkpoint_workload():
 
 
 def _run_once(compiled, ins):
-    """One plain N_TICKS gated run; returns its wall seconds."""
-    sim = FastCompassSimulator(compiled, gated=True)
+    """One plain N_TICKS run; returns its wall seconds."""
+    sim = FastCompassSimulator(compiled)
     sim.load_inputs(ins)
     start = time.perf_counter()
     for _ in range(N_TICKS):
@@ -102,7 +102,7 @@ class TestCheckpointOverhead:
         ckpt_s = float(np.median(ckpt_times))
         overhead = ckpt_s / base_s
         emit(
-            f"CHECKPOINT overhead: {N_TICKS} gated ticks on 64k neurons "
+            f"CHECKPOINT overhead: {N_TICKS} ticks on 64k neurons "
             f"{base_s * 1e3:.2f} ms, snapshot+save {ckpt_s * 1e3:.2f} ms "
             f"({n_bytes} bytes) -> {overhead * 100:.2f}% amortized at "
             f"every-{CHECKPOINT_EVERY} cadence"
@@ -118,7 +118,7 @@ class TestCheckpointOverhead:
         # encode on the 64k-neuron engine (name contains "checkpoint"
         # for check_regression --match checkpoint).
         compiled, ins = checkpoint_workload
-        sim = FastCompassSimulator(compiled, gated=True)
+        sim = FastCompassSimulator(compiled)
         sim.load_inputs(ins)
         for _ in range(CHECKPOINT_EVERY):
             sim.step()

@@ -3,9 +3,9 @@
 The flight row is the only thing an enabled tick writes — one ring row
 plus one histogram observation; everything else is read from the rows
 when someone scrapes — and it is meant to stay on in production
-serving.  This benchmark holds that promise on the paper-scale workload
-— the 64k-neuron activity-gated network from
-``bench_sparse_activity.py`` — by gating the whole enabled cost at
+serving.  This benchmark holds that promise on a paper-scale workload
+— a 64k-neuron identity network, 64 axons driven a tick — by gating
+the whole enabled cost at
 <= 5% (ROADMAP 1(c)): an engine with ``obs=Observer()`` vs the same
 engine with no observer (with a small absolute floor so micro-jitter
 cannot trip the gate).  The attached-but-disabled path is held
@@ -42,7 +42,7 @@ ABS_SLACK_S = 0.002
 
 @pytest.fixture(scope="module")
 def flight_workload():
-    """The 64k-neuron sparse workload from ``bench_sparse_activity``."""
+    """256 identity cores of 256 neurons, 8 axons driven on each of 8 cores a tick."""
     eye = np.eye(CORE_SIZE, dtype=bool)
     cores = [
         Core.build(
@@ -61,7 +61,7 @@ def flight_workload():
 
 
 def _run_once(compiled, ins, obs):
-    sim = FastCompassSimulator(compiled, gated=True, obs=obs)
+    sim = FastCompassSimulator(compiled, obs=obs)
     sim.load_inputs(ins)
     start = time.perf_counter()
     for _ in range(N_TICKS):
@@ -71,7 +71,7 @@ def _run_once(compiled, ins, obs):
 
 def _tick_seconds(compiled, ins, obs):
     """Wall seconds of each of the run's ticks."""
-    sim = FastCompassSimulator(compiled, gated=True, obs=obs)
+    sim = FastCompassSimulator(compiled, obs=obs)
     sim.load_inputs(ins)
     out = np.empty(N_TICKS)
     for i in range(N_TICKS):
@@ -84,7 +84,7 @@ def _tick_seconds(compiled, ins, obs):
 class TestFlightOverhead:
     def test_enabled_flight_within_budget(self, flight_workload):
         compiled, ins = flight_workload
-        # The cost being gated is a few microseconds on a ~120 us tick,
+        # The cost being gated is a few microseconds on a ~300 us tick,
         # far below what a co-tenant does to a whole 200-tick run.  Tick
         # i does the same work in every round, so min-of-N is taken per
         # tick, the two variants interleaved, and the run is the sum of

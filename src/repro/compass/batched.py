@@ -73,13 +73,6 @@ class BatchedCompassSimulator(FastCompassSimulator):
     :meth:`reset_lane`, lane tick counters diverge: a pass advances
     each lane at its own local tick, which is what keeps mid-flight
     admission bit-identical to a fresh standalone run.
-
-    ``gated`` selects the activity-gated update (``"auto"`` engages it
-    past its measured crossover in passive-stable neurons): each pass
-    updates the cross-lane *union* active set (see
-    :class:`~repro.compass.fast.ActivityGate`), keeping one vectorized
-    ``(B, k)`` sweep while staying bit-identical per lane to the dense
-    path.
     """
 
     def __init__(
@@ -89,10 +82,9 @@ class BatchedCompassSimulator(FastCompassSimulator):
         *,
         seeds=None,
         obs: Observer | None = None,
-        gated: bool | str = "auto",
     ) -> None:
         require(n_replicas >= 1, f"n_replicas must be >= 1, got {n_replicas}")
-        super().__init__(network, obs=obs, gated=gated)
+        super().__init__(network, obs=obs)
         self.n_replicas = int(n_replicas)
         if seeds is None:
             seeds = [self.network.seed] * self.n_replicas
@@ -120,7 +112,7 @@ class BatchedCompassSimulator(FastCompassSimulator):
 
     @property
     def v(self) -> np.ndarray:
-        """The ``(B, N)`` membrane matrix (rebound by each dense pass)."""
+        """The ``(B, N)`` membrane matrix (rebound by each pass)."""
         return self._state.v
 
     @property
@@ -205,8 +197,7 @@ def run_batched_compass(
     inputs=None,
     *,
     seeds=None,
-    gated: bool | str = "auto",
 ) -> list[SpikeRecord]:
     """Convenience one-shot batched run: one record per replica lane."""
-    sim = BatchedCompassSimulator(network, n_replicas, seeds=seeds, gated=gated)
+    sim = BatchedCompassSimulator(network, n_replicas, seeds=seeds)
     return sim.run(n_ticks, inputs)

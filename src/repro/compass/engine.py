@@ -41,7 +41,6 @@ def select_engine(
     replica_seeds=None,
     partition_strategy: str = "load_balanced",
     obs: Observer | None = None,
-    gated: bool | str = "auto",
 ):
     """Construct a simulator for *network* under the named *engine*.
 
@@ -68,12 +67,6 @@ def select_engine(
     :mod:`repro.obs`) for tracing and metrics; the selection decision
     itself is logged on the ``repro.engine`` structured logger (set
     ``REPRO_LOG_LEVEL=INFO`` to see it).
-
-    *gated* selects the activity-gated tick path on the sparse engines
-    (fast/parallel/batched): ``"auto"`` (default) engages it only where
-    enough neurons are passive-stable to repay it, ``True``/``False``
-    force it.  Bit-identical either way; see
-    :class:`~repro.compass.fast.ActivityGate`.
     """
     require(engine in ENGINES, f"unknown engine {engine!r}; expected one of {ENGINES}")
     require(
@@ -100,12 +93,12 @@ def select_engine(
     if engine == "fast":
         from repro.compass.fast import FastCompassSimulator
 
-        return FastCompassSimulator(network, obs=obs, gated=gated)
+        return FastCompassSimulator(network, obs=obs)
     if engine == "batched":
         from repro.compass.batched import BatchedCompassSimulator
 
         return BatchedCompassSimulator(
-            network, n_replicas, seeds=replica_seeds, obs=obs, gated=gated,
+            network, n_replicas, seeds=replica_seeds, obs=obs,
         )
     if engine == "compass":
         from repro.compass.simulator import CompassSimulator
@@ -119,7 +112,7 @@ def select_engine(
 
         return ParallelCompassSimulator(
             network, n_workers=n_workers,
-            partition_strategy=partition_strategy, obs=obs, gated=gated,
+            partition_strategy=partition_strategy, obs=obs,
         )
 
     if engine == "truenorth":

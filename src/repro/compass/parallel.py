@@ -42,12 +42,11 @@ ring       bool (DELAY_SLOTS, A_r)  owner: consumes slot t % DELAY_SLOTS in
 spikes     (1 + N_r,)               owner in route: header count + fired
                                     *global* neuron ids; caller reads after
                                     ``done``
-stats      (7 + C_r,)               owner in route: deliveries, synaptic
+stats      (6 + C_r,)               owner in route: deliveries, synaptic
                                     events, spikes, neuron updates,
-                                    saturations, computed neuron updates,
-                                    cross-rank messages, then per-owned-core
-                                    synaptic events; caller reads after
-                                    ``done``
+                                    saturations, cross-rank messages, then
+                                    per-owned-core synaptic events; caller
+                                    reads after ``done``
 obs        FlightRecorder ring      child rank: one row per tick (only with
            (6-word head + rows)     an observer); the caller adopts rows and
                                     sums at close().  Rank 0 writes the
@@ -122,9 +121,9 @@ class WorkerFailedError(RuntimeError):
         super().__init__(f"parallel worker rank {rank} failed: {detail}")
 
 
-# stats region layout: seven tallies, then per-owned-core synaptic events
+# stats region layout: six tallies, then per-owned-core synaptic events
 (_ST_DELIVERIES, _ST_SYN_EVENTS, _ST_SPIKES, _ST_NEURON_UPDATES,
- _ST_SATURATIONS, _ST_ACTIVE_UPDATES, _ST_MESSAGES, _ST_N) = range(8)
+ _ST_SATURATIONS, _ST_MESSAGES, _ST_N) = range(7)
 
 #: Seconds the caller waits for one rank (a tick's ``done`` or a control
 #: reply) before it treats the live but silent process as failed.  Far
@@ -188,16 +187,16 @@ class _Rank:
     spikes and stats to read after the barrier.
     """
 
-    def __init__(self, parts, rank, shms, seed, gated, rec=None) -> None:
+    def __init__(self, parts, rank, shms, seed, rec=None) -> None:
         self.part = parts[rank]
-        self.seed, self.gated, self.rec = seed, gated, rec
+        self.seed, self.rec = seed, rec
         self.rings, self.spikes, self.stats = _region_views(shms, parts, rec)
         self.sync = np.ndarray(1, dtype=np.int64, buffer=shms[0]["sync"].buf)
         self.restore(self.part.initial_v.copy())
 
     def restore(self, v: np.ndarray) -> None:
         """Start over from membranes *v* (the only process-local state)."""
-        self.st = TickState(self.part, self.seed, v, self.gated)
+        self.st = TickState(self.part, self.seed, v)
 
     def release(self) -> None:
         """Drop the shared views (before the segments close)."""
@@ -259,7 +258,7 @@ class _Rank:
             self.rings[fault.rank][tick % params.DELAY_SLOTS, :0] = True
         stats[:_ST_N] = (
             active_idx.size, st.events, fired.size, part.n_neurons,
-            st.n_saturated[0], st.n_active, messages,
+            st.n_saturated[0], messages,
         )
         stats[_ST_N:] = st.per_core
         t4 = now_ns()
@@ -268,7 +267,7 @@ class _Rank:
 
 def _rank_main(
     conn, go, done, parent_pid: int, parts: list, rank: int, shm_names: list[dict],
-    seed: int, gated: bool, sanitize: bool, flight_rows: int,
+    seed: int, sanitize: bool, flight_rows: int,
 ) -> None:
     """Child process: advance rank *rank* whenever the caller says go.
 
@@ -287,7 +286,7 @@ def _rank_main(
     """
     shms = [{key: _attach(name) for key, name in names.items()} for names in shm_names]
     rec = AccessRecorder(f"rank{rank}") if sanitize else None
-    me = _Rank(parts, rank, shms, seed, gated, rec)
+    me = _Rank(parts, rank, shms, seed, rec)
     flight = FlightRecorder(flight_rows, shms[rank]["obs"].buf) if flight_rows else None
     try:
         while True:
@@ -318,11 +317,7 @@ def _rank_main(
                 rec.barrier("recv", "rank0", tick)
             spikes, begin, end, phases = me.tick(tick)
             if flight is not None:
-                flight.record(
-                    tick, begin, end, spikes, phases=phases,
-                    active=me.st.n_active if gated else -1,
-                    n_neurons=me.part.n_neurons,
-                )
+                flight.record(tick, begin, end, spikes, phases=phases)
             if rec is not None:
                 rec.barrier("send", "rank0", tick)
             done.release()
@@ -345,10 +340,6 @@ class ParallelCompassSimulator:
     called repeatedly on the same object — each call re-spawns from the
     kept partitioned artifact and performs an independent, fresh
     simulation.
-
-    ``gated`` selects the activity-gated update on every rank
-    (``"auto"`` engages it only past its measured crossover in
-    passive-stable neurons; bit-identical either way).
     """
 
     phase_seconds = engine_phase_seconds
@@ -359,7 +350,6 @@ class ParallelCompassSimulator:
         n_workers: int = 2,
         partition_strategy: str = "load_balanced",
         obs: Observer | None = None,
-        gated: bool | str = "auto",
         sanitize: bool | None = None,
         sanitize_fault=None,
         checkpoint_every: int | None = None,
@@ -371,7 +361,7 @@ class ParallelCompassSimulator:
         self.sanitize = sanitize_enabled(sanitize)
         self.sanitize_fault = resolve_fault(sanitize_fault)
         self.sanitize_report = None
-        compiled = bind_compiled(self, network, obs, gated)
+        compiled = bind_compiled(self, network, obs)
         require(
             isinstance(n_workers, int) and n_workers >= 1,
             "n_workers must be a positive integer",
@@ -452,7 +442,7 @@ class ParallelCompassSimulator:
                 proc = ctx.Process(
                     target=_rank_main,
                     args=(child, go, done, os.getpid(), parts, rank, names,
-                          self.network.seed, self.gated, self.sanitize, flight_rows),
+                          self.network.seed, self.sanitize, flight_rows),
                     daemon=True,
                 )
                 proc.start()
@@ -464,7 +454,7 @@ class ParallelCompassSimulator:
             # After the forks, so no child carries a copy of rank 0's state.
             rec = (AccessRecorder("rank0", fault=self.sanitize_fault)
                    if self.sanitize else None)
-            self._rank0 = _Rank(parts, 0, self._shms, self.network.seed, self.gated, rec)
+            self._rank0 = _Rank(parts, 0, self._shms, self.network.seed, rec)
         self._spawned = True
         self._closed = False
 
@@ -538,19 +528,17 @@ class ParallelCompassSimulator:
 
         fired_acc: list[np.ndarray] = []
         c = self.counters
-        active_this_tick = n_spikes = 0
+        n_spikes = 0
         for part, spike_buf, stats in zip(
             self.partitioned.partitions, rank0.spikes, rank0.stats
         ):
-            (deliveries, _, spikes, updates, saturations, active,
-             messages) = stats[:_ST_N].tolist()
+            deliveries, _, spikes, updates, saturations, messages = stats[:_ST_N].tolist()
             per_core = stats[_ST_N:]
             c.record_tick(
                 per_core, part.core_ids, deliveries=deliveries, neurons=updates,
-                computed=active, saturations=saturations, spikes=spikes,
+                saturations=saturations, spikes=spikes,
             )
             c.messages += messages
-            active_this_tick += active
             if spikes:
                 n_spikes += spikes
                 fired_acc.append(spike_buf[1 : 1 + spikes])
@@ -573,7 +561,6 @@ class ParallelCompassSimulator:
             obs.tick(
                 tick, tick_begin, now_ns(), n_spikes, c.messages,
                 phases, len(self._future_inputs),
-                active_this_tick if self.gated else -1, self.compiled.n_neurons,
             )
         return tick, core_ids, neurons
 
@@ -853,11 +840,10 @@ def run_parallel_compass(
     n_workers: int = 2,
     partition_strategy: str = "load_balanced",
     obs: Observer | None = None,
-    gated: bool | str = "auto",
 ) -> SpikeRecord:
     """Convenience one-shot parallel run."""
     sim = ParallelCompassSimulator(
         network, n_workers=n_workers, partition_strategy=partition_strategy,
-        obs=obs, gated=gated,
+        obs=obs,
     )
     return sim.run(n_ticks, inputs)

@@ -19,8 +19,8 @@ Section III-B):
 
 Who owns what: state, input staging, event accounting, the delivery
 ring, checkpoints and the tick — its first two phases are
-:class:`~repro.compass.fast.TickState`'s integrate and update, run
-dense — are the fast engine's
+:class:`~repro.compass.fast.TickState`'s integrate and update — are
+the fast engine's
 (:class:`~repro.compass.fast.FastCompassSimulator`), which this class
 extends, as the silicon expression (:mod:`repro.hardware.simulator`)
 does.  What is Compass's own is the Network phase, and that is the fast
@@ -61,7 +61,7 @@ class CompassSimulator(FastCompassSimulator):
         tick — the measurement Compass used to overlap communication
         with computation — and the partitioning gets a span of its own.
         """
-        super().__init__(network, obs=obs, gated=False)
+        super().__init__(network, obs=obs)
         self.n_ranks = n_ranks
         with (obs.span("partition", ranks=n_ranks)
               if obs is not None else NULL_SPAN):

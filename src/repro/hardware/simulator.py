@@ -15,7 +15,7 @@ kernel (paper Section VI-A), but organized the way the chip is:
 Who owns what: the tick is shared with Compass (one kernel, co-designed)
 — state, staging, accounting, checkpoints and the tick, its synapse and
 neuron phases included, are the fast engine's
-(:class:`~repro.compass.fast.FastCompassSimulator`, run dense here);
+(:class:`~repro.compass.fast.FastCompassSimulator`);
 the orchestration — placement, routing, boundary links — is the
 hardware's.
 """
@@ -52,7 +52,7 @@ class TrueNorthSimulator(FastCompassSimulator):
         links, accumulating their traffic statistics.  The placement's
         chip coordinates must fit inside the array.  *obs* as on Compass.
         """
-        super().__init__(network, obs=obs, gated=False)
+        super().__init__(network, obs=obs)
         network = self.network
         if placement is not None:
             self.placement = placement

@@ -28,12 +28,10 @@ from repro.lint.diagnostics import (
     Severity,
 )
 from repro.lint.model import (
-    check_activity_gating,
     check_core,
     check_network,
     check_partition_map,
     check_replica_seeds,
-    lint_activity_gating,
     lint_core,
     lint_network,
     lint_partition_map,
@@ -50,12 +48,10 @@ __all__ = [
     "Location",
     "SOURCE_CODES",
     "Severity",
-    "check_activity_gating",
     "check_core",
     "check_network",
     "check_partition_map",
     "check_replica_seeds",
-    "lint_activity_gating",
     "lint_core",
     "lint_file",
     "lint_network",

@@ -105,33 +105,6 @@ def check_partition_map(n_cores: int, rank_of_core: np.ndarray, n_ranks: int,
     return report
 
 
-def lint_activity_gating(network) -> LintReport:
-    """Advisory lint: does the activity gate have anything to skip?
-
-    Deliberately *not* part of :func:`lint_network`: a network where
-    every neuron is always-active (TN701) is a legitimate model — the
-    recurrent builtins are fully active by design — it just gains
-    nothing from ``gated=True`` on the sparse engines.  Callers tuning
-    for throughput ask here explicitly.
-    """
-    network = _as_network(network)
-    name = getattr(network, "name", "") or "network"
-    report = LintReport(subject=name)
-    report.extend(rules.check_activity_gating(network))
-    return report
-
-
-def check_activity_gating(network, strict: bool = False) -> LintReport:
-    """Advisory gating check; ``strict=True`` raises at WARNING.
-
-    Default is non-strict (TN701 is a tuning hint, not a model defect).
-    """
-    report = lint_activity_gating(network)
-    if strict:
-        report.raise_for(Severity.WARNING)
-    return report
-
-
 def lint_replica_seeds(seeds, stochastic: bool = True) -> LintReport:
     """Lint a batched engine's per-lane seed vector (TN401, batched form)."""
     report = LintReport(subject=f"replica seeds over {len(seeds)} lanes")

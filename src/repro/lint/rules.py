@@ -11,8 +11,7 @@ stable ``TN###`` codes.  The code space is organised by family:
 * ``TN3xx`` — dynamics: worst-case interval analysis of the 20-bit
   saturating membrane;
 * ``TN4xx`` — determinism: counter-based PRNG coordinate uniqueness;
-* ``TN5xx`` — partitioning: rank maps over the compiled network;
-* ``TN7xx`` — performance advisories: activity-gating effectiveness.
+* ``TN5xx`` — partitioning: rank maps over the compiled network.
 
 Rules never raise on bad input — they report.  Orchestration (which
 rules run, and when findings become a :class:`LintError`) lives in
@@ -117,12 +116,6 @@ CODES: dict[str, RuleInfo] = {
                  "the .npz is not a repro model file (or uses an "
                  "unsupported format version); re-save it with "
                  "repro.io.model_files.save_network"),
-        RuleInfo("TN701", "fully-always-active-network", Severity.WARNING,
-                 "every neuron is always-active (nonzero or stochastic "
-                 "leak, or a stochastic threshold), so the activity-gated "
-                 "tick path cannot skip any work here and gated=True only "
-                 "adds the gate's bookkeeping; zero out leaks on "
-                 "event-driven neurons to give the gate work to skip"),
     ]
 }
 
@@ -405,45 +398,6 @@ def check_replica_seeds(seeds, stochastic: bool = True) -> Iterator[Diagnostic]:
                 Location(unit=lane),
                 severity=Severity.WARNING,
             )
-
-
-# --------------------------------------------------------------------------
-# TN7xx: performance advisories
-# --------------------------------------------------------------------------
-
-def check_activity_gating(network) -> Iterator[Diagnostic]:
-    """TN701: a network with no passive-stable neurons defeats the gate.
-
-    The sparse engines' activity-gated tick path
-    (:class:`repro.compass.fast.ActivityGate`) skips neurons that are
-    passive-stable — zero leak, deterministic leak, non-stochastic
-    threshold — once their membranes settle.  When *every* neuron is
-    always-active, the gate recomputes the full population each tick and
-    gating is pure bookkeeping overhead.  Advisory only: fully active
-    models are legitimate (the recurrent builtins among them), so this
-    rule is not part of the default :func:`repro.lint.lint_network`
-    sweep; callers ask for it via
-    :func:`repro.lint.check_activity_gating`.
-    """
-    # Late import: compass.compile's front door calls back into this
-    # package at network-validation time.
-    from repro.compass.compile import classify_activity
-
-    total = 0
-    passive = 0
-    for core in network.cores:
-        mask = classify_activity(
-            core.leak, core.stoch_leak.astype(bool), core.threshold_mask
-        )
-        total += mask.size
-        passive += int(np.count_nonzero(mask))
-    if total and passive == 0:
-        yield _diag(
-            "TN701",
-            f"all {total} neurons are always-active (nonzero/stochastic "
-            "leak or stochastic threshold); the activity-gated tick path "
-            "cannot skip any work on this network",
-        )
 
 
 # --------------------------------------------------------------------------

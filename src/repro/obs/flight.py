@@ -61,8 +61,6 @@ DEFAULT_CAPACITY = 16384
 #: ``now_ns`` start and ``*_ns`` otherwise are durations, the four
 #: phases contiguous from ``begin_ns`` (all zero where the writer does
 #: not time phases); ``spikes`` / ``messages`` are this tick's counts;
-#: ``active`` is the gated update set's size (-1 when ungated) and
-#: ``active_fraction`` its share of the population (1.0 when ungated);
 #: ``queue_depth`` counts staged future input ticks; ``lanes`` is the
 #: batch width and ``occupancy`` the served share of it (both 0 off the
 #: batched engine).
@@ -71,7 +69,6 @@ FLIGHT_FIELDS = (
     "wall_ns",
     "spikes",
     "messages",
-    "active_fraction",
     "occupancy",
     "deliver_ns",
     "integrate_ns",
@@ -79,14 +76,13 @@ FLIGHT_FIELDS = (
     "route_ns",
     "begin_ns",
     "queue_depth",
-    "active",
     "lanes",
 )
 
 #: One row: int64 throughout (``begin_ns`` round-trips exactly — a
-#: float64 loses nanoseconds past 2**53) except the two fractions.
+#: float64 loses nanoseconds past 2**53) except ``occupancy``, a fraction.
 ROW_DTYPE = np.dtype([
-    (name, "<f8" if name in ("active_fraction", "occupancy") else "<i8")
+    (name, "<f8" if name == "occupancy" else "<i8")
     for name in FLIGHT_FIELDS
 ])
 
@@ -163,8 +159,6 @@ class FlightRecorder:
         messages_total: int = 0,
         phases=(0, 0, 0, 0),
         queue_depth: int = 0,
-        active: int = -1,
-        n_neurons: int = 0,
         lanes: int = 0,
         occupancy: float = 0.0,
     ) -> int:
@@ -175,21 +169,19 @@ class FlightRecorder:
         *messages_total* is the engine's cumulative message counter;
         the row stores the per-tick delta (a counter that moved
         backwards — a lane reset, a fresh run — restarts the baseline
-        rather than going negative).  *active* of *n_neurons* is the
-        gated update set (-1: ungated).
+        rather than going negative).
         """
         delta = messages_total - self._last_messages
         if delta < 0:
             delta = messages_total
         self._last_messages = messages_total
         wall_ns = end_ns - begin_ns
-        fraction = active / n_neurons if active >= 0 and n_neurons else 1.0
         n, wall, deliver, integrate, update, route = _PACK_HEAD.unpack_from(self._head)
         d, i, u, r = phases
         _PACK_ROW.pack_into(
             self._rows, _PACK_ROW.size * (n % self.capacity),
-            tick, wall_ns, spikes, delta, fraction, occupancy, d, i, u, r,
-            begin_ns, queue_depth, active, lanes,
+            tick, wall_ns, spikes, delta, occupancy, d, i, u, r,
+            begin_ns, queue_depth, lanes,
         )
         # The cursor moves after the row is whole.
         _PACK_HEAD.pack_into(
@@ -264,7 +256,6 @@ class FlightRecorder:
                 "messages_per_second": 0.0,
                 "spikes": 0,
                 "messages": 0,
-                "active_fraction_mean": 0.0,
                 "occupancy_last": 0.0,
             }
         wall = rows["wall_ns"]
@@ -288,7 +279,6 @@ class FlightRecorder:
             "messages_per_second": messages / wall_total_s if wall_total_s else 0.0,
             "spikes": spikes,
             "messages": messages,
-            "active_fraction_mean": float(rows["active_fraction"].mean()),
             "occupancy_last": float(rows["occupancy"][-1]),
         }
 

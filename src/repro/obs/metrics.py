@@ -51,13 +51,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "gauge", "Busiest core-tick synaptic event load."),
     "repro_queue_depth": (
         "gauge", "Staged future input-event ticks awaiting injection."),
-    "repro_active_fraction": (
-        "gauge", "Active-set size as a fraction of all neurons, last tick."),
-    "repro_active_neuron_updates_total": (
-        "counter",
-        "Neuron updates actually computed (gated path skips settled "
-        "passive neurons; engine-dependent, unlike the logical "
-        "repro_neuron_updates_total)."),
     "repro_phase_seconds_total": (
         "counter", "Wall-clock seconds spent per tick phase (label: phase)."),
     "repro_tick_seconds": (

@@ -85,7 +85,7 @@ class Observer:
     # -- the per-tick record -----------------------------------------------
     def tick(self, tick: int, begin_ns: int, end_ns: int, spikes: int,
              messages_total: int, phases=(0, 0, 0, 0), queue_depth: int = 0,
-             active: int = -1, n_neurons: int = 0, lanes: int = 0) -> None:
+             lanes: int = 0) -> None:
         """Record one finished tick: everything an enabled tick does.
 
         One :meth:`FlightRecorder.record` row (arguments as there, plus
@@ -95,7 +95,7 @@ class Observer:
         """
         wall_ns = self.flight.record(
             tick, begin_ns, end_ns, spikes, messages_total, phases,
-            queue_depth, active, n_neurons, lanes, self.occupancy,
+            queue_depth, lanes, self.occupancy,
         )
         self._tick_seconds.observe(wall_ns * 1e-9)
 
@@ -126,9 +126,6 @@ class Observer:
                 family = (metrics.counter(name) if CATALOGUE[name][0] == "counter"
                           else metrics.gauge(name))
                 family.set(getattr(counters, attr))
-            metrics.counter("repro_active_neuron_updates_total").set(
-                counters.active_neuron_updates
-            )
         last = self.flight.rows(last=1)
         if last.size:
             row = last[0]
@@ -137,10 +134,6 @@ class Observer:
                 int(row["wall_ns"]) / BUDGET_NS
             )
             metrics.gauge("repro_rtf").set(self.flight.real_time_factor())
-            if row["active"] >= 0:
-                metrics.gauge("repro_active_fraction").set(
-                    float(row["active_fraction"])
-                )
         for name, seconds in self.phase_seconds().items():
             if seconds:
                 metrics.counter("repro_phase_seconds_total").set(seconds, phase=name)

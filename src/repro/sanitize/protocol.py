@@ -199,7 +199,7 @@ PARALLEL_PROTOCOL = TickProtocol(
             ],
         ),
         "stats": _spec(
-            "stats", "per-rank", "int64", "(7 + n_cores,)",
+            "stats", "per-rank", "int64", "(6 + n_cores,)",
             [
                 Access("rank", "tick", "w", ("route",)),
                 Access("caller", "gather", "r"),

@@ -127,9 +127,9 @@ class TestRunDemux:
                 self.TICKS, schedule
             )
             assert record == alone
-            # Every counter, active_neuron_updates too: "auto" runs both sides dense.
             for name in SCALAR_COUNTERS:
                 assert getattr(record.counters, name) == getattr(alone.counters, name), name
+            assert record.counters.active_neuron_updates == record.counters.neuron_updates > 0
         return records
 
     def test_lanes_0_and_2_fire_while_1_and_3_stay_silent(self):

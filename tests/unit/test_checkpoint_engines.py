@@ -40,9 +40,9 @@ TICKS = 30
 SPLIT = 13
 
 # Counter fields identical across engines.  `hops`/`messages` are
-# expression-dependent (mesh accounting and rank granularity) and
-# `active_neuron_updates` depends on gating, so cross-engine checks
-# compare this logical subset; same-engine resume compares every field.
+# expression-dependent (mesh accounting and rank granularity), so
+# cross-engine checks compare this logical subset; same-engine resume
+# compares every field.
 LOGICAL = (
     "ticks", "synaptic_events", "spikes", "deliveries", "neuron_updates",
     "membrane_saturations", "max_core_events_per_tick",

@@ -12,10 +12,10 @@ from repro.core.network import Core, Network
 
 
 def synaptic_input(core, active_axons, tick=0, seed=0):
-    """``(syn, n_events)`` of one ungated ``TickState.integrate`` — which is
+    """``(syn, n_events)`` of one ``TickState.integrate`` — which is
     ``integrate_deliveries`` plus the event tally — over *core* alone."""
     c = compile_network(Network(cores=[core], seed=seed))
-    state = TickState(c, seed, c.initial_v.copy(), gated=False)
+    state = TickState(c, seed, c.initial_v.copy())
     active = np.zeros(c.n_axons, dtype=bool)
     active[active_axons] = True
     syn = state.integrate(tick, active, np.nonzero(active)[0])

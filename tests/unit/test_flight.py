@@ -33,8 +33,7 @@ class TestFlightRecorder:
         rec = FlightRecorder(capacity=8)
         begin = 2**55 + 1  # past float64's exact integers
         rec.record(0, begin, begin + 500_000, spikes=3, messages_total=10,
-                   phases=(100, 200, 150, 50), queue_depth=4,
-                   active=6, n_neurons=24)
+                   phases=(100, 200, 150, 50), queue_depth=4)
         rec.record(1, begin + 600_000, begin + 2_600_000, spikes=1,
                    messages_total=14)
         rows = rec.rows()
@@ -47,8 +46,6 @@ class TestFlightRecorder:
         assert rows["messages"].tolist() == [10, 4]
         assert rows["begin_ns"].tolist() == [begin, begin + 600_000]
         assert rows["queue_depth"].tolist() == [4, 0]
-        assert rows["active"].tolist() == [6, -1]
-        assert rows["active_fraction"].tolist() == [0.25, 1.0]
         assert [rows[f"{p}_ns"][0] for p in PHASES] == [100, 200, 150, 50]
 
     def test_message_counter_reset_restarts_baseline(self):

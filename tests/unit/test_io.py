@@ -266,7 +266,7 @@ class TestCheckpoint:
 
         net = random_network(n_cores=3, stochastic=True, seed=21)
         ins = poisson_inputs(net, 12, 300.0, seed=5)
-        sim, fast = sim_cls(net), FastCompassSimulator(net, gated=False)
+        sim, fast = sim_cls(net), FastCompassSimulator(net)
         for engine in (sim, fast):
             engine.load_inputs(ins)
             for _ in range(7):

@@ -16,9 +16,7 @@ from repro.lint import (
     CODES,
     LintError,
     Severity,
-    check_activity_gating,
     check_network,
-    lint_activity_gating,
     lint_core,
     lint_network,
     lint_partition_map,
@@ -301,26 +299,6 @@ class TestRenderers:
 
     def test_clean_report_renders_clean(self):
         assert "clean" in lint_network(net_of(good_core())).render_text()
-
-
-class TestActivityGatingAdvisory:
-    def test_tn701_fires_when_every_neuron_is_always_active(self):
-        # Nonzero leak on every neuron => nothing is passive-stable.
-        net = net_of(good_core(leak=1))
-        report = lint_activity_gating(net)
-        assert codes_of(report) == {"TN701"}
-        with pytest.raises(LintError):
-            check_activity_gating(net, strict=True)
-
-    def test_tn701_silent_with_any_passive_neuron(self):
-        # Default leak=0, deterministic threshold => passive-stable.
-        report = lint_activity_gating(net_of(good_core()))
-        assert report.clean(Severity.WARNING)
-
-    def test_tn701_is_not_part_of_the_default_sweep(self):
-        # Fully active networks are legitimate models: the advisory must
-        # not surface through lint_network (CI lints builtins --strict).
-        assert "TN701" not in codes_of(lint_network(net_of(good_core(leak=1))))
 
 
 class TestEveryCodeHasAFixture:

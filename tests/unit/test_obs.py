@@ -214,14 +214,12 @@ class TestPublishCounters:
         c = EventCounters(ticks=3, synaptic_events=100, spikes=10,
                           deliveries=20, neuron_updates=96, hops=4,
                           messages=7, membrane_saturations=2,
-                          max_core_events_per_tick=55,
-                          active_neuron_updates=90)
+                          max_core_events_per_tick=55)
         obs = Observer()
         obs.bind_counters(lambda: c)
         snap = obs.metrics.snapshot()
         for name, attr in EVENT_METRICS.items():
             assert snap[name] == getattr(c, attr)
-        assert snap["repro_active_neuron_updates_total"] == 90
 
     def test_idempotent_republication(self):
         holder = {"c": EventCounters(spikes=10)}

@@ -251,8 +251,7 @@ def late_drive(net, n_ticks, seed):
 
 
 def assert_standalone(net, seed, n_ticks, schedule, record) -> None:
-    """*record* equals a standalone fast run's: spikes and every counter
-    (``active_neuron_updates`` too: ``"auto"`` runs both sides dense)."""
+    """*record* equals a standalone fast run's: spikes and every counter."""
     alone = FastCompassSimulator(Network(cores=net.cores, seed=seed)).run(n_ticks, schedule)
     assert record == alone
     for name in SCALAR_COUNTERS:

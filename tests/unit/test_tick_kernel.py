@@ -1,10 +1,10 @@
 """The pieces every sparse engine's tick shares (``repro.compass.fast``).
 
-``update_neurons``, ``ActivityGate`` and the PRNG draws are lane-generic
-— one body serves one lane and B — and ``TickState`` sequences them.
-Each is checked here against the simpler thing it must equal: B stacked
-one-lane calls, B one-lane gates, and the scalar ``ReferenceKernel``'s
-per-tick counter deltas.
+``update_neurons`` and the PRNG draws are lane-generic — one body
+serves one lane and B — and ``TickState`` sequences them.  Each is
+checked here against the simpler thing it must equal: B stacked
+one-lane calls and the scalar ``ReferenceKernel``'s per-tick counter
+deltas.
 """
 
 import sys
@@ -17,9 +17,8 @@ import pytest
 
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.compass.batched import BatchedCompassSimulator, replica_seeds
-from repro.compass.compile import NeuronTables, compile_network, partition_compiled, take
+from repro.compass.compile import TickTables, compile_network, partition_compiled, take
 from repro.compass.fast import (
-    ActivityGate,
     FastCompassSimulator,
     TickState,
     integrate_deliveries,
@@ -175,7 +174,7 @@ class TestUpdateIsPure:
         tables, keep = c, np.arange(c.n_neurons)
         if cut:
             keep = np.nonzero(rng.random(c.n_neurons) < 0.6)[0]
-            tables = NeuronTables(**take(NeuronTables, c, keep))
+            tables = TickTables(**take(c, keep, np.arange(c.n_axons), np.arange(c.n_cores)))
         v, syn = np.ascontiguousarray(v[:, keep]), np.ascontiguousarray(syn[:, keep])
         seed, tick = seeds, ticks
         if lanes is None:
@@ -254,15 +253,6 @@ class TestUpdatePlanNarrowing:
                 np.testing.assert_array_equal(column, values)
                 arrays += 1
         assert arrays
-
-    @pytest.mark.parametrize("build", [_uniform_network, _masked_uniform_core])
-    def test_a_gated_cut_keeps_its_scalars(self, build):
-        c = build()
-        keep = np.nonzero(np.random.default_rng(2).random(c.n_neurons) < 0.4)[0]
-        cut = NeuronTables(**take(NeuronTables, c, keep))
-        assert 0 < cut.n_neurons < c.n_neurons
-        for (column, values), (whole, _) in zip(_plan_columns(cut), _plan_columns(c)):
-            assert type(column) is np.int32 and column == whole == values[0]
 
 
 class TestScratchIsPerEngine:
@@ -363,7 +353,7 @@ class TestWorkRatchet:
         else:  # what a parallel worker runs, in process
             part = partition_compiled(c, partition(net, 2, "round_robin"), 2).partitions[1]
             assert part.core_ids.tolist() == [1, 3]  # global ids, not contiguous
-            state = TickState(part, net.seed, part.initial_v.copy(), False)
+            state = TickState(part, net.seed, part.initial_v.copy())
             wide = part.n_neurons
             for tick in range(self.TICKS):
                 state.update(tick, np.zeros(wide, dtype=np.int64))
@@ -378,7 +368,7 @@ class TestWorkRatchet:
         net = probabilistic_recurrent_network(
             200.0, 26, grid_side=4, coupling="balanced", seed=1
         )
-        sim = FastCompassSimulator(net, gated=False)
+        sim = FastCompassSimulator(net)
         for _ in range(self.TICKS):
             sim.step_arrays()
         state, peaks = sim._state, []
@@ -447,7 +437,7 @@ class TestStochasticWorkspace:
         rng = np.random.default_rng(lanes)
         seeds = [int(s) for s in rng.integers(0, 2**31, size=lanes)]
         ticks = rng.integers(0, 50, size=lanes)
-        state = TickState(c, seeds, np.repeat(c.initial_v[None], lanes, axis=0), False)
+        state = TickState(c, seeds, np.repeat(c.initial_v[None], lanes, axis=0))
         passes = ["none", "all", "some", "reset", "some", "all"]
         for step in passes:
             if step == "reset":  # a lane restarts on a new seed; the shared list follows
@@ -504,54 +494,16 @@ class TestStochasticWorkspace:
         assert max(peaks) <= 1.5 * 2**20, peaks
 
 
-class TestLaneGenericGate:
-    def test_batch_gate_tracks_b_single_lane_gates(self):
-        """Random gated updates with one lane reset midway."""
-        c = _every_branch_core()
-        assert c.passive_mask.any() and (~c.passive_mask).any()
-        rng = np.random.default_rng(8)
-        v0, _ = _membranes(rng, (B, c.n_neurons))
-        seeds = [3] * B
-        batch = TickState(c, seeds, v0.copy(), True)
-        lanes = [TickState(c, seeds[b], v0[b].copy(), True) for b in range(B)]
-        assert isinstance(batch.gate, ActivityGate)
-        saw_hot = saw_saturated = False
-
-        for step in range(12):
-            if step == 6:
-                fresh = c.initial_v
-                batch.set_lane(2, fresh)
-                lanes[2] = TickState(c, seeds[2], fresh.copy(), True)
-            _, syn = _membranes(rng, (B, c.n_neurons))
-            syn[rng.random((B, c.n_neurons)) >= 0.2] = 0  # a fifth of the neurons get input
-
-            neuron_f, bounds = batch.update(np.full(B, step), syn)
-            for b in range(B):
-                fired, one_lane = lanes[b].update(step, syn[b])
-                assert one_lane == [0, fired.size]
-                np.testing.assert_array_equal(neuron_f[bounds[b] : bounds[b + 1]], fired)
-                np.testing.assert_array_equal(batch.v[b], lanes[b].v)
-                np.testing.assert_array_equal(batch.gate.hot[b], lanes[b].gate.hot)
-                assert [batch.gate.n_saturated[b]] == lanes[b].gate.n_saturated
-                assert [batch.n_saturated[b]] == lanes[b].n_saturated
-            # One union sweep: at least every lane's own active set.
-            assert batch.n_active >= max(lane.n_active for lane in lanes)
-            saw_hot |= bool(batch.gate.hot.any())
-            saw_saturated |= any(batch.gate.n_saturated)
-        assert saw_hot and saw_saturated
-
-
 class TestTickStateStats:
     TICKS = 6
 
-    @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("name", sorted(BUILTIN_NETWORKS))
-    def test_per_tick_stats_equal_reference_counter_deltas(self, name, gated):
+    def test_per_tick_stats_equal_reference_counter_deltas(self, name):
         network = BUILTIN_NETWORKS[name]()
         inputs = poisson_inputs(network, self.TICKS, 300.0, seed=2)
         ref = ReferenceKernel(network)
         ref.load_inputs(inputs)
-        sim = FastCompassSimulator(network, gated=gated)
+        sim = FastCompassSimulator(network)
         sim.load_inputs(inputs)
         st = sim._state
 
@@ -565,11 +517,6 @@ class TestTickStateStats:
                 st.per_core,
                 [after.synaptic_events_per_core - before.synaptic_events_per_core],
             )
-            computed = after.active_neuron_updates - before.active_neuron_updates
-            if gated:
-                assert st.n_active <= computed
-            else:
-                assert st.n_active == computed
             membranes = np.concatenate([np.asarray(m) for m in ref.membranes])
             assert st.n_saturated == [np.count_nonzero(
                 (membranes == params.MEMBRANE_MIN) | (membranes == params.MEMBRANE_MAX)

@@ -7,8 +7,8 @@ Usage::
 
 Runs a fixed case list — the bundled networks plus two recurrent
 operating points; Compass at 1 / 3 ranks and two partition strategies,
-TrueNorth plain / ``detailed_noc`` / ``chip_array``, the sparse engine
-dense / gated, and a three-lane batch on distinct seeds and schedules,
+TrueNorth plain / ``detailed_noc`` / ``chip_array``, the sparse engine,
+and a three-lane batch on distinct seeds and schedules,
 run through or with lane 1 reset mid-run — and prints one line per
 case: a SHA-256 over the spike columns (each lane's, on a batch), the
 final ``v``, every ``EventCounters`` field (each lane's), the ``SimMPI``
@@ -32,7 +32,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps.recurrent import probabilistic_recurrent_network  # noqa: E402
 from repro.compass.batched import BatchedCompassSimulator, replica_seeds  # noqa: E402
-from repro.compass.compile import compile_network  # noqa: E402
 from repro.compass.fast import FastCompassSimulator  # noqa: E402
 from repro.compass.simulator import CompassSimulator  # noqa: E402
 from repro.core.builders import poisson_inputs  # noqa: E402
@@ -74,8 +73,7 @@ CASES = {
     "truenorth/plain": lambda net: TrueNorthSimulator(net),
     "truenorth/detailed_noc": lambda net: TrueNorthSimulator(net, detailed_noc=True),
     "truenorth/chip_array": lambda net: TrueNorthSimulator(net, **_tiled(net)),
-    "fast/dense": lambda net: FastCompassSimulator(net, gated=False),
-    "fast/gated": lambda net: FastCompassSimulator(net, gated=True),
+    "fast/dense": lambda net: FastCompassSimulator(net),
 }
 
 
@@ -88,11 +86,8 @@ def run_single(sim, inputs):
 def run_batch(net, reset: bool):
     """Three lanes on ``replica_seeds``, a schedule each; with *reset*, lane 1
     restarts before pass ``RESET_AT`` on a new seed and a new schedule.
-    Returns the engine, each lane's record and each lane's counters.  The
-    gate is on wherever any neuron is passive-stable: pinned, not ``"auto"``,
-    so ``active_neuron_updates`` does not follow auto's crossover."""
-    gated = bool(compile_network(net).passive_mask.any())
-    sim = BatchedCompassSimulator(net, LANES, seeds=replica_seeds(net.seed, LANES), gated=gated)
+    Returns the engine, each lane's record and each lane's counters."""
+    sim = BatchedCompassSimulator(net, LANES, seeds=replica_seeds(net.seed, LANES))
     sim.load_inputs([
         poisson_inputs(net, TICKS, INPUT_RATE_HZ, seed=INPUT_SEED + b) for b in range(LANES)
     ])

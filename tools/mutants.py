@@ -37,10 +37,6 @@ MUTANTS = [
     ("integrate-draw-tick", "compass/fast.py", "TickState.integrate",
      "return _integrate(c, self.seed, tick, active, active_idx, self.events, self._stoch)",
      "return _integrate(c, self.seed, tick + 1, active, active_idx, self.events, self._stoch)"),
-    ("update-gated-no-write-back", "compass/fast.py", "TickState.update",
-     "self.v[..., act] = v_new", "self.v[..., act] = v_old"),
-    ("update-gated-spike-index", "compass/fast.py", "TickState.update",
-     "return act[pos], bounds", "return pos, bounds"),
     ("update-dense-saturations", "compass/fast.py", "TickState.update",
      "self.n_saturated = saturated(self.v)", "self.n_saturated = saturated(syn)"),
     ("neurons-input-sign", "compass/fast.py", "update_neurons",
@@ -59,15 +55,6 @@ MUTANTS = [
     ("lanes-share-a-draw", "core/prng.py", "draw_staged",
      "for s, t in (zip(seed, tick.tolist()) if lanes else [(seed, tick)])",
      "for s, t in (zip(seed[:1] * len(seed), tick.tolist()) if lanes else [(seed, tick)])"),
-    ("settled-above-threshold", "compass/fast.py", "settled_mask",
-     "return in_range & no_fire & neg_ok", "return in_range & neg_ok"),
-    ("gate-saturation-population", "compass/fast.py", "ActivityGate.commit",
-     "held + now - was", "held + now"),
-    ("gate-hot-inverted", "compass/fast.py", "ActivityGate.commit",
-     "self.hot[..., idx] = self.c.passive_mask[idx] & ~settled_mask(sl, v_new)",
-     "self.hot[..., idx] = self.c.passive_mask[idx] & settled_mask(sl, v_new)"),
-    ("gate-skips-input", "compass/fast.py", "ActivityGate.active_set",
-     "reached = (syn != 0) | self.hot", "reached = (syn > 0) | self.hot"),
     ("scatter-lane-input", "compass/fast.py", "_scatter_rows",
      "lane_syn = syn[lane * n : (lane + 1) * n]", "lane_syn = syn[:n]"),
     ("scatter-lane-last-row", "compass/fast.py", "_scatter_rows",
