@@ -1,9 +1,10 @@
 """CHECKPOINT: overhead guard for periodic engine snapshots.
 
-Periodic checkpointing (ISSUE 10) is meant to run in production: long
-streaming sessions capture an :class:`~repro.io.checkpoint.EngineCheckpoint`
-every ``checkpoint_every`` ticks so a crash resumes from the last good
-tick instead of tick 0.  This benchmark holds the promised budget on
+Periodic checkpointing is meant to run in production: long runs capture
+an :class:`~repro.io.checkpoint.EngineCheckpoint` every N ticks
+(``repro run --checkpoint-every N``, or the parallel engine's
+``checkpoint_every``) so a crash resumes from the last good tick instead
+of tick 0.  This benchmark holds the promised budget on
 a paper-scale workload — a 64k-neuron identity network, 64 axons
 driven a tick — by gating the *amortized* cost of
 snapshot-and-save at <= 5% at the production ``checkpoint_every=1000``

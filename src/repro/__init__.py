@@ -11,7 +11,6 @@ from repro.core import (
     Network,
     Placement,
     SpikeRecord,
-    run_kernel,
 )
 
 __version__ = "1.0.0"
@@ -23,6 +22,5 @@ __all__ = [
     "Network",
     "Placement",
     "SpikeRecord",
-    "run_kernel",
     "__version__",
 ]

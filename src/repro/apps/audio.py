@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import Composition, pin_columns
 from repro.corelets.library.classify import train_ternary
 from repro.corelets.library.reservoir import liquid_reservoir, reservoir_state_features
 from repro.core.inputs import InputSchedule
-from repro.hardware.simulator import run_truenorth
 from repro.utils.rng import seeded_rng
 from repro.utils.validation import require
 
@@ -124,7 +124,7 @@ class AudioClassifier:
         """Reservoir state features for one waveform."""
         energies = cochlea_filterbank(waveform, self.n_bands, self.n_frames)
         ins = self.encode(energies, seed=seed)
-        record = run_truenorth(self._compiled.network, self.n_ticks, ins)
+        record = run_engine(self._compiled.network, self.n_ticks, ins, engine="truenorth")
         return reservoir_state_features(
             record, self._compiled.outputs["state"],
             self.reservoir_neurons, self.n_ticks,

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.transduction import transduce_video
+from repro.compass.engine import run_engine
 from repro.corelets.library.classify import train_ternary
 from repro.corelets.library.convolution import ConvLayer, conv2d
-from repro.hardware.simulator import run_truenorth
 from repro.utils.rng import seeded_rng
 from repro.utils.validation import require
 
@@ -88,7 +88,7 @@ class GlyphClassifier:
         ins = transduce_video(
             frames, self.layer.pixel_pins, ticks_per_frame=self.ticks // 2, seed=seed
         )
-        record = run_truenorth(self.layer.compiled.network, self.ticks + 2, ins)
+        record = run_engine(self.layer.compiled.network, self.ticks + 2, ins, engine="truenorth")
         return self.layer.feature_map(record).reshape(-1).astype(np.float64)
 
     def train(self, n_per_class: int = 16, seed: int = 300, epochs: int = 80) -> None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.apps.pipeline import PatchPipeline, build_patch_filter_bank
 from repro.apps.transduction import transduce_video
+from repro.compass.engine import run_engine
 from repro.corelets.library.filters import haar_kernels
-from repro.hardware.simulator import run_truenorth
 
 
 def build_haar_pipeline(
@@ -50,7 +50,7 @@ def run_haar(
         frames, pipeline.pixel_pins, ticks_per_frame=ticks_per_frame, seed=seed
     )
     n_ticks = frames.shape[0] * ticks_per_frame + 2
-    record = run_truenorth(pipeline.compiled.network, n_ticks, ins)
+    record = run_engine(pipeline.compiled.network, n_ticks, ins, engine="truenorth")
     return record, pipeline.feature_map(record)
 
 

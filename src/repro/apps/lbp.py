@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.transduction import spike_counts_by_pin, transduce_video
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import CompiledComposition, Composition, Connector
 from repro.corelets.library.basic import splitter
 from repro.corelets.library.classify import histogram
 from repro.corelets.library.filters import signed_filter
-from repro.hardware.simulator import run_truenorth
 from repro.utils.validation import require
 
 N_ORIENTATIONS = 8
@@ -105,5 +105,5 @@ def run_lbp(
         frames, pipeline.compiled.inputs["pixels"], ticks_per_frame=ticks_per_frame, seed=seed
     )
     n_ticks = frames.shape[0] * ticks_per_frame + 3
-    record = run_truenorth(pipeline.compiled.network, n_ticks, ins)
+    record = run_engine(pipeline.compiled.network, n_ticks, ins, engine="truenorth")
     return record, pipeline.histograms(record)

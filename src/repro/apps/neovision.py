@@ -30,10 +30,10 @@ from scipy import ndimage
 from repro.apps.saliency import build_saliency_pipeline, run_saliency
 from repro.apps.transduction import spike_counts_by_pin, transduce_video
 from repro.apps.video import GroundTruthBox, Scene, generate_scene
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import splitter
 from repro.corelets.library.classify import ternary_classifier, train_ternary
-from repro.hardware.simulator import run_truenorth
 from repro.utils.validation import require
 
 DEFAULT_CLASSES = ("person", "car", "bus")
@@ -135,7 +135,7 @@ class NeovisionSystem:
             feats.reshape(1, 1, -1), self._what.inputs["in"], ticks_per_frame=ticks,
             seed=self.seed,
         )
-        rec = run_truenorth(self._what.network, ticks + 2, ins)
+        rec = run_engine(self._what.network, ticks + 2, ins, engine="truenorth")
         rates = spike_counts_by_pin(rec, self._what.outputs["out"])
         return self.classes[int(np.argmax(rates))]
 

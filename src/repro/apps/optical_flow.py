@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.transduction import spike_counts_by_pin
+from repro.compass.engine import run_engine
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import CompiledComposition, Composition, Connector, pin_columns
 from repro.corelets.library.basic import splitter
 from repro.corelets.library.temporal import coincidence, delay_chain
-from repro.hardware.simulator import run_truenorth
 from repro.utils.validation import require
 
 
@@ -107,5 +107,5 @@ def estimate_flow(
 ):
     """Run a moving-bar stimulus; return (record, (direction, velocity))."""
     ins, n_ticks = moving_bar_inputs(pipeline, velocity, direction, sweeps)
-    record = run_truenorth(pipeline.compiled.network, n_ticks, ins)
+    record = run_engine(pipeline.compiled.network, n_ticks, ins, engine="truenorth")
     return record, pipeline.dominant_flow(record)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import CompiledComposition, Composition, pin_columns
 from repro.corelets.library.competition import inhibition_of_return, winner_take_all
 from repro.core.inputs import InputSchedule
-from repro.hardware.simulator import run_truenorth
 from repro.utils.rng import seeded_rng
 from repro.utils.validation import require
 
@@ -86,7 +86,7 @@ def run_saccades(
 ):
     """Drive the saccade network; return (record, saccade sequence)."""
     ins = drive_saliency_rates(pipeline, rates, n_ticks, seed=seed)
-    record = run_truenorth(pipeline.compiled.network, n_ticks, ins)
+    record = run_engine(pipeline.compiled.network, n_ticks, ins, engine="truenorth")
     return record, pipeline.saccade_sequence(record)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.apps.pipeline import PatchPipeline, build_patch_filter_bank
 from repro.apps.transduction import transduce_video
+from repro.compass.engine import run_engine
 from repro.corelets.library.filters import center_surround_kernel
-from repro.hardware.simulator import run_truenorth
 
 
 def saliency_kernels(patch: int) -> np.ndarray:
@@ -48,7 +48,7 @@ def run_saliency(
         frames, pipeline.pixel_pins, ticks_per_frame=ticks_per_frame, seed=seed
     )
     n_ticks = frames.shape[0] * ticks_per_frame + 2
-    record = run_truenorth(pipeline.compiled.network, n_ticks, ins)
+    record = run_engine(pipeline.compiled.network, n_ticks, ins, engine="truenorth")
     fmap = pipeline.feature_map(record)
     return record, fmap.sum(axis=2)  # combine on/off channels
 

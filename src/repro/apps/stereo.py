@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.transduction import spike_counts_by_pin
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import CompiledComposition, Composition, Connector
 from repro.corelets.library.basic import splitter
 from repro.corelets.library.temporal import coincidence
 from repro.core.inputs import InputSchedule
-from repro.hardware.simulator import run_truenorth
 from repro.obs.log import get_logger
 from repro.utils.validation import require
 
@@ -140,7 +140,7 @@ def estimate_scene_disparity(
 ):
     """Run a stereo pair; return (record, estimated disparity)."""
     ins = stereo_pair_inputs(pipeline, pattern, true_disparity, ticks, seed=seed)
-    record = run_truenorth(pipeline.compiled.network, ticks + 3, ins)
+    record = run_engine(pipeline.compiled.network, ticks + 3, ins, engine="truenorth")
     estimate = pipeline.estimate_disparity(record)
     log.info(
         "stereo_disparity_estimated", true=true_disparity, estimate=estimate,

@@ -15,18 +15,11 @@ from repro.compass.partition import (
     partition_round_robin,
     rank_loads,
 )
-from repro.compass.batched import (
-    BatchedCompassSimulator,
-    replica_seeds,
-    run_batched_compass,
-)
-from repro.compass.fast import FastCompassSimulator, run_fast_compass
-from repro.compass.parallel import (
-    ParallelCompassSimulator,
-    run_parallel_compass,
-)
+from repro.compass.batched import BatchedCompassSimulator, replica_seeds
+from repro.compass.fast import FastCompassSimulator
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simmpi import SimMPI
-from repro.compass.simulator import CompassSimulator, run_compass
+from repro.compass.simulator import CompassSimulator
 
 __all__ = [
     "ENGINES",
@@ -44,12 +37,8 @@ __all__ = [
     "rank_loads",
     "BatchedCompassSimulator",
     "replica_seeds",
-    "run_batched_compass",
     "FastCompassSimulator",
-    "run_fast_compass",
     "ParallelCompassSimulator",
-    "run_parallel_compass",
     "SimMPI",
     "CompassSimulator",
-    "run_compass",
 ]

@@ -188,16 +188,3 @@ class BatchedCompassSimulator(FastCompassSimulator):
             SpikeRecord.from_arrays(ticks[mine], cores[mine], neurons[mine], self.lane_counters(b))
             for b, mine in enumerate(np.split(order, bounds[1:-1]))
         ]
-
-
-def run_batched_compass(
-    network: Network | CompiledNetwork,
-    n_ticks: int,
-    n_replicas: int = 1,
-    inputs=None,
-    *,
-    seeds=None,
-) -> list[SpikeRecord]:
-    """Convenience one-shot batched run: one record per replica lane."""
-    sim = BatchedCompassSimulator(network, n_replicas, seeds=seeds)
-    return sim.run(n_ticks, inputs)

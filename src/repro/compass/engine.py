@@ -12,7 +12,10 @@ rank-level features only the Compass expression models.
 
 Every returned simulator exposes the common driving surface:
 ``load_inputs(schedule)``, ``step() -> [(tick, core, neuron)]`` and
-``run(n_ticks, inputs) -> SpikeRecord``.
+``run(n_ticks, inputs) -> SpikeRecord``.  :func:`run_engine` is the
+only one-shot form; a caller that needs engine-specific arguments (a
+B-lane batch, TrueNorth's ``detailed_noc``) constructs the simulator and
+calls its ``run``.
 """
 
 from __future__ import annotations
@@ -37,17 +40,13 @@ def select_engine(
     *,
     n_ranks: int = 1,
     n_workers: int = 2,
-    n_replicas: int = 1,
-    replica_seeds=None,
     partition_strategy: str = "load_balanced",
     obs: Observer | None = None,
 ):
     """Construct a simulator for *network* under the named *engine*.
 
-    ``engine="auto"`` resolves to the fastest applicable sparse
-    expression: the batched multi-replica engine when the caller asks
-    for more than one replica (``n_replicas > 1``), otherwise the
-    single-process FastCompass path.  It never resolves to the
+    ``engine="auto"`` resolves to the single-process FastCompass path,
+    which applies to every network.  It never resolves to the
     shared-memory parallel engine — the decision rule that would have
     let it was measured and not met (docs/performance.md, PR 21); ask
     for ``engine="parallel"`` by name (*n_workers* ranks, two unless
@@ -56,11 +55,10 @@ def select_engine(
     rank-level behaviour (``n_ranks > 1``, which the flat engines do
     not model).
 
-    ``engine="batched"`` (or ``n_replicas > 1`` under auto) returns a
+    ``engine="batched"`` returns a one-lane
     :class:`~repro.compass.batched.BatchedCompassSimulator`, whose
-    ``run()`` yields one :class:`~repro.core.record.SpikeRecord` *per
-    replica lane*; *replica_seeds* optionally sets per-lane seeds
-    (default: every lane at the network's own seed).
+    ``run()`` yields a list of one :class:`~repro.core.record.SpikeRecord`;
+    an engine of B lanes is constructed directly.
 
     Every engine but the scalar reference kernel shares a pre-built
     :class:`CompiledNetwork` and takes the *obs* observer (see
@@ -69,17 +67,10 @@ def select_engine(
     ``REPRO_LOG_LEVEL=INFO`` to see it).
     """
     require(engine in ENGINES, f"unknown engine {engine!r}; expected one of {ENGINES}")
-    require(
-        n_replicas == 1 or engine in ("auto", "batched"),
-        f"n_replicas={n_replicas} requires the batched engine, not {engine!r}",
-    )
     requested = engine
     reason = "explicit request"
     if engine == "auto":
-        if n_replicas > 1:
-            engine = "batched"
-            reason = f"{n_replicas} replicas requested"
-        elif n_ranks > 1:
+        if n_ranks > 1:
             engine = "compass"
             reason = f"rank-level features requested (n_ranks={n_ranks})"
         else:
@@ -97,9 +88,7 @@ def select_engine(
     if engine == "batched":
         from repro.compass.batched import BatchedCompassSimulator
 
-        return BatchedCompassSimulator(
-            network, n_replicas, seeds=replica_seeds, obs=obs,
-        )
+        return BatchedCompassSimulator(network, 1, obs=obs)
     if engine == "compass":
         from repro.compass.simulator import CompassSimulator
 
@@ -133,9 +122,9 @@ def run_engine(
 ) -> SpikeRecord | list[SpikeRecord]:
     """One-shot: select an engine, run *n_ticks*, return the record.
 
-    The batched engine (``engine="batched"`` or ``n_replicas > 1``)
-    returns a *list* of records, one per replica lane; every other
-    engine returns a single record.
+    The batched engine returns a list of one record (its one lane);
+    every other engine returns a single record.  A caller that needs
+    engine-specific arguments calls the constructor's ``run`` instead.
     """
     return select_engine(network, engine, **kwargs).run(n_ticks, inputs)
 

@@ -815,10 +815,3 @@ class FastCompassSimulator:
         """Run *n_ticks* ticks and return the spike record."""
         self.load_inputs(inputs)
         return run_to_record(self, n_ticks)
-
-
-def run_fast_compass(
-    network: Network | CompiledNetwork, n_ticks: int, inputs: InputSchedule | None = None
-) -> SpikeRecord:
-    """Convenience one-shot FastCompass run."""
-    return FastCompassSimulator(network).run(n_ticks, inputs)

@@ -831,19 +831,3 @@ class ParallelCompassSimulator:
             self.close()
         except Exception:
             pass
-
-
-def run_parallel_compass(
-    network: Network | CompiledNetwork,
-    n_ticks: int,
-    inputs: InputSchedule | None = None,
-    n_workers: int = 2,
-    partition_strategy: str = "load_balanced",
-    obs: Observer | None = None,
-) -> SpikeRecord:
-    """Convenience one-shot parallel run."""
-    sim = ParallelCompassSimulator(
-        network, n_workers=n_workers, partition_strategy=partition_strategy,
-        obs=obs,
-    )
-    return sim.run(n_ticks, inputs)

@@ -35,9 +35,7 @@ and the differential oracle holds it to Listing 1 spike for spike.
 
 from __future__ import annotations
 
-from repro.core.inputs import InputSchedule
 from repro.core.network import Network
-from repro.core.record import SpikeRecord
 from repro.compass.compile import CompiledNetwork
 from repro.compass.fast import FastCompassSimulator
 from repro.compass.partition import partition
@@ -77,15 +75,3 @@ class CompassSimulator(FastCompassSimulator):
         ranks = self.rank_of_core
         self.counters.messages += self.mpi.exchange(ranks[src_cores], ranks[dst_cores])
         self.mpi.barrier_sync()
-
-
-def run_compass(
-    network: Network | CompiledNetwork,
-    n_ticks: int,
-    inputs: InputSchedule | None = None,
-    n_ranks: int = 1,
-    partition_strategy: str = "load_balanced",
-) -> SpikeRecord:
-    """Convenience one-shot Compass run."""
-    sim = CompassSimulator(network, n_ranks, partition_strategy)
-    return sim.run(n_ticks, inputs)

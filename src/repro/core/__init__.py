@@ -13,7 +13,7 @@ from repro.core import params
 from repro.core.chip import ChipGeometry, DefectMap, Placement
 from repro.core.counters import EventCounters
 from repro.core.inputs import InputSchedule
-from repro.core.kernel import ReferenceKernel, run_kernel
+from repro.core.kernel import ReferenceKernel
 from repro.core.network import OUTPUT_TARGET, Core, Network
 from repro.core.record import SpikeRecord
 
@@ -25,7 +25,6 @@ __all__ = [
     "EventCounters",
     "InputSchedule",
     "ReferenceKernel",
-    "run_kernel",
     "OUTPUT_TARGET",
     "Core",
     "Network",

@@ -131,7 +131,7 @@ def sample_hidden(
     n_samples: int,
 ) -> np.ndarray:
     """Run the present/flush protocol; return (n_samples, n_hidden) bits."""
-    from repro.hardware.simulator import run_truenorth
+    from repro.compass.engine import run_engine
 
     visible = np.asarray(visible).astype(bool)
     pos = pin_columns(compiled.inputs["in+"])
@@ -147,7 +147,7 @@ def sample_hidden(
     ins.add_events(present, *(np.concatenate([p[on], n[on]]) for p, n in zip(pos, neg)))
     ins.add_events(present + 1, *flush)
 
-    record = run_truenorth(compiled.network, 2 * n_samples, ins)
+    record = run_engine(compiled.network, 2 * n_samples, ins, engine="truenorth")
     out_index = {
         (p.core, p.index): j for j, p in enumerate(compiled.outputs["out"])
     }

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.apps.workloads import characterization_workload
 from repro.compass.engine import run_engine
-from repro.compass.simulator import run_compass
+from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import run_kernel
-from repro.hardware.simulator import run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.hardware.timing import TimingModel
 from repro.machines.cost import CompassCostModel
 from repro.machines.specs import X86_LEGACY
@@ -56,11 +55,11 @@ def single_core_regressions(
             stochastic=stochastic, seed=seed + i,
         )
         ins = poisson_inputs(net, n_ticks, 300.0, seed=seed + 1000 + i)
-        ref = run_kernel(net, n_ticks, ins)
+        ref = run_engine(net, n_ticks, ins, engine="reference")
         for record in (
-            run_compass(net, n_ticks, ins, n_ranks=1),
+            run_engine(net, n_ticks, ins, engine="compass"),
             run_engine(net, n_ticks, ins, engine="auto"),  # sparse fast path
-            run_truenorth(net, n_ticks, ins),
+            run_engine(net, n_ticks, ins, engine="truenorth"),
         ):
             report.n_regressions += 1
             report.total_spikes_compared += ref.n_spikes
@@ -75,22 +74,20 @@ def multi_core_regressions(
     n_networks: int = 4, n_cores: int = 6, n_ticks: int = 40, seed: int = 50
 ) -> RegressionReport:
     """Randomized multi-core regressions, multiple rank counts + NoC."""
-    from repro.compass.parallel import run_parallel_compass
-
     report = RegressionReport()
     for i in range(n_networks):
         net = random_network(
             n_cores=n_cores, n_axons=12, n_neurons=12, stochastic=True, seed=seed + i
         )
         ins = poisson_inputs(net, n_ticks, 250.0, seed=seed + 2000 + i)
-        ref = run_kernel(net, n_ticks, ins)
+        ref = run_engine(net, n_ticks, ins, engine="reference")
         for record in (
-            run_compass(net, n_ticks, ins, n_ranks=1),
-            run_compass(net, n_ticks, ins, n_ranks=3, partition_strategy="round_robin"),
+            run_engine(net, n_ticks, ins, engine="compass"),
+            CompassSimulator(net, n_ranks=3, partition_strategy="round_robin").run(n_ticks, ins),
             run_engine(net, n_ticks, ins, engine="fast"),  # sparse, stochastic
-            run_parallel_compass(net, n_ticks, ins, n_workers=2),
-            run_truenorth(net, n_ticks, ins),
-            run_truenorth(net, n_ticks, ins, detailed_noc=True),
+            run_engine(net, n_ticks, ins, engine="parallel"),
+            run_engine(net, n_ticks, ins, engine="truenorth"),
+            TrueNorthSimulator(net, detailed_noc=True).run(n_ticks, ins),
         ):
             report.n_regressions += 1
             report.total_spikes_compared += ref.n_spikes
@@ -116,11 +113,11 @@ def recurrent_network_regressions(
             rate, k, grid_side=2, neurons_per_core=32,
             coupling="balanced", seed=seed,
         )
-        ref = run_kernel(net, n_ticks)
+        ref = run_engine(net, n_ticks, engine="reference")
         for record in (
-            run_compass(net, n_ticks, n_ranks=2),
+            CompassSimulator(net, n_ranks=2).run(n_ticks),
             run_engine(net, n_ticks, engine="auto"),  # sparse fast path
-            run_truenorth(net, n_ticks),
+            run_engine(net, n_ticks, engine="truenorth"),
         ):
             report.n_regressions += 1
             report.total_spikes_compared += ref.n_spikes

@@ -16,7 +16,7 @@ from repro.hardware.power import (
     measure_power,
     synthesize_tick_waveform,
 )
-from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.hardware.timing import TimingModel
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "measure_power",
     "synthesize_tick_waveform",
     "TrueNorthSimulator",
-    "run_truenorth",
     "TimingModel",
 ]

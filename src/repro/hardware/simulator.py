@@ -25,9 +25,7 @@ from __future__ import annotations
 from repro.compass.compile import CompiledNetwork
 from repro.compass.fast import FastCompassSimulator
 from repro.core.chip import ChipGeometry, Placement
-from repro.core.inputs import InputSchedule
 from repro.core.network import Network
-from repro.core.record import SpikeRecord
 from repro.noc.mesh import MeshNetwork
 from repro.obs.observer import Observer
 
@@ -118,15 +116,3 @@ class TrueNorthSimulator(FastCompassSimulator):
         else:
             self.counters.hops += int(hops.sum())
         self.boundary_crossings += int(crossings.sum())
-
-
-def run_truenorth(
-    network: Network,
-    n_ticks: int,
-    inputs: InputSchedule | None = None,
-    placement: Placement | None = None,
-    detailed_noc: bool = False,
-) -> SpikeRecord:
-    """Convenience one-shot TrueNorth run."""
-    sim = TrueNorthSimulator(network, placement, detailed_noc)
-    return sim.run(n_ticks, inputs)

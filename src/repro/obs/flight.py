@@ -337,14 +337,12 @@ def write_crash_dump(
     detail: str = "",
     exc: BaseException | None = None,
     sanitize_report=None,
-    crash_dir: str | None = None,
     checkpoint=None,
 ) -> str | None:
     """Write a postmortem bundle; return its path (None when disabled).
 
     The bundle is a directory ``crash-<timestamp>-<pid>-<seq>/`` under
-    *crash_dir* (default: ``$REPRO_CRASH_DIR``; unset disables dumps)
-    containing:
+    ``$REPRO_CRASH_DIR`` (unset disables dumps) containing:
 
     * ``manifest.json`` — reason, detail/traceback, timestamps, the
       flight summary;
@@ -354,14 +352,14 @@ def write_crash_dump(
       from the rows of every rank, as a Chrome trace;
     * ``sanitize.json`` — the sanitizer report, when one was armed;
     * ``checkpoint.npz`` — a restorable engine checkpoint (when the
-      caller holds one, e.g. a ``checkpoint_every`` engine/runtime), so
+      caller holds one, e.g. a ``checkpoint_every`` parallel engine), so
       a crashed run can resume from the last good tick.
 
     Never raises: a dump failure is logged and swallowed — postmortems
     must not mask the original error.
     """
     global _dump_seq
-    crash_dir = crash_dir or crash_dump_dir()
+    crash_dir = crash_dump_dir()
     if crash_dir is None:
         return None
     if exc is not None and getattr(exc, "_crash_dumped", False):

@@ -65,8 +65,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "counter", "Sessions submitted to the model server."),
     "repro_sessions_completed_total": (
         "counter", "Sessions served to completion."),
-    "repro_compile_cache_misses_total": (
-        "counter", "Compiled-model LRU cache misses (compiles performed)."),
     "repro_frames_total": ("counter", "Frames streamed through the runtime."),
     "repro_input_events_total": ("counter", "Rate-coded input spike events."),
     "repro_output_spikes_total": ("counter", "Output spikes delivered to sinks."),

@@ -58,7 +58,7 @@ class _SpanHandle:
 class Observer:
     """One observability session: flight ring + trace buffer + registry."""
 
-    def __init__(self, *, enabled: bool = True, trace_capacity: int = 65536,
+    def __init__(self, *, enabled: bool = True,
                  flight_capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = enabled
         self.flight = FlightRecorder(flight_capacity)
@@ -66,7 +66,7 @@ class Observer:
         #: parallel engine, rank 0's own rows), tid r the rows adopted
         #: from parallel child rank r.
         self.rings: dict[int, FlightRecorder] = {0: self.flight}
-        self.trace = TraceBuffer(capacity=trace_capacity, rings=self.rings)
+        self.trace = TraceBuffer(rings=self.rings)
         self.metrics = MetricsRegistry()
         self.metrics.add_collector(self._collect)
         #: Served share of the batch lanes, kept current by the model

@@ -20,8 +20,7 @@ endpoint   payload
            flight rows, as a Chrome ``trace_event`` JSON document
 ========== =============================================================
 
-Wired into :class:`~repro.runtime.serving.ModelServer` and
-:class:`~repro.runtime.streaming.StreamingRuntime` via
+Wired into :class:`~repro.runtime.serving.ModelServer` via
 ``telemetry_port=`` (0 picks an ephemeral port, exposed as ``.port``).
 """
 

@@ -1,11 +1,6 @@
 """Deployment runtime: continuous streaming around the simulators."""
 
-from repro.runtime.serving import (
-    CompiledModelCache,
-    ModelServer,
-    Session,
-    model_digest,
-)
+from repro.runtime.serving import ModelServer, Session
 from repro.runtime.streaming import (
     FrameSource,
     SceneSource,
@@ -14,12 +9,10 @@ from repro.runtime.streaming import (
 )
 
 __all__ = [
-    "CompiledModelCache",
     "FrameSource",
     "ModelServer",
     "SceneSource",
     "Session",
     "StreamingRuntime",
     "StreamReport",
-    "model_digest",
 ]

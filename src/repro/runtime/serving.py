@@ -14,18 +14,16 @@ amortized.  This module is that serving layer over the batched engine
   bit-identical to a standalone sparse run of its (seed, inputs): lane
   admission uses ``reset_lane``, which restarts the lane's PRNG
   coordinates at tick 0.
-* :class:`CompiledModelCache` is an LRU over compiled networks keyed by
-  :func:`model_digest`, so repeat submissions of a known model skip
-  ``compile()`` entirely — the serving analogue of the per-network
-  compile cache, but shared across model objects and bounded.
 
-The CLI front door is ``python -m repro serve``.
+A server serves one model: it compiles it once at construction
+(:func:`~repro.compass.compile.compile_network` caches the artifact on
+the network).  The CLI front door is ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,61 +36,14 @@ from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
 from repro.core.record import SpikeRecord
-from repro.io.checkpoint import EngineCheckpoint, model_digest
+from repro.io.checkpoint import EngineCheckpoint
 from repro.obs.flight import write_crash_dump
 from repro.obs.observer import Observer, active_observer
 from repro.obs.server import TelemetryServer
 from repro.obs.trace import now_ns
 from repro.utils.validation import require
 
-__all__ = [
-    "CompiledModelCache", "ModelServer", "Session", "model_digest",
-]
-
-
-class CompiledModelCache:
-    """Bounded LRU of compiled networks keyed by :func:`model_digest`.
-
-    ``get()`` returns the cached :class:`CompiledNetwork` for any model
-    object whose digest is known, compiling (and evicting the least
-    recently used entry past *capacity*) otherwise.  ``hits`` /
-    ``misses`` make cache behaviour observable; the server publishes
-    the misses through the obs catalogue.
-    """
-
-    def __init__(self, capacity: int = 8) -> None:
-        require(capacity >= 1, f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, CompiledNetwork] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, network: Network | CompiledNetwork) -> CompiledNetwork:
-        """The compiled artifact for *network*, compiling on first sight."""
-        digest = model_digest(network)
-        entry = self._entries.get(digest)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(digest)
-            return entry
-        self.misses += 1
-        compiled = compile_network(network)
-        self._entries[digest] = compiled
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return compiled
-
-    def info(self) -> dict:
-        """Snapshot: size, capacity, hit/miss counts."""
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+__all__ = ["ModelServer", "Session"]
 
 
 @dataclass
@@ -163,7 +114,6 @@ class ModelServer:
         network: Network | CompiledNetwork,
         n_lanes: int = 8,
         *,
-        cache: CompiledModelCache | None = None,
         obs: Observer | None = None,
         telemetry_port: int | None = None,
         checkpoint_dir: str | None = None,
@@ -175,8 +125,7 @@ class ModelServer:
             # before the engine so its tick loop records into it.
             obs = Observer()
         self.obs = obs
-        self.cache = cache
-        compiled = cache.get(network) if cache is not None else compile_network(network)
+        compiled = compile_network(network)
         self.engine = BatchedCompassSimulator(compiled, n_lanes, obs=obs)
         self.n_lanes = n_lanes
         self._base_seed = compiled.network.seed
@@ -212,17 +161,13 @@ class ModelServer:
 
     # -- metrics -----------------------------------------------------------
     def _collect_serving_metrics(self) -> None:
-        """Scrape-time view of the queue, the lanes and the cache."""
+        """Scrape-time view of the queue and the lanes."""
         metrics = self.obs.metrics
         metrics.gauge("repro_batch_occupancy").set(self.occupancy)
         metrics.counter("repro_sessions_total").set(self._n_submitted)
         metrics.counter("repro_sessions_completed_total").set(
             len(self._completed)
         )
-        if self.cache is not None:
-            metrics.counter("repro_compile_cache_misses_total").set(
-                self.cache.misses
-            )
 
     # -- session lifecycle -------------------------------------------------
     def submit(
@@ -461,7 +406,7 @@ class ModelServer:
         lane_ticks = sum(s.n_ticks for s in self._completed) + sum(
             s.ticks_done for s in self._active.values()
         )
-        out = {
+        return {
             "n_lanes": self.n_lanes,
             "pending": len(self._pending),
             "active": len(self._active),
@@ -486,6 +431,3 @@ class ModelServer:
                 )
             ),
         }
-        if self.cache is not None:
-            out["cache"] = self.cache.info()
-        return out

@@ -6,7 +6,9 @@ the chip advances in real time, and output spikes stream to consumers.
 This runtime reproduces that loop around either simulator expression:
 
 * a :class:`FrameSource` produces frames on demand;
-* each frame is rate-coded over its tick budget and injected;
+* each frame is rate-coded over its tick budget (at
+  :func:`~repro.apps.transduction.rate_code_frame`'s default peak
+  rate) and injected;
 * output spikes are delivered to a sink callback per tick;
 * the :class:`StreamReport` accounts the real-time behaviour: ticks
   processed, wall-clock per tick, and the real-time factor this host
@@ -16,7 +18,6 @@ This runtime reproduces that loop around either simulator expression:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -34,7 +35,6 @@ from repro.core.network import Network
 from repro.corelets.corelet import pin_columns
 from repro.obs.flight import write_crash_dump
 from repro.obs.observer import NULL_SPAN, Observer, active_observer
-from repro.obs.server import TelemetryServer
 from repro.obs.trace import now_ns
 from repro.utils.validation import require
 
@@ -110,13 +110,9 @@ class StreamingRuntime:
         simulator,
         input_pins,
         ticks_per_frame: int = 33,
-        max_rate: float = 0.8,
         seed: int = 0,
         engine: str = "auto",
         obs: Observer | None = None,
-        telemetry_port: int | None = None,
-        checkpoint_every: int | None = None,
-        checkpoint_dir: str | None = None,
     ) -> None:
         """Wrap *simulator* (or build one) in the streaming loop.
 
@@ -133,14 +129,6 @@ class StreamingRuntime:
         uniform metric catalogue; when the runtime constructs the
         simulator itself, the same observer is threaded into it, so one
         trace covers frames and tick phases end to end.
-
-        With *checkpoint_every* (and an engine exposing ``snapshot()``),
-        the runtime captures an engine checkpoint every that many ticks
-        — written as ``ckpt-<tick>.npz`` under *checkpoint_dir* when one
-        is given, held in memory as :attr:`last_checkpoint` either way
-        — and a crashed stream's postmortem bundle carries the latest
-        one, so long sessions resume from the last good tick instead of
-        tick 0.
         """
         require(ticks_per_frame >= 1, "need at least one tick per frame")
         require(
@@ -148,59 +136,25 @@ class StreamingRuntime:
             "StreamingRuntime streams one session; engine='batched' steps replica "
             "lanes (ModelServer serves sessions on it)",
         )
-        if telemetry_port is not None and obs is None:
-            obs = Observer()
         self.obs = obs
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        #: Most recent periodic checkpoint (None until the first one).
-        self.last_checkpoint = None
         if isinstance(simulator, (Network, CompiledNetwork)):
             simulator = select_engine(simulator, engine, obs=obs)
         self.simulator = simulator
         self.input_pins = pin_columns(input_pins)  # once, not per frame
         self.ticks_per_frame = ticks_per_frame
-        self.max_rate = max_rate
         self.seed = seed
         # An engine holding this observer records its own tick rows;
         # the runtime records them only on behalf of one that does not
         # (the scalar reference kernel takes no observer, and a
         # constructed simulator may carry a different one).
         self._records_ticks = getattr(simulator, "obs", None) is not obs
-        self.telemetry: TelemetryServer | None = None
-        if telemetry_port is not None:
-            self.telemetry = TelemetryServer(obs, port=telemetry_port)
 
     def close(self) -> None:
-        """Shut down the telemetry server (idempotent)."""
-        if self.telemetry is not None:
-            self.telemetry.close()
-            self.telemetry = None
+        """Release nothing: the runtime holds no resource of its own.
 
-    def _maybe_checkpoint(self, tick_cursor: int, obs: Observer | None) -> None:
-        """Capture a periodic checkpoint when the cadence says so.
-
-        No-op without ``checkpoint_every`` or on engines that do not
-        expose ``snapshot()`` (the scalar reference kernel).
+        Kept because the layer-benchmark harness closes the runtime
+        after each run.
         """
-        if not self.checkpoint_every or tick_cursor % self.checkpoint_every:
-            return
-        snapshot = getattr(self.simulator, "snapshot", None)
-        if snapshot is None:
-            return
-        with (obs.span("checkpoint", tick=tick_cursor)
-              if obs is not None else NULL_SPAN):
-            ckpt = snapshot()
-        self.last_checkpoint = ckpt
-        n_bytes = 0
-        if self.checkpoint_dir is not None:
-            n_bytes = ckpt.save(
-                os.path.join(self.checkpoint_dir, f"ckpt-{tick_cursor}.npz")
-            )
-        if obs is not None:
-            obs.metrics.counter("repro_checkpoints_total").inc()
-            if n_bytes:
-                obs.metrics.counter("repro_checkpoint_bytes_total").inc(n_bytes)
 
     def _tick(self, sink, tick_cursor: int, report: StreamReport,
               obs: Observer | None = None) -> None:
@@ -240,13 +194,12 @@ class StreamingRuntime:
         self,
         source: FrameSource,
         sink: Callable[[int, list], None] | None = None,
-        drain_ticks: int = 2,
     ) -> StreamReport:
         """Stream every frame from *source*; return the session report.
 
         ``sink(tick, spikes)`` receives each tick's output spikes as
-        (tick, core, neuron) tuples; ``drain_ticks`` extra ticks run
-        after the last frame so in-flight spikes land.
+        (tick, core, neuron) tuples; two extra ticks run after the last
+        frame so in-flight spikes land.
         """
         report = StreamReport()
         obs = active_observer(self.obs)
@@ -263,7 +216,6 @@ class StreamingRuntime:
                         schedule,
                         start_tick=tick_cursor,
                         ticks=self.ticks_per_frame,
-                        max_rate=self.max_rate,
                         seed=self.seed,
                     )
                     self.simulator.load_inputs(schedule)
@@ -271,21 +223,17 @@ class StreamingRuntime:
                         self._tick(sink, tick_cursor, report, obs)
                         tick_cursor += 1
                         report.ticks += 1
-                        self._maybe_checkpoint(tick_cursor, obs)
                     report.frames += 1
-            for _ in range(drain_ticks):
+            for _ in range(2):
                 self._tick(sink, tick_cursor, report, obs)
                 tick_cursor += 1
                 report.ticks += 1
-                self._maybe_checkpoint(tick_cursor, obs)
         except Exception as err:
             # Postmortem before surfacing: the stream's flight ring and
-            # metric snapshot survive the failed session — with the
-            # latest periodic checkpoint alongside when one was taken.
+            # metric snapshot survive the failed session.
             write_crash_dump(
                 self.obs, "streaming_run_failed",
                 detail=f"tick={tick_cursor}", exc=err,
-                checkpoint=self.last_checkpoint,
             )
             raise
         report.wall_seconds = time.perf_counter() - start

@@ -9,11 +9,9 @@ state evolving chaotically.
 import pytest
 
 from repro.apps.recurrent import probabilistic_recurrent_network
-from repro.compass.fast import run_fast_compass
-from repro.compass.simulator import run_compass
+from repro.compass.engine import run_engine
+from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import run_kernel
-from repro.hardware.simulator import run_truenorth
 
 
 class TestLongRegressions:
@@ -22,8 +20,8 @@ class TestLongRegressions:
             120.0, 8, grid_side=2, neurons_per_core=16,
             coupling="balanced", seed=13,
         )
-        a = run_compass(net, 5000, n_ranks=3)
-        b = run_truenorth(net, 5000)
+        a = CompassSimulator(net, n_ranks=3).run(5000)
+        b = run_engine(net, 5000, engine="truenorth")
         assert a == b
         assert a.n_spikes > 1000  # the network stayed active throughout
 
@@ -32,8 +30,8 @@ class TestLongRegressions:
             n_cores=4, n_axons=16, n_neurons=16, connectivity=0.4, seed=17
         )
         ins = poisson_inputs(net, 5000, 150.0, seed=3)
-        a = run_fast_compass(net, 5000, ins)
-        b = run_truenorth(net, 5000, ins)
+        a = run_engine(net, 5000, ins, engine="fast")
+        b = run_engine(net, 5000, ins, engine="truenorth")
         assert a == b
 
     @pytest.mark.slow
@@ -43,9 +41,9 @@ class TestLongRegressions:
             n_cores=2, n_axons=12, n_neurons=12, stochastic=True, seed=29
         )
         ins = poisson_inputs(net, 1000, 200.0, seed=7)
-        ref = run_kernel(net, 1000, ins)
-        assert run_compass(net, 1000, ins, n_ranks=2) == ref
-        assert run_truenorth(net, 1000, ins) == ref
+        ref = run_engine(net, 1000, ins, engine="reference")
+        assert CompassSimulator(net, n_ranks=2).run(1000, ins) == ref
+        assert run_engine(net, 1000, ins, engine="truenorth") == ref
 
     def test_delay_buffer_wraps_hundreds_of_times(self):
         # max-delay self-loops cycling through 2000 ticks exercise the
@@ -62,7 +60,7 @@ class TestLongRegressions:
         )
         net = Network(cores=[core], seed=0)
         ins = InputSchedule.from_events([(0, 0, i) for i in range(4)])
-        rec = run_truenorth(net, 2000, ins)
+        rec = run_engine(net, 2000, ins, engine="truenorth")
         for i, d in enumerate((13, 14, 15, 11)):
             fired = [t for t, c, n in rec.as_tuples() if n == i]
             assert fired == list(range(0, 2000, d))

@@ -5,11 +5,12 @@ from repro.apps.haar import build_haar_pipeline
 from repro.apps.saliency import build_saliency_pipeline, salient_patches
 from repro.apps.transduction import transduce_video
 from repro.apps.video import generate_scene, static_pattern
-from repro.compass.simulator import run_compass
+from repro.compass.engine import run_engine
+from repro.compass.simulator import CompassSimulator
 from repro.core.workload import WorkloadDescriptor
 from repro.corelets.placement import place_connectivity_aware, place_row_major
 from repro.hardware.energy import EnergyModel
-from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.hardware.timing import TimingModel
 from repro.machines.cost import compare_truenorth_vs_compass
 from repro.machines.specs import X86
@@ -24,8 +25,8 @@ class TestVisionPipelineAcrossExpressions:
         frames = static_pattern(8, 8, "noise", seed=4)[None]
         ins = transduce_video(frames, pipe.pixel_pins, ticks_per_frame=12)
         n_ticks = 14
-        hw = run_truenorth(pipe.compiled.network, n_ticks, ins)
-        sw = run_compass(pipe.compiled.network, n_ticks, ins, n_ranks=4)
+        hw = run_engine(pipe.compiled.network, n_ticks, ins, engine="truenorth")
+        sw = CompassSimulator(pipe.compiled.network, n_ranks=4).run(n_ticks, ins)
         assert hw == sw
 
     def test_saliency_detects_object_location(self):
@@ -33,7 +34,7 @@ class TestVisionPipelineAcrossExpressions:
         scene = generate_scene(16, 18, n_frames=2, n_objects=1, seed=8)
         frames = scene.frames[:, :, :16]
         ins = transduce_video(frames, pipe.pixel_pins, ticks_per_frame=20)
-        rec = run_truenorth(pipe.compiled.network, 42, ins)
+        rec = run_engine(pipe.compiled.network, 42, ins, engine="truenorth")
         smap = pipe.feature_map(rec).sum(axis=2)
         mask = salient_patches(smap, fraction=0.5)
         box = scene.boxes[-1][0]
@@ -53,7 +54,7 @@ class TestMeasurementPipeline:
         pipe = build_haar_pipeline(8, 8, 4)
         frames = static_pattern(8, 8, "noise", seed=3)[None]
         ins = transduce_video(frames, pipe.pixel_pins, ticks_per_frame=12)
-        rec = run_truenorth(pipe.compiled.network, 14, ins)
+        rec = run_engine(pipe.compiled.network, 14, ins, engine="truenorth")
 
         measured = WorkloadDescriptor.from_counters(
             "haar-measured", rec.counters, pipe.compiled.network.n_cores
@@ -67,7 +68,7 @@ class TestMeasurementPipeline:
         pipe = build_saliency_pipeline(8, 8, 4)
         frames = static_pattern(8, 8, "noise", seed=2)[None]
         ins = transduce_video(frames, pipe.pixel_pins, ticks_per_frame=10)
-        rec = run_truenorth(pipe.compiled.network, 12, ins)
+        rec = run_engine(pipe.compiled.network, 12, ins, engine="truenorth")
         energy = EnergyModel().energy_for_run_j(rec.counters)
         max_khz = TimingModel().max_frequency_for_run_khz(rec.counters)
         assert energy > 0
@@ -94,7 +95,7 @@ class TestPlacementIntegration:
 
         net = random_network(n_cores=9, seed=3)
         ins = poisson_inputs(net, 12, 400.0, seed=1)
-        clean = run_truenorth(net, 12, ins, detailed_noc=True)
+        clean = TrueNorthSimulator(net, detailed_noc=True).run(12, ins)
         # Disable a router in the 3x3 core block's interior: cores sit on
         # it, so pick an unoccupied coordinate by moving cores apart.
         import numpy as np

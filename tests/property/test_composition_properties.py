@@ -8,12 +8,12 @@ authors rely on when composing pipelines.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.compass.simulator import run_compass
+from repro.compass.engine import run_engine
+from repro.compass.simulator import CompassSimulator
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import relay, splitter
 from repro.corelets.library.temporal import delay_chain
-from repro.hardware.simulator import run_truenorth
 
 
 def build_chain(stage_delays, width=4, seed=0):
@@ -44,7 +44,7 @@ class TestChainLatency:
         pin = compiled.inputs["in"][line]
         ins.add(start, pin.core, pin.index)
         horizon = start + latency + 2
-        rec = run_truenorth(compiled.network, horizon, ins)
+        rec = run_engine(compiled.network, horizon, ins, engine="truenorth")
         out = {(p.core, p.index): i for i, p in enumerate(compiled.outputs["out"])}
         hits = [(t, out[(c, n)]) for t, c, n in rec.as_tuples() if (c, n) in out]
         assert hits == [(start + latency, line)]
@@ -66,7 +66,7 @@ class TestChainLatency:
         for t, line in events:
             ins.add(t, pins[line].core, pins[line].index)
         horizon = max(t for t, _ in events) + latency + 2
-        rec = run_truenorth(compiled.network, horizon, ins)
+        rec = run_engine(compiled.network, horizon, ins, engine="truenorth")
         out = {(p.core, p.index): i for i, p in enumerate(compiled.outputs["out"])}
         hits = sorted(
             (t, out[(c, n)]) for t, c, n in rec.as_tuples() if (c, n) in out
@@ -94,7 +94,7 @@ class TestSplitterAlgebra:
         ins = InputSchedule()
         pin = compiled.inputs["in"][line]
         ins.add(0, pin.core, pin.index)
-        rec = run_truenorth(compiled.network, 2, ins)
+        rec = run_engine(compiled.network, 2, ins, engine="truenorth")
         for w in range(ways):
             p = compiled.outputs[f"out{w}"][line]
             assert (0, p.core, p.index) in rec.as_tuples()
@@ -118,6 +118,5 @@ class TestSplitterAlgebra:
                 if rng.random() < 0.5:
                     ins.add(t, pins[line].core, pins[line].index)
         horizon = 6 + depth + 1
-        assert run_truenorth(compiled.network, horizon, ins) == run_compass(
-            compiled.network, horizon, ins, n_ranks=2
-        )
+        compass = CompassSimulator(compiled.network, n_ranks=2).run(horizon, ins)
+        assert run_engine(compiled.network, horizon, ins, engine="truenorth") == compass

@@ -15,11 +15,11 @@ from repro.apps.video import (
     generate_scene,
     static_pattern,
 )
+from repro.compass.engine import run_engine
 from repro.corelets.corelet import Composition, GlobalPin, pin_columns
 from repro.corelets.library.basic import relay
 from repro.core.inputs import InputSchedule
 from repro.core.record import SpikeRecord
-from repro.hardware.simulator import run_truenorth
 
 
 class TestSceneGenerator:
@@ -103,7 +103,7 @@ class TestTransduction:
         frame = np.array([[0.1, 0.9]])
         ins = InputSchedule()
         n = rate_code_frame(frame, compiled.inputs["in"], ins, 0, ticks=200, seed=3)
-        rec = run_truenorth(compiled.network, 201, ins)
+        rec = run_engine(compiled.network, 201, ins, engine="truenorth")
         counts = spike_map(rec, compiled.outputs["out"], (1, 2))
         assert counts[0, 1] > 4 * counts[0, 0]
         assert n == ins.n_events

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compass.batched import (
-    BatchedCompassSimulator,
-    replica_seeds,
-    run_batched_compass,
-)
+from repro.compass.batched import BatchedCompassSimulator, replica_seeds
 from repro.compass.compile import compile_network
-from repro.compass.engine import run_engine, select_engine
+from repro.compass.engine import select_engine
 from repro.compass.fast import FastCompassSimulator, staged_inputs
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.counters import SCALAR_COUNTERS
@@ -66,7 +62,7 @@ class TestRunShapes:
     def test_run_returns_one_record_per_lane(self):
         net = small_net()
         ins = poisson_inputs(net, 10, 300.0, seed=1)
-        records = run_batched_compass(net, 15, n_replicas=3, inputs=ins)
+        records = BatchedCompassSimulator(net, 3).run(15, ins)
         assert len(records) == 3
         # Same seed + same inputs => identical replicas.
         assert records[0] == records[1] == records[2]
@@ -177,31 +173,12 @@ class TestLaneRange:
 
 class TestEngineSelection:
     def test_explicit_batched_engine(self):
-        sim = select_engine(small_net(), "batched", n_replicas=4)
+        sim = select_engine(small_net(), "batched")
         assert isinstance(sim, BatchedCompassSimulator)
-        assert sim.n_replicas == 4
-
-    def test_auto_routes_to_batched_for_replicas(self):
-        sim = select_engine(small_net(), "auto", n_replicas=2)
-        assert isinstance(sim, BatchedCompassSimulator)
+        assert sim.n_replicas == 1
 
     def test_auto_without_replicas_stays_fast(self):
         assert isinstance(select_engine(small_net(), "auto"), FastCompassSimulator)
-
-    def test_replicas_on_other_engine_rejected(self):
-        with pytest.raises(ValueError, match="batched"):
-            select_engine(small_net(), "fast", n_replicas=2)
-
-    def test_run_engine_threads_replica_seeds(self):
-        net = small_net(stochastic=True)
-        ins = poisson_inputs(net, 10, 300.0, seed=1)
-        seeds = replica_seeds(net.seed, 2)
-        records = run_engine(
-            net, 15, ins, engine="batched", n_replicas=2, replica_seeds=seeds,
-        )
-        assert len(records) == 2
-        # Distinct seeds on a stochastic network => distinct trajectories.
-        assert records[0] != records[1]
 
 
 class TestInputStaging:

@@ -34,7 +34,6 @@ from repro.lint.diagnostics import LintError
 from repro.obs import Observer
 from repro.obs.flight import write_crash_dump
 from repro.runtime.serving import ModelServer
-from repro.runtime.streaming import SceneSource, StreamingRuntime
 
 TICKS = 30
 SPLIT = 13
@@ -276,12 +275,11 @@ class TestWireFormat:
 
 
 class TestCrashDumpCheckpoint:
-    def test_bundle_carries_restorable_checkpoint(self, tmp_path):
+    def test_bundle_carries_restorable_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         net = small_net(seed=4)
         ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
-        bundle = write_crash_dump(
-            None, "unit", crash_dir=str(tmp_path), checkpoint=ckpt
-        )
+        bundle = write_crash_dump(None, "unit", checkpoint=ckpt)
         with open(os.path.join(bundle, "manifest.json")) as fh:
             manifest = json.load(fh)
         assert "checkpoint.npz" in manifest["files"]
@@ -387,44 +385,6 @@ class TestServingPreemption:
         server = ModelServer(small_net(), n_lanes=1)
         with pytest.raises(ValueError):
             server.preempt("no-such-session")
-
-
-class TestStreamingCheckpoints:
-    def _runtime(self, tmp_path, obs):
-        from repro.apps.video import generate_scene
-        from repro.corelets.corelet import Composition
-        from repro.corelets.library.basic import relay
-
-        comp = Composition(seed=0)
-        r = relay(12 * 20)
-        comp.add(r)
-        comp.export_input("in", r.inputs["in"])
-        comp.export_output("out", r.outputs["out"])
-        compiled = comp.compile()
-        scene = generate_scene(12, 20, n_frames=3, seed=2)
-        runtime = StreamingRuntime(
-            compiled.network,
-            compiled.inputs["in"],
-            ticks_per_frame=5,
-            obs=obs,
-            checkpoint_every=4,
-            checkpoint_dir=str(tmp_path),
-        )
-        return runtime, scene
-
-    def test_periodic_checkpoints_written(self, tmp_path):
-        obs = Observer()
-        runtime, scene = self._runtime(tmp_path, obs)
-        runtime.run(SceneSource(scene))
-        # 3 frames x 5 ticks + 2 drain ticks = 17 ticks -> every 4.
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["ckpt-12.npz", "ckpt-16.npz", "ckpt-4.npz", "ckpt-8.npz"]
-        assert runtime.last_checkpoint is not None
-        assert runtime.last_checkpoint.tick == 16
-        assert obs.metrics.counter("repro_checkpoints_total").value() == 4
-        assert obs.metrics.counter("repro_checkpoint_bytes_total").value() > 0
-        loaded = load_checkpoint(tmp_path / "ckpt-16.npz")
-        assert loaded.tick == 16
 
 
 class TestCheckpointCLI:

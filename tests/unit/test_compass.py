@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compass.engine import run_engine
 from repro.compass.partition import (
     partition,
     partition_block,
@@ -13,7 +14,7 @@ from repro.compass.partition import (
     rank_loads,
 )
 from repro.compass.simmpi import SimMPI
-from repro.compass.simulator import CompassSimulator, run_compass
+from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 
 
@@ -123,7 +124,8 @@ class TestCompassBehaviour:
     def test_run_is_repeatable(self):
         net = random_network(n_cores=3, stochastic=True, seed=8)
         ins = poisson_inputs(net, 12, 350.0, seed=5)
-        assert run_compass(net, 12, ins) == run_compass(net, 12, ins)
+        first = run_engine(net, 12, ins, engine="compass")
+        assert first == run_engine(net, 12, ins, engine="compass")
 
     def test_step_returns_current_tick_spikes(self):
         net = random_network(n_cores=2, connectivity=0.8, seed=1)

@@ -22,7 +22,7 @@ from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simulator import CompassSimulator
 from repro.core import params, prng
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import ReferenceKernel, run_kernel
+from repro.core.kernel import ReferenceKernel
 from repro.core.network import Core, Network
 from repro.core.record import SpikeRecord
 from repro.corelets.corelet import GlobalPin
@@ -347,7 +347,7 @@ class TestEngineSelection:
         # with "auto" ranks, both reproduce the reference kernel exactly.
         net = random_network(n_cores=4, n_neurons=8, stochastic=True, seed=64)
         ins = poisson_inputs(net, 10, 400.0, seed=3)
-        ref = run_kernel(net, 10, ins)
+        ref = run_engine(net, 10, ins, engine="reference")
         for engine in ("auto", "parallel"):
             got = run_engine(net, 10, ins, engine=engine)
             assert got.first_mismatch(ref) is None
@@ -384,7 +384,7 @@ class TestEngineSelection:
         net = random_network(n_cores=2, stochastic=True, seed=10)
         compiled = compile_network(net)
         ins = poisson_inputs(net, 12, 300.0, seed=1)
-        ref = run_kernel(net, 12, ins)
+        ref = run_engine(net, 12, ins, engine="reference")
         for engine in ENGINES:
             kwargs = {"n_workers": 2} if engine == "parallel" else {}
             got = run_engine(compiled, 12, ins, engine=engine, **kwargs)
@@ -395,7 +395,7 @@ class TestEngineSelection:
     def test_run_engine_matches_reference_on_stochastic(self):
         net = random_network(n_cores=3, stochastic=True, seed=11)
         ins = poisson_inputs(net, 20, 400.0, seed=2)
-        ref = run_kernel(net, 20, ins)
+        ref = run_engine(net, 20, ins, engine="reference")
         assert run_engine(net, 20, ins) == ref
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.network import Network
 from repro.hardware.config import (
@@ -14,7 +15,6 @@ from repro.hardware.config import (
     encode_core,
     parse_config_stream,
 )
-from repro.hardware.simulator import run_truenorth
 
 
 def core_equal(a, b):
@@ -86,7 +86,8 @@ class TestConfigStream:
         cores = parse_config_stream(stream)
         net2 = Network(cores=cores, seed=net.seed)
         ins = poisson_inputs(net, 20, 300.0, seed=3)
-        assert run_truenorth(net, 20, ins) == run_truenorth(net2, 20, ins)
+        want = run_engine(net, 20, ins, engine="truenorth")
+        assert run_engine(net2, 20, ins, engine="truenorth") == want
 
     def test_stream_size(self):
         net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=1)

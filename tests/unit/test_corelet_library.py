@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import splitter
@@ -18,7 +19,6 @@ from repro.corelets.library.filters import (
     haar_kernels,
     signed_filter,
 )
-from repro.hardware.simulator import run_truenorth
 
 
 def build_single(corelet, outputs=("out",)):
@@ -60,7 +60,7 @@ class TestWinnerTakeAll:
             ins.add(t, pins[3].core, pins[3].index)
             if t % 4 == 0:
                 ins.add(t, pins[5].core, pins[5].index)
-        rec = run_truenorth(compiled.network, 40, ins)
+        rec = run_engine(compiled.network, 40, ins, engine="truenorth")
         rates = out_rates(compiled, rec)
         assert rates[3] == rates.max() and rates[3] > 0
         assert rates[3] > 2 * rates[5]
@@ -77,7 +77,7 @@ class TestInhibitionOfReturn:
         compiled = build_single(inhibition_of_return(4, suppression=240, recovery=16))
         # constant drive on line 1
         ins = drive_lines(compiled, [(t, 1) for t in range(60)])
-        rec = run_truenorth(compiled.network, 60, ins)
+        rec = run_engine(compiled.network, 60, ins, engine="truenorth")
         pins = compiled.outputs["out"]
         p1 = pins[1]
         fire_ticks = sorted(t for t, c, n in rec.as_tuples() if (c, n) == (p1.core, p1.index))
@@ -90,7 +90,7 @@ class TestInhibitionOfReturn:
     def test_channels_independent(self):
         compiled = build_single(inhibition_of_return(4))
         ins = drive_lines(compiled, [(t, 0) for t in range(30)] + [(t, 2) for t in range(30)])
-        rec = run_truenorth(compiled.network, 30, ins)
+        rec = run_engine(compiled.network, 30, ins, engine="truenorth")
         rates = out_rates(compiled, rec)
         assert rates[0] > 0 and rates[2] > 0
         assert rates[1] == 0 and rates[3] == 0
@@ -110,12 +110,12 @@ class TestSignedFilter:
 
         # matched stimulus: lines 0,1 active
         ins = drive_lines(compiled, [(t, l) for t in range(30) for l in (0, 1)])
-        rec = run_truenorth(compiled.network, 30, ins)
+        rec = run_engine(compiled.network, 30, ins, engine="truenorth")
         matched = out_rates(compiled, rec)[0]
 
         # anti-matched: lines 2,3 active
         ins2 = drive_lines(compiled, [(t, l) for t in range(30) for l in (2, 3)])
-        rec2 = run_truenorth(compiled.network, 30, ins2)
+        rec2 = run_engine(compiled.network, 30, ins2, engine="truenorth")
         anti = out_rates(compiled, rec2)[0]
         assert matched > 0
         assert anti == 0
@@ -144,7 +144,7 @@ class TestHistogram:
         compiled = build_single(histogram(bins, 3, count_per_spike=2))
         # 10 events into bin 1 (lines 2,3 for 5 ticks) -> 5 output spikes
         ins = drive_lines(compiled, [(t, l) for t in range(5) for l in (2, 3)])
-        rec = run_truenorth(compiled.network, 8, ins)
+        rec = run_engine(compiled.network, 8, ins, engine="truenorth")
         rates = out_rates(compiled, rec)
         assert rates[1] == 5
         assert rates[0] == 0 and rates[2] == 0
@@ -156,7 +156,7 @@ class TestHistogram:
         ins = drive_lines(
             compiled, [(0, 0), (1, 0), (2, 0), (3, 0)]
         )
-        rec = run_truenorth(compiled.network, 6, ins)
+        rec = run_engine(compiled.network, 6, ins, engine="truenorth")
         assert out_rates(compiled, rec)[0] == 2
 
     def test_bad_bins_rejected(self):
@@ -202,6 +202,6 @@ class TestTernaryClassifier:
         ins = drive_lines(
             compiled, [(t, l) for t in range(30) for l in range(4) if rng.random() < 0.9]
         )
-        rec = run_truenorth(compiled.network, 30, ins)
+        rec = run_engine(compiled.network, 30, ins, engine="truenorth")
         rates = out_rates(compiled, rec)
         assert classify_rates(rates) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
 from repro.corelets.library.convolution import conv2d
@@ -14,7 +15,6 @@ from repro.corelets.library.rbm import (
 )
 from repro.corelets.library.reservoir import liquid_reservoir, reservoir_state_features
 from repro.corelets.library.temporal import coincidence, compose_reichardt, delay_chain
-from repro.hardware.simulator import run_truenorth
 
 
 def build_single(corelet, outputs=("out",)):
@@ -39,7 +39,7 @@ class TestDelayChain:
         ins = InputSchedule()
         pin = compiled.inputs["in"][2]
         ins.add(0, pin.core, pin.index)
-        rec = run_truenorth(compiled.network, extra + 2, ins)
+        rec = run_engine(compiled.network, extra + 2, ins, engine="truenorth")
         out = collect(compiled, rec)
         assert out == [(extra, 2)]
 
@@ -64,7 +64,7 @@ class TestCoincidence:
         ins.add(2, b[1].core, b[1].index)  # lone b
         ins.add(4, a[1].core, a[1].index)  # joint
         ins.add(4, b[1].core, b[1].index)
-        rec = run_truenorth(compiled.network, 6, ins)
+        rec = run_engine(compiled.network, 6, ins, engine="truenorth")
         assert collect(compiled, rec) == [(4, 1)]
 
     def test_lone_inputs_do_not_accumulate(self):
@@ -73,7 +73,7 @@ class TestCoincidence:
         ins = InputSchedule.from_events(
             [(t, a[0].core, a[0].index) for t in range(6)]
         )
-        rec = run_truenorth(compiled.network, 7, ins)
+        rec = run_engine(compiled.network, 7, ins, engine="truenorth")
         assert collect(compiled, rec) == []
 
 
@@ -91,7 +91,7 @@ class TestReichardt:
         for step, pos in enumerate(positions):
             ins.add(step * velocity, pins[pos].core, pins[pos].index)
         horizon = n * velocity + detector_velocity + 4
-        rec = run_truenorth(compiled.network, horizon, ins)
+        rec = run_engine(compiled.network, horizon, ins, engine="truenorth")
         return collect(compiled, rec)
 
     def test_matched_velocity_fires(self):
@@ -127,7 +127,7 @@ class TestConv2d:
 
         ins = transduce_video(frame[None].repeat(2, axis=0), layer.pixel_pins,
                               ticks_per_frame=15)
-        rec = run_truenorth(layer.compiled.network, 32, ins)
+        rec = run_engine(layer.compiled.network, 32, ins, engine="truenorth")
         fmap = layer.feature_map(rec)[:, :, 0]
         # the column of windows whose left pixel is bright and right dark
         # (origin x=2) responds most
@@ -161,7 +161,7 @@ class TestReservoir:
         for i in range(8):
             for t in range(3):
                 ins.add(t, pins[i].core, pins[i].index)
-        rec = run_truenorth(compiled.network, 40, ins)
+        rec = run_engine(compiled.network, 40, ins, engine="truenorth")
         out = collect(compiled, rec, "state")
         ticks = [t for t, _ in out]
         assert len(out) > 0
@@ -178,7 +178,7 @@ class TestReservoir:
             for t in range(10):
                 for i in lines:
                     ins.add(t, pins[i].core, pins[i].index)
-            rec = run_truenorth(compiled.network, 20, ins)
+            rec = run_engine(compiled.network, 20, ins, engine="truenorth")
             return reservoir_state_features(rec, compiled.outputs["state"], 48, 20)
 
         fa = run_pattern([0, 1, 2, 3])

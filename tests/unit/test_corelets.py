@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import pooling, relay, splitter
-from repro.hardware.simulator import run_truenorth
 
 
 def drive_and_collect(compiled, events, n_ticks, output="out"):
@@ -15,7 +15,7 @@ def drive_and_collect(compiled, events, n_ticks, output="out"):
     pins = compiled.inputs["in"]
     for tick, line in events:
         ins.add(tick, pins[line].core, pins[line].index)
-    rec = run_truenorth(compiled.network, n_ticks, ins)
+    rec = run_engine(compiled.network, n_ticks, ins, engine="truenorth")
     out_pins = {(p.core, p.index): line for line, p in enumerate(compiled.outputs[output])}
     return sorted(
         (t, out_pins[(c, n)])
@@ -37,7 +37,7 @@ class TestSplitter:
         ins = InputSchedule()
         pin = compiled.inputs["in"][2]
         ins.add(0, pin.core, pin.index)
-        rec = run_truenorth(compiled.network, 2, ins)
+        rec = run_engine(compiled.network, 2, ins, engine="truenorth")
         spikes = set(rec.as_tuples())
         p0 = compiled.outputs["out0"][2]
         p1 = compiled.outputs["out1"][2]
@@ -157,7 +157,8 @@ class TestComposition:
         c1 = comp.compile()
         c2 = comp.compile()
         ins = InputSchedule.from_events([(0, c1.inputs["in"][0].core, c1.inputs["in"][0].index)])
-        assert run_truenorth(c1.network, 5, ins) == run_truenorth(c2.network, 5, ins)
+        want = run_engine(c1.network, 5, ins, engine="truenorth")
+        assert run_engine(c2.network, 5, ins, engine="truenorth") == want
 
     def test_duplicate_connector_name_rejected(self):
         a = relay(4, name="a")

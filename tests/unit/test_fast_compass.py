@@ -8,10 +8,10 @@ import pytest
 
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.compass import fast as fast_module
-from repro.compass.engine import select_engine
-from repro.compass.fast import FastCompassSimulator, run_fast_compass
+from repro.compass.engine import run_engine, select_engine
+from repro.compass.fast import FastCompassSimulator
 from repro.compass.parallel import ParallelCompassSimulator
-from repro.compass.simulator import run_compass
+from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.counters import EventCounters
 from repro.core.inputs import InputSchedule
@@ -28,10 +28,10 @@ class TestMessageCounting:
             n_cores=5, connectivity=0.5, stochastic=stochastic, seed=29
         )
         ins = poisson_inputs(net, 15, 400.0, seed=3)
-        fast = run_fast_compass(net, 15, ins)
-        per_core = run_compass(
-            net, 15, ins, n_ranks=net.n_cores, partition_strategy="round_robin"
-        )
+        fast = run_engine(net, 15, ins, engine="fast")
+        per_core = CompassSimulator(
+            net, n_ranks=net.n_cores, partition_strategy="round_robin"
+        ).run(15, ins)
         assert fast == per_core
         assert fast.counters.messages == per_core.counters.messages
         assert fast.counters.messages > 0
@@ -45,7 +45,7 @@ class TestMessageCounting:
         )
         net = Network(cores=[core], seed=1)
         ins = poisson_inputs(net, 10, 800.0, seed=2)
-        rec = run_fast_compass(net, 10, ins)
+        rec = run_engine(net, 10, ins, engine="fast")
         assert rec.counters.deliveries > 0
         assert rec.counters.messages == 0
 
@@ -113,7 +113,7 @@ class TestStepArrays:
 
         sim.step_arrays = counting_step_arrays
         runtime = StreamingRuntime(sim, pins, ticks_per_frame=5)
-        report = runtime.run(SceneSource(scene), drain_ticks=2)
+        report = runtime.run(SceneSource(scene))
         assert report.ticks == 7
         assert calls["n"] == 7
 

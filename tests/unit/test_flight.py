@@ -208,18 +208,18 @@ class TestCrashDumps:
             assert (tmp_path / bundle.split("/")[-1] / name).exists()
         assert obs.metrics.counter("repro_crash_dumps_total").value() == 1
 
-    def test_no_observer_writes_manifest_only(self, tmp_path):
-        bundle = write_crash_dump(None, "bare", crash_dir=str(tmp_path))
+    def test_no_observer_writes_manifest_only(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+        bundle = write_crash_dump(None, "bare")
         files = sorted(p.name for p in
                        (tmp_path / bundle.split("/")[-1]).iterdir())
         assert files == ["manifest.json"]
 
-    def test_marked_exception_is_not_dumped_twice(self, tmp_path):
+    def test_marked_exception_is_not_dumped_twice(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         err = RuntimeError("once")
-        first = write_crash_dump(None, "first", exc=err,
-                                 crash_dir=str(tmp_path))
-        second = write_crash_dump(None, "second", exc=err,
-                                  crash_dir=str(tmp_path))
+        first = write_crash_dump(None, "first", exc=err)
+        second = write_crash_dump(None, "second", exc=err)
         assert first is not None and second is None
         assert len(list(tmp_path.iterdir())) == 1
 

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.compass.engine as compass_engine
 import repro.core.inputs as inputs_module
-import repro.hardware.simulator as hardware_simulator
 from repro.apps.audio import AudioClassifier
 from repro.apps.optical_flow import build_flow_pipeline, moving_bar_inputs
 from repro.apps.saccade import build_saccade_pipeline, drive_saliency_rates
@@ -56,13 +56,13 @@ def _moving_bar_inputs():
 def _rbm_present_flush(monkeypatch):
     """The schedule ``sample_hidden`` hands to the simulator."""
     seen = []
-    real = hardware_simulator.run_truenorth
+    real = compass_engine.run_engine
 
-    def capture(network, n_ticks, ins):
+    def capture(network, n_ticks, ins, engine):
         seen.append(ins)
-        return real(network, n_ticks, ins)
+        return real(network, n_ticks, ins, engine=engine)
 
-    monkeypatch.setattr(hardware_simulator, "run_truenorth", capture)
+    monkeypatch.setattr(compass_engine, "run_engine", capture)
     weights = np.random.default_rng(0).integers(-1, 2, size=(5, 3))
     compiled = compile_sampler(rbm_sampling_layer(weights), seed=6)
     sample_hidden(compiled, np.array([1, 0, 1, 1, 0], dtype=bool), n_samples=4)

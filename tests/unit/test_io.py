@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.inputs import InputSchedule
-from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.io.aer import (
     AERStream,
     aer_from_schedule,
@@ -135,7 +136,7 @@ class TestAER:
         # network's input — the chip-to-chip streaming pattern.
         net = random_network(n_cores=2, connectivity=0.5, seed=3)
         ins = poisson_inputs(net, 10, 500.0, seed=1)
-        rec = run_truenorth(net, 10, ins)
+        rec = run_engine(net, 10, ins, engine="truenorth")
         out_stream = record_to_aer(rec)
         assert out_stream.n_events == rec.n_spikes
         replay = schedule_from_aer(out_stream.window(0, 10))
@@ -150,7 +151,8 @@ class TestModelFiles:
         loaded = load_network(path)
         assert loaded.n_cores == 3 and loaded.seed == net.seed
         ins = poisson_inputs(net, 15, 300.0, seed=2)
-        assert run_truenorth(net, 15, ins) == run_truenorth(loaded, 15, ins)
+        want = run_engine(net, 15, ins, engine="truenorth")
+        assert run_engine(loaded, 15, ins, engine="truenorth") == want
 
     def test_core_names_preserved(self, tmp_path):
         net = random_network(n_cores=2, seed=1)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.chip import ChipGeometry, Placement
-from repro.hardware.simulator import TrueNorthSimulator, run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 from repro.noc.multichip import ChipArray
 
 
@@ -22,7 +22,7 @@ class TestChipArraySimulation:
         array = ChipArray(chips_x=2, chips_y=1, geometry=g)
         ins = poisson_inputs(net, 15, 400.0, seed=3)
 
-        plain = run_truenorth(net, 15, ins, placement=placement)
+        plain = TrueNorthSimulator(net, placement=placement).run(15, ins)
         tiled_sim = TrueNorthSimulator(net, placement=placement, chip_array=array)
         tiled = tiled_sim.run(15, ins)
         assert tiled == plain

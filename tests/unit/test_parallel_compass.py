@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.compass import fast
-from repro.compass.parallel import (
-    ParallelCompassSimulator,
-    run_parallel_compass,
-)
-from repro.compass.simulator import run_compass
+from repro.compass.engine import run_engine
+from repro.compass.parallel import ParallelCompassSimulator
+from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import run_kernel
 
 
 class TestParallelCompass:
@@ -20,8 +17,8 @@ class TestParallelCompass:
         # in-process Compass expression.
         net = random_network(n_cores=4, connectivity=0.5, seed=21)
         ins = poisson_inputs(net, 12, 400.0, seed=2)
-        serial = run_compass(net, 12, ins, n_ranks=2)
-        parallel = run_parallel_compass(net, 12, ins, n_workers=2)
+        serial = CompassSimulator(net, n_ranks=2).run(12, ins)
+        parallel = run_engine(net, 12, ins, engine="parallel")
         assert parallel == serial
         for field in ("synaptic_events", "spikes", "deliveries",
                       "neuron_updates", "messages"):
@@ -181,7 +178,7 @@ class TestRerun:
     def test_run_after_explicit_close(self):
         net = random_network(n_cores=3, seed=14)
         ins = poisson_inputs(net, 8, 500.0, seed=7)
-        ref = run_kernel(net, 8, ins)
+        ref = run_engine(net, 8, ins, engine="reference")
         sim = ParallelCompassSimulator(net, n_workers=2)
         sim.step()
         sim.close()

@@ -16,10 +16,10 @@ from repro.compass.compile import (
     partition_compiled,
     take,
 )
-from repro.compass.parallel import run_parallel_compass
+from repro.compass.engine import run_engine
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.partition import STRATEGIES, partition, rank_loads
 from repro.core.builders import poisson_inputs, random_network
-from repro.core.kernel import run_kernel
 from repro.lint.examples import BUILTIN_NETWORKS
 
 
@@ -258,9 +258,9 @@ class TestPartitionInvariance:
             n_cores=5, n_axons=10, n_neurons=10, stochastic=True, seed=38
         )
         ins = poisson_inputs(net, 12, 350.0, seed=9)
-        ref = run_kernel(net, 12, ins)
-        got = run_parallel_compass(
-            net, 12, ins, n_workers=n_workers, partition_strategy=strategy
-        )
+        ref = run_engine(net, 12, ins, engine="reference")
+        got = ParallelCompassSimulator(
+            net, n_workers=n_workers, partition_strategy=strategy
+        ).run(12, ins)
         assert got.first_mismatch(ref) is None
         assert got == ref

@@ -10,7 +10,7 @@ from repro.corelets.placement import (
     place_row_major,
     total_wirelength,
 )
-from repro.hardware.simulator import run_truenorth
+from repro.hardware.simulator import TrueNorthSimulator
 
 
 class TestConnectivityGraph:
@@ -60,8 +60,8 @@ class TestPlacers:
     def test_function_invariant_under_placement(self):
         net = random_network(n_cores=8, seed=3)
         ins = poisson_inputs(net, 15, 400.0, seed=2)
-        a = run_truenorth(net, 15, ins, placement=place_row_major(net))
-        b = run_truenorth(net, 15, ins, placement=place_connectivity_aware(net))
+        a = TrueNorthSimulator(net, placement=place_row_major(net)).run(15, ins)
+        b = TrueNorthSimulator(net, placement=place_connectivity_aware(net)).run(15, ins)
         assert a == b
 
     def test_respects_defects(self):

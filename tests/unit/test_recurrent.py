@@ -8,7 +8,7 @@ from repro.apps.recurrent import (
     probabilistic_recurrent_network,
     rate_parameters,
 )
-from repro.compass.simulator import run_compass
+from repro.compass.engine import run_engine
 from repro.hardware.simulator import TrueNorthSimulator
 
 
@@ -43,7 +43,7 @@ class TestGenerator:
         net = probabilistic_recurrent_network(
             target, 8, grid_side=2, neurons_per_core=64, seed=2
         )
-        rec = run_compass(net, 200)
+        rec = run_engine(net, 200, engine="compass")
         measured = rec.counters.mean_firing_rate_hz
         assert measured == pytest.approx(target, rel=0.15)
 
@@ -51,33 +51,33 @@ class TestGenerator:
         net = probabilistic_recurrent_network(
             100.0, 12, grid_side=2, neurons_per_core=32, seed=3
         )
-        rec = run_compass(net, 100)
+        rec = run_engine(net, 100, engine="compass")
         # every delivered spike crosses exactly K=12 programmed synapses
         assert rec.counters.synaptic_events == 12 * rec.counters.deliveries
 
     def test_zero_rate_network_is_silent(self):
         net = probabilistic_recurrent_network(0.0, 16, grid_side=2, neurons_per_core=16)
-        rec = run_compass(net, 50)
+        rec = run_engine(net, 50, engine="compass")
         assert rec.n_spikes == 0
 
     def test_zero_synapses_network_still_fires(self):
         net = probabilistic_recurrent_network(100.0, 0, grid_side=2, neurons_per_core=32)
-        rec = run_compass(net, 100)
+        rec = run_engine(net, 100, engine="compass")
         assert rec.n_spikes > 0
         assert rec.counters.synaptic_events == 0
 
     def test_zero_coupling_rate_independent_of_k(self):
         a = probabilistic_recurrent_network(80.0, 0, grid_side=2, neurons_per_core=32, seed=4)
         b = probabilistic_recurrent_network(80.0, 24, grid_side=2, neurons_per_core=32, seed=4)
-        ra = run_compass(a, 120).counters.mean_firing_rate_hz
-        rb = run_compass(b, 120).counters.mean_firing_rate_hz
+        ra = run_engine(a, 120, engine="compass").counters.mean_firing_rate_hz
+        rb = run_engine(b, 120, engine="compass").counters.mean_firing_rate_hz
         assert ra == pytest.approx(rb, rel=1e-9)  # zero weights: exact
 
     def test_balanced_coupling_changes_dynamics(self):
         a = probabilistic_recurrent_network(
             80.0, 24, grid_side=2, neurons_per_core=32, coupling="balanced", seed=4
         )
-        rec = run_compass(a, 120)
+        rec = run_engine(a, 120, engine="compass")
         assert rec.n_spikes > 0
 
     def test_hop_distance_scales_with_grid(self):

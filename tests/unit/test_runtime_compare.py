@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.compare import compare_records, divergence_horizon
 from repro.apps.video import generate_scene
+from repro.compass.engine import run_engine
 from repro.compass.simulator import CompassSimulator
 from repro.core.record import SpikeRecord
 from repro.corelets.corelet import Composition
@@ -129,16 +130,15 @@ class TestCompareRecords:
         # Perturb one spike of a coupled recurrent run and measure the
         # horizon: the chaotic dynamics amplify it within a few ticks.
         from repro.apps.recurrent import probabilistic_recurrent_network
-        from repro.compass.simulator import run_compass
         from repro.core.inputs import InputSchedule
 
         net = probabilistic_recurrent_network(
             150.0, 24, grid_side=2, neurons_per_core=32,
             coupling="balanced", seed=8,
         )
-        clean = run_compass(net, 60)
+        clean = run_engine(net, 60, engine="compass")
         poke = InputSchedule.from_events([(10, 0, 5)])
-        perturbed = run_compass(net, 60, poke)
+        perturbed = run_engine(net, 60, poke, engine="compass")
         horizon = divergence_horizon(clean, perturbed, threshold=0.7)
         assert horizon is not None
         assert horizon <= 32  # "spikes quickly and chaotically diverge"

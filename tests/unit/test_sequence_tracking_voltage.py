@@ -6,6 +6,7 @@ from repro.apps.neovision import NeovisionSystem
 from repro.apps.tracking import Track, Tracker, evaluate_tracking, track_scene
 from repro.apps.video import generate_scene
 from repro.apps.workloads import ANCHOR_A, ANCHOR_C, characterization_workload
+from repro.compass.engine import run_engine
 from repro.core import params
 from repro.core.inputs import InputSchedule
 from repro.corelets.library.sequence import sequence_detector_network
@@ -15,7 +16,6 @@ from repro.experiments.voltage import (
     optimal_operating_point,
     voltage_study,
 )
-from repro.hardware.simulator import run_truenorth
 
 
 class TestSequenceDetector:
@@ -26,7 +26,7 @@ class TestSequenceDetector:
             if t is not None:
                 ins.add(t, pins[ch].core, pins[ch].index)
         horizon = horizon or (max(t for t in times if t is not None) + 12)
-        rec = run_truenorth(compiled.network, horizon, ins)
+        rec = run_engine(compiled.network, horizon, ins, engine="truenorth")
         out = {(p.core, p.index) for p in compiled.outputs["out"]}
         return [t for t, c, n in rec.as_tuples() if (c, n) in out]
 

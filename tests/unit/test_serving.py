@@ -10,13 +10,9 @@ from repro.core.counters import SCALAR_COUNTERS
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
+from repro.io.checkpoint import model_digest
 from repro.obs import Observer
-from repro.runtime.serving import (
-    CompiledModelCache,
-    ModelServer,
-    Session,
-    model_digest,
-)
+from repro.runtime.serving import ModelServer, Session
 
 
 def small_net(stochastic=True, seed=5):
@@ -46,40 +42,6 @@ class TestModelDigest:
 
         net = small_net()
         assert model_digest(compile_network(net)) == model_digest(net)
-
-
-class TestCompiledModelCache:
-    def test_hit_returns_same_artifact(self):
-        cache = CompiledModelCache()
-        net = small_net()
-        first = cache.get(net)
-        again = cache.get(Network(cores=net.cores, seed=net.seed))
-        assert again is first
-        assert cache.info() == {"size": 1, "capacity": 8, "hits": 1, "misses": 1}
-
-    def test_lru_eviction(self):
-        cache = CompiledModelCache(capacity=2)
-        nets = [small_net(seed=s) for s in (1, 2, 3)]
-        cache.get(nets[0])
-        cache.get(nets[1])
-        cache.get(nets[2])  # evicts nets[0]
-        assert len(cache) == 2
-        cache.get(nets[0])  # gone from the LRU: a miss again
-        assert cache.misses == 4 and cache.hits == 0
-
-    def test_recently_used_survives(self):
-        cache = CompiledModelCache(capacity=2)
-        nets = [small_net(seed=s) for s in (1, 2, 3)]
-        a = cache.get(nets[0])
-        cache.get(nets[1])
-        cache.get(nets[0])  # refresh lane 0
-        cache.get(nets[2])  # evicts nets[1], not nets[0]
-        assert cache.get(nets[0]) is a
-        assert cache.hits == 2
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            CompiledModelCache(capacity=0)
 
 
 class TestModelServer:
@@ -227,8 +189,7 @@ class TestModelServer:
     def test_serving_metrics_published(self):
         net = small_net()
         obs = Observer()
-        cache = CompiledModelCache()
-        server = ModelServer(net, n_lanes=2, cache=cache, obs=obs)
+        server = ModelServer(net, n_lanes=2, obs=obs)
         server.submit(None, 5)
         server.submit(None, 5)
         server.submit(None, 5)
@@ -239,7 +200,6 @@ class TestModelServer:
         snap = obs.metrics.snapshot()
         assert snap["repro_batch_occupancy"] == 0.0
         assert snap["repro_sessions_completed_total"] == 3
-        assert snap["repro_compile_cache_misses_total"] == 1
 
 
 def late_drive(net, n_ticks, seed):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.compass.engine import run_engine
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.workload import WorkloadDescriptor
-from repro.hardware.simulator import run_truenorth
 
 
 def anchor_a():
@@ -56,7 +56,7 @@ class TestFromCounters:
     def test_measured_descriptor_consistent(self):
         net = random_network(n_cores=4, n_neurons=16, n_axons=16, connectivity=0.5, seed=3)
         ins = poisson_inputs(net, 50, 400.0, seed=1)
-        rec = run_truenorth(net, 50, ins)
+        rec = run_engine(net, 50, ins, engine="truenorth")
         w = WorkloadDescriptor.from_counters("measured", rec.counters, net.n_cores)
         assert w.n_neurons == 64
         assert w.rate_hz == pytest.approx(rec.counters.mean_firing_rate_hz)
