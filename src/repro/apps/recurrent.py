@@ -130,7 +130,6 @@ def probabilistic_recurrent_network(
             name=f"recurrent/core{core_id}",
         )
         net.add_core(core)
-    net.validate()
     return net
 
 

@@ -184,7 +184,6 @@ def _simulate_checkpointed(args, network) -> int:
 
     from repro.compass.engine import select_engine
     from repro.io.checkpoint import EngineCheckpoint
-    from repro.lint.diagnostics import LintError
 
     sim = select_engine(
         network, args.expression, n_ranks=args.ranks, n_workers=args.workers,
@@ -195,12 +194,8 @@ def _simulate_checkpointed(args, network) -> int:
         return 1
     start_tick = 0
     if args.resume:
-        try:
-            ckpt = EngineCheckpoint.load(args.resume, network)
-            sim.restore(ckpt)
-        except LintError as err:
-            print(err, file=sys.stderr)
-            return 1
+        ckpt = EngineCheckpoint.load(args.resume, network)
+        sim.restore(ckpt)
         start_tick = int(ckpt.tick)
         print(f"resumed {args.resume} at tick {start_tick}")
     ckpt_dir = args.checkpoint_dir or "."
@@ -233,14 +228,9 @@ def _simulate_checkpointed(args, network) -> int:
 def _cmd_checkpoint_inspect(args) -> int:
     import json
 
-    from repro.io.checkpoint import load_checkpoint
-    from repro.lint.diagnostics import LintError
+    from repro.io.checkpoint import EngineCheckpoint
 
-    try:
-        info = load_checkpoint(args.path).describe()
-    except LintError as err:
-        print(err, file=sys.stderr)
-        return 1
+    info = EngineCheckpoint.load(args.path).describe()
     if args.json:
         print(json.dumps(info, indent=2))
         return 0
@@ -747,9 +737,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; any command's TN### error goes to stderr, exit 1."""
+    from repro.lint.diagnostics import LintError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except LintError as err:
+        print(err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -99,7 +99,6 @@ def random_network(
                 self_core=0,
             )
         )
-    net.validate()
     return net
 
 

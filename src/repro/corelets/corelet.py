@@ -191,11 +191,12 @@ class Composition:
         self._exported_outputs[name] = connector
 
     def compile(self) -> CompiledComposition:
-        """Flatten everything into a validated Network.
+        """Flatten everything into one Network.
 
         Each neuron may be the source of at most one connection (the
         hardware's single spike target); violations raise with the
-        offending pin named.
+        offending pin named.  The model checker runs where the network
+        is used (``compile_network``, ``ReferenceKernel``, ``save_network``).
         """
         base: dict[Corelet, int] = {}
         cores: list[Core] = []
@@ -236,7 +237,6 @@ class Composition:
             cores[gsrc].delay[src_pin.index] = delay
 
         network = Network(cores=cores, seed=self.seed, name=self.name)
-        network.validate()
 
         def resolve(conn: Connector) -> list[GlobalPin]:
             return [GlobalPin(base[p.corelet] + p.core, p.index) for p in conn.pins]

@@ -9,11 +9,7 @@ from repro.io.aer import (
     schedule_from_aer,
     write_aer_file,
 )
-from repro.io.checkpoint import (
-    EngineCheckpoint,
-    load_checkpoint,
-    model_digest,
-)
+from repro.io.checkpoint import EngineCheckpoint, model_digest
 from repro.io.graph_json import (
     composition_graph,
     network_graph,
@@ -32,7 +28,6 @@ __all__ = [
     "schedule_from_aer",
     "write_aer_file",
     "EngineCheckpoint",
-    "load_checkpoint",
     "model_digest",
     "composition_graph",
     "network_graph",

@@ -1,84 +1,69 @@
 """Network model files: save/load complete networks to a single .npz.
 
 Compass consumes model files describing every core's configuration; the
-same role here.  The format stores each core's arrays under prefixed
-keys plus a small JSON header with network metadata, all inside one
-NumPy ``.npz`` archive — portable, compressed, and exactly
-round-trippable (loading a saved network reproduces identical spikes).
+same role here.  A model file is a compressed :mod:`repro.io.container`
+— the one checked container engine checkpoints use too — holding each
+core's arrays under prefixed keys plus a small header with network
+metadata: portable, and exactly round-trippable (loading a saved
+network reproduces identical spikes).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 
-import numpy as np
-
 from repro.core.network import Core, Network
-from repro.lint.diagnostics import Diagnostic, LintError, Severity
+from repro.io import container
 
 FORMAT_VERSION = 1
+
+_MODEL_FILE = container.ContainerFormat(
+    "model", FORMAT_VERSION,
+    hint="re-save the network with repro.io.model_files.save_network",
+)
 
 _ARRAY_FIELDS = [f.name for f in fields(Core) if f.name != "name"]
 
 
-def _format_error(message: str) -> LintError:
-    """A TN601 model-file-format failure as a LintError."""
-    return LintError(
-        [Diagnostic(
-            code="TN601", severity=Severity.ERROR, message=message,
-            hint="re-save the network with repro.io.model_files.save_network",
-        )],
-        subject="model file",
-    )
-
-
-def save_network(path, network: Network) -> None:
-    """Write *network* to a ``.npz`` model file."""
+def save_network(path, network: Network) -> int:
+    """Write *network* to a model file at exactly *path*; return its size."""
     network.validate()
-    arrays: dict[str, np.ndarray] = {}
     header = {
-        "format_version": FORMAT_VERSION,
         "name": network.name,
         "seed": network.seed,
         "n_cores": network.n_cores,
         "core_names": [core.name for core in network.cores],
     }
-    for idx, core in enumerate(network.cores):
-        for field_name in _ARRAY_FIELDS:
-            arrays[f"core{idx}/{field_name}"] = getattr(core, field_name)
-    arrays["__header__"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
+    arrays = {
+        f"core{idx}/{field_name}": getattr(core, field_name)
+        for idx, core in enumerate(network.cores)
+        for field_name in _ARRAY_FIELDS
+    }
+    return container.save(path, container.to_bytes(_MODEL_FILE, header, arrays, compress=True))
+
+
+def _parse(header: dict, data) -> Network:
+    cores = [
+        Core(
+            name=header["core_names"][idx],
+            **{name: data[f"core{idx}/{name}"] for name in _ARRAY_FIELDS},
+        )
+        for idx in range(header["n_cores"])
+    ]
+    return Network(cores=cores, seed=int(header["seed"]), name=header["name"])
 
 
 def load_network(path, validate: bool = True) -> Network:
-    """Load a network from a ``.npz`` model file.
+    """Load a network from a model file (a path or its bytes).
 
     Malformed files and invalid models both raise
-    :class:`~repro.lint.LintError`: format problems as ``TN601``,
-    architectural violations through the model checker.  Pass
-    ``validate=False`` to load a known-bad model for offline linting
-    (``repro lint`` does this so it can report *all* findings instead of
-    failing on the first).
+    :class:`~repro.lint.LintError`: anything but a whole model file as
+    ``TN601``, architectural violations through the model checker.
+    Pass ``validate=False`` to load a known-bad model for offline
+    linting (``repro lint`` does this so it can report *all* findings
+    instead of failing on the first).
     """
-    with np.load(path) as data:
-        if "__header__" not in data:
-            raise _format_error("not a repro model file (missing header)")
-        header = json.loads(bytes(data["__header__"].tobytes()).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise _format_error(
-                f"unsupported model-file version {header.get('format_version')}"
-            )
-        cores = []
-        for idx in range(header["n_cores"]):
-            kwargs = {
-                field_name: data[f"core{idx}/{field_name}"]
-                for field_name in _ARRAY_FIELDS
-            }
-            cores.append(Core(name=header["core_names"][idx], **kwargs))
-    network = Network(cores=cores, seed=int(header["seed"]), name=header["name"])
+    network = container.load(_MODEL_FILE, path, _parse)
     if validate:
         network.validate()
     return network

@@ -113,9 +113,9 @@ CODES: dict[str, RuleInfo] = {
                  "a rank owns no cores; it will idle at every tick barrier "
                  "— reduce n_ranks or rebalance the partition strategy"),
         RuleInfo("TN601", "model-file-format", Severity.ERROR,
-                 "the .npz is not a repro model file (or uses an "
-                 "unsupported format version); re-save it with "
-                 "repro.io.model_files.save_network"),
+                 "the file is not a whole repro model file or checkpoint "
+                 "(damaged, foreign, or an unsupported format version); "
+                 "re-save or re-create it"),
     ]
 }
 

@@ -41,7 +41,7 @@ ENDPOINTS = ("/metrics", "/health", "/ready", "/flight", "/trace")
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Ticks of the flight ring /health judges (and summarizes).
+#: Ticks of the flight ring /health's ``degraded`` rule judges.
 HEALTH_WINDOW = 256
 #: /health reads ``degraded`` when more than this share of the window
 #: ran over 2x the tick budget: the window's median tick is that slow.
@@ -59,8 +59,9 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
     worker probe reports dead.  A statement about the window, not the
     last tick: one slow tick on a shared host is not a slow engine.
     Everything is read from the flight ring (and the observer's live
-    occupancy), not from gauges; before the first recorded tick the
-    real-time factor and budget ratio are ``null``, never a false alarm.
+    occupancy), not from gauges; all but that rule read the whole ring,
+    as ``repro_rtf`` does.  Before the first recorded tick the real-time
+    factor and budget ratio are ``null``, never a false alarm.
     """
     workers = {}
     alive = True
@@ -77,7 +78,8 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
     queue_depth = slow_share = 0.0
     if ticks:
         window = obs.flight.rows(last=HEALTH_WINDOW)
-        rtf = obs.flight.real_time_factor()
+        summary = obs.flight.summary()  # one read: rtf equals flight's
+        rtf = summary["real_time_factor"]
         budget_ratio = int(window["wall_ns"][-1]) / BUDGET_NS
         queue_depth = float(window["queue_depth"][-1])
         slow_share = float((window["wall_ns"] > 2 * BUDGET_NS).mean())
@@ -100,7 +102,7 @@ def evaluate_health(obs, liveness: dict | None = None) -> dict:
         "workers": workers,
     }
     if ticks:
-        doc["flight"] = obs.flight.summary(last=HEALTH_WINDOW)
+        doc["flight"] = summary
     return doc
 
 

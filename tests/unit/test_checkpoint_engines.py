@@ -28,7 +28,7 @@ from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.record import SpikeRecord
 from repro.hardware.simulator import TrueNorthSimulator
-from repro.io.checkpoint import EngineCheckpoint, load_checkpoint, model_digest
+from repro.io.checkpoint import EngineCheckpoint, model_digest
 from repro.lint.examples import BUILTIN_NETWORKS
 from repro.lint.diagnostics import LintError
 from repro.obs import Observer
@@ -149,8 +149,8 @@ class TestSameEngineResume:
         ckpt.save(path)
         with pytest.raises(LintError, match="TN602"):
             EngineCheckpoint.load(path, other)
-        # load_checkpoint without a network skips validation, by design.
-        assert load_checkpoint(path).model_digest == model_digest(net)
+        # load without a network skips validation, by design.
+        assert EngineCheckpoint.load(path).model_digest == model_digest(net)
 
     def test_snapshot_after_invalidate_carries_the_rebuilt_digest(self):
         # The digest memo lives and dies with the compiled artifact: a
@@ -186,7 +186,7 @@ class TestSameEngineResume:
         try:
             with pytest.raises(LintError, match="TN602"):
                 restore(ckpt)
-            wide = ckpt.copy()
+            wide = EngineCheckpoint.from_bytes(ckpt.to_bytes())
             wide.v = np.append(ckpt.v, 0)
             wide.ring = wide.ring[:, :-1]
             with pytest.raises(LintError, match="TN602"):
@@ -197,7 +197,7 @@ class TestSameEngineResume:
     def test_restore_rejects_foreign_seed(self):
         net = small_net(seed=4)
         ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
-        ckpt2 = ckpt.copy()
+        ckpt2 = EngineCheckpoint.from_bytes(ckpt.to_bytes())
         ckpt2.seed = ckpt.seed + 1
         with pytest.raises(ValueError):
             FastCompassSimulator(compile_network(net)).restore(ckpt2)
@@ -374,7 +374,7 @@ class TestServingPreemption:
         path = tmp_path / f"{session.session_id}.npz"
         assert path.exists()
         assert session._checkpoint is None  # spilled to disk, not memory
-        loaded = load_checkpoint(path)
+        loaded = EngineCheckpoint.load(path)
         assert loaded.tick == 5
         assert obs.metrics.counter("repro_checkpoints_total").value() == 1
         assert obs.metrics.counter("repro_checkpoint_bytes_total").value() > 0
@@ -408,8 +408,8 @@ class TestCheckpointCLI:
             "--checkpoint-every", "30", "--checkpoint-dir", str(b),
         ])
         assert rc == 0
-        full = load_checkpoint(a / "ckpt-30.npz")
-        resumed = load_checkpoint(b / "ckpt-30.npz")
+        full = EngineCheckpoint.load(a / "ckpt-30.npz")
+        resumed = EngineCheckpoint.load(b / "ckpt-30.npz")
         assert resumed.tick == full.tick == 30
         np.testing.assert_array_equal(resumed.v, full.v)
         np.testing.assert_array_equal(resumed.ring, full.ring)
@@ -434,8 +434,8 @@ class TestCheckpointCLI:
             "--resume", str(b / "ckpt-20.npz"),
             "--checkpoint-every", "40", "--checkpoint-dir", str(b),
         ]) == 0
-        full = load_checkpoint(a / "ckpt-40.npz")
-        resumed = load_checkpoint(b / "ckpt-40.npz")
+        full = EngineCheckpoint.load(a / "ckpt-40.npz")
+        resumed = EngineCheckpoint.load(b / "ckpt-40.npz")
         np.testing.assert_array_equal(resumed.v, full.v)
         np.testing.assert_array_equal(resumed.ring, full.ring)
         capsys.readouterr()

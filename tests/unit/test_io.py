@@ -20,11 +20,7 @@ from repro.io.aer import (
     schedule_from_aer,
     write_aer_file,
 )
-from repro.io.checkpoint import (
-    EngineCheckpoint,
-    load_checkpoint,
-    model_digest,
-)
+from repro.io.checkpoint import EngineCheckpoint, model_digest
 from repro.io.model_files import load_network, save_network
 from repro.lint.diagnostics import LintError
 
@@ -174,6 +170,16 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             save_network(tmp_path / "bad.npz", bad)
 
+    def test_path_without_suffix_round_trips(self, tmp_path):
+        # The file is written at exactly the given path: no ".npz" is
+        # appended behind the caller's back.
+        net = random_network(n_cores=2, seed=1)
+        save_network(tmp_path / "model", net)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        loaded = load_network(tmp_path / "model")
+        assert model_digest(loaded) == model_digest(net)
+        assert load_network((tmp_path / "model").read_bytes()).name == net.name
+
 
 def assert_counters_equal(got, want) -> None:
     """Every EventCounters field equal, the per-core array included."""
@@ -188,7 +194,7 @@ def assert_counters_equal(got, want) -> None:
 
 
 def _rewrite_members(blob: bytes, edit) -> bytes:
-    """Re-zip a checkpoint container after *edit* changed its members."""
+    """Re-zip a container after *edit* changed its members."""
     import io
 
     with np.load(io.BytesIO(blob)) as data:
@@ -199,27 +205,128 @@ def _rewrite_members(blob: bytes, edit) -> bytes:
     return buf.getvalue()
 
 
-def _flip_byte(blob: bytes) -> bytes:
-    at = len(blob) // 2
+def _flip_byte(blob: bytes, at: int | None = None) -> bytes:
+    at = len(blob) // 2 if at is None else at
     return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
 
 
-#: Ways a checkpoint container gets damaged; each must read as TN601.
+def _flip_data_byte(blob: bytes) -> bytes:
+    """Flip a byte in the middle of the largest member's stored data."""
+    import io
+    import zipfile
+
+    with zipfile.ZipFile(io.BytesIO(blob)) as z:
+        info = max(z.infolist(), key=lambda i: i.compress_size)
+    local = info.header_offset
+    name_len = int.from_bytes(blob[local + 26:local + 28], "little")
+    extra_len = int.from_bytes(blob[local + 28:local + 30], "little")
+    data = local + 30 + name_len + extra_len
+    return _flip_byte(blob, data + info.compress_size // 2)
+
+
+def _rewrite_header(blob: bytes, **changes) -> bytes:
+    """Re-zip a container with *changes* made to its JSON header."""
+    import json
+
+    def edit(members):
+        header = json.loads(members["__header__"].tobytes())
+        header.update(changes)
+        members["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+    return _rewrite_members(blob, edit)
+
+
+def _foreign_pickle(blob: bytes) -> bytes:
+    import pickle
+
+    return pickle.dumps({"tick": 3})
+
+
+def _foreign_npy(blob: bytes) -> bytes:
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+#: Ways any container gets damaged, model file or checkpoint alike;
+#: each must read as TN601.
 DAMAGED = {
     "cut-in-half": lambda blob: blob[: len(blob) // 2],
     "short-by-10": lambda blob: blob[:-10],
-    "flipped-byte": _flip_byte,
+    "flipped-data-byte": _flip_data_byte,
     "empty": lambda blob: b"",
-    "v-member-missing": lambda blob: _rewrite_members(
-        blob, lambda m: m.pop("v")
-    ),
     "header-undecodable": lambda blob: _rewrite_members(
         blob, lambda m: m.update(__header__=np.full(8, 0xFF, dtype=np.uint8))
+    ),
+    "header-missing": lambda blob: _rewrite_members(
+        blob, lambda m: m.pop("__header__")
+    ),
+    "header-not-an-object": lambda blob: _rewrite_members(
+        blob, lambda m: m.update(__header__=np.frombuffer(b"[1]", dtype=np.uint8))
+    ),
+    "format-version-7": lambda blob: _rewrite_header(blob, format_version=7),
+    "foreign-pickle": _foreign_pickle,
+    "foreign-npy": _foreign_npy,
+}
+
+#: The checkpoint layout's own damage on top of :data:`DAMAGED`.  (The
+#: middle of a model file is a zip header field no reader uses, so a
+#: flip there is not damage.)
+CHECKPOINT_DAMAGED = {
+    **DAMAGED,
+    "flipped-byte": _flip_byte,
+    "v-member-missing": lambda blob: _rewrite_members(
+        blob, lambda m: m.pop("v")
     ),
     "ring-disagrees-with-n_axons": lambda blob: _rewrite_members(
         blob, lambda m: m.update(ring_packed=m["ring_packed"][:, :-1])
     ),
 }
+
+#: The model-file layout's own damage on top of :data:`DAMAGED`.
+MODEL_DAMAGED = {
+    **DAMAGED,
+    "core-member-missing": lambda blob: _rewrite_members(
+        blob, lambda m: m.pop("core1/threshold")
+    ),
+    "n_cores-beyond-the-cores": lambda blob: _rewrite_header(blob, n_cores=3),
+    "core_names-short": lambda blob: _rewrite_header(blob, core_names=["a"]),
+    "n_cores-not-a-number": lambda blob: _rewrite_header(blob, n_cores="two"),
+}
+
+
+def model_file_bytes(tmp_path) -> bytes:
+    """The bytes of a whole two-core model file."""
+    path = tmp_path / "whole.npz"
+    save_network(path, random_network(n_cores=2, seed=3))
+    return path.read_bytes()
+
+
+class TestModelFileContainer:
+    @pytest.mark.parametrize("damage", sorted(MODEL_DAMAGED))
+    def test_damaged_model_file_is_tn601_on_every_reader(self, damage, tmp_path):
+        blob = MODEL_DAMAGED[damage](model_file_bytes(tmp_path))
+        path = tmp_path / "bad.npz"
+        path.write_bytes(blob)
+        for source in (blob, path):
+            with pytest.raises(LintError, match="TN601"):
+                load_network(source, validate=False)
+
+    @pytest.mark.parametrize("damage", sorted(MODEL_DAMAGED))
+    def test_damaged_model_file_is_a_diagnostic_on_the_cli(
+        self, damage, tmp_path, capsys,
+    ):
+        from repro.cli import main as cli_main
+
+        path = tmp_path / "bad.npz"
+        path.write_bytes(MODEL_DAMAGED[damage](model_file_bytes(tmp_path)))
+        capsys.readouterr()
+        for argv in (["lint", str(path)], ["run", str(path), "--ticks", "2"]):
+            assert cli_main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "TN601" in err and "Traceback" not in err, argv
 
 
 class TestCheckpoint:
@@ -339,7 +446,7 @@ class TestCheckpointContainer:
         path = tmp_path / "old.ckpt"
         path.write_bytes(pickle.dumps({"tick": 3}))
         with pytest.raises(LintError, match="TN601"):
-            load_checkpoint(path)
+            EngineCheckpoint.load(path)
 
     def test_garbage_bytes_rejected(self):
         with pytest.raises(LintError, match="TN601"):
@@ -370,9 +477,8 @@ class TestCheckpointContainer:
         )
         path = tmp_path / "legacy.npz"
         path.write_bytes(buf.getvalue())
-        for read in (load_checkpoint, EngineCheckpoint.load):
-            with pytest.raises(LintError, match="TN601.*legacy"):
-                read(path)
+        with pytest.raises(LintError, match="TN601.*legacy"):
+            EngineCheckpoint.load(path)
         with pytest.raises(LintError, match="TN601"):
             EngineCheckpoint.from_bytes(buf.getvalue())
 
@@ -381,32 +487,31 @@ class TestCheckpointContainer:
         sim = TrueNorthSimulator(net)
         path = tmp_path / "tn.npz"
         sim.snapshot().save(path)
-        loaded = load_checkpoint(path)
+        loaded = EngineCheckpoint.load(path)
         assert isinstance(loaded, EngineCheckpoint)
         assert loaded.v.size == net.n_neurons
         assert loaded.model_digest == model_digest(net)
 
-    @pytest.mark.parametrize("damage", sorted(DAMAGED))
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGED))
     def test_damaged_container_is_tn601_on_every_reader(self, damage, tmp_path):
         net = random_network(n_cores=2, seed=3)
         sim = TrueNorthSimulator(net)
         sim.load_inputs(poisson_inputs(net, 10, 500.0, seed=1))
         for _ in range(4):
             sim.step()
-        blob = DAMAGED[damage](sim.snapshot().to_bytes())
+        blob = CHECKPOINT_DAMAGED[damage](sim.snapshot().to_bytes())
         path = tmp_path / "bad.npz"
         path.write_bytes(blob)
         with pytest.raises(LintError, match="TN601"):
             EngineCheckpoint.from_bytes(blob)
         with pytest.raises(LintError, match="TN601"):
             EngineCheckpoint.load(path)
-        with pytest.raises(LintError, match="TN601"):
-            load_checkpoint(path)
 
-    def test_interrupted_save_leaves_nothing_behind(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["checkpoint", "model"])
+    def test_interrupted_save_leaves_nothing_behind(self, kind, tmp_path, monkeypatch):
         import builtins
 
-        import repro.io.checkpoint as module
+        import repro.io.container as module
 
         class CutShort:
             """A file whose write dies half way, as a killed process would."""
@@ -429,14 +534,20 @@ class TestCheckpointContainer:
             lambda path, mode="r": CutShort(builtins.open(path, mode)),
             raising=False,
         )
-        ckpt = TrueNorthSimulator(random_network(n_cores=2, seed=3)).snapshot()
+        net = random_network(n_cores=2, seed=3)
+        save, read = {
+            "checkpoint": (TrueNorthSimulator(net).snapshot().save, EngineCheckpoint.load),
+            "model": (lambda path: save_network(path, net), load_network),
+        }[kind]
+        path = tmp_path / "ckpt-20.npz"
         with pytest.raises(OSError, match="disk went away"):
-            ckpt.save(tmp_path / "ckpt-20.npz")
+            save(path)
         assert list(tmp_path.iterdir()) == []
         monkeypatch.undo()
-        n_bytes = ckpt.save(tmp_path / "ckpt-20.npz")
+        n_bytes = save(path)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt-20.npz"]
-        assert (tmp_path / "ckpt-20.npz").stat().st_size == n_bytes
+        assert path.stat().st_size == n_bytes
+        read(path)  # whole: the reader raises TN601 on anything less
 
     def test_describe_is_json_friendly(self):
         import json

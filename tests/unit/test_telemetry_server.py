@@ -62,6 +62,24 @@ class TestEvaluateHealth:
             obs.tick(tick, 0, 2_500_000, 0, 0)
         assert evaluate_health(obs)["status"] == "degraded"
 
+    def test_one_real_time_factor_beyond_the_window(self):
+        # 744 slow ticks then a window's worth of fast ones: every
+        # real-time factor in the document covers the whole ring, as the
+        # gauge does; only the degraded rule reads the trailing window.
+        from repro.obs.server import HEALTH_WINDOW
+
+        obs = Observer()
+        for tick in range(1000 - HEALTH_WINDOW):
+            obs.tick(tick, 0, 4_000_000, 0, 0)
+        for tick in range(1000 - HEALTH_WINDOW, 1000):
+            obs.tick(tick, 0, 500_000, 0, 0)
+        doc = evaluate_health(obs)
+        snap = obs.metrics.snapshot()
+        assert doc["real_time_factor"] == doc["flight"]["real_time_factor"] == snap["repro_rtf"]
+        assert doc["flight"]["ticks"] == doc["ticks"] == 1000
+        assert doc["real_time_factor"] == pytest.approx(1000 / 3104)
+        assert doc["slow_tick_share"] == 0.0 and doc["status"] == "ok"
+
     def test_dead_probe_fails(self):
         obs = Observer()
         obs.tick(0, 0, 100_000, 0, 0)
