@@ -216,16 +216,16 @@ def check_core_ranges(cores: dict) -> Iterator[Diagnostic]:
     """
     ids = list(cores)
     arrays = [getattr(core, name) for name, *_ in _RANGES for core in cores.values()]
-    starts = np.cumsum([0, *(arr.size for arr in arrays[:-1])])
+    starts = np.cumsum([0] + [arr.size for arr in arrays[:-1]])
     values = np.concatenate(arrays, axis=None)
-    lows, highs = np.repeat([[low, high] for *_, low, high in _RANGES], len(ids), axis=0).T
-    bad = (np.minimum.reduceat(values, starts) < lows) | (np.maximum.reduceat(values, starts) > highs)
-    for j in np.flatnonzero(bad).tolist():
-        name, code, low, high = _RANGES[j // len(ids)]
-        arr = arrays[j]
+    mins, maxs = (ufunc.reduceat(values, starts).reshape(-1, len(ids)) for ufunc in (np.minimum, np.maximum))
+    bounds = np.array([(low, high) for *_, low, high in _RANGES])
+    for field, k in zip(*np.nonzero((mins < bounds[:, :1]) | (maxs > bounds[:, 1:]))):
+        name, code, low, high = _RANGES[field]
+        arr = arrays[field * len(ids) + k]
         yield _diag(code, f"{name} values must lie in [{low}, {high}], got "
                     f"[{int(arr.min())}, {int(arr.max())}]",
-                    Location(core=ids[j % len(ids)], unit=_first_bad((arr < low) | (arr > high))))
+                    Location(core=ids[k], unit=_first_bad((arr < low) | (arr > high))))
 
 
 def check_core_geometry(cores: dict) -> Iterator[Diagnostic]:
