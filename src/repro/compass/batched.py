@@ -128,21 +128,24 @@ class BatchedCompassSimulator(FastCompassSimulator):
         sequence of ``n_replicas`` schedules (one per lane; ``None``
         entries skip a lane).  Ticks are *lane-local*: events at tick
         ``t`` arrive at the lane's own tick ``t``, matching what a
-        standalone simulator fed the same schedule would see.
+        standalone simulator fed the same schedule would see, and one
+        at a tick its lane has already run is refused (``ValueError``)
+        before any lane is staged.
         """
+        lanes = list(range(self.n_replicas))
         if isinstance(inputs, (list, tuple)):
             require(
                 len(inputs) == self.n_replicas,
                 f"got {len(inputs)} schedules for {self.n_replicas} lanes",
             )
-            for pending, schedule in zip(self._inputs, inputs):
-                stage_inputs(pending, self.compiled, schedule)
         elif lane is not None:
-            stage_inputs(self._inputs[self._lane(lane)], self.compiled, inputs)
-        elif inputs is not None:
-            staged = staged_inputs(self.compiled, inputs)  # once: lanes share the arrays
-            for pending in self._inputs:
-                stage_inputs(pending, self.compiled, staged)
+            lanes, inputs = [self._lane(lane)], [inputs]
+        else:
+            # Staged once: the lanes share the arrays.
+            inputs = [None if inputs is None else staged_inputs(self.compiled, inputs)] * len(lanes)
+        ticks = self.lane_tick
+        stage_inputs([self._inputs[b] for b in lanes], self.compiled, inputs,
+                     [int(ticks[b]) for b in lanes])
 
     def snapshot(self) -> list:
         """Whole-engine snapshot: one EngineCheckpoint per lane."""

@@ -465,7 +465,8 @@ class ParallelCompassSimulator:
     # -- input handling ----------------------------------------------------
     def load_inputs(self, inputs: InputSchedule | None) -> None:
         """Hold external events until their delivery tick arrives."""
-        stage_inputs(self._future_inputs, self.compiled, inputs)
+        # Every run() restarts at tick 0, so no tick is behind it yet.
+        stage_inputs([self._future_inputs], self.compiled, [inputs], [0])
 
     # -- one tick ----------------------------------------------------------
     def _release(self, word: int, ranks=None) -> None:

@@ -97,8 +97,8 @@ MUTANTS = [
      "raw_ring = np.roll(ring, int(self.tick) % params.DELAY_SLOTS, axis=0)",
      "raw_ring = np.roll(ring, (int(self.tick) + 1) % params.DELAY_SLOTS, axis=0)"),
     ("stage-overwrites", "compass/fast.py", "stage_inputs",
-     "pending[tick] = axons if held is None else np.concatenate([held, axons])",
-     "pending[tick] = axons"),
+     "held[tick] = axons if before is None else np.concatenate([before, axons])",
+     "held[tick] = axons"),
 ]
 
 #: pytest under a hypothesis profile that stops at the first failing
