@@ -12,7 +12,7 @@ codes before any simulator state is built.
 
 Each rule runs once over all the cores it applies to.  Value-range,
 routing, overflow, and PRNG rules assume structurally sound arrays, so
-cores with TN0xx findings are excluded from them instead of crashing them.
+cores with TN0xx findings are excluded from those passes.
 """
 
 from __future__ import annotations
