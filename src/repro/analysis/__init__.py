@@ -7,8 +7,6 @@ from repro.analysis.contour import (
     default_voltage_axis,
     sweep,
 )
-from repro.analysis.compare import DivergenceReport, compare_records, divergence_horizon
-from repro.analysis.stats import SpikeTrainStats, raster, summarize
 from repro.analysis.metrics import (
     energy_improvement,
     gsops,
@@ -34,12 +32,6 @@ __all__ = [
     "default_synapse_axis",
     "default_voltage_axis",
     "sweep",
-    "DivergenceReport",
-    "compare_records",
-    "divergence_horizon",
-    "SpikeTrainStats",
-    "raster",
-    "summarize",
     "energy_improvement",
     "gsops",
     "gsops_per_watt",

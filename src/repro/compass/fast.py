@@ -704,7 +704,7 @@ class FastCompassSimulator:
 
         It carries the lane's own seed, and restores onto any engine
         running that seed, or onto any lane (a standalone fast run
-        resumed from a preempted serving lane is bit-identical).
+        resumed from a batch lane's snapshot is bit-identical).
         """
         lane = self._lane(lane)
         counters = self._counters[lane]

@@ -464,9 +464,14 @@ class ParallelCompassSimulator:
 
     # -- input handling ----------------------------------------------------
     def load_inputs(self, inputs: InputSchedule | None) -> None:
-        """Hold external events until their delivery tick arrives."""
-        # Every run() restarts at tick 0, so no tick is behind it yet.
-        stage_inputs([self._future_inputs], self.compiled, [inputs], [0])
+        """Hold external events until their delivery tick arrives.
+
+        A live pool (stepped or restored) refuses an event at a tick it
+        has already run; a fresh or closed one (re-)spawns at tick 0.
+        """
+        live = self._spawned and not self._closed
+        stage_inputs([self._future_inputs], self.compiled, [inputs],
+                     [self.tick if live else 0])
 
     # -- one tick ----------------------------------------------------------
     def _release(self, word: int, ranks=None) -> None:

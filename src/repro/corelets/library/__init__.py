@@ -1,6 +1,6 @@
 """The corelet library: reusable building blocks for applications."""
 
-from repro.corelets.library.basic import pooling, relay, splitter
+from repro.corelets.library.basic import relay, splitter
 from repro.corelets.library.convolution import ConvLayer, conv2d
 from repro.corelets.library.rbm import (
     compile_sampler,
@@ -35,7 +35,6 @@ __all__ = [
     "coincidence",
     "compose_reichardt",
     "delay_chain",
-    "pooling",
     "relay",
     "splitter",
     "classify_rates",

@@ -10,13 +10,6 @@ from repro.io.aer import (
     write_aer_file,
 )
 from repro.io.checkpoint import EngineCheckpoint, model_digest
-from repro.io.graph_json import (
-    composition_graph,
-    network_graph,
-    read_graph_json,
-    to_networkx,
-    write_graph_json,
-)
 from repro.io.model_files import load_network, save_network
 
 __all__ = [
@@ -29,11 +22,6 @@ __all__ = [
     "write_aer_file",
     "EngineCheckpoint",
     "model_digest",
-    "composition_graph",
-    "network_graph",
-    "read_graph_json",
-    "to_networkx",
-    "write_graph_json",
     "load_network",
     "save_network",
 ]

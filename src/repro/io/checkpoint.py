@@ -1,8 +1,8 @@
 """Engine-agnostic checkpointing: bit-exact snapshot and resume.
 
 Long regressions (the paper's ran up to 100M ticks / 27.7 hours) need
-restartability, and the serving runtime needs lane preemption.  Because
-every stochastic draw in the kernel is a pure function of (seed,
+restartability, and a batch lane's state must move between engines.
+Because every stochastic draw in the kernel is a pure function of (seed,
 purpose, core, tick, unit) — counter-based PRNG, no mutable generator
 state — the *entire* future of a run is determined by a small state
 vector: the tick index, the flat membrane potentials, the in-flight

@@ -3,7 +3,6 @@
 from repro.noc.merge_split import ChipBoundary, Edge, MergeSplitLink
 from repro.noc.mesh import MeshNetwork
 from repro.noc.multichip import ChipArray, board_4x1, board_4x4
-from repro.noc.packet import SpikePacket
 from repro.noc.router import Port, Router, dimension_order_port
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "ChipArray",
     "board_4x1",
     "board_4x4",
-    "SpikePacket",
     "Port",
     "Router",
     "dimension_order_port",

@@ -145,14 +145,17 @@ class MeshNetwork:
 
     def deliver(self, src: tuple[int, int], dst: tuple[int, int]) -> int:
         """Route one packet, updating router counters; return hop count."""
-        path = self.route(src, dst)
+        return self.forward(self.route(src, dst))
+
+    def forward(self, path: list[tuple[int, int]]) -> int:
+        """Count one packet along a :meth:`route` *path*; return hop count."""
         for (x, y), (nx, ny) in zip(path[:-1], path[1:]):
             # Determine the actual port used (handles detour steps).
             for port, (dx, dy) in PORT_DELTA.items():
                 if (x + dx, y + dy) == (nx, ny) and port != Port.LOCAL:
                     self.router(x, y).forwarded[port] += 1
                     break
-        self.router(*dst).forwarded[Port.LOCAL] += 1
+        self.router(*path[-1]).forwarded[Port.LOCAL] += 1
         return len(path) - 1
 
     def hops(self, src: tuple[int, int], dst: tuple[int, int]) -> int:

@@ -86,6 +86,7 @@ class ChipArray:
 
         Returns (hops, boundary_crossings).  Every chip-edge crossing on
         the path goes through the source-side chip's merge/split link.
+        The path is routed once; the mesh counts along the same path.
         """
         path = self.mesh.route(src, dst)
         crossings = 0
@@ -104,8 +105,7 @@ class ChipArray:
             else:
                 edge, lane = Edge.SOUTH, x % self.geometry.cores_x
             self.boundaries[chip_a].cross(edge, lane)
-        self.mesh.deliver(src, dst)
-        return len(path) - 1, crossings
+        return self.mesh.forward(path), crossings
 
     def boundary_traffic(self) -> dict:
         """Total accepted crossings per chip."""

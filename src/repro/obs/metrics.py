@@ -65,10 +65,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "counter", "Sessions submitted to the model server."),
     "repro_sessions_completed_total": (
         "counter", "Sessions served to completion."),
-    "repro_frames_total": ("counter", "Frames streamed through the runtime."),
-    "repro_input_events_total": ("counter", "Rate-coded input spike events."),
-    "repro_output_spikes_total": ("counter", "Output spikes delivered to sinks."),
-    "repro_wall_seconds_total": ("counter", "Streaming-session wall-clock seconds."),
     "repro_rtf": (
         "gauge", "Real-time factor over the flight window: biological "
                  "seconds simulated per wall-clock second (1.0 = the "
@@ -83,9 +79,7 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "repro_crash_dumps_total": (
         "counter", "Postmortem crash-dump bundles written."),
     "repro_checkpoints_total": (
-        "counter", "Engine checkpoints captured (periodic + preemption)."),
-    "repro_checkpoint_bytes_total": (
-        "counter", "Bytes of checkpoint data written to disk."),
+        "counter", "Engine checkpoints captured (periodic)."),
     "repro_telemetry_requests_total": (
         "counter", "Telemetry HTTP requests served (label: endpoint)."),
 }

@@ -65,15 +65,7 @@ class SceneSource(FrameSource):
 
 @dataclass
 class StreamReport:
-    """Accounting of one streaming session.
-
-    The source of the session totals: when the runtime carries an
-    :class:`~repro.obs.observer.Observer`, ``run()`` adds them to the
-    uniform metric catalogue once, as it returns
-    (``repro_frames_total``, ``repro_input_events_total``,
-    ``repro_output_spikes_total``, ``repro_wall_seconds_total``), where
-    they export to JSON/Prometheus alongside the engine metrics.
-    """
+    """Accounting of one streaming session: the source of its totals."""
 
     ticks: int = 0
     frames: int = 0
@@ -125,10 +117,10 @@ class StreamingRuntime:
         engine's ticks return a lane column the loop does not read).
 
         With *obs* attached, each frame's transduce-and-advance window
-        becomes a ``frame`` span and the session totals publish to the
-        uniform metric catalogue; when the runtime constructs the
+        becomes a ``frame`` span; when the runtime constructs the
         simulator itself, the same observer is threaded into it, so one
-        trace covers frames and tick phases end to end.
+        trace covers frames and tick phases end to end.  A simulator the
+        runtime constructs is the runtime's to :meth:`close`.
         """
         require(ticks_per_frame >= 1, "need at least one tick per frame")
         require(
@@ -137,7 +129,8 @@ class StreamingRuntime:
             "lanes (ModelServer serves sessions on it)",
         )
         self.obs = obs
-        if isinstance(simulator, (Network, CompiledNetwork)):
+        self._owns_simulator = isinstance(simulator, (Network, CompiledNetwork))
+        if self._owns_simulator:
             simulator = select_engine(simulator, engine, obs=obs)
         self.simulator = simulator
         self.input_pins = pin_columns(input_pins)  # once, not per frame
@@ -150,11 +143,13 @@ class StreamingRuntime:
         self._records_ticks = getattr(simulator, "obs", None) is not obs
 
     def close(self) -> None:
-        """Release nothing: the runtime holds no resource of its own.
+        """Close the simulator the runtime constructed, if it has a ``close()``.
 
-        Kept because the layer-benchmark harness closes the runtime
-        after each run.
+        A simulator passed in by the caller stays the caller's to close.
         """
+        close = getattr(self.simulator, "close", None)
+        if self._owns_simulator and close is not None:
+            close()
 
     def _tick(self, sink, tick_cursor: int, report: StreamReport,
               obs: Observer | None = None) -> None:
@@ -237,10 +232,4 @@ class StreamingRuntime:
             )
             raise
         report.wall_seconds = time.perf_counter() - start
-        if obs is not None:
-            metrics = obs.metrics
-            metrics.counter("repro_frames_total").inc(report.frames)
-            metrics.counter("repro_input_events_total").inc(report.input_events)
-            metrics.counter("repro_output_spikes_total").inc(report.output_spikes)
-            metrics.counter("repro_wall_seconds_total").inc(report.wall_seconds)
         return report

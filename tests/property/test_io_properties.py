@@ -1,10 +1,9 @@
-"""Property-based round-trip tests for the I/O and configuration layers."""
+"""Property-based round-trip tests for the I/O layer."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builders import poisson_inputs, random_network
-from repro.hardware.config import config_stream, decode_core, encode_core, parse_config_stream
 from repro.io.aer import AERStream, decode_aer, encode_aer
 from repro.io.checkpoint import (
     EngineCheckpoint,
@@ -50,37 +49,6 @@ class TestAERProperties:
         assert shifted.n_events == stream.n_events
         if stream.n_events:
             assert np.array_equal(shifted.ticks - dt, stream.ticks)
-
-
-class TestConfigProperties:
-    @given(
-        seed=st.integers(0, 2**31),
-        size=st.sampled_from([4, 8, 16]),
-        stochastic=st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_core_roundtrip(self, seed, size, stochastic):
-        net = random_network(
-            n_cores=1, n_axons=size, n_neurons=size, stochastic=stochastic, seed=seed
-        )
-        core = net.cores[0]
-        decoded = decode_core(encode_core(core))
-        from dataclasses import fields
-
-        for f in fields(core):
-            if f.name == "name":
-                continue
-            assert np.array_equal(getattr(core, f.name), getattr(decoded, f.name))
-
-    @given(seed=st.integers(0, 2**31), n_cores=st.integers(1, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_stream_roundtrip(self, seed, n_cores):
-        net = random_network(n_cores=n_cores, n_axons=6, n_neurons=6, seed=seed)
-        cores = parse_config_stream(config_stream(net.cores))
-        assert len(cores) == n_cores
-        for a, b in zip(net.cores, cores):
-            assert np.array_equal(a.crossbar, b.crossbar)
-            assert np.array_equal(a.weights, b.weights)
 
 
 class TestCheckpointProperties:

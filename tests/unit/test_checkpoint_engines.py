@@ -3,8 +3,8 @@
 That a checkpoint taken at any tick on any engine resumes bit-exactly on
 any other is the differential oracle's ``snapshot_restore`` rule
 (``tests/property/test_oracle.py``).  Here: files, identity and size
-validation, the control pipe, crash bundles, serving preemption,
-streaming checkpoints and the CLI.
+validation, the control pipe, crash bundles, streaming checkpoints
+and the CLI.
 """
 
 import hashlib
@@ -33,7 +33,6 @@ from repro.lint.examples import BUILTIN_NETWORKS
 from repro.lint.diagnostics import LintError
 from repro.obs import Observer
 from repro.obs.flight import write_crash_dump
-from repro.runtime.serving import ModelServer
 
 TICKS = 30
 SPLIT = 13
@@ -300,14 +299,16 @@ class TestCrashDumpCheckpoint:
         ins = poisson_inputs(net, TICKS, 400.0, seed=3)
         full_sim, full_events = reference_run(net, ins)
 
+        obs = Observer()
         sim = ParallelCompassSimulator(
-            net, n_workers=2, obs=Observer(), checkpoint_every=5
+            net, n_workers=2, obs=obs, checkpoint_every=5
         )
         try:
             sim.load_inputs(ins)
             head = drive(sim, SPLIT)  # periodic checkpoints at 5 and 10
             assert sim.last_checkpoint is not None
             assert sim.last_checkpoint.tick == 10
+            assert obs.metrics.counter("repro_checkpoints_total").value() == 2
             sim._procs[0].kill()
             sim._procs[0].join(timeout=5)
             with pytest.raises(WorkerFailedError):
@@ -333,58 +334,6 @@ class TestCrashDumpCheckpoint:
 def _n_until(events, tick):
     """Number of leading *events* with tick < *tick* (events are ordered)."""
     return sum(1 for t, _, _ in events if t < tick)
-
-
-class TestServingPreemption:
-    def test_preempted_session_is_bit_identical(self):
-        net = small_net()
-        ins = poisson_inputs(net, 20, 300.0, seed=2)
-
-        ref = ModelServer(net, n_lanes=2)
-        baseline = ref.submit(ins, 20)
-        ref.run()
-
-        server = ModelServer(net, n_lanes=2)
-        session = server.submit(ins, 20)
-        for _ in range(7):
-            server.step()
-        out = server.preempt(session.session_id)
-        assert out is session
-        assert session.lane is None and session.preemptions == 1
-        assert not session.done
-        server.run()
-        assert session.done
-        assert session.record == baseline.record
-
-    def test_preempt_to_disk_and_resume(self, tmp_path):
-        net = small_net()
-        ins = poisson_inputs(net, 20, 300.0, seed=2)
-
-        ref = ModelServer(net, n_lanes=1)
-        baseline = ref.submit(ins, 20)
-        ref.run()
-
-        obs = Observer()
-        server = ModelServer(net, n_lanes=1, obs=obs,
-                             checkpoint_dir=str(tmp_path))
-        session = server.submit(ins, 20)
-        for _ in range(5):
-            server.step()
-        server.preempt(session.session_id)
-        path = tmp_path / f"{session.session_id}.npz"
-        assert path.exists()
-        assert session._checkpoint is None  # spilled to disk, not memory
-        loaded = EngineCheckpoint.load(path)
-        assert loaded.tick == 5
-        assert obs.metrics.counter("repro_checkpoints_total").value() == 1
-        assert obs.metrics.counter("repro_checkpoint_bytes_total").value() > 0
-        server.run()
-        assert session.done and session.record == baseline.record
-
-    def test_preempt_unknown_session_rejected(self):
-        server = ModelServer(small_net(), n_lanes=1)
-        with pytest.raises(ValueError):
-            server.preempt("no-such-session")
 
 
 class TestCheckpointCLI:

@@ -6,7 +6,7 @@ import pytest
 from repro.compass.engine import run_engine
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
-from repro.corelets.library.basic import pooling, relay, splitter
+from repro.corelets.library.basic import relay, splitter
 
 
 def drive_and_collect(compiled, events, n_ticks, output="out"):
@@ -66,34 +66,6 @@ class TestRelay:
         compiled = comp.compile()
         got = drive_and_collect(compiled, [(0, 3), (2, 5)], 4)
         assert got == [(0, 3), (2, 5)]
-
-
-class TestPooling:
-    def test_or_pooling(self):
-        comp = Composition(seed=0)
-        p = pooling(8, 4, mode="or")
-        comp.add(p)
-        comp.export_input("in", p.inputs["in"])
-        comp.export_output("out", p.outputs["out"])
-        compiled = comp.compile()
-        # one spike in window 0 -> output 0 fires; window 1 silent
-        got = drive_and_collect(compiled, [(0, 1)], 3)
-        assert got == [(0, 0)]
-
-    def test_and_pooling(self):
-        comp = Composition(seed=0)
-        p = pooling(4, 2, mode="and")
-        comp.add(p)
-        comp.export_input("in", p.inputs["in"])
-        comp.export_output("out", p.outputs["out"])
-        compiled = comp.compile()
-        # only one of two lines -> no fire; both -> fire
-        got = drive_and_collect(compiled, [(0, 0), (2, 0), (2, 1)], 4)
-        assert got == [(2, 0)]
-
-    def test_window_must_divide(self):
-        with pytest.raises(ValueError):
-            pooling(10, 3)
 
 
 class TestComposition:

@@ -25,6 +25,7 @@ from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import compile_network
 from repro.compass.engine import select_engine
 from repro.compass.fast import FastCompassSimulator, staged_inputs
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.inputs import InputSchedule
 from repro.core.kernel import ReferenceKernel
@@ -96,6 +97,28 @@ def test_an_event_at_a_tick_already_run_is_refused(engine):
     reference = ReferenceKernel(network)
     reference.run(5, good)
     assert records(sim.run(7)) == [reference.run(7)]
+
+
+@pytest.mark.parametrize("now", [5, 20], ids=["stepped", "restored"])
+def test_a_live_parallel_pool_refuses_an_event_at_a_tick_already_run(now):
+    # A live pool used to stage every schedule against tick 0: the late
+    # event was accepted and held, never delivered.
+    network = random_network(n_cores=4, connectivity=0.4, seed=3)
+    pool = ParallelCompassSimulator(network, n_workers=2)
+    try:
+        if now == 5:
+            for _ in range(now):
+                pool.step_arrays()
+        else:
+            fast = FastCompassSimulator(network)
+            fast.run(now)
+            pool.restore(fast.snapshot())
+        late = InputSchedule.from_events([(now + 2, 0, 1), (2, 1, 3)])
+        with pytest.raises(ValueError, match=rf"= \(2, 1, 3\) is before tick {now}"):
+            pool.load_inputs(late)
+        assert pool.snapshot().pending == {}
+    finally:
+        pool.close()
 
 
 class TestBatchLanesRefuseLateEvents:

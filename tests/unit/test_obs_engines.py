@@ -211,12 +211,13 @@ class TestStreamingObs:
         )
         report = runtime.run(SceneSource(scene))
 
-        snap = obs.metrics.snapshot()
-        assert snap["repro_frames_total"] == report.frames == 3
-        assert snap["repro_input_events_total"] == report.input_events
-        assert snap["repro_output_spikes_total"] == report.output_spikes
-        assert snap["repro_wall_seconds_total"] == pytest.approx(
-            report.wall_seconds)
+        # The StreamReport is the source of the session totals.
+        assert (report.frames, report.ticks) == (3, 3 * 5 + 2)
+        assert report.input_events > 0
+        # The relay passes every injected event through one tick later.
+        assert report.output_spikes == report.input_events
+        assert report.output_spikes == obs.metrics.snapshot()["repro_spikes_total"]
+        assert report.wall_seconds > 0
         # One frame span per frame, alongside the engine's tick spans.
         names = [s.name for s in obs.trace.spans()]
         assert names.count("frame") == 3

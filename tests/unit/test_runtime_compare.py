@@ -1,12 +1,14 @@
-"""Tests for the streaming runtime and record comparison tooling."""
+"""Tests for the streaming runtime."""
+
+import multiprocessing as mp
+import os
 
 import pytest
 
-from repro.analysis.compare import compare_records, divergence_horizon
+from repro.apps.saliency import build_saliency_pipeline
 from repro.apps.video import generate_scene
-from repro.compass.engine import run_engine
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simulator import CompassSimulator
-from repro.core.record import SpikeRecord
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import relay
 from repro.hardware.simulator import TrueNorthSimulator
@@ -70,6 +72,34 @@ class TestStreamingRuntime:
             )
 
 
+class TestRuntimeClose:
+    def pipeline(self):
+        pipe = build_saliency_pipeline(32, 48)
+        return pipe.compiled.network, pipe.pixel_pins
+
+    def test_close_releases_the_engine_the_runtime_built(self):
+        network, pins = self.pipeline()
+        shm_before = set(os.listdir("/dev/shm"))
+        runtime = StreamingRuntime(network, pins, ticks_per_frame=5, engine="parallel")
+        runtime.run(SceneSource(generate_scene(32, 48, n_frames=2, seed=5)))
+        runtime.close()
+        assert mp.active_children() == []
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+    def test_close_leaves_a_caller_engine_open(self):
+        network, pins = self.pipeline()
+        sim = ParallelCompassSimulator(network, n_workers=2)
+        try:
+            runtime = StreamingRuntime(sim, pins, ticks_per_frame=5)
+            runtime.run(SceneSource(generate_scene(32, 48, n_frames=1, seed=5)))
+            runtime.close()
+            assert len(mp.active_children()) == 1
+            sim.step_arrays()  # still live: the caller closes it
+        finally:
+            sim.close()
+        assert mp.active_children() == []
+
+
 class TestStreamReportGuards:
     def test_zero_tick_session_is_well_defined(self):
         from repro.runtime.streaming import StreamReport
@@ -99,46 +129,3 @@ class TestStreamReportGuards:
         assert report.real_time_factor == pytest.approx(
             100 * params.TICK_SECONDS / 2.0
         )
-
-
-class TestCompareRecords:
-    def test_identical_records(self):
-        a = SpikeRecord.from_events([(0, 0, 0), (1, 0, 1)])
-        report = compare_records(a, a)
-        assert report.identical
-        assert "not a single spike mismatch" in report.summary()
-        assert divergence_horizon(a, a) is None
-
-    def test_divergence_located(self):
-        a = SpikeRecord.from_events([(0, 0, 0), (3, 1, 2), (5, 0, 1)])
-        b = SpikeRecord.from_events([(0, 0, 0), (3, 1, 3), (5, 0, 1)])
-        report = compare_records(a, b)
-        assert not report.identical
-        assert report.first_mismatch_tick == 3
-        assert report.missing_in_b == 1 and report.extra_in_b == 1
-        assert report.per_core_mismatches == {1: 2}
-        assert "DIVERGE" in report.summary()
-
-    def test_agreement_trace(self):
-        a = SpikeRecord.from_events([(t, 0, 0) for t in range(6)])
-        b = SpikeRecord.from_events([(t, 0, 0) for t in range(3)])
-        report = compare_records(a, b, horizon_ticks=4)
-        # after tick 3, A fires and B is silent: agreement 0
-        assert report.agreement_by_tick[0] == (3, 0.0)
-
-    def test_chaotic_network_diverges_fast(self):
-        # Perturb one spike of a coupled recurrent run and measure the
-        # horizon: the chaotic dynamics amplify it within a few ticks.
-        from repro.apps.recurrent import probabilistic_recurrent_network
-        from repro.core.inputs import InputSchedule
-
-        net = probabilistic_recurrent_network(
-            150.0, 24, grid_side=2, neurons_per_core=32,
-            coupling="balanced", seed=8,
-        )
-        clean = run_engine(net, 60, engine="compass")
-        poke = InputSchedule.from_events([(10, 0, 5)])
-        perturbed = run_engine(net, 60, poke, engine="compass")
-        horizon = divergence_horizon(clean, perturbed, threshold=0.7)
-        assert horizon is not None
-        assert horizon <= 32  # "spikes quickly and chaotically diverge"

@@ -117,8 +117,8 @@ class TestModelServer:
             server.submit(None, 0)
 
     def test_live_session_id_is_refused_until_it_finalizes(self):
-        # Two live sessions under one id would share preempt()'s lookup
-        # and the <session_id>.npz checkpoint file.
+        # Ids name sessions in results: two live sessions under one id
+        # could not be told apart.
         server = ModelServer(small_net(), n_lanes=1)
         active = server.submit(None, 3, session_id="job")
         pending = server.submit(None, 3, session_id="queued")

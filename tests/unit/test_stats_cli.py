@@ -1,60 +1,8 @@
-"""Tests for spike statistics, the raster renderer, and the CLI."""
+"""Tests for the CLI."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    interspike_intervals,
-    per_tick_counts,
-    per_unit_counts,
-    raster,
-    summarize,
-)
 from repro.cli import build_parser, main
-from repro.core.record import SpikeRecord
-
-
-class TestStats:
-    def test_per_unit_counts(self):
-        rec = SpikeRecord.from_events([(0, 0, 1), (1, 0, 1), (2, 1, 0)])
-        counts = per_unit_counts(rec, n_cores=2, n_neurons=2)
-        assert counts[0, 1] == 2 and counts[1, 0] == 1
-
-    def test_per_tick_counts(self):
-        rec = SpikeRecord.from_events([(0, 0, 0), (0, 0, 1), (3, 0, 0)])
-        counts = per_tick_counts(rec, 5)
-        assert counts.tolist() == [2, 0, 0, 1, 0]
-
-    def test_isis_regular_train(self):
-        rec = SpikeRecord.from_events([(t, 0, 0) for t in range(0, 20, 4)])
-        isis = interspike_intervals(rec)
-        assert np.array_equal(isis, np.full(4, 4))
-
-    def test_isis_pool_across_units(self):
-        rec = SpikeRecord.from_events(
-            [(0, 0, 0), (2, 0, 0), (0, 1, 3), (5, 1, 3)]
-        )
-        isis = sorted(interspike_intervals(rec).tolist())
-        assert isis == [2, 5]
-
-    def test_summarize_regular_train(self):
-        rec = SpikeRecord.from_events([(t, 0, 0) for t in range(0, 100, 10)])
-        stats = summarize(rec, n_cores=1, n_neurons_per_core=1, n_ticks=100)
-        assert stats.mean_rate_hz == pytest.approx(100.0)
-        assert stats.isi_cv == pytest.approx(0.0)
-        assert stats.mean_isi_ticks == pytest.approx(10.0)
-
-    def test_summarize_empty(self):
-        stats = summarize(SpikeRecord.from_events([]), 1, 4, 10)
-        assert stats.n_spikes == 0 and stats.mean_rate_hz == 0.0
-
-    def test_raster_rendering(self):
-        rec = SpikeRecord.from_events([(0, 0, 0), (3, 0, 0), (1, 0, 1)])
-        out = raster(rec, n_ticks=5)
-        lines = out.splitlines()
-        assert lines[0].startswith("c00n000")
-        assert lines[0].endswith("|  | ")
-        assert lines[1].endswith(" |   ")
 
 
 class TestCLI:

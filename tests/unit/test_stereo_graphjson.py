@@ -1,4 +1,4 @@
-"""Tests for the stereo app and corelet-graph JSON export."""
+"""Tests for the stereo app."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,6 @@ from repro.apps.stereo import (
     build_stereo_pipeline,
     estimate_scene_disparity,
     stereo_pair_inputs,
-)
-from repro.core.builders import random_network
-from repro.io.graph_json import (
-    composition_graph,
-    network_graph,
-    read_graph_json,
-    to_networkx,
-    write_graph_json,
 )
 
 
@@ -47,55 +39,3 @@ class TestStereo:
     def test_disparity_range_validated(self):
         with pytest.raises(ValueError):
             build_stereo_pipeline(4, (0, 5))
-
-
-class TestGraphJSON:
-    def test_network_graph_structure(self):
-        net = random_network(n_cores=4, connectivity=0.5, seed=3)
-        graph = network_graph(net)
-        assert len(graph["nodes"]) == 4
-        assert all(n["synapses"] > 0 for n in graph["nodes"])
-        # every edge endpoint is a valid node
-        ids = {n["id"] for n in graph["nodes"]}
-        for edge in graph["edges"]:
-            assert edge["src"] in ids and edge["dst"] in ids
-            assert edge["neurons"] >= 1
-
-    def test_edge_neuron_counts_sum_to_routed(self):
-        net = random_network(n_cores=3, seed=7)
-        graph = network_graph(net)
-        total_edges = sum(e["neurons"] for e in graph["edges"])
-        routed = sum(
-            int((c.target_core != -1).sum()) for c in net.cores
-        )
-        assert total_edges == routed
-
-    def test_composition_graph_includes_connectors(self):
-        from repro.apps.haar import build_haar_pipeline
-
-        pipe = build_haar_pipeline(8, 8, 4)
-        graph = composition_graph(pipe.compiled)
-        assert "pixels" in graph["inputs"]
-        assert len(graph["inputs"]["pixels"]) == 64
-        assert "features" in graph["outputs"]
-
-    def test_file_roundtrip(self, tmp_path):
-        net = random_network(n_cores=2, seed=1)
-        graph = network_graph(net)
-        path = tmp_path / "graph.json"
-        write_graph_json(path, graph)
-        assert read_graph_json(path) == graph
-
-    def test_bad_version_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(ValueError):
-            read_graph_json(path)
-
-    def test_to_networkx(self):
-        net = random_network(n_cores=4, connectivity=0.5, seed=3)
-        g = to_networkx(network_graph(net))
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == len(network_graph(net)["edges"])
