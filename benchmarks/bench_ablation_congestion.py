@@ -10,8 +10,10 @@ from benchmarks.conftest import emit
 from repro.analysis.report import render_table
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.apps.workloads import characterization_workload
+from repro.core.chip import Placement
 from repro.hardware.simulator import TrueNorthSimulator
 from repro.noc.congestion import congestion_margin, run_with_congestion
+from repro.noc.mesh import MeshNetwork
 
 
 class TestCongestionAblation:
@@ -45,7 +47,8 @@ class TestCongestionAblation:
         )
 
         def run():
-            sim = TrueNorthSimulator(net, detailed_noc=True)
+            mesh = MeshNetwork.spanning(Placement.compact(net.n_cores))
+            sim = TrueNorthSimulator(net, mesh=mesh)
             _, monitor = run_with_congestion(sim, 20)
             return monitor
 

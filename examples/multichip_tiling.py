@@ -22,7 +22,7 @@ from repro.experiments.future_systems import (
     tier_table,
 )
 from repro.hardware.simulator import TrueNorthSimulator
-from repro.noc.multichip import board_4x4
+from repro.noc.mesh import board_4x4
 
 
 def main() -> None:

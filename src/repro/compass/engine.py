@@ -14,7 +14,7 @@ Every returned simulator exposes the common driving surface:
 ``load_inputs(schedule)``, ``step() -> [(tick, core, neuron)]`` and
 ``run(n_ticks, inputs) -> SpikeRecord``.  :func:`run_engine` is the
 only one-shot form; a caller that needs engine-specific arguments (a
-B-lane batch, TrueNorth's ``detailed_noc``) constructs the simulator and
+B-lane batch, TrueNorth's ``mesh``) constructs the simulator and
 calls its ``run``.
 """
 

@@ -141,14 +141,6 @@ class CompiledComposition:
     inputs: dict[str, list[GlobalPin]]
     outputs: dict[str, list[GlobalPin]]
 
-    def input_pins(self, name: str) -> list[GlobalPin]:
-        """Resolved pins of the exported input connector *name*."""
-        return self.inputs[name]
-
-    def output_pins(self, name: str) -> list[GlobalPin]:
-        """Resolved pins of the exported output connector *name*."""
-        return self.outputs[name]
-
 
 class Composition:
     """A set of corelets plus pin-level connections, compiled to a Network."""

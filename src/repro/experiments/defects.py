@@ -22,6 +22,7 @@ from repro.core.builders import poisson_inputs, random_network
 from repro.core.chip import ChipGeometry, Placement
 from repro.hardware.energy import E_HOP_J
 from repro.hardware.simulator import TrueNorthSimulator
+from repro.noc.mesh import MeshNetwork
 from repro.utils.rng import seeded_rng
 
 
@@ -117,13 +118,12 @@ def defect_trial(
     placement = _spread_placement(n_cores)
     ins = poisson_inputs(net, n_ticks, 400.0, seed=seed + 1)
 
-    baseline = TrueNorthSimulator(net, placement=placement, detailed_noc=True)
-    base_rec = baseline.run(n_ticks, ins)
+    mesh = MeshNetwork.spanning(placement)
+    base_rec = TrueNorthSimulator(net, placement, mesh).run(n_ticks, ins)
 
     gx, gy = placement.global_xy()
     occupied = set(zip(gx.tolist(), gy.tolist()))
-    width = baseline.mesh.width
-    height = baseline.mesh.height
+    width, height = mesh.width, mesh.height
     candidates = [
         (x, y)
         for x in range(width)
@@ -136,10 +136,10 @@ def defect_trial(
         rng, candidates, occupied, width, height, n_disable
     )
 
-    damaged = TrueNorthSimulator(
-        net, placement=placement, detailed_noc=True, disabled_routers=disabled
-    )
-    dmg_rec = damaged.run(n_ticks, ins)
+    damaged = MeshNetwork.spanning(placement)
+    for router in disabled:
+        damaged.disable(*router)
+    dmg_rec = TrueNorthSimulator(net, placement, damaged).run(n_ticks, ins)
 
     return DefectPoint(
         defect_fraction=defect_fraction,

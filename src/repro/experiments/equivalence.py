@@ -22,10 +22,12 @@ from repro.apps.workloads import characterization_workload
 from repro.compass.engine import run_engine
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
+from repro.core.chip import Placement
 from repro.hardware.simulator import TrueNorthSimulator
 from repro.hardware.timing import TimingModel
 from repro.machines.cost import CompassCostModel
 from repro.machines.specs import X86_LEGACY
+from repro.noc.mesh import MeshNetwork
 
 
 @dataclass
@@ -56,6 +58,7 @@ def single_core_regressions(
         )
         ins = poisson_inputs(net, n_ticks, 300.0, seed=seed + 1000 + i)
         ref = run_engine(net, n_ticks, ins, engine="reference")
+        placement = Placement.compact(net.n_cores)
         for record in (
             run_engine(net, n_ticks, ins, engine="compass"),
             run_engine(net, n_ticks, ins, engine="auto"),  # sparse fast path
@@ -81,13 +84,14 @@ def multi_core_regressions(
         )
         ins = poisson_inputs(net, n_ticks, 250.0, seed=seed + 2000 + i)
         ref = run_engine(net, n_ticks, ins, engine="reference")
+        placement = Placement.compact(net.n_cores)
         for record in (
             run_engine(net, n_ticks, ins, engine="compass"),
             CompassSimulator(net, n_ranks=3, partition_strategy="round_robin").run(n_ticks, ins),
             run_engine(net, n_ticks, ins, engine="fast"),  # sparse, stochastic
             run_engine(net, n_ticks, ins, engine="parallel"),
             run_engine(net, n_ticks, ins, engine="truenorth"),
-            TrueNorthSimulator(net, detailed_noc=True).run(n_ticks, ins),
+            TrueNorthSimulator(net, placement, MeshNetwork.spanning(placement)).run(n_ticks, ins),
         ):
             report.n_regressions += 1
             report.total_spikes_compared += ref.n_spikes

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.chip import ChipGeometry
 from repro.core.workload import WorkloadDescriptor
-from repro.noc.multichip import ChipArray
+from repro.noc.mesh import MeshNetwork
 from repro.utils.rng import seeded_rng
 
 
@@ -47,10 +47,10 @@ def measure_boundary_traffic(
 ) -> MultichipPoint:
     """Route uniform random packets over an array; measure the links."""
     rng = seeded_rng(seed)
-    array = ChipArray(
-        chips_x=chips_x,
-        chips_y=chips_y,
-        geometry=ChipGeometry(cores_x=cores_per_side, cores_y=cores_per_side),
+    array = MeshNetwork.tiled(
+        chips_x,
+        chips_y,
+        ChipGeometry(cores_x=cores_per_side, cores_y=cores_per_side),
         link_capacity_per_tick=link_capacity,
     )
     array.begin_tick()
@@ -66,8 +66,8 @@ def measure_boundary_traffic(
     peak = max(
         (
             link.utilization
-            for boundary in array.boundaries.values()
-            for link in boundary.links.values()
+            for links in array.links.values()
+            for link in links.values()
         ),
         default=0.0,
     )

@@ -84,10 +84,6 @@ class TimingModel:
         events = self.core_events_per_tick(rate_hz, active_synapses)
         return self.max_tick_frequency_hz(events) / 1e3
 
-    def supports_real_time(self, rate_hz: float, active_synapses: float) -> bool:
-        """True when the workload can run at (or above) 1 kHz ticks."""
-        return self.max_frequency_for_workload_khz(rate_hz, active_synapses) >= 1.0
-
     def max_frequency_for_run_khz(self, counters: EventCounters) -> float:
         """Maximum tick frequency implied by a simulated run's peak load."""
         return self.max_tick_frequency_hz(counters.max_core_events_per_tick) / 1e3

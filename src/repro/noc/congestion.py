@@ -4,7 +4,7 @@ TrueNorth's mesh is engineered so that spike traffic — "sparse in time"
 — never limits real-time operation; routers and boundary links have
 orders of magnitude more bandwidth than uniform spike traffic needs.
 This module makes that claim *checkable*: it tracks per-tick per-router
-packet loads during detailed-NoC simulation, estimates the tick
+packet loads during simulation on a mesh, estimates the tick
 stretching a saturated router would cause, and provides the analytic
 hotspot model used by the congestion ablation bench (which shows uniform
 traffic is far below capacity while adversarial all-to-one traffic
@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compass.fast import concat_columns
 from repro.core import params
+from repro.core.record import SpikeRecord
 from repro.core.workload import WorkloadDescriptor
 from repro.utils.validation import require
 
@@ -47,29 +49,32 @@ class TickCongestion:
 
 
 class CongestionMonitor:
-    """Tracks per-tick router loads of a detailed-NoC simulation."""
+    """Tracks per-tick router loads of a simulation on a mesh.
+
+    A router's load counts every packet through it, its local deliveries
+    included; a tick's ``total_hops`` is the hops its packets walked.
+    """
 
     def __init__(self, sim) -> None:
-        require(sim.mesh is not None, "congestion monitoring needs detailed_noc=True")
+        require(sim.mesh is not None, "congestion monitoring needs a mesh")
         self.sim = sim
-        self._previous: dict = {}
+        self._load = sim.mesh.load.copy()
+        self._hops = sim.counters.hops
         self.history: list[TickCongestion] = []
 
     def after_tick(self) -> TickCongestion:
         """Record loads accumulated since the previous call."""
-        current = self.sim.mesh.congestion_map()
-        loads = {
-            key: total - self._previous.get(key, 0) for key, total in current.items()
-        }
-        loads = {k: v for k, v in loads.items() if v > 0}
-        self._previous = dict(current)
-        values = np.asarray(list(loads.values()), dtype=np.int64)
+        load = self.sim.mesh.load
+        loads = (load - self._load)[load > self._load]
+        self._load = load.copy()
+        hops = self.sim.counters.hops
         entry = TickCongestion(
             tick=self.sim.tick - 1,
-            peak_router_load=int(values.max()) if values.size else 0,
-            mean_router_load=float(values.mean()) if values.size else 0.0,
-            total_hops=int(values.sum()),
+            peak_router_load=int(loads.max()) if loads.size else 0,
+            mean_router_load=float(loads.mean()) if loads.size else 0.0,
+            total_hops=hops - self._hops,
         )
+        self._hops = hops
         self.history.append(entry)
         return entry
 
@@ -84,16 +89,16 @@ class CongestionMonitor:
 
 
 def run_with_congestion(sim, n_ticks: int, inputs=None):
-    """Run a detailed-NoC simulator, returning (record, monitor)."""
-    from repro.core.record import SpikeRecord
-
+    """Run a simulator on a mesh, returning (record, monitor)."""
     monitor = CongestionMonitor(sim)
     sim.load_inputs(inputs)
-    events = []
-    for _ in range(n_ticks):
-        events.extend(sim.step())
+
+    def step():
+        tick, core_ids, neurons = sim.step_arrays()
         monitor.after_tick()
-    return SpikeRecord.from_events(events, sim.counters), monitor
+        return np.full(core_ids.size, tick, dtype=np.int64), core_ids, neurons
+
+    return SpikeRecord.from_arrays(*concat_columns(step, n_ticks, 3), sim.counters), monitor
 
 
 def uniform_traffic_hotspot_load(

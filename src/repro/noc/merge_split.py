@@ -9,15 +9,16 @@ shared link are sent to the appropriate row (or column) using the tagged
 information." (paper Section III-C)
 
 Functionally the tag/merge/split round-trip is the identity — that is
-the point of the design — so this module models the *bandwidth* aspect:
-per-edge shared links with finite packets-per-tick capacity, tag
-encode/decode accounting, and link-utilization statistics used by the
-multi-chip scaling analysis.
+the point of the design — so this module models only the *bandwidth*
+aspect: one shared link per chip edge with a finite packets-per-tick
+capacity, and its utilization statistics, which the multi-chip scaling
+analysis reads.  :class:`~repro.noc.mesh.MeshNetwork` holds four links
+per chip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -40,82 +41,32 @@ class MergeSplitLink:
     limit makes saturation observable in scaling studies.
     """
 
-    edge: Edge
-    rows: int  # number of mesh rows (or columns) multiplexed onto the link
     capacity_per_tick: int = 40_000
     crossed: int = 0
     peak_in_tick: int = 0
-    _in_tick: int = 0
     dropped: int = 0
+    _in_tick: int = 0
 
     def begin_tick(self) -> None:
         """Reset the per-tick occupancy window."""
         self._in_tick = 0
 
-    def merge(self, row: int) -> tuple[int, bool]:
-        """Tag a packet with its *row* and send it through the shared link.
+    def cross(self) -> bool:
+        """Send one packet through the link; False when it is dropped.
 
-        Returns (tag, accepted).  A packet beyond the tick capacity is
-        counted as dropped — physical hardware would instead backpressure,
-        stretching the tick; the timing model reads ``peak_in_tick`` to
-        account for that.
+        A packet beyond the tick capacity is counted as dropped —
+        physical hardware would instead backpressure, stretching the
+        tick; the timing model reads ``peak_in_tick`` to account for that.
         """
-        if not (0 <= row < self.rows):
-            raise ValueError(f"row {row} outside link with {self.rows} rows")
         self._in_tick += 1
         self.peak_in_tick = max(self.peak_in_tick, self._in_tick)
         if self._in_tick > self.capacity_per_tick:
             self.dropped += 1
-            return row, False
+            return False
         self.crossed += 1
-        return row, True
-
-    def split(self, tag: int) -> int:
-        """Decode the tag on the receiving chip: route to its row."""
-        if not (0 <= tag < self.rows):
-            raise ValueError(f"tag {tag} outside link with {self.rows} rows")
-        return tag
+        return True
 
     @property
     def utilization(self) -> float:
         """Peak per-tick occupancy as a fraction of capacity."""
         return self.peak_in_tick / self.capacity_per_tick
-
-
-@dataclass
-class ChipBoundary:
-    """The four merge/split links of one chip."""
-
-    rows: int = 64
-    cols: int = 64
-    capacity_per_tick: int = 40_000
-    links: dict = field(default_factory=dict, init=False)
-
-    def __post_init__(self) -> None:
-        self.links = {
-            Edge.EAST: MergeSplitLink(Edge.EAST, self.rows, self.capacity_per_tick),
-            Edge.WEST: MergeSplitLink(Edge.WEST, self.rows, self.capacity_per_tick),
-            Edge.NORTH: MergeSplitLink(Edge.NORTH, self.cols, self.capacity_per_tick),
-            Edge.SOUTH: MergeSplitLink(Edge.SOUTH, self.cols, self.capacity_per_tick),
-        }
-
-    def begin_tick(self) -> None:
-        """Open a new tick window on all four links."""
-        for link in self.links.values():
-            link.begin_tick()
-
-    def cross(self, edge: Edge, row_or_col: int) -> bool:
-        """Send one packet across *edge*; returns False when saturated.
-
-        The merge-tag-split round trip is validated to be the identity.
-        """
-        link = self.links[edge]
-        tag, accepted = link.merge(row_or_col)
-        if accepted and link.split(tag) != row_or_col:
-            raise AssertionError("merge/split tag round-trip must be the identity")
-        return accepted
-
-    @property
-    def total_crossings(self) -> int:
-        """Total accepted boundary crossings on all edges."""
-        return sum(link.crossed for link in self.links.values())

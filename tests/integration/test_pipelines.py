@@ -91,16 +91,17 @@ class TestPlacementIntegration:
         assert aware_rec.counters.hops <= naive_rec.counters.hops
 
     def test_defective_mesh_preserves_function(self):
+        import numpy as np
         from repro.core.builders import poisson_inputs, random_network
+        from repro.core.chip import ChipGeometry, Placement
+        from repro.noc.mesh import MeshNetwork
 
         net = random_network(n_cores=9, seed=3)
         ins = poisson_inputs(net, 12, 400.0, seed=1)
-        clean = TrueNorthSimulator(net, detailed_noc=True).run(12, ins)
+        compact = Placement.compact(9)
+        clean = TrueNorthSimulator(net, compact, MeshNetwork.spanning(compact)).run(12, ins)
         # Disable a router in the 3x3 core block's interior: cores sit on
         # it, so pick an unoccupied coordinate by moving cores apart.
-        import numpy as np
-        from repro.core.chip import ChipGeometry, Placement
-
         spread = Placement(
             chip_x=np.zeros(9, dtype=np.int64),
             chip_y=np.zeros(9, dtype=np.int64),
@@ -108,12 +109,11 @@ class TestPlacementIntegration:
             y=(np.arange(9) // 3) * 2,
             geometry=ChipGeometry(),
         )
-        sim = TrueNorthSimulator(
-            net, placement=spread, detailed_noc=True, disabled_routers={(1, 1)}
-        )
-        rec = sim.run(12, ins)
+        damaged = MeshNetwork.spanning(spread)
+        damaged.disable(1, 1)
+        rec = TrueNorthSimulator(net, spread, damaged).run(12, ins)
         assert rec == clean
         # detours make the damaged mesh pay extra hops
-        baseline = TrueNorthSimulator(net, placement=spread, detailed_noc=True)
+        baseline = TrueNorthSimulator(net, spread, MeshNetwork.spanning(spread))
         base_rec = baseline.run(12, ins)
         assert rec.counters.hops >= base_rec.counters.hops

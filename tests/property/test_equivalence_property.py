@@ -18,7 +18,7 @@ from repro.core.chip import ChipGeometry, Placement
 from repro.core.inputs import InputSchedule
 from repro.core.network import Core, Network
 from repro.hardware.simulator import TrueNorthSimulator
-from repro.noc.multichip import ChipArray
+from repro.noc.mesh import MeshNetwork
 
 
 @st.composite
@@ -88,9 +88,9 @@ class TestSharedLoopKeepsEachExpressionsAccounting:
         for want, kwargs in (
             (compact, {}),
             (tiled, {"placement": Placement.grid(6, g)}),
-            (tiled, {"placement": Placement.grid(6, g), "detailed_noc": True}),
             (tiled, {"placement": Placement.grid(6, g),
-                     "chip_array": ChipArray(chips_x=2, chips_y=1, geometry=g)}),
+                     "mesh": MeshNetwork.spanning(Placement.grid(6, g))}),
+            (tiled, {"placement": Placement.grid(6, g), "mesh": MeshNetwork.tiled(2, 1, g)}),
         ):
             net, ins = self.case(seed)
             sim = TrueNorthSimulator(net, **kwargs)

@@ -2,43 +2,42 @@
 
 import pytest
 
-from repro.noc.merge_split import ChipBoundary, Edge, MergeSplitLink
-from repro.noc.mesh import MeshNetwork
-from repro.noc.multichip import ChipArray, board_4x1, board_4x4
-from repro.noc.router import Port, Router, dimension_order_port
+from repro.noc.merge_split import Edge, MergeSplitLink
+from repro.noc.mesh import MeshNetwork, board_4x1, board_4x4
 from repro.core.chip import ChipGeometry
 
 
 class TestRouterPortSelection:
     @pytest.mark.parametrize(
-        "dst, expected",
+        "dst, first_step",
         [
-            ((5, 3), Port.EAST),
-            ((1, 3), Port.WEST),
-            ((3, 5), Port.NORTH),
-            ((3, 1), Port.SOUTH),
-            ((3, 3), Port.LOCAL),
+            ((5, 3), (4, 3)),  # east
+            ((1, 3), (2, 3)),  # west
+            ((3, 5), (3, 4)),  # north
+            ((3, 1), (3, 2)),  # south
+            ((3, 3), None),  # local delivery: no step
             # x resolves before y (dimension order)
-            ((5, 9), Port.EAST),
-            ((0, 0), Port.WEST),
+            ((5, 9), (4, 3)),
+            ((0, 0), (2, 3)),
         ],
+        ids=["east", "west", "north", "south", "local", "x-before-y-east", "x-before-y-west"],
     )
-    def test_dimension_order(self, dst, expected):
-        assert dimension_order_port(3, 3, *dst) == expected
+    def test_dimension_order(self, dst, first_step):
+        path = MeshNetwork(8, 10).route((3, 3), dst)
+        assert (path[1] if len(path) > 1 else None) == first_step
 
     def test_forward_counts(self):
-        r = Router(x=0, y=0)
-        r.forward(3, 0)
-        r.forward(3, 2)
-        r.forward(0, 0)
-        assert r.forwarded[Port.EAST] == 2
-        assert r.forwarded[Port.LOCAL] == 1
-        assert r.total_forwarded == 3
+        mesh = MeshNetwork(4, 4)
+        for dst in ((3, 0), (3, 2), (0, 0)):
+            mesh.deliver((0, 0), dst)
+        assert mesh.load[0, 0] == 3  # two forwarded east, one delivered locally
+        assert mesh.load[1, 0] == 2
 
     def test_disabled_router_refuses(self):
-        r = Router(x=0, y=0, enabled=False)
+        mesh = MeshNetwork(4, 4)
+        mesh.disable(0, 0)
         with pytest.raises(RuntimeError):
-            r.forward(1, 0)
+            mesh.deliver((0, 0), (1, 0))
 
 
 class TestMeshRouting:
@@ -63,16 +62,17 @@ class TestMeshRouting:
 
     def test_deliver_updates_counters(self):
         mesh = MeshNetwork(8, 8)
-        hops = mesh.deliver((0, 0), (3, 2))
-        assert hops == 5
-        assert mesh.router(1, 0).forwarded[Port.EAST] == 1
-        assert mesh.router(3, 1).forwarded[Port.NORTH] == 1
-        assert mesh.router(3, 2).forwarded[Port.LOCAL] == 1
+        assert mesh.deliver((0, 0), (3, 2)) == (5, 0)
+        path = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+        assert all(mesh.load[xy] == 1 for xy in path)
+        assert mesh.load.sum() == len(path)  # the local delivery included
 
     def test_out_of_bounds_rejected(self):
         mesh = MeshNetwork(4, 4)
         with pytest.raises(ValueError):
-            mesh.router(4, 0)
+            mesh.route((0, 0), (4, 0))
+        with pytest.raises(ValueError):
+            mesh.deliver((-1, 0), (0, 0))
 
 
 class TestDefectRouting:
@@ -112,43 +112,33 @@ class TestDefectRouting:
         mesh = MeshNetwork(4, 4)
         mesh.deliver((0, 0), (3, 0))
         mesh.deliver((0, 0), (3, 0))
-        cmap = mesh.congestion_map()
-        assert cmap[(1, 0)] == 2
+        assert mesh.load[1, 0] == 2
+        assert mesh.load[0, 1] == 0
 
 
 class TestMergeSplit:
-    def test_tag_roundtrip_identity(self):
-        link = MergeSplitLink(Edge.EAST, rows=64)
-        for row in (0, 17, 63):
-            tag, ok = link.merge(row)
-            assert ok and link.split(tag) == row
-
     def test_capacity_enforced(self):
-        link = MergeSplitLink(Edge.EAST, rows=4, capacity_per_tick=2)
+        link = MergeSplitLink(capacity_per_tick=2)
         link.begin_tick()
-        assert link.merge(0)[1] and link.merge(1)[1]
-        assert not link.merge(2)[1]
+        assert link.cross() and link.cross()
+        assert not link.cross()
         assert link.dropped == 1 and link.crossed == 2
+        assert link.peak_in_tick == 3 and link.utilization == 1.5
 
     def test_tick_window_resets(self):
-        link = MergeSplitLink(Edge.EAST, rows=4, capacity_per_tick=1)
+        link = MergeSplitLink(capacity_per_tick=1)
         link.begin_tick()
-        link.merge(0)
+        link.cross()
         link.begin_tick()
-        assert link.merge(1)[1]
-
-    def test_bad_row_rejected(self):
-        link = MergeSplitLink(Edge.NORTH, rows=4)
-        with pytest.raises(ValueError):
-            link.merge(4)
-        with pytest.raises(ValueError):
-            link.split(9)
+        assert link.cross()
 
     def test_boundary_cross(self):
-        b = ChipBoundary(rows=64, cols=64)
-        assert b.cross(Edge.EAST, 10)
-        assert b.cross(Edge.NORTH, 5)
-        assert b.total_crossings == 2
+        mesh = MeshNetwork.tiled(2, 2, ChipGeometry(cores_x=4, cores_y=4))
+        assert mesh.deliver((3, 1), (4, 1)) == (1, 1)
+        assert mesh.deliver((5, 3), (5, 4)) == (1, 1)
+        assert mesh.links[(0, 0)][Edge.EAST].crossed == 1
+        assert mesh.links[(1, 0)][Edge.NORTH].crossed == 1
+        assert mesh.boundary_traffic() == {(0, 0): 1, (1, 0): 1}
 
 
 class TestChipArray:
@@ -161,7 +151,7 @@ class TestChipArray:
         assert b44.n_synapses == 16 * 268_435_456  # "4 billion synapses"
 
     def test_cross_chip_delivery(self):
-        arr = ChipArray(chips_x=2, chips_y=1, geometry=ChipGeometry(cores_x=4, cores_y=4))
+        arr = MeshNetwork.tiled(2, 1, ChipGeometry(cores_x=4, cores_y=4))
         arr.begin_tick()
         hops, crossings = arr.deliver((0, 0), (5, 0))
         assert hops == 5
@@ -169,20 +159,35 @@ class TestChipArray:
         assert arr.boundary_traffic()[(0, 0)] == 1
 
     def test_same_chip_no_crossing(self):
-        arr = ChipArray(chips_x=2, chips_y=2, geometry=ChipGeometry(cores_x=4, cores_y=4))
+        arr = MeshNetwork.tiled(2, 2, ChipGeometry(cores_x=4, cores_y=4))
         arr.begin_tick()
         _, crossings = arr.deliver((0, 0), (3, 3))
         assert crossings == 0
 
     def test_diagonal_chip_route_crosses_twice(self):
-        arr = ChipArray(chips_x=2, chips_y=2, geometry=ChipGeometry(cores_x=4, cores_y=4))
+        arr = MeshNetwork.tiled(2, 2, ChipGeometry(cores_x=4, cores_y=4))
         arr.begin_tick()
         hops, crossings = arr.deliver((0, 0), (7, 7))
         assert hops == 14
         assert crossings == 2  # one x-boundary, one y-boundary
 
     def test_chip_of(self):
-        arr = ChipArray(chips_x=2, chips_y=2, geometry=ChipGeometry(cores_x=4, cores_y=4))
+        arr = MeshNetwork.tiled(2, 2, ChipGeometry(cores_x=4, cores_y=4))
         assert arr.chip_of(0, 0) == (0, 0)
         assert arr.chip_of(4, 0) == (1, 0)
         assert arr.chip_of(3, 7) == (0, 1)
+
+    def test_detour_crosses_chip_edges(self):
+        # Router (3, 1) is dead: the y-leg (3, 0) -> (3, 3) goes around
+        # it in column 4, on the next chip, and so crosses twice.
+        arr = MeshNetwork.tiled(2, 1, ChipGeometry(cores_x=4, cores_y=4))
+        arr.disable(3, 1)
+        assert arr.deliver((3, 0), (3, 3)) == (5, 2)
+        assert arr.links[(0, 0)][Edge.EAST].crossed == 1
+        assert arr.links[(1, 0)][Edge.WEST].crossed == 1
+
+    def test_mesh_ending_inside_a_chip(self):
+        mesh = MeshNetwork(5, 3, ChipGeometry(cores_x=4, cores_y=4))
+        assert mesh.n_chips == 2
+        assert mesh.deliver((0, 0), (4, 2)) == (6, 1)
+        assert MeshNetwork(8, 8).n_chips == 1

@@ -67,7 +67,11 @@ class TestPhaseParity:
         from repro.hardware.simulator import TrueNorthSimulator
 
         obs = Observer()
-        chip = TrueNorthSimulator(network, detailed_noc=True, obs=obs)
+        from repro.core.chip import Placement
+        from repro.noc.mesh import MeshNetwork
+
+        mesh = MeshNetwork.spanning(Placement.compact(network.n_cores))
+        chip = TrueNorthSimulator(network, mesh=mesh, obs=obs)
         assert chip.obs is obs
         record = chip.run(TICKS, inputs)
         rows = obs.flight.rows()

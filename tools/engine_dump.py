@@ -7,12 +7,12 @@ Usage::
 
 Runs a fixed case list — the bundled networks plus two recurrent
 operating points; Compass at 1 / 3 ranks and two partition strategies,
-TrueNorth plain / ``detailed_noc`` / ``chip_array``, the sparse engine,
+TrueNorth plain, on a one-chip mesh and on a two-chip mesh, the sparse engine,
 and a three-lane batch on distinct seeds and schedules,
 run through or with lane 1 reset mid-run — and prints one line per
 case: a SHA-256 over the spike columns (each lane's, on a batch), the
 final ``v``, every ``EventCounters`` field (each lane's), the ``SimMPI``
-tallies, ``boundary_crossings`` and the chip array's per-link traffic,
+tallies, ``boundary_crossings`` and a multi-chip mesh's per-link traffic,
 then the spike count for a human.  ``tools/engine_dump.txt`` is the
 golden output and ``tests/unit/test_engine_dump.py`` holds every run to
 it, so "byte-identical to the parent" is a tier-1 test.
@@ -39,7 +39,7 @@ from repro.core.chip import ChipGeometry, Placement  # noqa: E402
 from repro.core.prng import derive_stream_seed  # noqa: E402
 from repro.hardware.simulator import TrueNorthSimulator  # noqa: E402
 from repro.lint.examples import BUILTIN_NETWORKS  # noqa: E402
-from repro.noc.multichip import ChipArray  # noqa: E402
+from repro.noc.mesh import MeshNetwork  # noqa: E402
 
 TICKS = 24
 INPUT_RATE_HZ = 300.0
@@ -57,13 +57,19 @@ NETWORKS = {
 }
 
 
+def _one_chip(network) -> dict:
+    """The default placement, on a mesh that just holds it."""
+    placement = Placement.compact(network.n_cores)
+    return {"placement": placement, "mesh": MeshNetwork.spanning(placement)}
+
+
 def _tiled(network) -> dict:
-    """A placement spilling *network* over two small chips, and their array."""
+    """A placement spilling *network* over two small chips, and their board."""
     side = max(1, int(np.ceil(np.sqrt(-(-network.n_cores // 2)))))
     geometry = ChipGeometry(cores_x=side, cores_y=side)
     placement = Placement.grid(network.n_cores, geometry)
-    array = ChipArray(chips_x=int(placement.chip_x.max()) + 1, chips_y=1, geometry=geometry)
-    return {"placement": placement, "chip_array": array}
+    mesh = MeshNetwork.tiled(int(placement.chip_x.max()) + 1, 1, geometry)
+    return {"placement": placement, "mesh": mesh}
 
 
 CASES = {
@@ -71,10 +77,12 @@ CASES = {
     "compass/ranks3": lambda net: CompassSimulator(net, 3),
     "compass/ranks3-round_robin": lambda net: CompassSimulator(net, 3, "round_robin"),
     "truenorth/plain": lambda net: TrueNorthSimulator(net),
-    "truenorth/detailed_noc": lambda net: TrueNorthSimulator(net, detailed_noc=True),
+    "truenorth/detailed_noc": lambda net: TrueNorthSimulator(net, **_one_chip(net)),
     "truenorth/chip_array": lambda net: TrueNorthSimulator(net, **_tiled(net)),
     "fast/dense": lambda net: FastCompassSimulator(net),
 }
+#: The cases also judged by the traffic on their mesh's chip-edge links.
+LINK_CASES = ("truenorth/chip_array",)
 
 
 def run_single(sim, inputs):
@@ -110,8 +118,9 @@ BATCH_CASES = {
 }
 
 
-def digest(sim, records, counters) -> str:
-    """SHA-256 over everything the case is judged by."""
+def digest(sim, records, counters, links: bool = False) -> str:
+    """SHA-256 over everything the case is judged by; with *links*, the
+    traffic of every chip-edge link of ``sim.mesh`` too."""
     sha = hashlib.sha256()
 
     def feed(name: str, value) -> None:
@@ -130,18 +139,18 @@ def digest(sim, records, counters) -> str:
         for name in ("messages_sent", "bytes_sent", "sync_steps", "sync_messages", "exchanges"):
             feed(name, getattr(mpi, name))
     feed("boundary_crossings", getattr(sim, "boundary_crossings", 0))
-    array = getattr(sim, "chip_array", None)
-    if array is not None:
-        for at in sorted(array.boundaries):
+    if links:
+        for at in sorted(sim.mesh.links):
             # The four links of a chip, in their fixed construction order.
-            feed(f"links{at}", [link.crossed for link in array.boundaries[at].links.values()])
+            feed(f"links{at}", [link.crossed for link in sim.mesh.links[at].values()])
     return sha.hexdigest()
 
 
 def line(net_name: str, case: str, sim, records, counters) -> str:
     """One case's output line."""
     spikes = sum(record.n_spikes for record in records)
-    return f"{net_name:24s} {case:28s} {digest(sim, records, counters)} spikes={spikes}"
+    judged = digest(sim, records, counters, links=case in LINK_CASES)
+    return f"{net_name:24s} {case:28s} {judged} spikes={spikes}"
 
 
 def main() -> int:
