@@ -47,7 +47,7 @@ class TestCongestionAblation:
         )
 
         def run():
-            mesh = MeshNetwork.spanning(Placement.compact(net.n_cores))
+            mesh = MeshNetwork.spanning(Placement.default(net.n_cores))
             sim = TrueNorthSimulator(net, mesh=mesh)
             _, monitor = run_with_congestion(sim, 20)
             return monitor

@@ -14,8 +14,8 @@ of the processors" (paper Section III-B).
 This module keeps that communication rule as arithmetic over one tick's
 routed spikes, given as parallel source / destination rank arrays:
 :meth:`SimMPI.exchange` counts one message per distinct cross-rank pair
-(the fast engine's :func:`~repro.compass.fast.count_cross_core_messages`,
-on rank ids) and 8 bytes per cross-rank event, and
+(:func:`~repro.compass.fast.count_cross_core_messages` on rank ids) and
+8 bytes per cross-rank event, and
 :meth:`SimMPI.barrier_sync` books the two-step sync.  The tallies feed
 the :mod:`repro.machines` cost models (MPI overhead per aggregated
 message, per-byte transfer cost), so the *communication structure* of

@@ -155,6 +155,13 @@ class Placement:
         return Placement(chip_x=chip_x, chip_y=chip_y, x=x, y=y, geometry=geometry)
 
     @staticmethod
+    def default(n_cores: int) -> "Placement":
+        """The simulator's placement: :meth:`compact` up to one chip's cores, :meth:`grid` above."""
+        if n_cores <= ChipGeometry().cores_per_chip:
+            return Placement.compact(n_cores)
+        return Placement.grid(n_cores)
+
+    @staticmethod
     def compact(n_cores: int, geometry: ChipGeometry | None = None) -> "Placement":
         """Place cores on a single chip in a near-square block.
 

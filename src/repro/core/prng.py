@@ -100,16 +100,22 @@ class DrawSites(NamedTuple):
     # False: every lane draws at every unit.  True: each unit is one lane's,
     # ``cores`` holding its site row ``lane * len(core_terms) + core``.
     lane_major: bool = False
+    # w when the units are w of core 0, then w of core 1, ... (every neuron
+    # of equal cores draws): a core's row is then copied, not gathered.
+    width: int = 0
 
 
 def draw_sites(cores: np.ndarray, units: np.ndarray) -> DrawSites:
     """Precompute what :func:`draw_staged` needs of per-unit *cores* / *units*."""
     cores = np.asarray(cores, dtype=np.int64)
     span = int(cores.max()) + 1 if cores.size else 0
+    w = cores.size // max(span, 1)
+    blocks = span * w == cores.size > 0 and (cores.reshape(span, w) == np.arange(span)[:, None]).all()
     return DrawSites(
         cores,
         _GOLDEN * np.asarray(units, dtype=np.uint64),
         _GOLDEN * np.arange(span, dtype=np.uint64),
+        width=w if blocks else 0,
     )
 
 
@@ -123,8 +129,9 @@ def draw_staged(
     at each unit's own core.  The (seed, purpose, core) and (core, tick)
     stages of :func:`_key` depend on the lane and the core alone, so they
     run on one ``(lanes, cores)`` block (uint64 wrap-around matches the
-    masked scalar chain); each unit then gathers its row, adds its term
-    and passes through the last mix, in place.
+    masked scalar chain); each unit then gathers its row (a copy of each
+    row when ``sites.width``), adds its term and passes through the last
+    mix, in place.
 
     An int *seed* and *tick* are one lane; a length-B *seed* sequence and
     a ``(B,)`` *tick* array are B lanes, each at its own coordinates, in
@@ -149,7 +156,10 @@ def draw_staged(
     if scratch is None:
         scratch = np.empty((2, k), dtype=np.uint64)
     key, tmp = scratch[0, :k].reshape(shape), scratch[1, :k].reshape(shape)
-    np.take(per_core, sites.cores, axis=-1, out=key, mode="clip")  # "raise" buffers out
+    if sites.width:  # no gather; a broadcasting ufunc would allocate its buffers
+        np.copyto(key.reshape(per_core.shape + (sites.width,)), per_core[..., None])
+    else:
+        np.take(per_core, sites.cores, axis=-1, out=key, mode="clip")  # "raise" buffers out
     key += sites.unit_terms
     _mix64_into(key, tmp)
     key &= np.uint64((1 << bits) - 1)

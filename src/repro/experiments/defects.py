@@ -14,6 +14,7 @@ equivalence with the defect-free chip.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,33 +57,25 @@ def _sample_connected_defects(
 
     A defect set that partitions the mesh would make the chip unusable
     (the paper's yield model discards such die); resampling models the
-    screening.  If no connected sample is found, the defect count is
-    reduced.
+    screening.  A sample is kept when a breadth-first walk over the
+    enabled routers from one occupied router reaches every occupied one.
+    If no such sample is found, the defect count is reduced.
     """
-    import networkx as nx
-
+    start = next(iter(occupied))
     while n_disable > 0:
         for _ in range(max_tries):
             picks = rng.choice(len(candidates), size=n_disable, replace=False)
             disabled = {candidates[i] for i in picks}
-            graph = nx.Graph()
-            for x in range(width):
-                for y in range(height):
-                    if (x, y) in disabled:
-                        continue
-                    for nxt in ((x + 1, y), (x, y + 1)):
-                        if (
-                            0 <= nxt[0] < width
-                            and 0 <= nxt[1] < height
-                            and nxt not in disabled
-                        ):
-                            graph.add_edge((x, y), nxt)
-            if all(graph.has_node(node) for node in occupied) and nx.is_connected(
-                graph.subgraph(nx.node_connected_component(graph, next(iter(occupied))))
-            ):
-                component = nx.node_connected_component(graph, next(iter(occupied)))
-                if occupied <= component:
-                    return disabled
+            reached, queue = {start}, deque([start])
+            while queue:
+                x, y = queue.popleft()
+                for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if (0 <= nxt[0] < width and 0 <= nxt[1] < height
+                            and nxt not in disabled and nxt not in reached):
+                        reached.add(nxt)
+                        queue.append(nxt)
+            if occupied <= reached:
+                return disabled
         n_disable -= 1
     return set()
 

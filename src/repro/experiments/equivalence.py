@@ -58,7 +58,6 @@ def single_core_regressions(
         )
         ins = poisson_inputs(net, n_ticks, 300.0, seed=seed + 1000 + i)
         ref = run_engine(net, n_ticks, ins, engine="reference")
-        placement = Placement.compact(net.n_cores)
         for record in (
             run_engine(net, n_ticks, ins, engine="compass"),
             run_engine(net, n_ticks, ins, engine="auto"),  # sparse fast path
@@ -84,7 +83,7 @@ def multi_core_regressions(
         )
         ins = poisson_inputs(net, n_ticks, 250.0, seed=seed + 2000 + i)
         ref = run_engine(net, n_ticks, ins, engine="reference")
-        placement = Placement.compact(net.n_cores)
+        placement = Placement.default(net.n_cores)
         for record in (
             run_engine(net, n_ticks, ins, engine="compass"),
             CompassSimulator(net, n_ranks=3, partition_strategy="round_robin").run(n_ticks, ins),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.chip import ChipGeometry, DefectMap, Placement
+from repro.noc.mesh import MeshNetwork
 
 
 class TestGeometry:
@@ -104,6 +105,27 @@ class TestCompactPlacement:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             Placement.compact(5000)
+
+
+class TestDefaultPlacement:
+    """The simulator's placement rule, and a mesh sized to it, above one chip."""
+
+    def test_compact_up_to_one_chip(self):
+        for n in (1, 10, 4096):
+            p = Placement.default(n)
+            q = Placement.compact(n)
+            assert p.n_chips == 1
+            for a, b in zip((p.chip_x, p.chip_y, p.x, p.y), (q.chip_x, q.chip_y, q.x, q.y)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_grid_above_one_chip(self):
+        p = Placement.default(4097)  # where Placement.compact raises
+        q = Placement.grid(4097)
+        assert p.n_cores == 4097 and p.n_chips == 2
+        for a, b in zip((p.chip_x, p.chip_y, p.x, p.y), (q.chip_x, q.chip_y, q.x, q.y)):
+            np.testing.assert_array_equal(a, b)
+        mesh = MeshNetwork.spanning(p)
+        assert (mesh.width, mesh.height) == (65, 64)  # the second chip holds one core
 
 
 class TestDefectMap:

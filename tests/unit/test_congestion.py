@@ -20,7 +20,7 @@ from repro.noc.mesh import MeshNetwork
 
 def on_mesh(net):
     """TrueNorth on a mesh that just holds the default placement."""
-    return TrueNorthSimulator(net, mesh=MeshNetwork.spanning(Placement.compact(net.n_cores)))
+    return TrueNorthSimulator(net, mesh=MeshNetwork.spanning(Placement.default(net.n_cores)))
 
 
 class TestTickCongestion:

@@ -79,6 +79,25 @@ class TestChipArraySimulation:
         with pytest.raises(ValueError, match=r"router \(1, 0\).*core 1"):
             TrueNorthSimulator(net, mesh=mesh)
 
+    def test_router_disabled_after_construction_refused_before_the_tick(self):
+        """Disabling a hosting router on a mesh the simulator holds is
+        refused as at construction, and the refused tick changes nothing."""
+        net = random_network(n_cores=4, connectivity=0.6, seed=1)
+        mesh = MeshNetwork.spanning(Placement.default(net.n_cores))
+        sim = TrueNorthSimulator(net, mesh=mesh)
+        sim.load_inputs(poisson_inputs(net, 6, 400.0, seed=2))
+        for _ in range(3):
+            sim.step_arrays()
+        tick, ring, v, spikes = sim.tick, sim.ring.copy(), sim.v.copy(), sim.counters.spikes
+        assert ring.any() and spikes
+        mesh.disable(1, 0)
+        with pytest.raises(ValueError, match=r"router \(1, 0\).*core 1"):
+            sim.step_arrays()
+        assert sim.tick == tick
+        np.testing.assert_array_equal(sim.ring, ring)
+        np.testing.assert_array_equal(sim.v, v)
+        assert sim.counters.spikes == spikes
+
 
 class TestOnePathForHopsAndCrossings:
     """Hops and chip crossings of a walked packet come from its one path."""

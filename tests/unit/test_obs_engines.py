@@ -70,7 +70,7 @@ class TestPhaseParity:
         from repro.core.chip import Placement
         from repro.noc.mesh import MeshNetwork
 
-        mesh = MeshNetwork.spanning(Placement.compact(network.n_cores))
+        mesh = MeshNetwork.spanning(Placement.default(network.n_cores))
         chip = TrueNorthSimulator(network, mesh=mesh, obs=obs)
         assert chip.obs is obs
         record = chip.run(TICKS, inputs)

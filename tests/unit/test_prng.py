@@ -98,3 +98,34 @@ class TestSynapseUnit:
         neurons = np.tile(np.arange(256), 256)
         units = prng.synapse_unit(axons, neurons)
         assert len(np.unique(units)) == 256 * 256
+
+
+class TestEqualCoreRows:
+    """Units in equal runs per core 0..C-1 copy each core's row instead of
+    gathering it; the draws are the gathered ones, on one lane and many."""
+
+    @pytest.mark.parametrize("width", [1, 16, 256])
+    def test_copied_rows_equal_gathered_rows(self, width):
+        n_cores = 5
+        cores = np.repeat(np.arange(n_cores), width)
+        units = np.tile(np.arange(width), n_cores)[::-1]  # any unit order
+        sites = prng.draw_sites(cores, units)
+        assert sites.width == width
+        gathered = sites._replace(width=0)
+        one = prng.draw_staged(9, prng.PURPOSE_LEAK, 4, sites, 8)
+        want = [prng.draw_u8_scalar(9, prng.PURPOSE_LEAK, int(c), 4, int(u)) for c, u in zip(cores, units)]
+        assert one.tolist() == want
+        for bits in (8, 16):
+            np.testing.assert_array_equal(
+                prng.draw_staged(9, prng.PURPOSE_LEAK, 4, sites, bits),
+                prng.draw_staged(9, prng.PURPOSE_LEAK, 4, gathered, bits),
+            )
+            seeds, ticks = [9, 3, 7], np.array([4, 0, 11])
+            np.testing.assert_array_equal(
+                prng.draw_staged(seeds, prng.PURPOSE_LEAK, ticks, sites, bits),
+                prng.draw_staged(seeds, prng.PURPOSE_LEAK, ticks, gathered, bits),
+            )
+
+    @pytest.mark.parametrize("cores", [[0, 0, 1], [1, 1, 2, 2], [0, 1, 0, 1], []])
+    def test_other_layouts_gather(self, cores):
+        assert prng.draw_sites(np.array(cores, dtype=np.int64), np.arange(len(cores))).width == 0

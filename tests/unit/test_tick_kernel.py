@@ -387,6 +387,28 @@ class TestWorkRatchet:
         assert spikes and state.v.dtype == np.int32
         assert max(peaks) <= 16 * net.n_neurons, peaks
 
+    def test_steady_tick_allocates_under_24_bytes_a_neuron(self):
+        """The tracemalloc peak of one steady ``step_arrays()`` on the
+        4,096-neuron ``rec200x26`` network: ~87 kB (21 B a neuron) with the
+        event scatter summing the rows where they are stored; 52.5 B a
+        neuron when it first copied them into a compact table."""
+        net = probabilistic_recurrent_network(
+            200.0, 26, grid_side=4, coupling="balanced", seed=1
+        )
+        sim = FastCompassSimulator(net)
+        for _ in range(self.TICKS):
+            sim.step_arrays()
+        peaks = []
+        for _ in range(5):
+            tracemalloc.start()
+            try:
+                sim.step_arrays()
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert sim.counters.synaptic_events and sim.counters.messages
+        assert max(peaks) <= 24 * net.n_neurons, peaks
+
     def test_a_pass_draws_once_per_purpose_for_every_lane(self, monkeypatch):
         """16 lanes on distinct seeds, their ticks diverged by a reset: one
         ``draw_staged`` per purpose covers them all."""

@@ -59,7 +59,7 @@ NETWORKS = {
 
 def _one_chip(network) -> dict:
     """The default placement, on a mesh that just holds it."""
-    placement = Placement.compact(network.n_cores)
+    placement = Placement.default(network.n_cores)
     return {"placement": placement, "mesh": MeshNetwork.spanning(placement)}
 
 
