@@ -74,14 +74,15 @@ class TrueNorthSimulator(FastCompassSimulator):
             ):
                 raise ValueError("placement's chips are not the mesh's chips")
             self._xy = list(zip(gx.tolist(), gy.tolist()))  # core -> mesh slot
+            self._hosts = set(self._xy)
             self._refuse_disabled_hosts()
         self.boundary_crossings = 0
 
     def _refuse_disabled_hosts(self) -> None:
-        """``ValueError`` naming the first core whose router is disabled."""
-        for core, xy in enumerate(self._xy):
-            if xy in self.mesh.disabled:
-                raise ValueError(f"router {xy} is disabled but hosts core {core}")
+        """``ValueError`` naming the first core on a disabled router, if any."""
+        if not self._hosts.isdisjoint(self.mesh.disabled):
+            core, xy = next((c, xy) for c, xy in enumerate(self._xy) if xy in self.mesh.disabled)
+            raise ValueError(f"router {xy} is disabled but hosts core {core}")
 
     def _pass(self, row: int, lanes: int):
         """The tick, refused before it changes any state if a router that

@@ -196,6 +196,27 @@ class TestScatterLanes:
                     assert not got.any()
 
 
+    @given(
+        net_seed=st.integers(0, 2**31),
+        density=st.sampled_from([0.1, 0.5, 1.0]),
+        act_seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_a_table_of_one_row_sums_run_by_run(self, net_seed, density, act_seed):
+        """A compact table that holds one longest row: each lane's rows are
+        copied and summed a few at a time, to the matvec's input."""
+        rng = np.random.default_rng(act_seed)
+        net = random_network(
+            n_cores=3, n_axons=12, n_neurons=12, connectivity=0.5, stochastic=True, seed=net_seed,
+        )
+        for c in artifacts(net):
+            active = rng.random((3, c.n_axons)) < density
+            axons, bounds = fast.split_lanes(np.flatnonzero(active), c.n_axons, 3)
+            narrow = np.empty((2, int(np.diff(c.det_indptr).max(initial=0))), dtype=np.int32)
+            got = fast._scatter_rows(c, axons, bounds, narrow)
+            np.testing.assert_array_equal(got, fast._matvec(c, active))
+
+
 def one_core_net(stoch_synapse: bool) -> Network:
     """One 8x8 fully connected core, every synapse stochastic or none."""
     core = Core.build(

@@ -389,9 +389,10 @@ class TestWorkRatchet:
 
     def test_steady_tick_allocates_under_24_bytes_a_neuron(self):
         """The tracemalloc peak of one steady ``step_arrays()`` on the
-        4,096-neuron ``rec200x26`` network: ~87 kB (21 B a neuron) with the
-        event scatter summing the rows where they are stored; 52.5 B a
-        neuron when it first copied them into a compact table."""
+        4,096-neuron ``rec200x26`` network: ~90 kB (22 B a neuron), the event
+        scatter's compact table being allocated once per engine, so one tick
+        no longer allocates it; 52.5 B a neuron when each tick allocated a
+        table of all its active rows."""
         net = probabilistic_recurrent_network(
             200.0, 26, grid_side=4, coupling="balanced", seed=1
         )
