@@ -1,9 +1,6 @@
 """Applications: the five vision systems + the 88 characterization networks."""
 
-from repro.apps.audio import AudioClassifier, synth_event
-from repro.apps.glyphs import GlyphClassifier, draw_glyph
 from repro.apps.haar import build_haar_pipeline, run_haar
-from repro.apps.optical_flow import build_flow_pipeline, estimate_flow
 from repro.apps.lbp import build_lbp_pipeline, run_lbp
 from repro.apps.neovision import NeovisionSystem, precision_recall
 from repro.apps.recurrent import (
@@ -11,8 +8,6 @@ from repro.apps.recurrent import (
     probabilistic_recurrent_network,
 )
 from repro.apps.saccade import build_saccade_pipeline, run_saccades
-from repro.apps.stereo import build_stereo_pipeline, estimate_scene_disparity
-from repro.apps.tracking import Tracker, evaluate_tracking, track_scene
 from repro.apps.saliency import build_saliency_pipeline, run_saliency
 from repro.apps.transduction import transduce_video
 from repro.apps.video import Scene, generate_scene
@@ -29,12 +24,6 @@ from repro.apps.workloads import (
 )
 
 __all__ = [
-    "AudioClassifier",
-    "synth_event",
-    "GlyphClassifier",
-    "draw_glyph",
-    "build_flow_pipeline",
-    "estimate_flow",
     "build_haar_pipeline",
     "run_haar",
     "build_lbp_pipeline",
@@ -43,11 +32,6 @@ __all__ = [
     "precision_recall",
     "characterization_grid",
     "probabilistic_recurrent_network",
-    "build_stereo_pipeline",
-    "estimate_scene_disparity",
-    "Tracker",
-    "evaluate_tracking",
-    "track_scene",
     "build_saccade_pipeline",
     "run_saccades",
     "build_saliency_pipeline",

@@ -9,6 +9,7 @@ Commands:
 * ``fig8``          — BG/Q strong-scaling table;
 * ``equivalence``   — run the one-to-one equivalence regressions;
 * ``future``        — Section VII system projections;
+* ``report``        — every table of EXPERIMENTS.md, regenerated;
 * ``simulate`` / ``run`` — run a model on a chosen expression, with
   optional periodic checkpoints and ``--resume``;
 * ``checkpoint``    — inspect a checkpoint container;
@@ -133,15 +134,16 @@ def _cmd_future(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments.report_gen import generate_report
+    from pathlib import Path
 
-    text = generate_report()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"wrote report to {args.output}")
-    else:
-        print(text)
+    from repro.experiments.report_gen import fill_record, generate_report
+
+    if not args.output:
+        print(generate_report())
+        return 0
+    path = Path(args.output)
+    path.write_text(fill_record(path.read_text()) if path.exists() else generate_report())
+    print(f"wrote report to {args.output}")
     return 0
 
 
@@ -552,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("future").set_defaults(fn=_cmd_future)
 
     pr = sub.add_parser("report")
-    pr.add_argument("--output", help="write markdown to this path")
+    pr.add_argument("--output", help="regenerate the tables of this markdown file "
+                    "(written whole when it does not exist)")
     pr.set_defaults(fn=_cmd_report)
 
     from repro.compass.engine import ENGINES

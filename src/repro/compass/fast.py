@@ -798,6 +798,8 @@ class FastCompassSimulator:
             slots = keys[a:b] + tick % params.DELAY_SLOTS * c.n_axons
             slots[slots >= span] -= span  # wrapped once: every delay is under DELAY_SLOTS
             ring[slots] = True
+        if obs is not None:  # the row's messages: this pass's, whatever a reset did before it
+            sent = -sum(counters.messages for counters in self._counters)
         self._network_phase(routed, runs)
 
         per_core = st.per_core
@@ -817,8 +819,9 @@ class FastCompassSimulator:
             counters.membrane_saturations += st.n_saturated[lane]
         if obs is not None:
             t4 = now_ns()
+            sent += sum(counters.messages for counters in self._counters)
             obs.tick(
-                row, t0, t4, int(fired.size), sum(counters.messages for counters in self._counters),
+                row, t0, t4, int(fired.size), sent,
                 (t1 - t0, t2 - t1, t3 - t2, t4 - t3),
                 sum(map(len, self._inputs)), lanes,
             )

@@ -534,7 +534,7 @@ class ParallelCompassSimulator:
 
         fired_acc: list[np.ndarray] = []
         c = self.counters
-        n_spikes = 0
+        n_spikes = sent = 0
         for part, spike_buf, stats in zip(
             self.partitioned.partitions, rank0.spikes, rank0.stats
         ):
@@ -545,6 +545,7 @@ class ParallelCompassSimulator:
                 saturations=saturations, spikes=spikes,
             )
             c.messages += messages
+            sent += messages
             if spikes:
                 n_spikes += spikes
                 fired_acc.append(spike_buf[1 : 1 + spikes])
@@ -565,7 +566,7 @@ class ParallelCompassSimulator:
             # gather included) with rank 0's own four phases; the child
             # ranks' rows are adopted at close().
             obs.tick(
-                tick, tick_begin, now_ns(), n_spikes, c.messages,
+                tick, tick_begin, now_ns(), n_spikes, sent,
                 phases, len(self._future_inputs),
             )
         return tick, core_ids, neurons

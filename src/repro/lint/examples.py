@@ -60,16 +60,12 @@ def _saccade() -> Network:
     return build_saccade_pipeline(8).compiled.network
 
 
-def _stereo() -> Network:
-    from repro.apps.stereo import build_stereo_pipeline
+def _rbm_sampler() -> Network:
+    from repro.corelets.library.rbm import compile_sampler, rbm_sampling_layer
+    from repro.utils.rng import seeded_rng
 
-    return build_stereo_pipeline(8).compiled.network
-
-
-def _optical_flow() -> Network:
-    from repro.apps.optical_flow import build_flow_pipeline
-
-    return build_flow_pipeline(8).compiled.network
+    weights = seeded_rng(0).integers(-1, 2, size=(8, 16))
+    return compile_sampler(rbm_sampling_layer(weights)).network
 
 
 #: name -> zero-argument builder for every bundled network.
@@ -80,8 +76,7 @@ BUILTIN_NETWORKS: dict[str, Callable[[], Network]] = {
     "lbp": _lbp,
     "saliency": _saliency,
     "saccade": _saccade,
-    "stereo": _stereo,
-    "optical-flow": _optical_flow,
+    "rbm-sampler": _rbm_sampler,
 }
 
 

@@ -125,7 +125,6 @@ class FlightRecorder:
         self._rows = np.ndarray(
             self.capacity, dtype=ROW_DTYPE, buffer=buf, offset=self._head.nbytes
         )
-        self._last_messages = 0
 
     @staticmethod
     def nbytes(capacity: int) -> int:
@@ -156,7 +155,7 @@ class FlightRecorder:
         begin_ns: int,
         end_ns: int,
         spikes: int = 0,
-        messages_total: int = 0,
+        messages: int = 0,
         phases=(0, 0, 0, 0),
         queue_depth: int = 0,
         lanes: int = 0,
@@ -166,21 +165,15 @@ class FlightRecorder:
 
         *begin_ns* / *end_ns* are ``now_ns`` readings and *phases* the
         four phase durations in :data:`~repro.obs.trace.PHASES` order.
-        *messages_total* is the engine's cumulative message counter;
-        the row stores the per-tick delta (a counter that moved
-        backwards — a lane reset, a fresh run — restarts the baseline
-        rather than going negative).
+        *spikes* and *messages* are this tick's counts, summed over its
+        lanes.
         """
-        delta = messages_total - self._last_messages
-        if delta < 0:
-            delta = messages_total
-        self._last_messages = messages_total
         wall_ns = end_ns - begin_ns
         n, wall, deliver, integrate, update, route = _PACK_HEAD.unpack_from(self._head)
         d, i, u, r = phases
         _PACK_ROW.pack_into(
             self._rows, _PACK_ROW.size * (n % self.capacity),
-            tick, wall_ns, spikes, delta, occupancy, d, i, u, r,
+            tick, wall_ns, spikes, messages, occupancy, d, i, u, r,
             begin_ns, queue_depth, lanes,
         )
         # The cursor moves after the row is whole.

@@ -84,7 +84,7 @@ class Observer:
 
     # -- the per-tick record -----------------------------------------------
     def tick(self, tick: int, begin_ns: int, end_ns: int, spikes: int,
-             messages_total: int, phases=(0, 0, 0, 0), queue_depth: int = 0,
+             messages: int, phases=(0, 0, 0, 0), queue_depth: int = 0,
              lanes: int = 0) -> None:
         """Record one finished tick: everything an enabled tick does.
 
@@ -94,7 +94,7 @@ class Observer:
         keeps float arithmetic out of the integer kernels.
         """
         wall_ns = self.flight.record(
-            tick, begin_ns, end_ns, spikes, messages_total, phases,
+            tick, begin_ns, end_ns, spikes, messages, phases,
             queue_depth, lanes, self.occupancy,
         )
         self._tick_seconds.observe(wall_ns * 1e-9)

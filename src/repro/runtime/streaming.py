@@ -164,6 +164,7 @@ class StreamingRuntime:
         """
         tick_obs = obs if self._records_ticks else None
         if tick_obs is not None:
+            sent = -self._messages()
             begin = now_ns()
         step_arrays = getattr(self.simulator, "step_arrays", None)
         if step_arrays is not None:
@@ -179,11 +180,13 @@ class StreamingRuntime:
             if sink is not None:
                 sink(tick_cursor, spikes)
         if tick_obs is not None:
-            counters = getattr(self.simulator, "counters", None)
             tick_obs.tick(
-                tick_cursor, begin, now_ns(), n_spikes,
-                getattr(counters, "messages", 0),
+                tick_cursor, begin, now_ns(), n_spikes, sent + self._messages(),
             )
+
+    def _messages(self) -> int:
+        """The simulator's cumulative message count (0 if it keeps none)."""
+        return getattr(getattr(self.simulator, "counters", None), "messages", 0)
 
     def run(
         self,

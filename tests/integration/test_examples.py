@@ -21,7 +21,6 @@ EXPECTED_MARKERS = {
     "recurrent_characterization.py": "GSOPS/W",
     "multichip_tiling.py": "rat-scale",
     "neovision_detection.py": "precision",
-    "motion_and_audio.py": "optical flow",
     "streaming_runtime.py": "real-time factor",
 }
 

@@ -1,8 +1,8 @@
 """Property-based tests on corelet composition semantics.
 
-Random chains of relays, splitters, and delay stages must obey exact
-latency arithmetic and preserve spike content — the algebra application
-authors rely on when composing pipelines.
+Random chains of relays joined by delayed wires, and splitters, must
+obey exact latency arithmetic and preserve spike content — the algebra
+application authors rely on when composing pipelines.
 """
 
 import numpy as np
@@ -13,33 +13,29 @@ from repro.compass.simulator import CompassSimulator
 from repro.core.inputs import InputSchedule
 from repro.corelets.corelet import Composition
 from repro.corelets.library.basic import relay, splitter
-from repro.corelets.library.temporal import delay_chain
 
 
-def build_chain(stage_delays, width=4, seed=0):
-    """Chain of relay/delay stages; returns (compiled, total latency)."""
+def build_chain(wire_delays, width=4, seed=0):
+    """Relays joined by wires of *wire_delays*; returns (compiled, total latency)."""
     comp = Composition(name="chain", seed=seed)
-    stages = [
-        delay_chain(width, d, name=f"stage{i}") for i, d in enumerate(stage_delays)
-    ]
-    for a, b in zip(stages[:-1], stages[1:]):
-        comp.connect(a.outputs["out"], b.inputs["in"], delay=1)
+    stages = [relay(width, name=f"stage{i}") for i in range(len(wire_delays) + 1)]
+    for a, b, d in zip(stages, stages[1:], wire_delays):
+        comp.connect(a.outputs["out"], b.inputs["in"], delay=d)
     comp.export_input("in", stages[0].inputs["in"])
     comp.export_output("out", stages[-1].outputs["out"])
-    # latency: each stage adds its extra delay; each inter-stage wire adds 1
-    latency = sum(stage_delays) + (len(stage_delays) - 1)
-    return comp.compile(), latency
+    # latency: a relay spikes on its input's tick; each wire adds its delay
+    return comp.compile(), sum(wire_delays)
 
 
 class TestChainLatency:
     @given(
-        stage_delays=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+        wire_delays=st.lists(st.integers(1, 15), min_size=0, max_size=4),
         line=st.integers(0, 3),
         start=st.integers(0, 5),
     )
     @settings(max_examples=30, deadline=None)
-    def test_exact_end_to_end_latency(self, stage_delays, line, start):
-        compiled, latency = build_chain(stage_delays)
+    def test_exact_end_to_end_latency(self, wire_delays, line, start):
+        compiled, latency = build_chain(wire_delays)
         ins = InputSchedule()
         pin = compiled.inputs["in"][line]
         ins.add(start, pin.core, pin.index)
@@ -50,17 +46,17 @@ class TestChainLatency:
         assert hits == [(start + latency, line)]
 
     @given(
-        stage_delays=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+        wire_delays=st.lists(st.integers(1, 15), min_size=0, max_size=3),
         events=st.lists(
             st.tuples(st.integers(0, 8), st.integers(0, 3)),
             min_size=1, max_size=8, unique=True,
         ),
     )
     @settings(max_examples=25, deadline=None)
-    def test_chain_preserves_spike_content(self, stage_delays, events):
+    def test_chain_preserves_spike_content(self, wire_delays, events):
         # every injected (tick, line) appears at the output shifted by the
         # chain latency, and nothing else appears
-        compiled, latency = build_chain(stage_delays)
+        compiled, latency = build_chain(wire_delays)
         ins = InputSchedule()
         pins = compiled.inputs["in"]
         for t, line in events:

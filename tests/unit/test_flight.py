@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.compass.batched import BatchedCompassSimulator, replica_seeds
 from repro.compass.fast import FastCompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.obs import PHASES, Observer
@@ -32,27 +33,28 @@ class TestFlightRecorder:
     def test_record_and_read_back(self):
         rec = FlightRecorder(capacity=8)
         begin = 2**55 + 1  # past float64's exact integers
-        rec.record(0, begin, begin + 500_000, spikes=3, messages_total=10,
+        rec.record(0, begin, begin + 500_000, spikes=3, messages=10,
                    phases=(100, 200, 150, 50), queue_depth=4)
         rec.record(1, begin + 600_000, begin + 2_600_000, spikes=1,
-                   messages_total=14)
+                   messages=4)
         rows = rec.rows()
         assert rows.shape == (2,)
         assert rows.dtype.names == FLIGHT_FIELDS
         assert rows["tick"].tolist() == [0, 1]
         assert rows["wall_ns"].tolist() == [500_000, 2_000_000]
         assert rows["spikes"].tolist() == [3, 1]
-        # messages column stores per-tick deltas of the cumulative total
         assert rows["messages"].tolist() == [10, 4]
         assert rows["begin_ns"].tolist() == [begin, begin + 600_000]
         assert rows["queue_depth"].tolist() == [4, 0]
         assert [rows[f"{p}_ns"][0] for p in PHASES] == [100, 200, 150, 50]
 
     def test_message_counter_reset_restarts_baseline(self):
+        # Each row holds the count its engine passed for that tick: no
+        # cumulative baseline to restart when a lane reset drops one.
         rec = FlightRecorder(capacity=4)
-        rec.record(0, 0, 1000, messages_total=50)
-        rec.record(0, 0, 1000, messages_total=3)  # lane reset: total fell
-        assert rec.column("messages").tolist() == [50, 3]
+        for messages in (50, 3, 3):
+            rec.record(0, 0, 1000, messages=messages)
+        assert rec.column("messages").tolist() == [50, 3, 3]
 
     def test_ring_overwrites_oldest(self):
         rec = FlightRecorder(capacity=4)
@@ -85,8 +87,8 @@ class TestFlightRecorder:
 
     def test_summary_budget_accounting(self):
         rec = FlightRecorder(capacity=8)
-        rec.record(0, 0, BUDGET_NS // 2, spikes=2, messages_total=5)
-        rec.record(1, 0, 3 * BUDGET_NS, spikes=0, messages_total=5)
+        rec.record(0, 0, BUDGET_NS // 2, spikes=2, messages=5)
+        rec.record(1, 0, 3 * BUDGET_NS, spikes=0, messages=0)
         s = rec.summary()
         assert s["ticks"] == 2
         assert s["budget_compliance"] == pytest.approx(0.5)
@@ -174,6 +176,24 @@ class TestObserverFlightTick:
         # the four marks are contiguous: the phases sum to the whole tick
         phases = sum(rows[f"{p}_ns"] for p in PHASES)
         assert (phases == rows["wall_ns"]).all()
+
+    def test_lane_reset_rows_hold_each_pass_own_messages(self):
+        # A reset drops one lane's counters mid-run; every row must still
+        # equal that pass's increase in the lanes' summed messages.
+        net = random_network(n_cores=4, n_axons=16, n_neurons=16,
+                             connectivity=0.5, seed=9)
+        obs = Observer()
+        sim = BatchedCompassSimulator(net, 4, seeds=replica_seeds(9, 4), obs=obs)
+        sim.load_inputs([poisson_inputs(net, 30, 400.0, seed=b) for b in range(4)])
+        want = []
+        for tick in range(30):
+            if tick == 15:
+                sim.reset_lane(1, inputs=poisson_inputs(net, 15, 400.0, seed=7))
+            before = sim.counters.messages
+            sim.step_arrays()
+            want.append(sim.counters.messages - before)
+        assert sum(want) > 0 and want[15] > 0
+        assert obs.flight.column("messages").tolist() == want
 
     def test_disabled_observer_records_nothing(self):
         net = random_network(n_cores=2, n_axons=8, n_neurons=8, seed=7)

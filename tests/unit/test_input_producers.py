@@ -15,8 +15,6 @@ import pytest
 
 import repro.compass.engine as compass_engine
 import repro.core.inputs as inputs_module
-from repro.apps.audio import AudioClassifier
-from repro.apps.optical_flow import build_flow_pipeline, moving_bar_inputs
 from repro.apps.saccade import build_saccade_pipeline, drive_saliency_rates
 from repro.apps.transduction import rate_code_frame
 from repro.core.builders import poisson_inputs, random_network
@@ -38,19 +36,9 @@ def _rate_code_frame():
     return schedule
 
 
-def _audio_encode():
-    clf = AudioClassifier(n_bands=6, n_frames=5, ticks_per_frame=3,
-                          reservoir_neurons=16, seed=2)
-    return clf.encode(np.random.default_rng(5).random((5, 6)), seed=9)
-
-
 def _drive_saliency_rates():
     pipeline = build_saccade_pipeline(n_locations=12, seed=1)
     return drive_saliency_rates(pipeline, np.linspace(0.05, 0.9, 12), 25, seed=4)
-
-
-def _moving_bar_inputs():
-    return moving_bar_inputs(build_flow_pipeline(n_positions=6), 2, direction=-1)[0]
 
 
 def _rbm_present_flush(monkeypatch):
@@ -91,9 +79,7 @@ def _schedule_from_aer():
 
 PRODUCERS = {
     "rate_code_frame": _rate_code_frame,
-    "audio_encode": _audio_encode,
     "drive_saliency_rates": _drive_saliency_rates,
-    "moving_bar_inputs": _moving_bar_inputs,
     "rbm_present_flush": _rbm_present_flush,
     "poisson_inputs": _poisson_inputs,
     "add_frame": _add_frame,
@@ -103,9 +89,7 @@ PRODUCERS = {
 #: (n_events, SHA-256 of the (n, 3) little-endian int64 event table).
 PINNED = {
     "add_frame": (23, "746c2705949731abfd962052e0575e0ee4cff19cd3f1af7b5c3df76946109975"),
-    "audio_encode": (22, "edae9df80bc03d6c0e45eea1e89dde421779e63957e0489c9185e043ae824756"),
     "drive_saliency_rates": (120, "a166358c2d753091af132f8772ca77067a010aafb43c413105ea1899a0104db6"),
-    "moving_bar_inputs": (12, "a3b7a4181768dea8fd835f53adca4272f6387cab4561eba7e0b68c76b80e6951"),
     "poisson_inputs": (84, "72d9266ee855018741d20c5a18da676eb514ab6adf477529b430572d52a7ae06"),
     "rate_code_frame": (168, "65556d16c9143b06d274ee264388afed58a16c4048ed94f93247682fef304d0b"),
     "rbm_present_flush": (32, "e83dc4bcc82952cc7057d8e26f0d4197fe040cce469a90e00c5f3c048af90699"),

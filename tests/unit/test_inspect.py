@@ -1,47 +1,7 @@
-"""Tests for the glyph classifier app and composition inspection."""
+"""Tests for composition inspection."""
 
-import numpy as np
-import pytest
-
-from repro.apps.glyphs import GLYPH_CLASSES, GlyphClassifier, draw_glyph, edge_kernels
 from repro.core.builders import random_network
 from repro.corelets.inspect import analyze, report_text
-
-
-class TestGlyphs:
-    def test_glyph_rendering(self):
-        for kind in GLYPH_CLASSES:
-            img = draw_glyph(kind, seed=3)
-            assert img.shape == (8, 8)
-            assert img.max() <= 1.0 and img.min() >= 0.0
-            assert img.sum() > 0
-
-    def test_glyphs_differ(self):
-        a = draw_glyph("cross", seed=1)
-        b = draw_glyph("square", seed=1)
-        assert not np.array_equal(a, b)
-
-    def test_unknown_glyph_rejected(self):
-        with pytest.raises(ValueError):
-            draw_glyph("circle")
-
-    def test_edge_kernels_balanced(self):
-        k = edge_kernels()
-        assert k.shape == (9, 4)
-        assert np.abs(k.sum(axis=0)).max() == 0  # zero-mean filters
-
-    @pytest.mark.slow
-    def test_end_to_end_accuracy(self):
-        clf = GlyphClassifier(seed=2)
-        clf.train(n_per_class=12)
-        assert set(np.unique(clf.weights)).issubset({-1, 0, 1})
-        acc = clf.accuracy(n_per_class=4)
-        assert acc > 0.55  # chance is 1/3
-
-    def test_untrained_rejects(self):
-        clf = GlyphClassifier(seed=1)
-        with pytest.raises(ValueError):
-            clf.classify(draw_glyph("cross"))
 
 
 class TestInspection:

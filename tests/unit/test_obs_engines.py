@@ -165,19 +165,6 @@ class TestEngineSelectionLogging:
         assert "engine=fast" in text
         assert "reason=" in text
 
-    def test_stereo_build_logged(self):
-        from repro.apps.stereo import build_stereo_pipeline
-
-        stream = io.StringIO()
-        configure(level=logging.INFO, stream=stream, force=True)
-        try:
-            build_stereo_pipeline(8)
-            text = stream.getvalue()
-        finally:
-            configure(force=True)
-        assert "stereo_pipeline_built" in text
-        assert "repro.apps.stereo" in text
-
     def test_silent_by_default(self, network):
         from repro.compass.engine import select_engine
 

@@ -53,7 +53,7 @@ def _membranes(rng, shape):
 
 
 class TestLaneGenericUpdate:
-    NETWORKS = ("stereo", "recurrent-stochastic", "random-stochastic")
+    NETWORKS = ("rbm-sampler", "recurrent-stochastic", "random-stochastic")
 
     @pytest.mark.parametrize("name", NETWORKS)
     @pytest.mark.parametrize("diverged", [False, True])

@@ -52,6 +52,8 @@ MUTANTS = [
      "below = ~spiked & (v < plan.neg_limit)", "below = spiked & (v < plan.neg_limit)"),
     ("neurons-reset-blend", "compass/fast.py", "update_neurons",
      "delta *= spiked", "delta *= ~spiked"),
+    ("threshold-draw-every-neuron", "compass/fast.py", "_patched",
+     "return values", "return values[..., ::-1]"),
     ("lanes-share-a-draw", "core/prng.py", "draw_staged",
      "for s, t in (zip(seed, tick.tolist()) if lanes else [(seed, tick)])",
      "for s, t in (zip(seed[:1] * len(seed), tick.tolist()) if lanes else [(seed, tick)])"),
