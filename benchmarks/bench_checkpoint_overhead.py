@@ -2,12 +2,11 @@
 
 Periodic checkpointing is meant to run in production: long runs capture
 an :class:`~repro.io.checkpoint.EngineCheckpoint` every N ticks
-(``repro run --checkpoint-every N``, or the parallel engine's
-``checkpoint_every``) so a crash resumes from the last good tick instead
-of tick 0.  This benchmark holds the promised budget on
+(``repro run --checkpoint-every N``) so a crash resumes from the last
+good tick instead of tick 0.  This benchmark holds the promised budget on
 a paper-scale workload — a 64k-neuron identity network, 64 axons
 driven a tick — by gating the *amortized* cost of
-snapshot-and-save at <= 5% at the production ``checkpoint_every=1000``
+snapshot-and-save at <= 5% at the production ``--checkpoint-every 1000``
 cadence (with a small absolute floor so micro-jitter cannot trip the
 gate).  Two engine-side costs keep this honest: the model digest is
 memoized on the network (one sha-256 walk per model, not per

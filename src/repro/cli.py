@@ -154,10 +154,7 @@ def _cmd_simulate(args) -> int:
     network = _resolve_model(args.model)
     if args.resume or args.checkpoint_every:
         return _simulate_checkpointed(args, network)
-    record = run_engine(
-        network, args.ticks, engine=args.expression, n_ranks=args.ranks,
-        n_workers=args.workers,
-    )
+    record = run_engine(network, args.ticks, engine=args.expression, n_ranks=args.ranks)
     c = record.counters
     print(f"{network.name or args.model}: {network.n_cores} cores, "
           f"{args.ticks} ticks on {args.expression}")
@@ -187,9 +184,7 @@ def _simulate_checkpointed(args, network) -> int:
     from repro.compass.engine import select_engine
     from repro.io.checkpoint import EngineCheckpoint
 
-    sim = select_engine(
-        network, args.expression, n_ranks=args.ranks, n_workers=args.workers,
-    )
+    sim = select_engine(network, args.expression, n_ranks=args.ranks)
     if getattr(sim, "snapshot", None) is None:
         print(f"expression {args.expression!r} does not support "
               "checkpointing (needs snapshot()/restore())", file=sys.stderr)
@@ -208,9 +203,6 @@ def _simulate_checkpointed(args, network) -> int:
             path = os.path.join(ckpt_dir, f"ckpt-{done}.npz")
             n_bytes = sim.snapshot().save(path)
             print(f"  checkpoint at tick {done}: {path} ({n_bytes} bytes)")
-    close = getattr(sim, "close", None)
-    if close is not None:
-        close()
     c = sim.counters
     print(f"{network.name or args.model}: {network.n_cores} cores, "
           f"ticks {start_tick}..{args.ticks} on {args.expression}")
@@ -358,14 +350,7 @@ def _run_observed(args):
     network = _resolve_model(args.model)
     inputs = poisson_inputs(network, args.ticks, args.rate, seed=args.seed)
     obs = Observer()
-    sim = select_engine(
-        network, args.expression, n_ranks=args.ranks, n_workers=args.workers, obs=obs,
-    )
-    sim.run(args.ticks, inputs)
-    # The parallel engine merges its per-rank trace strips at close().
-    close = getattr(sim, "close", None)
-    if close is not None:
-        close()
+    select_engine(network, args.expression, n_ranks=args.ranks, obs=obs).run(args.ticks, inputs)
     return network, obs
 
 
@@ -570,8 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--expression", choices=one_record, default="auto",
                     help="kernel expression to run (auto = sparse fast path)")
     ps.add_argument("--ranks", type=int, default=1)
-    ps.add_argument("--workers", type=int, default=2,
-                    help="ranks (processes) for the parallel engine")
     ps.add_argument("--output", help="write output spikes to this AER file")
     ps.add_argument("--checkpoint-every", type=int, default=None,
                     help="write a checkpoint every N ticks (docs/checkpoint.md)")
@@ -657,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(ENGINES), default="auto",
                        help="kernel expression to run (auto = sparse path)")
         p.add_argument("--ranks", type=int, default=1)
-        p.add_argument("--workers", type=int, default=2,
-                       help="ranks (processes) for the parallel engine")
 
     pt = sub.add_parser(
         "trace",

@@ -2,7 +2,7 @@
 
 The paper's central claim is that one neurosynaptic kernel (Listing 1)
 admits many expressions — scalar reference, vectorized software,
-multi-process, event-driven silicon — that are spike-for-spike
+rank-partitioned, event-driven silicon — that are spike-for-spike
 interchangeable.  This module makes that interchangeability an API:
 :func:`select_engine` constructs the right simulator for a network and
 an ``engine`` name, and ``engine="auto"`` picks the fastest applicable
@@ -14,8 +14,9 @@ Every returned simulator exposes the common driving surface:
 ``load_inputs(schedule)``, ``step() -> [(tick, core, neuron)]`` and
 ``run(n_ticks, inputs) -> SpikeRecord``.  :func:`run_engine` is the
 only one-shot form; a caller that needs engine-specific arguments (a
-B-lane batch, TrueNorth's ``mesh``) constructs the simulator and
-calls its ``run``.
+B-lane batch, TrueNorth's ``mesh``) or the shared-memory
+:class:`~repro.compass.parallel.ParallelCompassSimulator` constructs the
+simulator and calls its ``run``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.obs.observer import Observer
 from repro.utils.validation import require
 
 #: Recognized engine names, in rough speed order for typical workloads.
-ENGINES = ("auto", "fast", "batched", "compass", "parallel", "truenorth", "reference")
+ENGINES = ("auto", "fast", "batched", "compass", "truenorth", "reference")
 
 log = get_logger("repro.engine")
 
@@ -39,21 +40,18 @@ def select_engine(
     engine: str = "auto",
     *,
     n_ranks: int = 1,
-    n_workers: int = 2,
     partition_strategy: str = "load_balanced",
     obs: Observer | None = None,
 ):
     """Construct a simulator for *network* under the named *engine*.
 
     ``engine="auto"`` resolves to the single-process FastCompass path,
-    which applies to every network.  It never resolves to the
-    shared-memory parallel engine — the decision rule that would have
-    let it was measured and not met (docs/performance.md, PR 21); ask
-    for ``engine="parallel"`` by name (*n_workers* ranks, two unless
-    said).  It falls back to the
+    which applies to every network.  It falls back to the
     rank-partitioned Compass expression only when the caller requests
     rank-level behaviour (``n_ranks > 1``, which the flat engines do
-    not model).
+    not model).  ``"parallel"`` is refused: the shared-memory engine's
+    decision rule was measured and not met (docs/performance.md,
+    "PR 21"), so nothing selects it by name.
 
     ``engine="batched"`` returns a one-lane
     :class:`~repro.compass.batched.BatchedCompassSimulator`, whose
@@ -66,6 +64,12 @@ def select_engine(
     itself is logged on the ``repro.engine`` structured logger (set
     ``REPRO_LOG_LEVEL=INFO`` to see it).
     """
+    require(
+        engine != "parallel",
+        "engine 'parallel' is not selectable: its decision rule was measured "
+        "and not met (docs/performance.md, \"PR 21\"); engine='compass' with "
+        "n_ranks models the same rank-level messages in process",
+    )
     require(engine in ENGINES, f"unknown engine {engine!r}; expected one of {ENGINES}")
     requested = engine
     reason = "explicit request"
@@ -78,7 +82,7 @@ def select_engine(
             reason = "the single-process sparse path applies to every network"
     log.info(
         "engine_selected", engine=engine, requested=requested,
-        n_ranks=n_ranks, n_workers=n_workers, reason=reason,
+        n_ranks=n_ranks, reason=reason,
     )
 
     if engine == "fast":
@@ -96,14 +100,6 @@ def select_engine(
             network, n_ranks=n_ranks,
             partition_strategy=partition_strategy, obs=obs,
         )
-    if engine == "parallel":
-        from repro.compass.parallel import ParallelCompassSimulator
-
-        return ParallelCompassSimulator(
-            network, n_workers=n_workers,
-            partition_strategy=partition_strategy, obs=obs,
-        )
-
     if engine == "truenorth":
         from repro.hardware.simulator import TrueNorthSimulator
 

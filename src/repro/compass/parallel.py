@@ -47,10 +47,6 @@ stats      (6 + C_r,)               owner in route: deliveries, synaptic
                                     saturations, cross-rank messages, then
                                     per-owned-core synaptic events; caller
                                     reads after ``done``
-obs        FlightRecorder ring      child rank: one row per tick (only with
-           (6-word head + rows)     an observer); the caller adopts rows and
-                                    sums at close().  Rank 0 writes the
-                                    observer's own ring in-process
 sync       (1,) on rank 0           caller, before ``go``: the tick to run,
                                     ``_STOP``, or ``_CTRL`` (one control
                                     message follows by pipe); a rank reads
@@ -82,10 +78,7 @@ from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.record import SpikeRecord
 from repro.io.checkpoint import EngineCheckpoint
-from repro.obs.flight import FlightRecorder, write_crash_dump
 from repro.obs.log import get_logger
-from repro.obs.observer import NULL_SPAN, Observer, active_observer, engine_phase_seconds
-from repro.obs.trace import now_ns
 from repro.sanitize.analyze import analyze_access_log
 from repro.sanitize.dynamic import AccessRecorder, sanitize_enabled, shadow_view
 from repro.sanitize.faults import apply_overlap_relabel, resolve_fault
@@ -202,33 +195,24 @@ class _Rank:
         """Drop the shared views (before the segments close)."""
         self.rings = self.spikes = self.stats = self.sync = None
 
-    def tick(self, tick: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
-        """Advance one tick; return ``(spikes, begin_ns, end_ns, phases)``,
-        the arguments of a flight row.
-
-        Clock reads go through :func:`repro.obs.trace.now_ns`, keeping
-        this tick path SL104-clean; they are observed, never fed back.
-        """
+    def tick(self, tick: int) -> None:
+        """Advance one tick: deliver, integrate, update, route."""
         part, st, rec = self.part, self.st, self.rec
         ring, spike_buf, stats = (
             self.rings[part.rank], self.spikes[part.rank], self.stats[part.rank]
         )
         if rec is not None:
             rec.set_context(tick, "deliver")
-        t0 = now_ns()
         row = ring[tick % params.DELAY_SLOTS]
         active = row.copy()  # copy before clearing the slot
         active_idx = np.nonzero(active)[0]
         if active_idx.size:
             row[:] = False
-        t1 = now_ns()
         syn = st.integrate(tick, active, active_idx)
-        t2 = now_ns()
 
         if rec is not None:
             rec.set_context(tick, "update")
         fired, _ = st.update(tick, syn)
-        t3 = now_ns()
 
         if rec is not None:
             rec.set_context(tick, "route")
@@ -261,21 +245,18 @@ class _Rank:
             st.n_saturated[0], messages,
         )
         stats[_ST_N:] = st.per_core
-        t4 = now_ns()
-        return int(fired.size), t0, t4, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
 
 
 def _rank_main(
     conn, go, done, parent_pid: int, parts: list, rank: int, shm_names: list[dict],
-    seed: int, sanitize: bool, flight_rows: int,
+    seed: int, sanitize: bool,
 ) -> None:
     """Child process: advance rank *rank* whenever the caller says go.
 
     Per tick: take ``go``, read the tick from the sync word, run
-    :meth:`_Rank.tick` (with *flight_rows*, also write this rank's
-    flight row into its ``obs`` segment), post ``done``.  The sync word
-    may instead say ``_CTRL`` — serve one snapshot / restore message
-    from the pipe — or ``_STOP``.  If anything raises, the rank ships
+    :meth:`_Rank.tick`, post ``done``.  The sync word may instead say
+    ``_CTRL`` — serve one snapshot / restore message from the pipe — or
+    ``_STOP``.  If anything raises, the rank ships
     ``(_ERR, rank, traceback)`` and exits, so the caller fails fast and
     unlinks the segments rather than waiting out the deadline; if the
     caller itself is gone (no ``go`` and a new parent pid) it just exits.
@@ -287,7 +268,6 @@ def _rank_main(
     shms = [{key: _attach(name) for key, name in names.items()} for names in shm_names]
     rec = AccessRecorder(f"rank{rank}") if sanitize else None
     me = _Rank(parts, rank, shms, seed, rec)
-    flight = FlightRecorder(flight_rows, shms[rank]["obs"].buf) if flight_rows else None
     try:
         while True:
             while not (_spin(go) or go.acquire(timeout=_POLL_S)):
@@ -297,8 +277,6 @@ def _rank_main(
             if tick == _STOP:
                 if rec is not None:
                     conn.send((_SAN, rec.events))
-                if flight is not None:
-                    flight.release()
                 me.release()
                 conn.close()
                 return
@@ -315,9 +293,7 @@ def _rank_main(
 
             if rec is not None:
                 rec.barrier("recv", "rank0", tick)
-            spikes, begin, end, phases = me.tick(tick)
-            if flight is not None:
-                flight.record(tick, begin, end, spikes, phases=phases)
+            me.tick(tick)
             if rec is not None:
                 rec.barrier("send", "rank0", tick)
             done.release()
@@ -342,39 +318,27 @@ class ParallelCompassSimulator:
     simulation.
     """
 
-    phase_seconds = engine_phase_seconds
-
     def __init__(
         self,
         network: Network | CompiledNetwork,
         n_workers: int = 2,
         partition_strategy: str = "load_balanced",
-        obs: Observer | None = None,
         sanitize: bool | None = None,
         sanitize_fault=None,
-        checkpoint_every: int | None = None,
     ) -> None:
-        self.checkpoint_every = checkpoint_every
-        #: Most recent periodic :meth:`snapshot` (``checkpoint_every``);
-        #: attached to the crash-dump bundle when a rank dies.
-        self.last_checkpoint = None
         self.sanitize = sanitize_enabled(sanitize)
         self.sanitize_fault = resolve_fault(sanitize_fault)
         self.sanitize_report = None
-        compiled = bind_compiled(self, network, obs)
+        compiled = bind_compiled(self, network, None)
         require(
             isinstance(n_workers, int) and n_workers >= 1,
             "n_workers must be a positive integer",
         )
         self.n_workers = n_workers
         self.partition_strategy = partition_strategy
-        with (obs.span("partition", ranks=n_workers)
-              if obs is not None else NULL_SPAN):
-            self.partitioned = partition_compiled(
-                compiled,
-                partition(self.network, n_workers, partition_strategy),
-                n_workers,
-            )
+        self.partitioned = partition_compiled(
+            compiled, partition(self.network, n_workers, partition_strategy), n_workers,
+        )
 
         self.tick = 0
         self.counters = EventCounters()
@@ -389,7 +353,6 @@ class ParallelCompassSimulator:
         self._conns: list = []
         self._go: list = []
         self._done: list = []
-        self._worker_flights: list[FlightRecorder] = []
         self._shms: list[dict] = []  # per rank: region name -> segment
         self._spawned = False
         self._closed = False
@@ -406,61 +369,45 @@ class ParallelCompassSimulator:
         self.counters = EventCounters()
         self.counters.ensure_cores(self.compiled.n_cores)
         self._procs, self._conns, self._go, self._done = [], [], [], []
-        self._worker_flights, self._shms = [], []
+        self._shms = []
         self.sanitize_report = None
         parts = self.partitioned.partitions
-        obs = active_observer(self.obs)
-        flight_rows = obs.flight.capacity if obs is not None else 0
 
-        with (obs.span("spawn", workers=self.n_workers)
-              if obs is not None else NULL_SPAN):
-            for part in parts:
-                sizes = {
-                    "ring": params.DELAY_SLOTS * part.n_axons,
-                    "spikes": 8 * (1 + part.n_neurons),
-                    "stats": 8 * (_ST_N + part.n_cores),
-                }
-                if part.rank == 0:
-                    sizes["sync"] = 8
-                elif flight_rows:
-                    # Per-child flight ring: the rank writes one row per
-                    # tick here, the caller adopts rows and sums at close().
-                    sizes["obs"] = FlightRecorder.nbytes(flight_rows)
-                # A new segment is zero-filled: empty rings, no spikes.
-                self._shms.append({
-                    key: shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-                    for key, nbytes in sizes.items()
-                })
-                if "obs" in sizes:
-                    self._worker_flights.append(
-                        FlightRecorder(flight_rows, self._shms[-1]["obs"].buf)
-                    )
-            names = [{key: shm.name for key, shm in shms.items()} for shms in self._shms]
-            for rank in range(1, self.n_workers):
-                parent, child = ctx.Pipe()
-                go, done = ctx.Semaphore(0), ctx.Semaphore(0)
-                proc = ctx.Process(
-                    target=_rank_main,
-                    args=(child, go, done, os.getpid(), parts, rank, names,
-                          self.network.seed, self.sanitize, flight_rows),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
-                self._go.append(go)
-                self._done.append(done)
-            # After the forks, so no child carries a copy of rank 0's state.
-            rec = (AccessRecorder("rank0", fault=self.sanitize_fault)
-                   if self.sanitize else None)
-            self._rank0 = _Rank(parts, 0, self._shms, self.network.seed, rec)
+        for part in parts:
+            sizes = {
+                "ring": params.DELAY_SLOTS * part.n_axons,
+                "spikes": 8 * (1 + part.n_neurons),
+                "stats": 8 * (_ST_N + part.n_cores),
+            }
+            if part.rank == 0:
+                sizes["sync"] = 8
+            # A new segment is zero-filled: empty rings, no spikes.
+            self._shms.append({
+                key: shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+                for key, nbytes in sizes.items()
+            })
+        names = [{key: shm.name for key, shm in shms.items()} for shms in self._shms]
+        for rank in range(1, self.n_workers):
+            parent, child = ctx.Pipe()
+            go, done = ctx.Semaphore(0), ctx.Semaphore(0)
+            proc = ctx.Process(
+                target=_rank_main,
+                args=(child, go, done, os.getpid(), parts, rank, names,
+                      self.network.seed, self.sanitize),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self._procs.append(proc)
+            self._conns.append(parent)
+            self._go.append(go)
+            self._done.append(done)
+        # After the forks, so no child carries a copy of rank 0's state.
+        rec = (AccessRecorder("rank0", fault=self.sanitize_fault)
+               if self.sanitize else None)
+        self._rank0 = _Rank(parts, 0, self._shms, self.network.seed, rec)
         self._spawned = True
         self._closed = False
-
-    def liveness(self) -> dict:
-        """``{"rank<r>": probe}`` per child rank, for ``/health``'s workers map."""
-        return {f"rank{r + 1}": proc.is_alive for r, proc in enumerate(self._procs)}
 
     # -- input handling ----------------------------------------------------
     def load_inputs(self, inputs: InputSchedule | None) -> None:
@@ -499,8 +446,6 @@ class ParallelCompassSimulator:
         if not self._spawned:
             self._spawn()
 
-        obs = active_observer(self.obs)
-        tick_begin = now_ns()
         tick, rank0 = self.tick, self._rank0
         rec = rank0.rec
         if rec is not None:
@@ -524,7 +469,7 @@ class ParallelCompassSimulator:
 
         self._release(tick)
         try:
-            *_, phases = rank0.tick(tick)
+            rank0.tick(tick)
         except Exception:
             self._worker_failed(0, traceback.format_exc())
         for rank in range(1, self.n_workers):
@@ -534,7 +479,6 @@ class ParallelCompassSimulator:
 
         fired_acc: list[np.ndarray] = []
         c = self.counters
-        n_spikes = sent = 0
         for part, spike_buf, stats in zip(
             self.partitioned.partitions, rank0.spikes, rank0.stats
         ):
@@ -545,9 +489,7 @@ class ParallelCompassSimulator:
                 saturations=saturations, spikes=spikes,
             )
             c.messages += messages
-            sent += messages
             if spikes:
-                n_spikes += spikes
                 fired_acc.append(spike_buf[1 : 1 + spikes])
         # Each rank's ids ascend; merged, they are in (core, neuron) order.
         fired = np.sort(np.concatenate(fired_acc)) if fired_acc else np.zeros(0, np.int64)
@@ -555,20 +497,6 @@ class ParallelCompassSimulator:
         neurons = self.compiled.local_neuron[fired]
 
         self.tick = c.ticks = tick + 1
-        if self.checkpoint_every and self.tick % self.checkpoint_every == 0:
-            with (obs.span("checkpoint", tick=self.tick)
-                  if obs is not None else NULL_SPAN):
-                self.last_checkpoint = self.snapshot()
-            if obs is not None:
-                obs.metrics.counter("repro_checkpoints_total").inc()
-        if obs is not None:
-            # Rank 0's row: the whole tick's wall (inject + barrier +
-            # gather included) with rank 0's own four phases; the child
-            # ranks' rows are adopted at close().
-            obs.tick(
-                tick, tick_begin, now_ns(), n_spikes, sent,
-                phases, len(self._future_inputs),
-            )
         return tick, core_ids, neurons
 
     def _await(self, rank: int, done=None):
@@ -614,11 +542,8 @@ class ParallelCompassSimulator:
 
         A failed child rank is SIGKILLed first — stopped or hung, it would
         never take the stop, and close() would wait out its joins — while
-        the healthy ranks get the graceful stop.  After the cleanup
-        (children reaped, shared segments unlinked) a postmortem bundle —
-        flight ring, metric snapshot, recent spans, sanitize report if
-        armed — is written to ``$REPRO_CRASH_DIR`` so the telemetry
-        survives the dead pool.
+        the healthy ranks get the graceful stop.  The error is raised
+        after the cleanup: children reaped, shared segments unlinked.
         """
         summary = detail.strip().splitlines()[-1] if detail.strip() else detail
         log.error(
@@ -627,13 +552,7 @@ class ParallelCompassSimulator:
         if rank >= 1:
             self._procs[rank - 1].kill()
         self.close()
-        err = WorkerFailedError(rank, detail)
-        write_crash_dump(
-            self.obs, f"worker_failed rank={rank}", detail=detail, exc=err,
-            sanitize_report=self.sanitize_report,
-            checkpoint=self.last_checkpoint,
-        )
-        raise err
+        raise WorkerFailedError(rank, detail)
 
     def step(self) -> list[tuple[int, int, int]]:
         """Advance one tick; return spikes as (tick, core, neuron) tuples."""
@@ -761,15 +680,6 @@ class ParallelCompassSimulator:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        obs = active_observer(self.obs)
-        for rank, flight in enumerate(self._worker_flights, start=1):
-            # Rank r's rows and cumulative sums become trace row tid r
-            # (tid 0 is rank 0, the caller): a heap copy made with array
-            # slices, so every later scrape answers without the segments.
-            if obs is not None:
-                obs.adopt(rank, flight)
-            flight.release()
-        self._worker_flights = []
         if rank0.rec is not None:
             self._finish_sanitize(rank0.rec, child_logs)
         # Drop our views before closing the segments (numpy arrays hold

@@ -4,9 +4,9 @@ The paper verified TrueNorth against Compass with 413,333 single-core
 and 7,536+289 full-chip regressions, 10k-100M time steps, with "not a
 single spike mismatch".  Here the kernel expressions — reference
 kernel, Compass (multiple rank counts), the sparse FastCompass engine
-(including every stochastic mode), TrueNorth (with and without the
-detailed NoC) — are run over suites of randomized networks and compared
-spike-for-spike.
+(including every stochastic mode), the shared-memory peer-rank pool,
+TrueNorth (with and without the detailed NoC) — are run over suites of
+randomized networks and compared spike-for-spike.
 
 Wall-clock projection (EQ2): the longest regression, 100M ticks, took
 27.7 hours on TrueNorth at real time vs ~74 days on the 8-thread x86
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.apps.recurrent import probabilistic_recurrent_network
 from repro.apps.workloads import characterization_workload
 from repro.compass.engine import run_engine
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.chip import Placement
@@ -88,7 +89,7 @@ def multi_core_regressions(
             run_engine(net, n_ticks, ins, engine="compass"),
             CompassSimulator(net, n_ranks=3, partition_strategy="round_robin").run(n_ticks, ins),
             run_engine(net, n_ticks, ins, engine="fast"),  # sparse, stochastic
-            run_engine(net, n_ticks, ins, engine="parallel"),
+            ParallelCompassSimulator(net, n_workers=2).run(n_ticks, ins),
             run_engine(net, n_ticks, ins, engine="truenorth"),
             TrueNorthSimulator(net, placement, MeshNetwork.spanning(placement)).run(n_ticks, ins),
         ):

@@ -54,27 +54,6 @@ class AERStream:
         """Events as (tick, core, line) tuples."""
         return event_tuples(self.ticks, self.cores, self.lines)
 
-    def shifted(self, dt: int) -> "AERStream":
-        """Stream with all timestamps shifted by *dt* ticks."""
-        require(self.n_events == 0 or int(self.ticks.min()) + dt >= 0,
-                "shift would produce negative ticks")
-        return AERStream(ticks=self.ticks + dt, cores=self.cores, lines=self.lines)
-
-    def window(self, start: int, stop: int) -> "AERStream":
-        """Events with start <= tick < stop."""
-        mask = (self.ticks >= start) & (self.ticks < stop)
-        return AERStream(
-            ticks=self.ticks[mask], cores=self.cores[mask], lines=self.lines[mask]
-        )
-
-    def merge(self, other: "AERStream") -> "AERStream":
-        """Timestamp-ordered merge of two streams."""
-        return AERStream(*canonical_events(
-            np.concatenate([self.ticks, other.ticks]),
-            np.concatenate([self.cores, other.cores]),
-            np.concatenate([self.lines, other.lines]),
-        ))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AERStream):
             return NotImplemented

@@ -21,7 +21,7 @@ codes:
   class, or segments leak across runs; additionally, a class holding an
   ``np.ndarray(..., buffer=...)`` view in an attribute must reassign
   that attribute somewhere (a release path), or the lingering buffer
-  export makes segment close raise ``BufferError`` — the FlightRecorder /
+  export makes segment close raise ``BufferError`` — the
   ParallelCompassSimulator discipline;
 * ``SL106`` — float literals must not enter arithmetic in the integer
   kernel modules (``core/kernel.py``, ``core/prng.py``,

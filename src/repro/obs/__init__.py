@@ -1,8 +1,8 @@
 """repro.obs — unified tracing, metrics, and structured logging.
 
-The telemetry layer shared by every kernel expression (reference
-Compass, sparse FastCompass, shared-memory ParallelCompass) and the
-streaming runtime:
+The telemetry layer shared by every kernel expression that takes
+``obs=`` (Compass, sparse FastCompass and its batch lanes, TrueNorth)
+and by the streaming and serving runtimes:
 
 * **flight recorder** — the one per-tick record: a ring row per
   finished tick (wall time vs the 1 ms budget, the four phase

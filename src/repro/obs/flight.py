@@ -8,19 +8,15 @@ from it:
 
 * :class:`FlightRecorder` — a fixed-size ring of per-tick rows
   (:data:`FLIGHT_FIELDS`).  One finished tick is one preallocated row
-  write, on the heap for an :class:`~repro.obs.observer.Observer` or
-  over a caller's buffer (a parallel worker's shared-memory ``obs``
-  segment) — the same class either way.  Beside the window the ring
-  keeps cumulative sums of ``wall_ns`` and the four phase columns, so
-  totals survive eviction.  Spans, phase seconds, gauges and the
-  ``/flight`` payload are all read from the rows at scrape time.
+  write.  Beside the window the ring keeps cumulative sums of
+  ``wall_ns`` and the four phase columns, so totals survive eviction.
+  Spans, phase seconds, gauges and the ``/flight`` payload are all read
+  from the rows at scrape time.
 * :func:`write_crash_dump` — a postmortem bundle writer.  When
-  ``REPRO_CRASH_DIR`` is set, a failing engine (a
-  :class:`~repro.compass.parallel.WorkerFailedError`, an unhandled
-  exception in the serving or streaming runtimes) leaves behind a
-  directory containing the flight ring, the metric snapshot, the recent
-  span trace, and — when the sanitizer was armed — its report, so a
-  crashed worker no longer takes its telemetry with it.
+  ``REPRO_CRASH_DIR`` is set, a failing session (an unhandled exception
+  in the serving or streaming runtimes) leaves behind a directory
+  containing the flight ring, the metric snapshot and the recent span
+  trace, so a crash does not take its telemetry with it.
 
 Real-time cortical simulation work (Rhodes et al.; Simula et al.)
 treats wall-vs-biological time as a first-class measurement; the
@@ -90,9 +86,9 @@ ROW_DTYPE = np.dtype([
 #: then the running sums :meth:`FlightRecorder.record` maintains.
 _HEAD = ("recorded", "wall_ns", "deliver_ns", "integrate_ns", "update_ns", "route_ns")
 
-# The write path packs straight into the buffer: a third of the cost of
-# a numpy structured-row store, and no colder when the tick around it
-# has evicted everything (the numpy views are for the readers).
+# The write path packs straight into the ring's bytes: a third of the
+# cost of a numpy structured-row store, and no colder when the tick
+# around it has evicted everything (the numpy views are for the readers).
 _PACK_ROW = struct.Struct(
     "<" + "".join("d" if ROW_DTYPE[name].kind == "f" else "q" for name in FLIGHT_FIELDS)
 )
@@ -103,38 +99,18 @@ class FlightRecorder:
     """Fixed-size ring of per-tick telemetry rows plus cumulative sums.
 
     One :meth:`record` call per tick writes one preallocated row — no
-    Python object churn, no growth.  Constructed with *buf* the ring
-    lives in the caller's buffer (zero-filled = empty; one writer, any
-    number of readers constructed over the same bytes), otherwise on
-    the heap.  Reads (:meth:`rows`, :meth:`summary`, :meth:`to_json`,
-    :meth:`dump`) reconstruct chronological order from the write
-    cursor; a concurrent reader (the telemetry HTTP thread, the
-    parallel engine's caller) sees at worst one torn in-flight row,
-    never a crash.
+    Python object churn, no growth.  Reads (:meth:`rows`,
+    :meth:`summary`, :meth:`to_json`, :meth:`dump`) reconstruct
+    chronological order from the write cursor; a concurrent reader (the
+    telemetry HTTP thread) sees at worst one torn in-flight row, never
+    a crash.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, buf=None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         require(capacity >= 1, f"flight capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        if buf is None:
-            buf = bytearray(self.nbytes(self.capacity))
-        # np.ndarray(buffer=...) over np.frombuffer: the latter keeps a
-        # buffer export alive past local teardown, which makes
-        # SharedMemory.__del__ raise BufferError at worker exit.
-        self._head = np.ndarray(len(_HEAD), dtype=np.int64, buffer=buf)
-        self._rows = np.ndarray(
-            self.capacity, dtype=ROW_DTYPE, buffer=buf, offset=self._head.nbytes
-        )
-
-    @staticmethod
-    def nbytes(capacity: int) -> int:
-        """Bytes a ring of *capacity* rows needs."""
-        return 8 * len(_HEAD) + ROW_DTYPE.itemsize * capacity
-
-    def release(self) -> None:
-        """Drop the views into the caller's buffer (before segment close)."""
         self._head = np.zeros(len(_HEAD), dtype=np.int64)
-        self._rows = np.zeros(0, dtype=ROW_DTYPE)
+        self._rows = np.zeros(self.capacity, dtype=ROW_DTYPE)
 
     @property
     def recorded(self) -> int:
@@ -182,21 +158,6 @@ class FlightRecorder:
             n + 1, wall + wall_ns, deliver + d, integrate + i, update + u, route + r,
         )
         return wall_ns
-
-    def extend(self, other: "FlightRecorder") -> None:
-        """Append *other*'s retained rows and add its cumulative sums.
-
-        How the parallel engine adopts a child rank's shared-memory
-        ring before the segment goes away: array slices, no per-row
-        Python.  Rows *other* had already evicted stay counted in the
-        sums, which is what keeps phase totals whole on a run longer
-        than the ring.
-        """
-        rows = other.rows(last=self.capacity)
-        head = self._head + other._head
-        head[0] = end = self.recorded + rows.size
-        self._rows[self._slots(end - rows.size, end)] = rows
-        self._head[:] = head
 
     # -- read ---------------------------------------------------------------
     def totals_ns(self) -> dict:
@@ -329,8 +290,6 @@ def write_crash_dump(
     *,
     detail: str = "",
     exc: BaseException | None = None,
-    sanitize_report=None,
-    checkpoint=None,
 ) -> str | None:
     """Write a postmortem bundle; return its path (None when disabled).
 
@@ -342,11 +301,7 @@ def write_crash_dump(
     * ``flight.npz`` + ``flight.json`` — the flight ring;
     * ``metrics.json`` — the metric registry snapshot;
     * ``trace.json`` — setup spans plus the tick and phase spans read
-      from the rows of every rank, as a Chrome trace;
-    * ``sanitize.json`` — the sanitizer report, when one was armed;
-    * ``checkpoint.npz`` — a restorable engine checkpoint (when the
-      caller holds one, e.g. a ``checkpoint_every`` parallel engine), so
-      a crashed run can resume from the last good tick.
+      from the rows, as a Chrome trace.
 
     Never raises: a dump failure is logged and swallowed — postmortems
     must not mask the original error.
@@ -355,16 +310,6 @@ def write_crash_dump(
     crash_dir = crash_dump_dir()
     if crash_dir is None:
         return None
-    if exc is not None and getattr(exc, "_crash_dumped", False):
-        # Already bundled closer to the failure (e.g. the parallel
-        # engine's worker-failure path); don't write a duplicate as the
-        # exception propagates through wrapping runtimes.
-        return None
-    if exc is not None:
-        try:
-            exc._crash_dumped = True
-        except AttributeError:  # exceptions with __slots__
-            pass
     try:
         _dump_seq += 1
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
@@ -390,16 +335,6 @@ def write_crash_dump(
             obs.export_chrome_trace(os.path.join(bundle, "trace.json"))
             files += ["flight.npz", "flight.json", "metrics.json", "trace.json"]
             obs.metrics.counter("repro_crash_dumps_total").inc()
-        if sanitize_report is not None:
-            with open(os.path.join(bundle, "sanitize.json"), "w",
-                      encoding="utf-8") as f:
-                f.write(sanitize_report.render_json())
-                f.write("\n")
-            files.append("sanitize.json")
-        if checkpoint is not None and hasattr(checkpoint, "save"):
-            checkpoint.save(os.path.join(bundle, "checkpoint.npz"))
-            files.append("checkpoint.npz")
-            manifest["checkpoint_tick"] = int(checkpoint.tick)
         manifest["files"] = files
         with open(os.path.join(bundle, "manifest.json"), "w",
                   encoding="utf-8") as f:

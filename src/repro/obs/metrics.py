@@ -78,8 +78,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "histogram", "Serving SLO: session submit -> finalize latency."),
     "repro_crash_dumps_total": (
         "counter", "Postmortem crash-dump bundles written."),
-    "repro_checkpoints_total": (
-        "counter", "Engine checkpoints captured (periodic)."),
     "repro_telemetry_requests_total": (
         "counter", "Telemetry HTTP requests served (label: endpoint)."),
 }

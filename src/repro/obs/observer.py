@@ -14,7 +14,7 @@ one (the disabled-overhead benchmark holds this path to <= 5%).
 
 from __future__ import annotations
 
-from repro.obs.flight import BUDGET_NS, DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flight import BUDGET_NS, FlightRecorder
 from repro.obs.metrics import CATALOGUE, EVENT_METRICS, MetricsRegistry
 from repro.obs.trace import PHASES, TraceBuffer, now_ns
 
@@ -37,12 +37,11 @@ NULL_SPAN = _NullSpan()
 class _SpanHandle:
     """Context manager recording one span into an observer's trace."""
 
-    __slots__ = ("_obs", "_name", "_tid", "_attrs", "_begin")
+    __slots__ = ("_obs", "_name", "_attrs", "_begin")
 
-    def __init__(self, obs: "Observer", name: str, tid: int, attrs: dict | None):
+    def __init__(self, obs: "Observer", name: str, attrs: dict | None):
         self._obs = obs
         self._name = name
-        self._tid = tid
         self._attrs = attrs
 
     def __enter__(self) -> "_SpanHandle":
@@ -50,23 +49,17 @@ class _SpanHandle:
         return self
 
     def __exit__(self, *exc) -> bool:
-        self._obs.trace.add(self._name, self._begin, now_ns(),
-                            tid=self._tid, attrs=self._attrs)
+        self._obs.trace.add(self._name, self._begin, now_ns(), attrs=self._attrs)
         return False
 
 
 class Observer:
     """One observability session: flight ring + trace buffer + registry."""
 
-    def __init__(self, *, enabled: bool = True,
-                 flight_capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.flight = FlightRecorder(flight_capacity)
-        #: Flight ring per trace row: tid 0 is :attr:`flight` (on the
-        #: parallel engine, rank 0's own rows), tid r the rows adopted
-        #: from parallel child rank r.
-        self.rings: dict[int, FlightRecorder] = {0: self.flight}
-        self.trace = TraceBuffer(rings=self.rings)
+        self.flight = FlightRecorder()
+        self.trace = TraceBuffer(flight=self.flight)
         self.metrics = MetricsRegistry()
         self.metrics.add_collector(self._collect)
         #: Served share of the batch lanes, kept current by the model
@@ -76,11 +69,11 @@ class Observer:
         self._tick_seconds = self.metrics.histogram("repro_tick_seconds").state()
 
     # -- spans -------------------------------------------------------------
-    def span(self, name: str, tid: int = 0, **attrs):
+    def span(self, name: str, **attrs):
         """Context manager timing one region (no-op when disabled)."""
         if not self.enabled:
             return NULL_SPAN
-        return _SpanHandle(self, name, tid, attrs or None)
+        return _SpanHandle(self, name, attrs or None)
 
     # -- the per-tick record -----------------------------------------------
     def tick(self, tick: int, begin_ns: int, end_ns: int, spikes: int,
@@ -98,18 +91,6 @@ class Observer:
             queue_depth, lanes, self.occupancy,
         )
         self._tick_seconds.observe(wall_ns * 1e-9)
-
-    def adopt(self, tid: int, ring: FlightRecorder) -> None:
-        """Take over *ring*'s rows and sums as trace row *tid*.
-
-        Called by the parallel engine at ``close()`` for each child
-        rank's shared-memory ring; afterwards every read answers from
-        this observer's own heap copy.
-        """
-        own = self.rings.get(tid)
-        if own is None:
-            own = self.rings[tid] = FlightRecorder(self.flight.capacity)
-        own.extend(ring)
 
     # -- reads (pulled at scrape time) -------------------------------------
     def bind_counters(self, source) -> None:
@@ -141,7 +122,7 @@ class Observer:
     def event_snapshot(self) -> dict:
         """The deterministic event-metric subset of the snapshot.
 
-        Identical across the reference, fast, and parallel engines for
+        Identical across the reference, fast, and Compass engines for
         the same seeded network at matched message granularity — the
         cross-engine equivalence the obs test suite asserts bit-exactly.
         """
@@ -151,13 +132,10 @@ class Observer:
     def phase_seconds(self) -> dict:
         """Accumulated wall-clock seconds per canonical tick phase.
 
-        The rings' cumulative sums, so evicted ticks still count;
-        summed over every rank on the parallel engine.
+        The ring's cumulative sums, so evicted ticks still count.
         """
-        totals = [ring.totals_ns() for ring in list(self.rings.values())]
-        return {
-            name: sum(t[f"{name}_ns"] for t in totals) * 1e-9 for name in PHASES
-        }
+        totals = self.flight.totals_ns()
+        return {name: totals[f"{name}_ns"] * 1e-9 for name in PHASES}
 
     # -- export ------------------------------------------------------------
     def export_chrome_trace(self, path: str) -> int:
@@ -178,9 +156,7 @@ def engine_phase_seconds(engine) -> dict:
     The one ``phase_seconds`` property every engine that takes ``obs=``
     carries (``phase_seconds = engine_phase_seconds`` in the class
     body): the four canonical phases — ``deliver``/``integrate``/
-    ``update``/``route`` — from the engine's observer; on the parallel
-    engine they are summed over every rank: rank 0's as they happen, a
-    child rank's once its rows have been adopted (at ``close()``).
+    ``update``/``route`` — from the engine's observer.
     """
     if engine.obs is None:
         return dict.fromkeys(PHASES, 0.0)

@@ -3,19 +3,18 @@
 A span is one timed region ``(name, begin_ns, end_ns, tid, attrs)``.
 Two kinds exist and only one is stored here:
 
-* setup and runtime regions — ``compile``, ``partition``, ``spawn``,
-  ``frame``, ``checkpoint`` — are recorded into the bounded
-  :class:`TraceBuffer` ring as they finish;
+* setup and runtime regions — ``compile``, ``partition``, ``frame`` —
+  are recorded into the bounded :class:`TraceBuffer` ring as they
+  finish;
 * a whole ``tick`` (``batch_pass`` on the batched engine) and its four
   kernel phases (``deliver`` / ``integrate`` / ``update`` / ``route``)
   are *not* stored as spans: each finished tick is one row in a
   :class:`~repro.obs.flight.FlightRecorder`, and the buffer's read side
-  synthesizes those spans from the rows of every rank it was given.
+  synthesizes those spans from that ring's rows.
 
 The merged view exports Chrome ``trace_event`` JSON loadable by
-``chrome://tracing`` and Perfetto, with one timeline row (tid) per
-rank; timestamps are ``CLOCK_MONOTONIC``-based and so comparable
-across processes on one host.
+``chrome://tracing`` and Perfetto; timestamps are
+``CLOCK_MONOTONIC``-based.
 
 All wall-clock reads for tracing live in this module (:func:`now_ns`),
 keeping the engines' tick paths clean under the SL104 determinism lint:
@@ -45,7 +44,7 @@ now_ns = time.perf_counter_ns
 
 
 class Span:
-    """One recorded region: name, [begin, end) in ns, rank row, attrs."""
+    """One recorded region: name, [begin, end) in ns, trace row, attrs."""
 
     __slots__ = ("name", "begin_ns", "end_ns", "tid", "attrs")
 
@@ -72,8 +71,8 @@ class Span:
                 f"dur={self.duration_s * 1e3:.3f} ms, attrs={self.attrs})")
 
 
-def row_spans(rows: np.ndarray, tid: int) -> list[Span]:
-    """The whole-tick and phase spans of one rank's flight *rows*.
+def row_spans(rows: np.ndarray) -> list[Span]:
+    """The whole-tick and phase spans of flight *rows*, on trace row 0.
 
     Phases are laid out contiguously from each row's ``begin_ns`` —
     exact for the sparse engines, whose phases are consecutive clock
@@ -95,28 +94,27 @@ def row_spans(rows: np.ndarray, tid: int) -> list[Span]:
         if phase_ends[-1] > a:
             cursor = a
             for name, end in zip(PHASES, phase_ends):
-                spans.append(Span(name, cursor, end, tid, attrs))
+                spans.append(Span(name, cursor, end, attrs=attrs))
                 cursor = end
         if lanes:
-            spans.append(Span("batch_pass", a, a + wall, tid,
-                              {"pass": tick, "lanes": lanes}))
+            spans.append(Span("batch_pass", a, a + wall,
+                              attrs={"pass": tick, "lanes": lanes}))
         else:
-            spans.append(Span("tick", a, a + wall, tid, attrs))
+            spans.append(Span("tick", a, a + wall, attrs=attrs))
     return spans
 
 
 class TraceBuffer:
     """Bounded ring of spans, read merged with the per-tick flight rows.
 
-    *rings* maps a rank row (tid) to the
-    :class:`~repro.obs.flight.FlightRecorder` holding that rank's ticks
-    (any object with ``rows()``); :meth:`add` never sees a tick.
-    Overflow drops the oldest stored span.
+    *flight* is the :class:`~repro.obs.flight.FlightRecorder` holding
+    the ticks (any object with ``rows()``), read as trace row 0;
+    :meth:`add` never sees a tick.  Overflow drops the oldest stored span.
     """
 
-    def __init__(self, capacity: int = 65536, rings: dict | None = None) -> None:
+    def __init__(self, capacity: int = 65536, flight=None) -> None:
         self._ring: deque[Span] = deque(maxlen=capacity)
-        self.rings = {} if rings is None else rings
+        self.flight = flight
         self.dropped = 0
         self._capacity = capacity
 
@@ -139,23 +137,22 @@ class TraceBuffer:
         """Every stored and every row-derived span, in merged tick order.
 
         Sort key is ``(tick, begin_ns)`` with tick-less spans (compile,
-        spawn, ...) ordered purely by timestamp before tick 0 — so a
-        multi-rank trace interleaves all ranks' phase spans tick by
-        tick, the order the acceptance trace is checked in.
+        frame, ...) ordered purely by timestamp before tick 0.
         """
         def key(span: Span):
             tick = span.tick
             return (tick if tick is not None else -1, span.begin_ns, span.tid)
 
         spans = list(self._ring)
-        for tid, ring in list(self.rings.items()):
-            spans += row_spans(ring.rows(), tid)
+        if self.flight is not None:
+            spans += row_spans(self.flight.rows())
         return sorted(spans, key=key)
 
     def tids(self) -> list[int]:
-        """Sorted set of rank rows with at least one span."""
+        """Sorted set of trace rows with at least one span."""
         tids = {span.tid for span in list(self._ring)}
-        tids.update(tid for tid, ring in list(self.rings.items()) if len(ring))
+        if self.flight is not None and len(self.flight):
+            tids.add(0)
         return sorted(tids)
 
     # -- Chrome trace_event export -----------------------------------------
@@ -164,7 +161,7 @@ class TraceBuffer:
 
         Timestamps are microseconds relative to the earliest span, so
         traces load at t=0 in ``chrome://tracing`` / Perfetto.  One
-        metadata event names each rank's timeline row.
+        metadata event names each timeline row.
         """
         spans = self.spans()
         if not spans:

@@ -108,9 +108,9 @@ class Access:
 class RegionSpec:
     """One shared region: layout plus its full allowed-access set.
 
-    *opaque* regions (the per-rank flight rings, the sync word that is
-    the barrier's own payload) are mediated by their own format and are
-    excluded from the binding and access checks.  Writes recorded in
+    An *opaque* region (the sync word, the barrier's own payload) is
+    mediated by its own format and excluded from the binding and access
+    checks.  Writes recorded in
     one of *set_phases* only ever store ``True``: two actors setting
     one bit commute, so such a pair is not a race — while the owner's
     clear (another phase) still conflicts with either.
@@ -204,10 +204,6 @@ PARALLEL_PROTOCOL = TickProtocol(
                 Access("rank", "tick", "w", ("route",)),
                 Access("caller", "gather", "r"),
             ],
-        ),
-        "obs": _spec(
-            "obs", "per-child-rank", "int64",
-            "FlightRecorder ring: 6-word head + ROW_DTYPE rows", [], opaque=True,
         ),
         "sync": _spec("sync", "rank 0", "int64", "(1,)", [], opaque=True),
     },

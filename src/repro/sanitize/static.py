@@ -322,8 +322,7 @@ def sweep_buffer_bindings(text: str, path: str | Path) -> LintReport:
     """SL200 sweep: shm-buffer ndarray bindings outside the known engine.
 
     Only ``buffer=<expr>.buf`` bindings count — a real shared-memory
-    buffer export.  (FlightRecorder's ``buffer=buf`` over an opaque
-    caller buffer is mediation, not a region binding.)
+    buffer export.
     """
     report = LintReport(subject="sanitize-static")
     try:

@@ -1,6 +1,5 @@
 """Property-based round-trip tests for the I/O layer."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builders import poisson_inputs, random_network
@@ -31,24 +30,6 @@ class TestAERProperties:
     def test_encode_decode_roundtrip(self, events):
         stream = AERStream.from_events(events)
         assert decode_aer(encode_aer(stream)) == stream
-
-    @given(events=aer_events(), start=st.integers(0, 5000), span=st.integers(1, 5000))
-    @settings(max_examples=40, deadline=None)
-    def test_window_partition(self, events, start, span):
-        stream = AERStream.from_events(events)
-        inside = stream.window(start, start + span)
-        before = stream.window(0, start)
-        after = stream.window(start + span, 10_001)
-        assert inside.n_events + before.n_events + after.n_events == stream.n_events
-
-    @given(events=aer_events(), dt=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_shift_preserves_structure(self, events, dt):
-        stream = AERStream.from_events(events)
-        shifted = stream.shifted(dt)
-        assert shifted.n_events == stream.n_events
-        if stream.n_events:
-            assert np.array_equal(shifted.ticks - dt, stream.ticks)
 
 
 class TestCheckpointProperties:

@@ -5,7 +5,8 @@ network, seed and inputs give the same spikes as the reference kernel,
 "not a single spike mismatch" (Section VI-A).  Here that regression is
 one hypothesis ``RuleBasedStateMachine``.  It draws a network — a random
 deterministic or stochastic net of 1-4 cores, some with membranes pinned
-at the 20-bit rails, or one of the bundled networks — and holds the
+at the 20-bit rails, some with a threshold draw on every neuron, or one
+of the bundled networks — and holds the
 scalar ``ReferenceKernel`` beside a bundle of live expressions of it:
 the fast engine, Compass (1-4 ranks, any partition
 strategy), TrueNorth, at most one peer-rank parallel pool, and one lane
@@ -120,6 +121,11 @@ def random_networks(draw) -> Network:
     )
     if draw(st.sampled_from([True, False])):
         pin_to_rails(net)
+    if draw(st.booleans()):
+        # Every neuron draws its threshold: the engines' full-slice
+        # draw, which a partial mask never takes.
+        for core in net.cores:
+            core.threshold_mask[core.threshold_mask == 0] = 3
     return net
 
 

@@ -3,8 +3,7 @@
 That a checkpoint taken at any tick on any engine resumes bit-exactly on
 any other is the differential oracle's ``snapshot_restore`` rule
 (``tests/property/test_oracle.py``).  Here: files, identity and size
-validation, the control pipe, crash bundles, streaming checkpoints
-and the CLI.
+validation, the control pipe, streaming checkpoints and the CLI.
 """
 
 import hashlib
@@ -22,7 +21,7 @@ from repro.cli import main as cli_main
 from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.compile import compile_network
 from repro.compass.fast import FastCompassSimulator
-from repro.compass.parallel import ParallelCompassSimulator, WorkerFailedError
+from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.compile import invalidate
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
@@ -31,8 +30,6 @@ from repro.hardware.simulator import TrueNorthSimulator
 from repro.io.checkpoint import EngineCheckpoint, model_digest
 from repro.lint.examples import BUILTIN_NETWORKS
 from repro.lint.diagnostics import LintError
-from repro.obs import Observer
-from repro.obs.flight import write_crash_dump
 
 TICKS = 30
 SPLIT = 13
@@ -271,69 +268,6 @@ class TestWireFormat:
         assert resumed.v.dtype == np.int32
         assert drive(resumed, 20) == drive(sim, 20) and head
         assert hashlib.sha256(resumed.snapshot().to_bytes()).hexdigest() == self.TICK_40_SHA256
-
-
-class TestCrashDumpCheckpoint:
-    def test_bundle_carries_restorable_checkpoint(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-        net = small_net(seed=4)
-        ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
-        bundle = write_crash_dump(None, "unit", checkpoint=ckpt)
-        with open(os.path.join(bundle, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        assert "checkpoint.npz" in manifest["files"]
-        assert manifest["checkpoint_tick"] == SPLIT
-        loaded = EngineCheckpoint.load(
-            os.path.join(bundle, "checkpoint.npz"), net
-        )
-        np.testing.assert_array_equal(loaded.v, ckpt.v)
-
-    def test_killed_worker_leaves_resumable_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        # The acceptance-criterion path: kill a parallel worker mid-run;
-        # the crash bundle's checkpoint resumes — bit-identical to the
-        # uninterrupted run — on a fresh engine.
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-        net = small_net(n_cores=4, seed=41)
-        ins = poisson_inputs(net, TICKS, 400.0, seed=3)
-        full_sim, full_events = reference_run(net, ins)
-
-        obs = Observer()
-        sim = ParallelCompassSimulator(
-            net, n_workers=2, obs=obs, checkpoint_every=5
-        )
-        try:
-            sim.load_inputs(ins)
-            head = drive(sim, SPLIT)  # periodic checkpoints at 5 and 10
-            assert sim.last_checkpoint is not None
-            assert sim.last_checkpoint.tick == 10
-            assert obs.metrics.counter("repro_checkpoints_total").value() == 2
-            sim._procs[0].kill()
-            sim._procs[0].join(timeout=5)
-            with pytest.raises(WorkerFailedError):
-                for _ in range(3):
-                    sim.step_arrays()
-        finally:
-            sim.close()
-
-        bundles = [p for p in tmp_path.iterdir() if p.name.startswith("crash-")]
-        assert len(bundles) == 1
-        manifest = json.loads((bundles[0] / "manifest.json").read_text())
-        assert "checkpoint.npz" in manifest["files"]
-        assert manifest["checkpoint_tick"] == 10
-
-        resumed = FastCompassSimulator(compile_network(net))
-        resumed.restore(EngineCheckpoint.load(bundles[0] / "checkpoint.npz", net))
-        tail = drive(resumed, TICKS - 10)
-        assert SpikeRecord.from_events(head[: _n_until(head, 10)] + tail) == \
-            SpikeRecord.from_events(full_events)
-        np.testing.assert_array_equal(resumed.v, full_sim.v)
-
-
-def _n_until(events, tick):
-    """Number of leading *events* with tick < *tick* (events are ordered)."""
-    return sum(1 for t, _, _ in events if t < tick)
 
 
 class TestCheckpointCLI:

@@ -322,17 +322,18 @@ class TestEngineSelection:
         assert isinstance(select_engine(net), FastCompassSimulator)
         assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
 
-    def test_parallel_engine_is_by_name_only(self):
-        # The decision rule for letting "auto" pick the parallel engine
-        # was measured and not met (docs/performance.md, PR 21), so a
-        # rank count comes from the caller or is the constructor's 2.
+    def test_parallel_engine_name_is_refused(self):
+        # The shared-memory engine's decision rule was measured and not
+        # met (docs/performance.md, "PR 21"): no name selects it, and the
+        # refusal says where the verdict is.
         net = random_network(n_cores=6, n_neurons=8, seed=61)
-        sim = select_engine(net, "parallel", n_workers=3)
-        try:
-            assert isinstance(sim, ParallelCompassSimulator) and sim.n_workers == 3
-        finally:
-            sim.close()
-        assert select_engine(net, "parallel").n_workers == 2
+        for call in (lambda: select_engine(net, "parallel"),
+                     lambda: run_engine(net, 5, engine="parallel")):
+            with pytest.raises(ValueError, match='docs/performance.md, "PR 21"'):
+                call()
+        assert "parallel" not in ENGINES
+        with pytest.raises(ValueError, match='"PR 21"'):
+            streaming.StreamingRuntime(net, [], engine="parallel")
 
     def test_auto_stays_single_process_below_threshold(self):
         net = random_network(n_cores=6, n_neurons=8, seed=62)
@@ -343,13 +344,13 @@ class TestEngineSelection:
         assert isinstance(select_engine(net, "auto"), FastCompassSimulator)
 
     def test_auto_parallel_resolution_is_correct(self):
-        # End to end: "auto", and the parallel engine asked for by name
-        # with "auto" ranks, both reproduce the reference kernel exactly.
+        # End to end: "auto", and the parallel pool constructed by its
+        # class, both reproduce the reference kernel exactly.
         net = random_network(n_cores=4, n_neurons=8, stochastic=True, seed=64)
         ins = poisson_inputs(net, 10, 400.0, seed=3)
         ref = run_engine(net, 10, ins, engine="reference")
-        for engine in ("auto", "parallel"):
-            got = run_engine(net, 10, ins, engine=engine)
+        for got in (run_engine(net, 10, ins, engine="auto"),
+                    ParallelCompassSimulator(net).run(10, ins)):
             assert got.first_mismatch(ref) is None
 
     def test_auto_falls_back_for_rank_features(self):
@@ -362,11 +363,6 @@ class TestEngineSelection:
         assert isinstance(select_engine(net, "compass"), CompassSimulator)
         assert isinstance(select_engine(net, "truenorth"), TrueNorthSimulator)
         assert isinstance(select_engine(net, "reference"), ReferenceKernel)
-        par = select_engine(net, "parallel", n_workers=2)
-        try:
-            assert isinstance(par, ParallelCompassSimulator)
-        finally:
-            par.close()
 
     def test_unknown_engine_rejected(self):
         net = random_network(n_cores=1, seed=9)
@@ -386,11 +382,12 @@ class TestEngineSelection:
         ins = poisson_inputs(net, 12, 300.0, seed=1)
         ref = run_engine(net, 12, ins, engine="reference")
         for engine in ENGINES:
-            kwargs = {"n_workers": 2} if engine == "parallel" else {}
-            got = run_engine(compiled, 12, ins, engine=engine, **kwargs)
+            got = run_engine(compiled, 12, ins, engine=engine)
             if engine == "batched":  # one record per replica lane
                 (got,) = got
             assert got.first_mismatch(ref) is None, engine
+        got = ParallelCompassSimulator(compiled, n_workers=2).run(12, ins)
+        assert got.first_mismatch(ref) is None
 
     def test_run_engine_matches_reference_on_stochastic(self):
         net = random_network(n_cores=3, stochastic=True, seed=11)

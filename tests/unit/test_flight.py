@@ -129,32 +129,6 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
 
 
-class TestAdoption:
-    """extend(): how the parallel engine takes over a child rank's ring."""
-
-    def test_extend_adopts_rows_and_sums_past_eviction(self):
-        worker = FlightRecorder(4, bytearray(FlightRecorder.nbytes(4)))
-        for t in range(6):
-            worker.record(t, 10 * t, 10 * t + 8, phases=(1, 2, 3, 1))
-        own = FlightRecorder(capacity=8)
-        own.extend(worker)
-        assert own.column("tick").tolist() == [2, 3, 4, 5]
-        assert own.totals_ns()["integrate_ns"] == 12  # all six ticks
-        own.extend(worker)  # a second run's rows append, sums add
-        assert own.column("tick").tolist() == [2, 3, 4, 5, 2, 3, 4, 5]
-        assert own.totals_ns()["integrate_ns"] == 24
-        own.record(9, 0, 5)  # the cursor stays consistent for the writer
-        assert own.column("tick").tolist() == [3, 4, 5, 2, 3, 4, 5, 9]
-
-    def test_release_drops_the_buffer_views(self):
-        buf = bytearray(FlightRecorder.nbytes(2))
-        rec = FlightRecorder(2, buf)
-        rec.record(0, 0, 1)
-        rec.release()
-        assert len(rec) == 0
-        buf.clear()  # no exported view left: resizing is allowed
-
-
 class TestObserverFlightTick:
     def test_engine_hook_populates_ring_and_gauges(self):
         net = random_network(n_cores=3, n_axons=12, n_neurons=12, seed=5)
@@ -234,39 +208,3 @@ class TestCrashDumps:
         files = sorted(p.name for p in
                        (tmp_path / bundle.split("/")[-1]).iterdir())
         assert files == ["manifest.json"]
-
-    def test_marked_exception_is_not_dumped_twice(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-        err = RuntimeError("once")
-        first = write_crash_dump(None, "first", exc=err)
-        second = write_crash_dump(None, "second", exc=err)
-        assert first is not None and second is None
-        assert len(list(tmp_path.iterdir())) == 1
-
-    def test_worker_kill_produces_bundle_with_flight_ring(
-            self, tmp_path, monkeypatch):
-        # The acceptance-criterion path: a killed parallel worker leaves
-        # a postmortem bundle holding a non-empty flight ring.
-        from repro.compass.parallel import (
-            ParallelCompassSimulator,
-            WorkerFailedError,
-        )
-
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-        net = random_network(n_cores=4, connectivity=0.6, seed=41)
-        obs = Observer()
-        sim = ParallelCompassSimulator(net, n_workers=2, obs=obs)
-        sim.step()  # one clean tick so the flight ring is non-empty
-        sim._procs[0].kill()
-        sim._procs[0].join(timeout=5)
-        with pytest.raises(WorkerFailedError):
-            for _ in range(3):
-                sim.step()
-        bundles = [p for p in tmp_path.iterdir() if p.name.startswith("crash-")]
-        assert len(bundles) == 1
-        manifest = json.loads((bundles[0] / "manifest.json").read_text())
-        assert manifest["reason"].startswith("worker_failed")
-        with np.load(bundles[0] / "flight.npz") as data:
-            assert data["rows"].shape[0] >= 1  # the ring is non-empty
-        assert (bundles[0] / "metrics.json").exists()
-        assert (bundles[0] / "trace.json").exists()

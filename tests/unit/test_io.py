@@ -106,20 +106,6 @@ class TestAER:
             assert again.n_events <= stream.n_events  # a reading of the bytes it was given
             assert again == AERStream.from_events(again.as_tuples())
 
-    def test_window_and_shift(self):
-        stream = AERStream.from_events([(0, 0, 0), (5, 0, 1), (9, 0, 2)])
-        assert stream.window(1, 9).as_tuples() == [(5, 0, 1)]
-        shifted = stream.shifted(10)
-        assert shifted.as_tuples()[0] == (10, 0, 0)
-        with pytest.raises(ValueError):
-            stream.shifted(-1)
-
-    def test_merge_ordered(self):
-        a = AERStream.from_events([(0, 0, 0), (4, 0, 0)])
-        b = AERStream.from_events([(2, 1, 1)])
-        merged = a.merge(b)
-        assert merged.as_tuples() == [(0, 0, 0), (2, 1, 1), (4, 0, 0)]
-
     def test_schedule_conversions(self):
         ins = InputSchedule.from_events([(0, 0, 1), (2, 1, 3)])
         stream = aer_from_schedule(ins)
@@ -135,8 +121,8 @@ class TestAER:
         rec = run_engine(net, 10, ins, engine="truenorth")
         out_stream = record_to_aer(rec)
         assert out_stream.n_events == rec.n_spikes
-        replay = schedule_from_aer(out_stream.window(0, 10))
-        assert replay.n_events <= out_stream.n_events
+        replay = schedule_from_aer(out_stream)
+        assert replay.n_events == out_stream.n_events
 
 
 class TestModelFiles:

@@ -197,8 +197,7 @@ class TestSl105BufferViews:
         assert codes(text) == []
 
     def test_span_strip_and_serving_sources_are_clean(self):
-        """The named shm-view holders sweep clean under the rule (the
-        span strip's successor is the flight ring over a caller's buffer)."""
+        """The flight ring and the serving runtime sweep clean under the rule."""
         import repro.obs.flight as flight_mod
         import repro.runtime.serving as serving_mod
 

@@ -2,8 +2,7 @@
 
 Covers the metric registry, its collectors and its exporters (with a
 golden-file style Prometheus snapshot), the trace buffer's merged read
-side, the flight ring over a caller's buffer, the observer
-enable/disable semantics, the structured logger, and the
+side, the observer enable/disable semantics, the structured logger, and the
 EventCounters.merge edge cases the obs layer leans on.
 """
 
@@ -332,27 +331,27 @@ class TestTraceBuffer:
         assert complete[1]["args"] == {"tick": 0}
 
     def test_reads_merge_stored_spans_with_row_spans(self):
-        coord, worker = FlightRecorder(4), FlightRecorder(4)
-        buf = TraceBuffer(rings={0: coord, 1: worker})
-        buf.add("spawn", 0, 40, tid=0, attrs={"workers": 1})
-        coord.record(0, 100, 200)                           # untimed phases
-        worker.record(0, 110, 190, phases=(10, 20, 30, 20))
-        coord.record(3, 300, 420, lanes=2)                  # a batch pass
-        assert len(buf) == 1  # only the spawn span is stored
-        assert buf.tids() == [0, 1]
+        flight = FlightRecorder(4)
+        buf = TraceBuffer(flight=flight)
+        buf.add("compile", 0, 40)
+        flight.record(0, 100, 200)                           # untimed phases
+        flight.record(1, 210, 290, phases=(10, 20, 30, 20))
+        flight.record(3, 300, 420, lanes=2)                  # a batch pass
+        assert len(buf) == 1  # only the compile span is stored
+        assert buf.tids() == [0]
         got = [(s.name, s.tid, s.begin_ns, s.end_ns, s.attrs) for s in buf.spans()]
         assert got == [
-            ("spawn", 0, 0, 40, {"workers": 1}),
+            ("compile", 0, 0, 40, None),
             ("batch_pass", 0, 300, 420, {"pass": 3, "lanes": 2}),
             ("tick", 0, 100, 200, {"tick": 0}),
-            ("deliver", 1, 110, 120, {"tick": 0}),
-            ("tick", 1, 110, 190, {"tick": 0}),
-            ("integrate", 1, 120, 140, {"tick": 0}),
-            ("update", 1, 140, 170, {"tick": 0}),
-            ("route", 1, 170, 190, {"tick": 0}),
+            ("deliver", 0, 210, 220, {"tick": 1}),
+            ("tick", 0, 210, 290, {"tick": 1}),
+            ("integrate", 0, 220, 240, {"tick": 1}),
+            ("update", 0, 240, 270, {"tick": 1}),
+            ("route", 0, 270, 290, {"tick": 1}),
         ]
         events = buf.chrome_trace_events()
-        assert [e["tid"] for e in events if e["ph"] == "M"] == [0, 1]
+        assert [e["tid"] for e in events if e["ph"] == "M"] == [0]
 
     def test_export_chrome_writes_document(self, tmp_path):
         buf = TraceBuffer()
@@ -362,50 +361,6 @@ class TestTraceBuffer:
         doc = json.loads(out.read_text())
         assert len(doc["traceEvents"]) == n
         assert doc["displayTimeUnit"] == "ms"
-
-
-class TestRingOverCallerBuffer:
-    """What a parallel worker writes into its ``obs`` segment: the
-    flight ring constructed over the caller's bytes."""
-
-    def test_roundtrip(self):
-        buf = bytearray(FlightRecorder.nbytes(8))
-        ring = FlightRecorder(8, buf)
-        ring.record(0, 100, 120, spikes=2, phases=(10, 4, 5, 1))
-        ring.record(1, 130, 140)
-        assert ring.recorded == 2
-        rows = ring.rows()
-        assert rows["begin_ns"].tolist() == [100, 130]
-        assert rows["wall_ns"].tolist() == [20, 10]
-        assert rows["deliver_ns"].tolist() == [10, 0]
-
-    def test_ring_overwrite_keeps_newest(self):
-        ring = FlightRecorder(4, bytearray(FlightRecorder.nbytes(4)))
-        for i in range(6):
-            ring.record(i, i * 10, i * 10 + 5, phases=(1, 1, 2, 1))
-        assert ring.recorded == 6
-        assert ring.column("tick").tolist() == [2, 3, 4, 5]
-        assert ring.totals_ns()["update_ns"] == 12  # sums keep all six
-
-    def test_drain_into_trace(self):
-        ring = FlightRecorder(8, bytearray(FlightRecorder.nbytes(8)))
-        ring.record(3, 50, 60, phases=(2, 3, 4, 1))
-        obs = Observer()
-        obs.adopt(2, ring)
-        ring.release()  # the adopted copy is the observer's own
-        assert obs.trace.tids() == [2]
-        got = {(s.name, s.tick, s.tid) for s in obs.trace.spans()}
-        assert ("integrate", 3, 2) in got and ("tick", 3, 2) in got
-        assert obs.phase_seconds()["update"] == pytest.approx(4e-9)
-
-    def test_reader_attaches_without_reset(self):
-        buf = bytearray(FlightRecorder.nbytes(4))
-        writer = FlightRecorder(4, buf)
-        reader = FlightRecorder(4, buf)  # zero-filled = empty, no reset step
-        assert len(reader) == 0
-        writer.record(1, 0, 9, phases=(0, 0, 9, 0))
-        assert reader.rows().tolist() == writer.rows().tolist()
-        assert reader.totals_ns()["update_ns"] == 9
 
 
 class TestObserver:

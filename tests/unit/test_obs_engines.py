@@ -14,7 +14,6 @@ import pytest
 
 from repro.cli import main
 from repro.compass.fast import FastCompassSimulator
-from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.obs import PHASES, Observer, configure
@@ -86,70 +85,6 @@ class TestPhaseParity:
         assert a == b
 
 
-class TestParallelTraceMerge:
-    def test_worker_spans_merged_by_rank(self, network, inputs):
-        obs = Observer()
-        sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
-        sim.run(TICKS, inputs)
-        sim.close()
-        # Rank r is tid r: rank 0 wrote its rows in-process, with its
-        # phases like any other rank; rank 1's were adopted at close().
-        assert obs.trace.tids() == [0, 1]
-        per_rank_phases = {
-            tid: {s.name for s in obs.trace.spans() if s.tid == tid}
-            for tid in (0, 1)
-        }
-        for names in per_rank_phases.values():
-            assert set(PHASES) <= names
-        # Merged view is tick-ordered across ranks.
-        ticks = [s.tick for s in obs.trace.spans() if s.tick is not None]
-        assert ticks == sorted(ticks)
-        # Every rank's phase time feeds the uniform phase metric.
-        assert sum(obs.phase_seconds()[p] for p in PHASES) > 0
-
-
-    def test_totals_cover_a_run_longer_than_the_rank_ring(self, network, monkeypatch):
-        """40 ticks through 8-row rings: the phase totals are all 40
-        ticks' (the rings' cumulative sums), the spans the last 8."""
-        from repro.obs import FlightRecorder, TraceBuffer
-
-        obs = Observer(flight_capacity=8)  # sizes the per-rank rings too
-        sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
-        sim.load_inputs(poisson_inputs(network, 40, 300.0, seed=3))
-        for _ in range(40):
-            sim.step_arrays()
-        rings = [obs.flight, *sim._worker_flights]  # rank 0's, then the child's
-        assert [ring.recorded for ring in rings] == [40, 40]
-        accumulated = [ring.totals_ns() for ring in rings]
-        # Rank 0's phases count as they happen; the child's are adopted at close.
-        assert sim.phase_seconds == {
-            phase: accumulated[0][f"{phase}_ns"] * 1e-9 for phase in PHASES
-        }
-
-        per_record = []  # close() drains with array slices, not per record
-        monkeypatch.setattr(FlightRecorder, "record",
-                            lambda *a, **k: per_record.append("record"))
-        monkeypatch.setattr(TraceBuffer, "add",
-                            lambda *a, **k: per_record.append("add"))
-        sim.close()
-        monkeypatch.undo()
-        assert per_record == []
-
-        for phase in PHASES:
-            total_ns = sum(t[f"{phase}_ns"] for t in accumulated)
-            assert total_ns > 0
-            assert obs.phase_seconds()[phase] == sim.phase_seconds[phase] == total_ns * 1e-9
-            assert (f'repro_phase_seconds_total{{phase="{phase}"}} {total_ns * 1e-9}'
-                    in obs.metrics.to_prometheus())
-        for tid in (0, 1):
-            kept = [s.tick for s in obs.trace.spans()
-                    if s.tid == tid and s.name == "tick"]
-            assert kept == list(range(32, 40))
-            update_ns = sum(s.end_ns - s.begin_ns for s in obs.trace.spans()
-                            if s.tid == tid and s.name == "update")
-            assert 0 < update_ns < accumulated[tid]["update_ns"]
-
-
 class TestEngineSelectionLogging:
     def test_selection_decision_logged(self, network):
         from repro.compass.engine import select_engine
@@ -217,11 +152,13 @@ class TestStreamingObs:
 
 class TestCli:
     def test_trace_builtin_parallel(self, tmp_path, capsys):
+        """Two Compass ranks, traced: one flight row per tick, on one
+        trace row, with the four phases and the metric snapshot."""
         out = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
         rc = main([
             "trace", "recurrent-stochastic", "--ticks", "10",
-            "--engine", "parallel", "--workers", "2",
+            "--engine", "compass", "--ranks", "2",
             "--out", str(out), "--metrics-out", str(metrics),
         ])
         assert rc == 0
@@ -229,10 +166,10 @@ class TestCli:
         doc = json.loads(out.read_text())
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         tids = {e["tid"] for e in complete}
-        assert tids == {0, 1}  # both ranks: the caller's own and the child's
+        assert tids == {0}  # the one flight ring
         phase_names = {e["name"] for e in complete}
         assert set(PHASES) <= phase_names
-        # Per-tick spans from all ranks appear in merged tick order.
+        # Per-tick spans appear in tick order.
         ticked = [e["args"]["tick"] for e in complete
                   if "args" in e and "tick" in e["args"]]
         assert ticked == sorted(ticked)

@@ -63,11 +63,8 @@ class TestProtocolTables:
             assert info.severity is want, code
 
     def test_parallel_regions(self):
-        assert set(PARALLEL_PROTOCOL.regions) == {
-            "ring", "spikes", "stats", "obs", "sync",
-        }
+        assert set(PARALLEL_PROTOCOL.regions) == {"ring", "spikes", "stats", "sync"}
         assert PARALLEL_PROTOCOL.roles == ("caller", "rank", "peer")
-        assert PARALLEL_PROTOCOL.region("obs").opaque
         assert PARALLEL_PROTOCOL.region("sync").opaque
         assert PARALLEL_PROTOCOL.region("ring").set_phases == ("route",)
         assert PARALLEL_PROTOCOL.region("missing") is None

@@ -23,7 +23,6 @@ import pytest
 
 from repro.compass.batched import BatchedCompassSimulator
 from repro.compass.fast import FastCompassSimulator
-from repro.compass.parallel import ParallelCompassSimulator
 from repro.compass.simulator import CompassSimulator
 from repro.core.builders import poisson_inputs, random_network
 from repro.core.kernel import ReferenceKernel
@@ -33,7 +32,6 @@ from repro.obs import (
     PHASES,
     MetricFamily,
     Observer,
-    TelemetryServer,
     TraceBuffer,
     evaluate_health,
 )
@@ -45,7 +43,6 @@ ENGINES = {
     "fast": lambda net, obs: FastCompassSimulator(net, obs=obs),
     "compass": lambda net, obs: CompassSimulator(net, n_ranks=2, obs=obs),
     "batched": lambda net, obs: BatchedCompassSimulator(net, 3, obs=obs),
-    "parallel": lambda net, obs: ParallelCompassSimulator(net, n_workers=2, obs=obs),
 }
 
 
@@ -59,37 +56,28 @@ def inputs(network):
     return poisson_inputs(network, 2 * TICKS, 300.0, seed=3)
 
 
-def _close(sim):
-    close = getattr(sim, "close", None)
-    if close is not None:
-        close()
-
-
 class TestRatchet:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_steady_tick_is_one_ring_write(self, engine, network, inputs, monkeypatch):
         obs = Observer()
         sim = ENGINES[engine](network, obs)
         sim.load_inputs(inputs)
-        try:
-            for _ in range(3):  # spawn, first-tick set-up
-                sim.step()
-            written = obs.flight.recorded
-            calls = []
-            for cls, name in ((TraceBuffer, "add"), (MetricFamily, "set"),
-                              (MetricFamily, "inc")):
-                monkeypatch.setattr(
-                    cls, name, lambda *a, _n=name, **k: calls.append(_n)
-                )
-            step = getattr(sim, "step_arrays", sim.step)  # compass: step() only
-            for _ in range(20):
-                step()
-            monkeypatch.undo()
-            assert calls == []
-            assert obs.flight.recorded - written == 20
-            assert obs.metrics.snapshot()["repro_tick_seconds"]["count"] == 23
-        finally:
-            _close(sim)
+        for _ in range(3):  # first-tick set-up
+            sim.step()
+        written = obs.flight.recorded
+        calls = []
+        for cls, name in ((TraceBuffer, "add"), (MetricFamily, "set"),
+                          (MetricFamily, "inc")):
+            monkeypatch.setattr(
+                cls, name, lambda *a, _n=name, **k: calls.append(_n)
+            )
+        step = getattr(sim, "step_arrays", sim.step)  # compass: step() only
+        for _ in range(20):
+            step()
+        monkeypatch.undo()
+        assert calls == []
+        assert obs.flight.recorded - written == 20
+        assert obs.metrics.snapshot()["repro_tick_seconds"]["count"] == 23
 
 
 def _phase_samples(prom: str) -> dict:
@@ -115,33 +103,22 @@ class TestOneSchema:
         obs = Observer()
         sim = ENGINES[engine](network, obs)
         sim.load_inputs(inputs)
-        try:
-            for _ in range(TICKS // 2):
-                sim.step()
-            ckpt = sim.snapshot()
-            before = sim.counters
-            for _ in range(TICKS // 2):
-                sim.step()
-            later = obs.event_snapshot()
-            sim.restore(ckpt)  # rebinds sim.counters to the checkpoint's
-            assert engine == "batched" or sim.counters is not before
-            snap = obs.event_snapshot()
-            assert snap != later
-            for name, attr in EVENT_METRICS.items():
-                assert snap[name] == getattr(sim.counters, attr), name
-            if engine == "parallel":  # N - 1 children; rank 0 is this process
-                assert evaluate_health(obs, sim.liveness())["workers"] == {"rank1": True}
-        finally:
-            _close(sim)  # parallel: the child rank's rows are adopted here
+        for _ in range(TICKS // 2):
+            sim.step()
+        ckpt = sim.snapshot()
+        before = sim.counters
+        for _ in range(TICKS // 2):
+            sim.step()
+        later = obs.event_snapshot()
+        sim.restore(ckpt)  # rebinds sim.counters to the checkpoint's
+        assert engine == "batched" or sim.counters is not before
+        snap = obs.event_snapshot()
+        assert snap != later
+        for name, attr in EVENT_METRICS.items():
+            assert snap[name] == getattr(sim.counters, attr), name
 
         seconds = obs.phase_seconds()
         assert seconds == _span_seconds(obs)
-        if engine == "parallel":  # the sums cover all N ranks, rank 0's included
-            assert sorted(obs.rings) == [0, 1] and all(
-                ring.totals_ns()[f"{name}_ns"] > 0
-                for ring in obs.rings.values() for name in PHASES
-            )
-            assert evaluate_health(obs, sim.liveness())["workers"] == {"rank1": False}
         if engine != "batched":  # the one engine without the property
             assert seconds == sim.phase_seconds
         assert seconds == _phase_samples(obs.metrics.to_prometheus())
@@ -246,43 +223,6 @@ def handler_errors(monkeypatch):
 
 
 class TestScrapeUnderShutdown:
-    def test_parallel_engine_runs_and_closes_under_scrape(
-            self, network, handler_errors):
-        obs = Observer()
-        sim = ParallelCompassSimulator(network, n_workers=2, obs=obs)
-        sim.load_inputs(poisson_inputs(network, 50, 300.0, seed=3))
-        with TelemetryServer(obs, port=0) as telemetry:
-            sim.step_arrays()  # spawn: the children exist from here on
-            for name, probe in sim.liveness().items():
-                telemetry.add_liveness(name, probe)
-            hammer = _Hammer(telemetry.url)
-            hammer.start()
-            try:
-                for _ in range(49):
-                    sim.step_arrays()
-                sim.close()
-            finally:
-                hammer.stop.set()
-                hammer.join(timeout=30)
-            assert not hammer.is_alive()
-            hammer.check()
-            # After close() the segments are gone; every answer comes
-            # from the rows the observer adopted.
-            assert sim._shms == [] and sim._worker_flights == []
-            after = _Hammer(telemetry.url)
-            for path in ENDPOINTS:
-                after.get(path)
-            after.check()
-            bodies = {path: body for path, _, body in after.responses}
-        tids = {e["tid"] for e in json.loads(bodies["/trace"])["traceEvents"]}
-        assert tids == {0, 1}
-        assert 'repro_phase_seconds_total{phase="update"}' in bodies["/metrics"]
-        assert json.loads(bodies["/flight"])["recorded"] == 50
-        health = json.loads(bodies["/health"])
-        assert health["workers"] == {"rank1": False}  # N - 1 children, rank 0 is us
-        assert health["status"] == "failed"  # pool is down
-        assert handler_errors == []
-
     def test_model_server_drains_and_closes_under_scrape(self, network, handler_errors):
         server = ModelServer(network, n_lanes=2, telemetry_port=0)
         hammer = _Hammer(server.telemetry.url)
