@@ -17,7 +17,7 @@ Two prongs share one diagnostic vocabulary
 ``compass.compile()`` and ``Network.validate()`` call
 :func:`check_network`, so every engine — reference, fast, parallel,
 hardware — fails fast through the same front door.  The CLI surface is
-``python -m repro lint`` and ``tools/run_lint.py``.
+``python -m repro lint`` (``--source`` for the source lint).
 """
 
 from repro.lint.diagnostics import (

@@ -232,7 +232,7 @@ class _SourceVisitor(ast.NodeVisitor):
         no method ever *reassigns* that attribute, the export outlives
         the segment and ``SharedMemory.close()`` raises ``BufferError``.
         View-ness propagates through wrapper calls taking a view local
-        as a positional argument (``shadow_view(ring, ...)``).
+        as a positional argument (``wrap(ring, ...)``).
         """
         assigns = [sub for sub in ast.walk(node) if isinstance(sub, ast.Assign)]
         view_locals: set[str] = set()

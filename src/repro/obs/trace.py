@@ -1,6 +1,6 @@
 """Tracing: lightweight spans, ring buffers, Chrome trace export.
 
-A span is one timed region ``(name, begin_ns, end_ns, tid, attrs)``.
+A span is one timed region ``(name, begin_ns, end_ns, attrs)``.
 Two kinds exist and only one is stored here:
 
 * setup and runtime regions — ``compile``, ``partition``, ``frame`` —
@@ -44,16 +44,15 @@ now_ns = time.perf_counter_ns
 
 
 class Span:
-    """One recorded region: name, [begin, end) in ns, trace row, attrs."""
+    """One recorded region: name, [begin, end) in ns, attrs."""
 
-    __slots__ = ("name", "begin_ns", "end_ns", "tid", "attrs")
+    __slots__ = ("name", "begin_ns", "end_ns", "attrs")
 
-    def __init__(self, name: str, begin_ns: int, end_ns: int, tid: int = 0,
+    def __init__(self, name: str, begin_ns: int, end_ns: int,
                  attrs: dict | None = None) -> None:
         self.name = name
         self.begin_ns = begin_ns
         self.end_ns = end_ns
-        self.tid = tid
         self.attrs = attrs
 
     @property
@@ -67,12 +66,12 @@ class Span:
         return self.attrs.get("tick") if self.attrs else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.name!r}, tid={self.tid}, "
+        return (f"Span({self.name!r}, "
                 f"dur={self.duration_s * 1e3:.3f} ms, attrs={self.attrs})")
 
 
 def row_spans(rows: np.ndarray) -> list[Span]:
-    """The whole-tick and phase spans of flight *rows*, on trace row 0.
+    """The whole-tick and phase spans of flight *rows*.
 
     Phases are laid out contiguously from each row's ``begin_ns`` —
     exact for the sparse engines, whose phases are consecutive clock
@@ -108,8 +107,8 @@ class TraceBuffer:
     """Bounded ring of spans, read merged with the per-tick flight rows.
 
     *flight* is the :class:`~repro.obs.flight.FlightRecorder` holding
-    the ticks (any object with ``rows()``), read as trace row 0;
-    :meth:`add` never sees a tick.  Overflow drops the oldest stored span.
+    the ticks (any object with ``rows()``); :meth:`add` never sees a
+    tick.  Overflow drops the oldest stored span.
     """
 
     def __init__(self, capacity: int = 65536, flight=None) -> None:
@@ -126,12 +125,12 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def add(self, name: str, begin_ns: int, end_ns: int, tid: int = 0,
+    def add(self, name: str, begin_ns: int, end_ns: int,
             attrs: dict | None = None) -> None:
         """Record one completed span."""
         if len(self._ring) == self._capacity:
             self.dropped += 1
-        self._ring.append(Span(name, begin_ns, end_ns, tid, attrs))
+        self._ring.append(Span(name, begin_ns, end_ns, attrs))
 
     def spans(self) -> list[Span]:
         """Every stored and every row-derived span, in merged tick order.
@@ -141,39 +140,26 @@ class TraceBuffer:
         """
         def key(span: Span):
             tick = span.tick
-            return (tick if tick is not None else -1, span.begin_ns, span.tid)
+            return (tick if tick is not None else -1, span.begin_ns)
 
         spans = list(self._ring)
         if self.flight is not None:
             spans += row_spans(self.flight.rows())
         return sorted(spans, key=key)
 
-    def tids(self) -> list[int]:
-        """Sorted set of trace rows with at least one span."""
-        tids = {span.tid for span in list(self._ring)}
-        if self.flight is not None and len(self.flight):
-            tids.add(0)
-        return sorted(tids)
-
     # -- Chrome trace_event export -----------------------------------------
     def chrome_trace_events(self, pid: int = 0) -> list[dict]:
         """The buffer as Chrome ``trace_event`` complete events.
 
         Timestamps are microseconds relative to the earliest span, so
-        traces load at t=0 in ``chrome://tracing`` / Perfetto.  One
-        metadata event names each timeline row.
+        traces load at t=0 in ``chrome://tracing`` / Perfetto.  Every
+        event sits on timeline row 0 (the format requires a ``tid``).
         """
         spans = self.spans()
         if not spans:
             return []
         base = min(span.begin_ns for span in spans)
-        events: list[dict] = [
-            {
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": f"rank{tid}"},
-            }
-            for tid in sorted({span.tid for span in spans})
-        ]
+        events: list[dict] = []
         for span in spans:
             event = {
                 "name": span.name,
@@ -181,7 +167,7 @@ class TraceBuffer:
                 "ts": (span.begin_ns - base) / 1e3,
                 "dur": (span.end_ns - span.begin_ns) / 1e3,
                 "pid": pid,
-                "tid": span.tid,
+                "tid": 0,
             }
             if span.attrs:
                 event["args"] = dict(span.attrs)

@@ -271,29 +271,35 @@ class TestWireFormat:
 
 
 class TestCheckpointCLI:
-    def test_simulate_checkpoint_resume_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model, split, total", [
+        ("recurrent-deterministic", 10, 30),
+        ("recurrent-stochastic", 20, 40),
+    ], ids=["10", "20"])  # the resume tick
+    def test_simulate_checkpoint_resume_round_trip(
+        self, tmp_path, capsys, model, split, total
+    ):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
-        model = "recurrent-deterministic"
         rc = cli_main([
-            "simulate", model, "--ticks", "30",
-            "--checkpoint-every", "10", "--checkpoint-dir", str(a),
+            "simulate", model, "--ticks", str(total),
+            "--checkpoint-every", str(split), "--checkpoint-dir", str(a),
         ])
         assert rc == 0
         assert sorted(p.name for p in a.iterdir()) == [
-            "ckpt-10.npz", "ckpt-20.npz", "ckpt-30.npz",
+            f"ckpt-{tick}.npz" for tick in range(split, total + 1, split)
         ]
-        # Resume from tick 10 (the `run` alias exercises the same path);
-        # the final checkpoint must be bit-identical to the
-        # uninterrupted run's.
+        # Resume from tick *split* (the `run` alias exercises the same
+        # path); the final checkpoint must be bit-identical to the
+        # uninterrupted run's, and `checkpoint inspect` reads it.
         rc = cli_main([
-            "run", model, "--ticks", "30", "--resume", str(a / "ckpt-10.npz"),
-            "--checkpoint-every", "30", "--checkpoint-dir", str(b),
+            "run", model, "--ticks", str(total), "--resume", str(a / f"ckpt-{split}.npz"),
+            "--checkpoint-every", str(total), "--checkpoint-dir", str(b),
         ])
         assert rc == 0
-        full = EngineCheckpoint.load(a / "ckpt-30.npz")
-        resumed = EngineCheckpoint.load(b / "ckpt-30.npz")
-        assert resumed.tick == full.tick == 30
+        assert cli_main(["checkpoint", "inspect", str(a / f"ckpt-{total}.npz")]) == 0
+        full = EngineCheckpoint.load(a / f"ckpt-{total}.npz")
+        resumed = EngineCheckpoint.load(b / f"ckpt-{total}.npz")
+        assert resumed.tick == full.tick == total
         np.testing.assert_array_equal(resumed.v, full.v)
         np.testing.assert_array_equal(resumed.ring, full.ring)
         assert_counters_equal(resumed.counters, full.counters)
@@ -323,15 +329,20 @@ class TestCheckpointCLI:
         np.testing.assert_array_equal(resumed.ring, full.ring)
         capsys.readouterr()
 
-    def test_damaged_file_is_a_diagnostic_not_a_traceback(self, tmp_path, capsys):
+    @pytest.mark.parametrize("keep", [lambda n: n // 2, lambda n: 700],
+                             ids=["half", "700-bytes"])
+    def test_damaged_file_is_a_diagnostic_not_a_traceback(self, tmp_path, capsys, keep):
         net = small_net(seed=4)
         ckpt, _ = checkpoint_at(net, poisson_inputs(net, TICKS, 300.0, seed=1))
         whole = ckpt.to_bytes()
+        kept = keep(len(whole))
+        assert kept < len(whole)
         cut = tmp_path / "cut.npz"
-        cut.write_bytes(whole[: len(whole) // 2])
+        cut.write_bytes(whole[:kept])
         assert cli_main(["checkpoint", "inspect", str(cut)]) == 1
         captured = capsys.readouterr()
         assert "TN601" in captured.err and captured.out == ""
+        assert "Traceback" not in captured.err
         rc = cli_main([
             "run", "recurrent-deterministic", "--ticks", "30",
             "--resume", str(cut),

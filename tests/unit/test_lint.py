@@ -492,6 +492,19 @@ class TestCli:
         assert cli_main(["lint", "--builtin", "--strict"]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_lint_source_strict_is_the_ci_gate(self, tmp_path, capsys):
+        # CI's source-lint step: clean on the installed package, exit 1
+        # on a planted finding.  Every SL code is an error, so --strict
+        # changes no verdict here.
+        from repro.lint import SOURCE_CODES, Severity
+
+        assert {info.severity for info in SOURCE_CODES.values()} == {Severity.ERROR}
+        assert cli_main(["lint", "--source", "--strict"]) == 0
+        planted = tmp_path / "planted.py"
+        planted.write_text("import random\n")
+        assert cli_main(["lint", "--source", "--strict", str(planted)]) == 1
+        assert "SL101" in capsys.readouterr().out
+
     def test_lint_model_file(self, tmp_path, capsys):
         net = random_network(n_cores=2, n_neurons=8, seed=3)
         path = tmp_path / "model.npz"

@@ -296,17 +296,17 @@ class TestEventCountersMerge:
 class TestTraceBuffer:
     def test_spans_merge_in_tick_order(self):
         buf = TraceBuffer()
-        # Rank rows append independently; spans() interleaves by tick.
-        buf.add("deliver", 100, 110, tid=1, attrs={"tick": 1})
-        buf.add("deliver", 90, 95, tid=2, attrs={"tick": 0})
-        buf.add("compile", 0, 50, tid=0)
-        buf.add("deliver", 80, 85, tid=1, attrs={"tick": 0})
-        ordered = [(s.name, s.tick, s.tid) for s in buf.spans()]
+        # Spans append out of order; spans() sorts by (tick, begin).
+        buf.add("deliver", 100, 110, attrs={"tick": 1})
+        buf.add("deliver", 90, 95, attrs={"tick": 0})
+        buf.add("compile", 0, 50)
+        buf.add("deliver", 80, 85, attrs={"tick": 0})
+        ordered = [(s.name, s.tick, s.begin_ns) for s in buf.spans()]
         assert ordered == [
             ("compile", None, 0),
-            ("deliver", 0, 1),
-            ("deliver", 0, 2),
-            ("deliver", 1, 1),
+            ("deliver", 0, 80),
+            ("deliver", 0, 90),
+            ("deliver", 1, 100),
         ]
 
     def test_ring_overflow_drops_oldest(self):
@@ -319,12 +319,12 @@ class TestTraceBuffer:
 
     def test_chrome_trace_events_structure(self):
         buf = TraceBuffer()
-        buf.add("compile", 2_000, 5_000, tid=0)
-        buf.add("deliver", 5_000, 6_000, tid=1, attrs={"tick": 0})
+        buf.add("compile", 2_000, 5_000)
+        buf.add("deliver", 5_000, 6_000, attrs={"tick": 0})
         events = buf.chrome_trace_events()
-        meta = [e for e in events if e["ph"] == "M"]
         complete = [e for e in events if e["ph"] == "X"]
-        assert {m["args"]["name"] for m in meta} == {"rank0", "rank1"}
+        assert complete == events  # no metadata rows
+        assert {e["tid"] for e in events} == {0}  # the field Chrome requires
         first = complete[0]
         assert first["ts"] == 0.0  # rebased to the earliest span
         assert first["dur"] == 3.0  # ns -> us
@@ -338,20 +338,19 @@ class TestTraceBuffer:
         flight.record(1, 210, 290, phases=(10, 20, 30, 20))
         flight.record(3, 300, 420, lanes=2)                  # a batch pass
         assert len(buf) == 1  # only the compile span is stored
-        assert buf.tids() == [0]
-        got = [(s.name, s.tid, s.begin_ns, s.end_ns, s.attrs) for s in buf.spans()]
+        got = [(s.name, s.begin_ns, s.end_ns, s.attrs) for s in buf.spans()]
         assert got == [
-            ("compile", 0, 0, 40, None),
-            ("batch_pass", 0, 300, 420, {"pass": 3, "lanes": 2}),
-            ("tick", 0, 100, 200, {"tick": 0}),
-            ("deliver", 0, 210, 220, {"tick": 1}),
-            ("tick", 0, 210, 290, {"tick": 1}),
-            ("integrate", 0, 220, 240, {"tick": 1}),
-            ("update", 0, 240, 270, {"tick": 1}),
-            ("route", 0, 270, 290, {"tick": 1}),
+            ("compile", 0, 40, None),
+            ("batch_pass", 300, 420, {"pass": 3, "lanes": 2}),
+            ("tick", 100, 200, {"tick": 0}),
+            ("deliver", 210, 220, {"tick": 1}),
+            ("tick", 210, 290, {"tick": 1}),
+            ("integrate", 220, 240, {"tick": 1}),
+            ("update", 240, 270, {"tick": 1}),
+            ("route", 270, 290, {"tick": 1}),
         ]
         events = buf.chrome_trace_events()
-        assert [e["tid"] for e in events if e["ph"] == "M"] == [0]
+        assert {e["tid"] for e in events} == {0}
 
     def test_export_chrome_writes_document(self, tmp_path):
         buf = TraceBuffer()

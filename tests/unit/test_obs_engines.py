@@ -151,7 +151,7 @@ class TestStreamingObs:
 
 
 class TestCli:
-    def test_trace_builtin_parallel(self, tmp_path, capsys):
+    def test_trace_two_compass_ranks(self, tmp_path, capsys):
         """Two Compass ranks, traced: one flight row per tick, on one
         trace row, with the four phases and the metric snapshot."""
         out = tmp_path / "trace.json"
@@ -183,6 +183,7 @@ class TestCli:
         text = capsys.readouterr().out
         assert "# TYPE repro_spikes_total counter" in text
         assert "repro_ticks_total 5" in text
+        assert 'repro_phase_seconds_total{phase="update"}' in text
 
     def test_metrics_json_to_file(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
