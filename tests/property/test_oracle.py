@@ -4,7 +4,8 @@ The paper holds TrueNorth and Compass to one regression: the same
 network, seed and inputs give the same spikes as the reference kernel,
 "not a single spike mismatch" (Section VI-A).  Here that regression is
 one hypothesis ``RuleBasedStateMachine``.  It draws a network — a random
-deterministic or stochastic net of 1-4 cores, some with membranes pinned
+deterministic or stochastic net of 1-4 cores (every other core of a
+stochastic one fully connected and all stochastic), some with membranes pinned
 at the 20-bit rails, some with a threshold draw on every neuron, or one
 of the bundled networks — and holds the
 scalar ``ReferenceKernel`` beside a bundle of live expressions of it:
@@ -119,6 +120,12 @@ def random_networks(draw) -> Network:
         stochastic=draw(st.sampled_from([True, False])),
         seed=draw(st.integers(0, 2**31)),
     )
+    if any(core.any_stochastic_synapse for core in net.cores):
+        # Every other core fully connected, every crosspoint stochastic, the
+        # others a mix: ~10x the synapse draws, so that draws at rho == |w|
+        # (1 in 256), where `<` and `<=` differ, come up.
+        for core in net.cores[::2]:
+            core.stoch_synapse[:] = core.crossbar[:] = True
     if draw(st.sampled_from([True, False])):
         pin_to_rails(net)
     if draw(st.booleans()):

@@ -12,6 +12,7 @@ from repro.core.counters import SCALAR_COUNTERS
 from repro.core.inputs import InputSchedule
 from repro.core.network import Network
 from repro.core.prng import derive_stream_seed
+from repro.core.record import SpikeRecord
 from repro.obs import Observer
 
 
@@ -143,6 +144,51 @@ class TestRunDemux:
     def test_every_pass_all_silent(self):
         records = self.records_match_standalone(small_net(stochastic=True), [None] * 4)
         assert all(r.n_spikes == 0 for r in records)
+
+
+class TestRouteLanes:
+    """The lane-flat ring write and message table with the lanes' ticks out
+    of step: each lane's slot base and single wrap are its own."""
+
+    PASSES = 40
+    RESETS = {1: 3, 2: 7, 3: 18}  # lane: the pass it restarts at, on a new seed
+
+    def test_lanes_out_of_step_equal_standalone_runs(self):
+        net = random_network(n_cores=4, n_axons=16, n_neurons=16, stochastic=True, seed=6)
+        c = compile_network(net)
+        assert int(c.delay.max()) == 15  # a spike lands up to 15 slots ahead, wrapping
+        ids, _ = c.pair_ids
+        assert ((ids == -1) & (c.ring_key >= 0)).any()  # same-core routes: the -1 slot
+        seeds = replica_seeds(net.seed, 4)
+        schedules = [poisson_inputs(net, self.PASSES, 400.0, seed=b) for b in range(4)]
+        sim = BatchedCompassSimulator(net, 4, seeds=list(seeds))
+        sim.load_inputs(schedules)
+        start, held = [0] * 4, [[] for _ in range(4)]  # each lane's spikes since its start
+        for p in range(self.PASSES):
+            for lane, at in self.RESETS.items():
+                if p == at:
+                    seeds[lane] = 1000 + lane
+                    schedules[lane] = poisson_inputs(net, self.PASSES, 400.0, seed=50 + lane)
+                    sim.reset_lane(lane, seed=seeds[lane], inputs=schedules[lane])
+                    start[lane], held[lane] = p, []
+            if p == self.RESETS[3]:
+                assert sorted(set((sim.lane_tick % 16).tolist())) == [0, 2, 11, 15]
+            lanes, *columns = sim.step_arrays()
+            for lane in range(4):
+                held[lane].append([column[lanes == lane] for column in columns])
+        for lane in range(4):
+            ticks, cores, neurons = map(np.concatenate, zip(*held[lane]))
+            alone = FastCompassSimulator(Network(cores=net.cores, seed=seeds[lane])).run(
+                self.PASSES - start[lane], schedules[lane]
+            )
+            counters = sim.lane_counters(lane)
+            assert SpikeRecord.from_arrays(ticks, cores, neurons, counters) == alone
+            for name in SCALAR_COUNTERS:
+                assert getattr(counters, name) == getattr(alone.counters, name), name
+            assert counters.messages > 0 and counters.spikes > 0
+            np.testing.assert_array_equal(
+                counters.synaptic_events_per_core, alone.counters.synaptic_events_per_core
+            )
 
 
 class TestLaneRange:
